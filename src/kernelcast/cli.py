@@ -35,6 +35,7 @@ from .datasets import (
     simulate_lorenz,
     simulate_mackey_glass,
     split_train_test,
+    write_csv,
 )
 from .errors import ConfigError, DependencyError, InvalidInputError, KernelcastError
 from .estimators import (
@@ -171,8 +172,7 @@ def generate_dataset(config: dict) -> dict:
     kind = _get(config, "dataset.kind")
     seed = int(config.get("seed", 0))
     n_train = int(_get(config, "dataset.n_train"))
-    if n_train < 1:
-        raise ConfigError("n_train must be >= 1", field="dataset.n_train")
+    series = pair = None
 
     if kind == "lorenz":
         n_points = int(d_cfg.get("n_points", 15001))
@@ -182,49 +182,44 @@ def generate_dataset(config: dict) -> dict:
             tuple(d_cfg.get("initial", (0.0, 1.0, 1.05))),
             float(d_cfg.get("dt", 0.005)), n_points,
         )
-        train, test = split_train_test(series, n_train)
-        return {"task": "path-continuation", "train": train, "test": test}
-    if kind == "mackey-glass":
+    elif kind == "mackey-glass":
         series = simulate_mackey_glass(
             float(d_cfg.get("dt_fine", 0.02)), float(d_cfg.get("delay", 17.0)),
             int(d_cfg.get("n_fine", 382500)), int(d_cfg.get("splice", 50)),
         )
-        train, test = split_train_test(series, n_train)
-        return {"task": "path-continuation", "train": train, "test": test}
-    if kind == "bekk":
+    elif kind == "bekk":
         n_points = int(d_cfg.get("n_points", 3761))
         if n_points < 3:
             raise ConfigError("n_points must be >= 3", field="dataset.n_points")
         params = _build_bekk_params(d_cfg, seed)
         innovations, _returns, covariances = simulate_bekk(params, n_points)
         # Pair input z_t with next-step vech covariance.
-        inputs = TimeSeries(innovations.values[:-1], 1.0, "bekk-inputs")
-        outputs = TimeSeries(covariances.values[1:], 1.0, "bekk-outputs")
-        if not n_train < inputs.n:
-            raise ConfigError("n_train leaves no test pairs",
-                              field="dataset.n_train")
-        tr_in, te_in = split_train_test(inputs, n_train)
-        tr_out, te_out = split_train_test(outputs, n_train)
-        return {"task": "open-loop", "train_inputs": tr_in,
-                "train_outputs": tr_out, "test_inputs": te_in,
-                "test_outputs": te_out}
-    if kind == "csv":
-        mode = _get(config, "task.mode")
-        if mode == "path-continuation":
+        pair = (TimeSeries(innovations.values[:-1], 1.0, "bekk-inputs"),
+                TimeSeries(covariances.values[1:], 1.0, "bekk-outputs"))
+    elif kind == "csv":
+        if _get(config, "task.mode") == "path-continuation":
             series, _ = load_csv(_get(config, "dataset.path"))
-            train, test = split_train_test(series, n_train)
-            return {"task": mode, "train": train, "test": test}
-        inputs, _ = load_csv(_get(config, "dataset.inputs_path"))
-        outputs, _ = load_csv(_get(config, "dataset.outputs_path"))
-        if inputs.n != outputs.n:
-            raise ConfigError("input/output CSV lengths differ",
-                              field="dataset")
-        tr_in, te_in = split_train_test(inputs, n_train)
-        tr_out, te_out = split_train_test(outputs, n_train)
-        return {"task": "open-loop", "train_inputs": tr_in,
-                "train_outputs": tr_out, "test_inputs": te_in,
-                "test_outputs": te_out}
-    raise ConfigError(f"unknown dataset kind {kind!r}", field="dataset.kind")
+        else:
+            pair = (load_csv(_get(config, "dataset.inputs_path"))[0],
+                    load_csv(_get(config, "dataset.outputs_path"))[0])
+            if pair[0].n != pair[1].n:
+                raise ConfigError("input/output CSV lengths differ",
+                                  field="dataset")
+    else:
+        raise ConfigError(f"unknown dataset kind {kind!r}", field="dataset.kind")
+
+    n = series.n if series is not None else pair[0].n
+    if not 0 < n_train < n:
+        raise ConfigError(f"must lie strictly between 0 and {n}",
+                          field="dataset.n_train")
+    if series is not None:
+        train, test = split_train_test(series, n_train)
+        return {"task": "path-continuation", "train": train, "test": test}
+    tr_in, te_in = split_train_test(pair[0], n_train)
+    tr_out, te_out = split_train_test(pair[1], n_train)
+    return {"task": "open-loop", "train_inputs": tr_in,
+            "train_outputs": tr_out, "test_inputs": te_in,
+            "test_outputs": te_out}
 
 
 _PATH_FILES = ("train", "test")
@@ -386,7 +381,7 @@ def cmd_forecast(config: dict, out_dir: str) -> int:
         if data["task"] == "path-continuation":
             # one-step-ahead predictions along the test span
             test = data["test"]
-            horizon = int(horizon_cfg) if horizon_cfg else test.n
+            horizon = min(int(horizon_cfg) if horizon_cfg else test.n, test.n)
             stacked = np.vstack([data["train"].values[-1:],
                                  test.values[:horizon - 1]])
             run = open_loop(est, stacked, reference=test.values[:horizon])
@@ -495,11 +490,8 @@ def cmd_eval(config: dict, out_dir: str) -> int:
         report = evaluate_run(run.reference, run.predicted, config, dt,
                               run.mode)
     report.config["config_sha256"] = config_hash(config)
-    csv_path = os.path.join(out_dir, "metrics.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_sha256={config_hash(config)}\n")
-        fh.write(report.csv_header() + "\n")
-        fh.write(report.csv_row() + "\n")
+    write_csv(os.path.join(out_dir, "metrics.csv"), report.CSV_FIELDS,
+              [report.csv_cells()], {"config_sha256": config_hash(config)})
     with open(os.path.join(out_dir, "metrics.json"), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write(report.to_json() + "\n")
@@ -526,22 +518,12 @@ _ASYMPTOTIC = {
 }
 
 
-def _time_fn(fn, repeats: int) -> tuple[float, float]:
-    """(median, min) wall-clock seconds over ``repeats`` after one warm-up."""
-    fn()  # warm-up
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times)), float(np.min(times))
-
-
 def _time_sweep(fns: dict, repeats: int) -> dict:
-    """Time several closures with interleaved repeats.
+    """(median, min) wall-clock seconds per closure over ``repeats``.
 
-    Interleaving exposes every entry to the same scheduler noise, which is
-    what makes within-sweep comparisons (constant vs growing cost) fair.
+    One warm-up round precedes the timed ones.  Repeats are interleaved,
+    which exposes every entry to the same scheduler noise and makes
+    within-sweep comparisons (constant vs growing cost) fair.
     """
     for fn in fns.values():  # warm-up round
         fn()
@@ -593,17 +575,18 @@ def run_bench(config: dict) -> list[dict]:
         record("ngrc-train", p, n, train_sweep[p])
         model = fit_ngrc(series[:n], targets[:n], tau, p, lam_reg)
         windows = delay_vectors(series[: n + steps], tau)[-steps:]
-        record("ngrc-predict", p, n, _time_fn(
-            lambda: predict_ngrc(model, windows), repeats), per_step=steps)
+        record("ngrc-predict", p, n, _time_sweep(
+            {p: lambda: predict_ngrc(model, windows)}, repeats)[p],
+            per_step=steps)
 
     windows_n = delay_vectors(series[:n], tau)
     pk = PolyKernelParams(2, tau)
-    record("poly-gram", 2, n, _time_fn(
-        lambda: poly_gram(windows_n, windows_n, pk), repeats))
+    record("poly-gram", 2, n, _time_sweep(
+        {2: lambda: poly_gram(windows_n, windows_n, pk)}, repeats)[2])
     poly_model = fit_kernel_model(series[:n], targets[:n], pk, lam_reg)
     test_windows = delay_vectors(series[: n + steps], tau)[-steps:]
-    record("poly-predict", 2, n, _time_fn(
-        lambda: predict_kernel(poly_model, test_windows), repeats),
+    record("poly-predict", 2, n, _time_sweep(
+        {2: lambda: predict_kernel(poly_model, test_windows)}, repeats)[2],
         per_step=steps)
 
     volt_inputs = rng.uniform(-1.0, 1.0, (n2 + steps, gram_d))
@@ -614,12 +597,12 @@ def run_bench(config: dict) -> list[dict]:
         repeats)
     for p in ps:
         record("volterra-gram", p, n, volt_sweep[p])
-    record("volterra-gram", 0, n2, _time_fn(
-        lambda: volterra_gram(volt_inputs[:n2], vp), repeats))
+    record("volterra-gram", 0, n2, _time_sweep(
+        {0: lambda: volterra_gram(volt_inputs[:n2], vp)}, repeats)[0])
     volt_model = fit_kernel_model(volt_inputs[:n], targets[:n], vp, lam_reg)
-    record("volterra-predict", 0, n, _time_fn(
-        lambda: predict_kernel(volt_model, volt_inputs[n : n + steps]),
-        repeats), per_step=steps)
+    record("volterra-predict", 0, n, _time_sweep(
+        {0: lambda: predict_kernel(volt_model, volt_inputs[n : n + steps])},
+        repeats)[0], per_step=steps)
     return rows
 
 
@@ -629,11 +612,8 @@ def cmd_bench(config: dict, out_dir: str) -> int:
     path = os.path.join(out_dir, "bench.csv")
     fields = ["op", "n", "tau", "p", "d", "median_s", "min_s", "repeats",
               "asymptotic"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_sha256={config_hash(config)}\n")
-        fh.write(",".join(fields) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[f]) for f in fields) + "\n")
+    write_csv(path, fields, ([row[f] for f in fields] for row in rows),
+              {"config_sha256": config_hash(config)})
     _write_manifest(out_dir, "bench", config, {"bench": "bench.csv"})
     print(f"bench: {len(rows)} timings -> {path}")
     return 0
@@ -641,18 +621,6 @@ def cmd_bench(config: dict, out_dir: str) -> int:
 
 # ---------------------------------------------------------------------------
 # entry point
-
-
-def _limit_threads(n: int | None) -> None:
-    if not n:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-        threadpool_limits(limits=int(n))
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(int(n))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -673,8 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
                               + ", ".join(sorted(PRESETS)))
         cmd.add_argument("--out", required=True, help="experiment directory")
         cmd.add_argument("--seed", type=int, help="override the config seed")
-        cmd.add_argument("--threads", type=int,
-                         help="cap the worker thread count")
         cmd.set_defaults(fn=fn)
     return parser
 
@@ -682,7 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _limit_threads(args.threads)
         config = load_config(args)
         return args.fn(config, args.out)
     except (ConfigError, DependencyError) as exc:

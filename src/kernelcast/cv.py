@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridSearchError, InvalidInputError
+from .datasets import write_csv
+from .errors import GridSearchError, InvalidInputError, KernelcastError
 from .estimators import fit_estimator, fit_path_estimator
 from .forecast import open_loop, path_continue
 
@@ -133,11 +134,9 @@ class GridSearchResult:
 
     def leaderboard_csv(self, path) -> None:
         keys = sorted({k for row in self.table for k in row.params})
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(keys + ["mean_mse"]) + "\n")
-            for row in self.table:
-                cells = [repr(row.params.get(k, "")) for k in keys]
-                fh.write(",".join(cells + [f"{row.mean_mse:.17g}"]) + "\n")
+        write_csv(path, keys + ["mean_mse"],
+                  ([repr(row.params.get(k, "")) for k in keys] + [row.mean_mse]
+                   for row in self.table))
 
 
 def _mse(a: np.ndarray, b: np.ndarray) -> float:
@@ -221,7 +220,8 @@ def grid_search(estimator_kind: str, grid: Grid, plan: FoldPlan,
                 else:
                     score = _score_open_fold(estimator_kind, full, inputs,
                                              outputs, fold, fit_kw)
-            except Exception as exc:  # candidate-level failure, not fatal
+            except (KernelcastError, np.linalg.LinAlgError) as exc:
+                # candidate-level failure, not fatal
                 score = float("inf")
                 failures.append(f"fold {fold}: {exc}")
             fold_scores.append(score)

@@ -9,9 +9,11 @@ Three generators are provided:
 * diagonal BEKK(1,0,1) conditional-covariance process driven by seeded
   Gaussian innovations, with half-vectorized covariances as outputs.
 
-Series round-trip through a small CSV dialect: ``# key=value`` comment
-lines (``dt`` required), a ``t,c0,...`` header, 17-significant-digit
-values, UTF-8, LF line endings.
+Every CSV artifact of the package is written by :func:`write_csv` and read
+back by :func:`read_csv` in one small dialect: ``# key=value`` comment
+lines, one header line, 17-significant-digit values, UTF-8, LF line
+endings.  Series files (:func:`save_csv`) add a ``t,c0,...`` header and a
+required ``dt`` comment.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .linsolve import psd_sqrt
 
 RK_TOL = 1e-10  # absolute and relative integrator tolerances
 
-_FLOAT_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# The writer also emits nan/inf/-inf for non-finite forecasts.
+_FLOAT_RE = re.compile(r"^([+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|nan|-?inf)$")
 
 
 @dataclass
@@ -287,35 +290,43 @@ def split_train_test(series: TimeSeries, n_train: int) -> tuple[TimeSeries,
             TimeSeries(series.values[n_train:], series.dt, series.origin))
 
 
-def save_csv(series: TimeSeries, path, extra_meta: dict | None = None) -> None:
-    """Write a series in the package CSV dialect (17 significant digits)."""
-    meta = {"dt": f"{series.dt:.17g}"}
-    if series.origin:
-        meta["origin"] = series.origin
-    for key, value in (extra_meta or {}).items():
-        meta[str(key)] = str(value)
-    header = "t," + ",".join(f"c{j}" for j in range(series.d))
+def format_cell(x) -> str:
+    """One CSV cell: floats at 17 significant digits, anything else as text."""
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+
+def write_csv(path, header, rows, meta: dict | None = None) -> None:
+    """Write a table in the package CSV dialect.
+
+    ``meta`` entries become ``# key=value`` lines (values as text), then one
+    header line, then one line per row with cells from :func:`format_cell`.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in meta.items():
+        for key, value in (meta or {}).items():
             fh.write(f"# {key}={value}\n")
-        fh.write(header + "\n")
-        for i, row in enumerate(series.values):
-            cells = ",".join(f"{x:.17g}" for x in row)
-            fh.write(f"{i * series.dt:.17g},{cells}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(format_cell, row)) + "\n")
 
 
 def _parse_cell(cell: str, line_no: int, col: str) -> float:
     cell = cell.strip()
+    if cell == "":
+        raise ParseError(f"column {col}: empty cell", line=line_no)
     if not _FLOAT_RE.match(cell):
         raise ParseError(f"column {col}: cannot parse {cell!r} as a number",
                          line=line_no)
     return float(cell)
 
 
-def load_csv(path) -> tuple[TimeSeries, dict]:
-    """Read a series written by :func:`save_csv`.
+def read_csv(path, first_column: str) -> tuple[dict, list, np.ndarray]:
+    """Strict reader for the package CSV dialect.
 
-    Returns the series plus the metadata dict from the comment lines.
+    The header must start with the row-key column ``first_column`` (``t``,
+    ``step``), whose cells are not parsed.  Every other cell must be a
+    plain decimal number or one of ``nan``, ``inf``, ``-inf``.  Returns the
+    metadata, the header and a (rows, columns - 1) array of the value
+    columns; malformed input raises :class:`ParseError` naming the line.
     """
     meta: dict[str, str] = {}
     columns: list[str] | None = None
@@ -336,21 +347,41 @@ def load_csv(path) -> tuple[TimeSeries, dict]:
             cells = line.split(",")
             if columns is None:
                 columns = [c.strip() for c in cells]
-                if not columns or columns[0] != "t":
-                    raise ParseError("header must start with column 't'",
-                                     line=line_no)
+                if columns[0] != first_column:
+                    raise ParseError(
+                        f"header must start with column {first_column!r}",
+                        line=line_no)
                 continue
             if len(cells) != len(columns):
                 raise ParseError(
                     f"expected {len(columns)} cells, found {len(cells)}",
                     line=line_no)
-            parsed = []
-            for col, cell in zip(columns[1:], cells[1:]):
-                if cell.strip() == "":
-                    raise ParseError(f"column {col}: empty cell", line=line_no)
-                parsed.append(_parse_cell(cell, line_no, col))
-            rows.append(parsed)
-    if columns is None or not rows:
+            rows.append([_parse_cell(cell, line_no, col)
+                         for col, cell in zip(columns[1:], cells[1:])])
+    if columns is None:
+        raise ParseError("file contains no header line", line=None)
+    values = np.asarray(rows) if rows else np.empty((0, len(columns) - 1))
+    return meta, columns, values
+
+
+def save_csv(series: TimeSeries, path, extra_meta: dict | None = None) -> None:
+    """Write a series with a ``t`` column and ``dt``/``origin`` metadata."""
+    meta = {"dt": format_cell(series.dt)}
+    if series.origin:
+        meta["origin"] = series.origin
+    meta.update(extra_meta or {})
+    header = ["t"] + [f"c{j}" for j in range(series.d)]
+    rows = ([i * series.dt, *row] for i, row in enumerate(series.values))
+    write_csv(path, header, rows, meta)
+
+
+def load_csv(path) -> tuple[TimeSeries, dict]:
+    """Read a series written by :func:`save_csv`.
+
+    Returns the series plus the metadata dict from the comment lines.
+    """
+    meta, _, values = read_csv(path, "t")
+    if not values.shape[0]:
         raise ParseError("file contains no data rows", line=None)
     if "dt" not in meta:
         raise ParseError("missing '# dt=' metadata comment", line=None)
@@ -358,5 +389,5 @@ def load_csv(path) -> tuple[TimeSeries, dict]:
         dt = float(meta["dt"])
     except ValueError as exc:
         raise ParseError(f"bad dt value {meta['dt']!r}") from exc
-    series = TimeSeries(np.asarray(rows), dt, origin=meta.get("origin", ""))
+    series = TimeSeries(values, dt, origin=meta.get("origin", ""))
     return series, meta

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NormBoundError
+from .datasets import read_csv, write_csv
+from .errors import InvalidInputError, NormBoundError, ParseError
 
 
 @dataclass
@@ -44,62 +45,40 @@ class ForecastRun:
     def save_csv(self, path, extra_meta: dict | None = None) -> None:
         """Reference, prediction, and per-step error columns, one row a step."""
         pred = np.atleast_2d(self.predicted)
-        m = pred.shape[1]
         ref = None if self.reference is None else np.atleast_2d(self.reference)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# mode={self.mode}\n")
-            fh.write(f"# horizon={self.horizon}\n")
-            if self.error is not None:
-                fh.write(f"# error_step={self.error_step}\n")
-                fh.write(f"# error={self.error}\n")
-            for key, value in (extra_meta or {}).items():
-                fh.write(f"# {key}={value}\n")
-            cols = [f"pred{j}" for j in range(m)]
-            if ref is not None:
-                cols += [f"ref{j}" for j in range(m)] + ["err"]
-            fh.write("step," + ",".join(cols) + "\n")
-            for i in range(pred.shape[0]):
-                cells = [f"{i + 1}"]
-                cells += [f"{x:.17g}" for x in pred[i]]
-                if ref is not None:
-                    cells += [f"{x:.17g}" for x in ref[i]]
-                    cells.append(f"{np.linalg.norm(pred[i] - ref[i]):.17g}")
-                fh.write(",".join(cells) + "\n")
+        meta = {"mode": self.mode, "horizon": self.horizon}
+        if self.error is not None:
+            meta.update(error_step=self.error_step, error=self.error)
+        meta.update(extra_meta or {})
+        header = ["step"] + [f"pred{j}" for j in range(pred.shape[1])]
+        if ref is None:
+            rows = ([i + 1, *p] for i, p in enumerate(pred))
+        else:
+            header += [f"ref{j}" for j in range(pred.shape[1])] + ["err"]
+            rows = ([i + 1, *p, *r, np.linalg.norm(p - r)]
+                    for i, (p, r) in enumerate(zip(pred, ref, strict=True)))
+        write_csv(path, header, rows, meta)
 
 
 def load_forecast_csv(path) -> tuple[ForecastRun, dict]:
     """Read back a run written by :meth:`ForecastRun.save_csv`."""
-    meta: dict[str, str] = {}
-    header: list[str] | None = None
-    rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value.strip()
-                continue
-            if header is None:
-                header = [c.strip() for c in line.split(",")]
-                continue
-            rows.append([float(c) for c in line.split(",")])
-    if header is None:
-        raise InvalidInputError(f"{path}: no forecast table found")
-    data = np.asarray(rows) if rows else np.empty((0, len(header)))
-    pred_cols = [i for i, c in enumerate(header) if c.startswith("pred")]
-    ref_cols = [i for i, c in enumerate(header) if c.startswith("ref")]
-    predicted = data[:, pred_cols]
-    reference = data[:, ref_cols] if ref_cols else None
+    meta, header, data = read_csv(path, "step")
+    columns = header[1:]
+    predicted = data[:, [i for i, c in enumerate(columns) if c.startswith("pred")]]
+    ref_cols = [i for i, c in enumerate(columns) if c.startswith("ref")]
+    try:
+        horizon = int(meta.get("horizon", predicted.shape[0]))
+        error_step = int(meta["error_step"]) if "error_step" in meta else None
+    except ValueError as exc:
+        raise ParseError(f"bad horizon or error_step metadata: {exc}") from exc
     run = ForecastRun(
         meta.get("mode", "open-loop"),
-        int(meta.get("horizon", predicted.shape[0])),
+        horizon,
         predicted,
-        reference,
+        data[:, ref_cols] if ref_cols else None,
         None,
         meta.get("error"),
-        int(meta["error_step"]) if "error_step" in meta else None,
+        error_step,
     )
     return run, meta
 

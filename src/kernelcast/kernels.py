@@ -113,19 +113,9 @@ class VolterraParams:
 
 @dataclass
 class GramMatrix:
-    """Kernel evaluation table with construction provenance."""
+    """Kernel evaluation table."""
 
     values: np.ndarray
-    kind: str  # "square-train" or "rectangular-extension"
-    kernel: dict
-
-    def to_csv(self, path) -> None:
-        """Dump the table for inspection; one row per line, comma separated."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# kind={self.kind}\n")
-            fh.write(f"# kernel={json.dumps(self.kernel, sort_keys=True)}\n")
-            for row in self.values:
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 def poly_kernel(u, v, params: PolyKernelParams) -> float:
@@ -203,15 +193,14 @@ def volterra_gram(inputs, params: VolterraParams) -> GramMatrix:
     denom = 1.0 - params.theta**2 * (Z @ Z.T)
     # Cauchy-Schwarz keeps denominators >= 1 - theta^2 M^2 > 0; a violation
     # means the norm check above was bypassed.
-    assert denom.size == 0 or float(denom.min()) >= params.denominator_floor * (
-        1.0 - 1e-9
-    ), "Volterra denominator fell below its floor"
+    if denom.size and float(denom.min()) < params.denominator_floor * (1.0 - 1e-9):
+        raise InvalidInputError("Volterra denominator fell below its floor")
     G = np.empty((n + 1, n + 1))
     G[0, :] = params.border
     G[:, 0] = params.border
     for i in range(1, n + 1):
         G[i, 1:] = 1.0 + lam2 * G[i - 1, :n] / denom[i - 1]
-    return GramMatrix(G[1:, 1:], "square-train", params.describe())
+    return GramMatrix(G[1:, 1:])
 
 
 class VolterraExtension:
@@ -273,7 +262,7 @@ def volterra_gram_extend(train_inputs, test_inputs,
     cols = np.empty((Z.shape[0], T.shape[0]))
     for j in range(T.shape[0]):
         cols[:, j] = ext.step(T[j])
-    return GramMatrix(cols, "rectangular-extension", params.describe())
+    return GramMatrix(cols)
 
 
 def volterra_kernel_truncated(seq_a, seq_b, params: VolterraParams,

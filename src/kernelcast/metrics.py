@@ -26,6 +26,7 @@ import scipy.signal
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from .datasets import format_cell
 from .errors import InvalidInputError
 
 W1_DEFAULT_CAP = 512
@@ -217,20 +218,17 @@ class MetricReport:
     CSV_FIELDS = ("nmse", "mae", "mdae", "mape", "psde", "w1", "t_valid",
                   "t_valid_censored")
 
+    def csv_cells(self) -> list:
+        """CSV_FIELDS values: ``None`` as an empty cell, booleans as 0/1."""
+        values = (getattr(self, name) for name in self.CSV_FIELDS)
+        return ["" if v is None else int(v) if isinstance(v, bool) else v
+                for v in values]
+
     def csv_header(self) -> str:
         return ",".join(self.CSV_FIELDS)
 
     def csv_row(self) -> str:
-        cells = []
-        for name in self.CSV_FIELDS:
-            value = getattr(self, name)
-            if value is None:
-                cells.append("")
-            elif isinstance(value, bool):
-                cells.append("1" if value else "0")
-            else:
-                cells.append(f"{value:.17g}")
-        return ",".join(cells)
+        return ",".join(map(format_cell, self.csv_cells()))
 
     def to_json(self) -> str:
         doc = {name: getattr(self, name) for name in self.CSV_FIELDS}

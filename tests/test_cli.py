@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from kernelcast.cli import config_hash, main
-from kernelcast.forecast import ForecastRun
+from kernelcast.errors import ParseError
+from kernelcast.forecast import ForecastRun, load_forecast_csv
 from kernelcast.presets import PRESETS
 
 
@@ -83,6 +84,54 @@ class TestPipeline:
             assert metrics[name] == 0.0
 
 
+class TestMetricsCsv:
+    def test_golden_text(self, tmp_path):
+        reference, predicted = [1.0, -1.0, 2.0, -2.0], [1.0, -1.0, 2.0, -1.0]
+        series = tmp_path / "series.csv"
+        rows = "".join(f"{i},{x}\n" for i, x in enumerate(reference * 2))
+        series.write_text("# dt=1\nt,c0\n" + rows)
+        cfg = {"schema": "kernelcast-experiment/1", "seed": 0,
+               "dataset": {"kind": "csv", "path": str(series), "n_train": 4},
+               "estimator": {"kind": "ngrc",
+                             "hyper": {"tau": 1, "p": 1, "lam_reg": 1e-6}},
+               "task": {"mode": "path-continuation"}}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "exp"
+        assert run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(out)) == 0
+        run = ForecastRun("path-continuation", 4, np.array(predicted)[:, None],
+                          np.array(reference)[:, None])
+        run.save_csv(out / "forecast.csv",
+                     extra_meta={"config_sha256": config_hash(cfg)})
+        (out / "forecast_manifest.json").write_text(
+            json.dumps({"config_sha256": config_hash(cfg)}))
+        assert run_cli("eval", "--config", str(cfg_path),
+                       "--out", str(out)) == 0
+        assert (out / "metrics.csv").read_bytes() == (
+            f"# config_sha256={config_hash(cfg)}\n"
+            "nmse,mae,mdae,mape,psde,w1,t_valid,t_valid_censored\n"
+            "0.10000000000000001,0.25,0,0.125,0.54471788715486202,0.25,,0\n"
+        ).encode()
+
+
+class TestOpenLoopOnSeries:
+    def test_horizon_beyond_test_span_is_clamped(self, tmp_path,
+                                                 mini_lorenz_config):
+        cfg, _ = mini_lorenz_config
+        cfg["task"] = {"mode": "open-loop", "horizon": 5000}
+        path = tmp_path / "open.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "exp"
+        for cmd in ("simulate", "fit", "forecast"):
+            assert run_cli(cmd, "--config", str(path),
+                           "--out", str(out)) == 0
+        run, _ = load_forecast_csv(out / "forecast.csv")
+        n_test = cfg["dataset"]["n_points"] - cfg["dataset"]["n_train"]
+        assert run.horizon == n_test
+        assert run.predicted.shape[0] == run.reference.shape[0] == n_test
+
+
 class TestExitCodes:
     def test_missing_config_is_config_error(self, tmp_path):
         assert run_cli("simulate", "--config", str(tmp_path / "nope.json"),
@@ -130,6 +179,37 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert run_cli("simulate", "--config", str(path),
                        "--out", str(tmp_path / "o")) == 2
+
+    def test_n_train_equal_to_n_points_rejected(self, tmp_path):
+        cfg = copy.deepcopy(PRESETS["lorenz-ngrc"])
+        cfg["dataset"]["n_points"] = 50
+        cfg["dataset"]["n_train"] = 50
+        path = tmp_path / "lorenz.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(path),
+                       "--out", str(tmp_path / "o")) == 2
+
+    def test_corrupt_forecast_cell_is_parse_error(self, tmp_path,
+                                                  mini_lorenz_config):
+        _, cfg_path = mini_lorenz_config
+        out = tmp_path / "exp"
+        for cmd in ("simulate", "fit", "forecast"):
+            assert run_cli(cmd, "--config", str(cfg_path),
+                           "--out", str(out)) == 0
+        path = out / "forecast.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines)
+                   if line.startswith("7,"))
+        cells = lines[row].split(",")
+        cells[2] = "1.2.3"  # column pred1
+        lines[row] = ",".join(cells)
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError) as err:
+            load_forecast_csv(path)
+        assert err.value.line == row + 1
+        assert "pred1" in str(err.value)
+        assert run_cli("eval", "--config", str(cfg_path),
+                       "--out", str(out)) == 3
 
 
 class TestNumericalFailureExit:

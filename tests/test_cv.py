@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from kernelcast.cv import (
+    CandidateResult,
     Grid,
+    GridSearchResult,
     expanding_folds,
     grid_search,
     overlapping_folds,
@@ -190,6 +192,34 @@ class TestGridSearch:
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         assert lines[0].split(",")[-1] == "mean_mse"
+
+    def test_foreign_exception_in_fold_propagates(self, monkeypatch):
+        import kernelcast.cv as cv_module
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug inside a fold")
+
+        monkeypatch.setattr(cv_module, "_score_path_fold", broken)
+        plan = overlapping_folds(400, 200, 50, 150)
+        with pytest.raises(RuntimeError, match="bug inside a fold"):
+            grid_search("ngrc", Grid(taus=[1], ps=[2], lam_regs=[1e-8]),
+                        plan, "path-continuation",
+                        series=make_planted_series())
+
+    def test_leaderboard_golden_text(self, tmp_path):
+        table = [
+            CandidateResult({"tau": 1, "p": 2, "lam_reg": 1e-8}, [0.1], 0.1),
+            CandidateResult({"tau": 2, "p": 2, "lam_reg": 1e-8},
+                            [math.inf], math.inf),
+        ]
+        result = GridSearchResult(dict(table[0].params), table, [])
+        path = tmp_path / "leaderboard.csv"
+        result.leaderboard_csv(path)
+        assert path.read_bytes() == (
+            b"lam_reg,p,tau,mean_mse\n"
+            b"1e-08,2,1,0.10000000000000001\n"
+            b"1e-08,2,2,inf\n"
+        )
 
     def test_grid_order_invariance_up_to_tie_break(self):
         series = make_planted_series(seed=6)

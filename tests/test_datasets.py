@@ -219,6 +219,33 @@ class TestCsv:
             load_csv(path)
         assert err.value.line == 3
 
+    def test_golden_text(self, tmp_path):
+        ts = TimeSeries(np.array([[1.0, -2.5], [0.1, 3e-20]]), dt=0.5,
+                        origin="demo")
+        path = tmp_path / "golden.csv"
+        save_csv(ts, path, extra_meta={"config_sha256": "abc", "seed": 3})
+        assert path.read_bytes() == (
+            b"# dt=0.5\n"
+            b"# origin=demo\n"
+            b"# config_sha256=abc\n"
+            b"# seed=3\n"
+            b"t,c0,c1\n"
+            b"0,1,-2.5\n"
+            b"0.5,0.10000000000000001,3.0000000000000003e-20\n"
+        )
+
+    def test_golden_text_without_origin(self, tmp_path):
+        ts = TimeSeries(np.array([1e300, -0.0, 7.0]), dt=0.1)
+        path = tmp_path / "golden.csv"
+        save_csv(ts, path)
+        assert path.read_bytes() == (
+            b"# dt=0.10000000000000001\n"
+            b"t,c0\n"
+            b"0,1.0000000000000001e+300\n"
+            b"0.10000000000000001,-0\n"
+            b"0.20000000000000001,7\n"
+        )
+
     def test_lf_line_endings(self, tmp_path):
         ts = TimeSeries(np.ones((3, 1)), dt=1.0)
         path = tmp_path / "lf.csv"

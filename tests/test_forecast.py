@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kernelcast.errors import InvalidInputError
+from kernelcast.errors import InvalidInputError, ParseError
 from kernelcast.estimators import fit_estimator, fit_path_estimator
 from kernelcast.forecast import (
     ForecastRun,
@@ -177,6 +177,64 @@ class TestForecastCsv:
         assert clone.error == "non-finite prediction"
         assert clone.error_step == 4
         assert clone.truncated
+
+
+    def test_golden_text_truncated(self, tmp_path):
+        error = "sample 7 has norm 1.2 > M = 1"
+        run = ForecastRun("path-continuation", 5, np.array([[0.5], [0.25]]),
+                          np.array([[0.25], [1.0]]), None, error, 3)
+        path = tmp_path / "forecast.csv"
+        run.save_csv(path, extra_meta={"config_sha256": "abc",
+                                       "estimator": "volterra"})
+        assert path.read_bytes() == (
+            b"# mode=path-continuation\n"
+            b"# horizon=5\n"
+            b"# error_step=3\n"
+            b"# error=sample 7 has norm 1.2 > M = 1\n"
+            b"# config_sha256=abc\n"
+            b"# estimator=volterra\n"
+            b"step,pred0,ref0,err\n"
+            b"1,0.5,0.25,0.25\n"
+            b"2,0.25,1,0.75\n"
+        )
+        clone, meta = load_forecast_csv(path)
+        assert clone.error == error
+        assert clone.error_step == 3
+        assert clone.horizon == 5
+        assert meta["estimator"] == "volterra"
+
+    def test_golden_text_without_reference(self, tmp_path):
+        run = ForecastRun("open-loop", 2,
+                          np.array([[0.1, 2.0], [-1.0, 1e300]]))
+        path = tmp_path / "forecast.csv"
+        run.save_csv(path)
+        assert path.read_bytes() == (
+            b"# mode=open-loop\n"
+            b"# horizon=2\n"
+            b"step,pred0,pred1\n"
+            b"1,0.10000000000000001,2\n"
+            b"2,-1,1.0000000000000001e+300\n"
+        )
+        clone, _ = load_forecast_csv(path)
+        np.testing.assert_array_equal(clone.predicted, run.predicted)
+        assert clone.reference is None
+
+    def test_bad_metadata_is_parse_error(self, tmp_path):
+        path = tmp_path / "forecast.csv"
+        path.write_text("# mode=open-loop\n# horizon=two\nstep,pred0\n1,0.5\n")
+        with pytest.raises(ParseError, match="horizon"):
+            load_forecast_csv(path)
+
+    def test_non_finite_cells_round_trip(self, tmp_path):
+        # open-loop predictions are written without a finiteness check
+        pred = np.array([[np.nan], [np.inf], [-np.inf]])
+        run = ForecastRun("open-loop", 3, pred, np.zeros((3, 1)))
+        path = tmp_path / "forecast.csv"
+        run.save_csv(path)
+        assert path.read_text().splitlines()[-3:] == [
+            "1,nan,0,nan", "2,inf,0,inf", "3,-inf,0,inf"]
+        clone, _ = load_forecast_csv(path)
+        np.testing.assert_array_equal(clone.predicted, pred)
 
 
 class TestOpenLoopRuns:

@@ -175,6 +175,15 @@ class TestVolterraGram:
             volterra_gram(np.array([[0.5], [1.5]]), p)
         assert err.value.position == 1
 
+    def test_denominator_floor_checked_without_norm_check(self, monkeypatch):
+        import kernelcast.kernels as kernels_module
+
+        monkeypatch.setattr(kernels_module, "_check_sample_norms",
+                            lambda *args, **kwargs: None)
+        p = VolterraParams(lam=0.5, theta=0.5, M=1.0)
+        with pytest.raises(InvalidInputError, match="denominator"):
+            volterra_gram(np.array([[0.5], [1.5]]), p)
+
 
 class TestVolterraExtension:
     def test_zero_test_inputs_reproduce_zero_chain(self):
@@ -371,17 +380,6 @@ class TestKernelModels:
         with pytest.raises(NormBoundError) as err:
             ext.step(np.array([2.0]))
         assert err.value.position == 6
-
-    def test_gram_csv_export(self, tmp_path):
-        p = VolterraParams(0.5, 0.5)
-        g = volterra_gram(np.zeros((3, 1)), p)
-        path = tmp_path / "gram.csv"
-        g.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# kind=square-train")
-        assert len(lines) == 2 + 3
-        row = [float(x) for x in lines[2].split(",")]
-        np.testing.assert_allclose(row, g.values[0], rtol=0)
 
 
 def test_ngrc_gram_matches_pairwise_kernel():
