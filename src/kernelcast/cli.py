@@ -287,8 +287,11 @@ def cmd_fit(config: dict, out_dir: str) -> int:
     doc = {"config_sha256": config_hash(config),
            "estimator": estimator_to_dict(est)}
     _write_json(os.path.join(out_dir, "model.json"), doc)
+    sol = est.model.solution
     _write_manifest(out_dir, "fit", config, {"model": "model.json"},
-                    {"fit_seconds": elapsed})
+                    {"fit_seconds": elapsed,
+                     "solver": {"method": sol.method, "jitter": sol.jitter,
+                                "smallest_pivot": sol.smallest_pivot}})
     print(f"fit: {est.kind} model written to {out_dir}/model.json "
           f"({elapsed:.2f}s)")
     return 0

@@ -31,7 +31,13 @@ from .linsolve import psd_sqrt
 RK_TOL = 1e-10  # absolute and relative integrator tolerances
 
 # The writer also emits nan/inf/-inf for non-finite forecasts.
-_FLOAT_RE = re.compile(r"^([+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?|nan|-?inf)$")
+# Every alternative matches a given cell in one way only, so a bad row fails
+# in linear time.
+_NUMBER = r"(?:[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?|nan|-?inf)"
+_FLOAT_RE = re.compile(rf"^{_NUMBER}$")
+# A whole data row: an unparsed row key, then numbers, each cell padded by
+# optional whitespace (the per-cell rule strips it).
+_ROW_RE = re.compile(rf"[^,]*(?:,\s*{_NUMBER}\s*)*")
 
 
 @dataclass
@@ -356,8 +362,11 @@ def read_csv(path, first_column: str) -> tuple[dict, list, np.ndarray]:
                 raise ParseError(
                     f"expected {len(columns)} cells, found {len(cells)}",
                     line=line_no)
-            rows.append([_parse_cell(cell, line_no, col)
-                         for col, cell in zip(columns[1:], cells[1:])])
+            if _ROW_RE.fullmatch(line):
+                rows.append(list(map(float, cells[1:])))
+            else:  # the per-cell rule names the bad cell
+                rows.append([_parse_cell(cell, line_no, col)
+                             for col, cell in zip(columns[1:], cells[1:])])
     if columns is None:
         raise ParseError("file contains no header line", line=None)
     values = np.asarray(rows) if rows else np.empty((0, len(columns) - 1))

@@ -345,8 +345,10 @@ class KernelModel:
         return VolterraExtension(self.train_inputs, self.kernel, self._last_col)
 
     def to_dict(self) -> dict:
+        """Schema ``kernel-model/2``: Volterra models also store the bordered
+        last Gram column, so loading them builds no Gram."""
         doc = {
-            "schema": "kernel-model/1",
+            "schema": "kernel-model/2",
             "kernel": self.kernel.describe(),
             "train_inputs": self.train_inputs.tolist(),
             "alpha": self.alpha.tolist(),
@@ -354,6 +356,8 @@ class KernelModel:
             "lam_reg": self.lam_reg,
             "preprocessing": self.preprocessing,
         }
+        if self.is_volterra:
+            doc["last_column"] = self._last_col.tolist()
         return doc
 
     def to_json(self) -> str:
@@ -361,8 +365,11 @@ class KernelModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "KernelModel":
-        if doc.get("schema") != "kernel-model/1":
-            raise InvalidInputError(f"unknown model schema {doc.get('schema')!r}")
+        """Load a ``kernel-model/2`` document, or a ``/1`` one, whose Volterra
+        models carry no last column and get it from a Gram rebuild."""
+        schema = doc.get("schema")
+        if schema not in ("kernel-model/1", "kernel-model/2"):
+            raise InvalidInputError(f"unknown model schema {schema!r}")
         kdoc = dict(doc["kernel"])
         kind = kdoc.pop("kind")
         if kind == "polynomial":
@@ -373,32 +380,28 @@ class KernelModel:
             kernel = VolterraParams(**kdoc)
         else:
             raise InvalidInputError(f"unknown kernel kind {kind!r}")
-        model = fit_like_structure(
-            kernel,
-            np.asarray(doc["train_inputs"], dtype=np.float64),
-            np.asarray(doc["alpha"], dtype=np.float64),
-            int(doc["washout"]),
-            float(doc["lam_reg"]),
-            doc.get("preprocessing"),
-        )
+        train_inputs = np.asarray(doc["train_inputs"], dtype=np.float64)
+        washout = int(doc["washout"])
+        model = KernelModel(kernel, train_inputs,
+                            np.asarray(doc["alpha"], dtype=np.float64),
+                            washout, float(doc["lam_reg"]),
+                            doc.get("preprocessing"))
+        if not model.is_volterra:
+            windows = delay_vectors(train_inputs, kernel.tau)
+            model.train_windows = windows[washout:]
+        elif schema == "kernel-model/1":
+            gram = volterra_gram(train_inputs, kernel)
+            model._last_col = np.concatenate(([kernel.border],
+                                              gram.values[:, -1]))
+        elif "last_column" in doc:
+            model._last_col = np.asarray(doc["last_column"], dtype=np.float64)
+        else:
+            raise InvalidInputError("Volterra model has no last_column")
         return model
 
     @classmethod
     def from_json(cls, text: str) -> "KernelModel":
         return cls.from_dict(json.loads(text))
-
-
-def fit_like_structure(kernel, train_inputs, alpha, washout, lam_reg,
-                       preprocessing) -> KernelModel:
-    """Rebuild the cached structures of a model from its serialized fields."""
-    model = KernelModel(kernel, train_inputs, alpha, washout, lam_reg,
-                        preprocessing)
-    if isinstance(kernel, VolterraParams):
-        gram = volterra_gram(train_inputs, kernel)
-        model._last_col = np.concatenate(([kernel.border], gram.values[:, -1]))
-    else:
-        model.train_windows = delay_vectors(train_inputs, kernel.tau)[washout:]
-    return model
 
 
 def _lagged_gram(kernel, windows: np.ndarray) -> np.ndarray:

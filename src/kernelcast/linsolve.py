@@ -17,10 +17,16 @@ polished by two extended-precision refinement steps; small Gram systems are
 solved through a symmetric eigendecomposition with a null-space cutoff.
 Large systems use plain Cholesky with escalating diagonal jitter before a
 :class:`~kernelcast.errors.ConditioningError` is raised.
+
+The large Gram route keeps one n x n work array: ``K`` is copied once into a
+Fortran-ordered buffer, the ridge (and any jitter) is added to its diagonal
+in place, and LAPACK factors it where it lies.  The finiteness, scale and
+symmetry checks on ``K`` allocate no n x n temporary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +44,9 @@ PRECISE_DIM_LIMIT = 2048    # normal-matrix dimension
 GRAM_EIGH_LIMIT = 1024      # Gram dimension solved by eigendecomposition
 
 _REFINE_STEPS = 2
+
+# Rows per panel of the Gram symmetry check.
+_SYM_PANEL_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -83,20 +92,33 @@ def _as_targets(Y: np.ndarray) -> tuple[np.ndarray, bool]:
     return Y, False
 
 
-def _cholesky_factor_jittered(A: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Cholesky of a symmetric matrix, retrying with escalating jitter."""
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
+def _cholesky_factor_jittered(A: np.ndarray, lam: float = 0.0
+                              ) -> tuple[np.ndarray, float, float]:
+    """Lower Cholesky factor of ``A + lam I``, retrying with escalating jitter.
+
+    ``A`` is copied once into a Fortran-ordered work array that LAPACK
+    overwrites with the factor; a retry refills it from ``A``.  The jitter
+    scale ``max|A + lam I|`` is only computed once a factorization fails.
+    """
+    n = A.shape[0]
+    work = np.empty((n, n), order="F")
+    scale = None
     jitter = 0.0
-    attempt = A
     for retry in range(MAX_JITTER_RETRIES + 1):
+        work[...] = A
+        work.flat[:: n + 1] += lam
+        if retry:
+            if scale is None:
+                scale = max(float(work.max()), -float(work.min()))
+            jitter = JITTER_REL * max(scale, 1e-300) * (10.0 ** (retry - 1))
+            work.flat[:: n + 1] += jitter
         try:
-            L = scipy.linalg.cholesky(attempt, lower=True, check_finite=False)
+            L = scipy.linalg.cholesky(work, lower=True, overwrite_a=True,
+                                      check_finite=False)
         except scipy.linalg.LinAlgError:
-            jitter = JITTER_REL * max(scale, 1e-300) * (10.0**retry)
-            attempt = A + jitter * np.eye(A.shape[0])
             continue
         smallest_pivot = float(np.min(np.diag(L)) ** 2) if L.size else 0.0
-        return L, smallest_pivot, (0.0 if attempt is A else jitter)
+        return L, smallest_pivot, jitter
     raise ConditioningError(
         f"Cholesky failed after {MAX_JITTER_RETRIES} jitter retries "
         f"(max jitter {jitter:.3e})"
@@ -178,11 +200,11 @@ def solve_ridge_gram(K, Y, lam_reg: float, sym_tol: float = 1e-8) -> RidgeSoluti
     """
     if not (np.isscalar(lam_reg) and lam_reg > 0):
         raise InvalidInputError("lam_reg must be a positive scalar")
-    K = _check_finite("K", K)
+    K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise InvalidInputError("K must be a square matrix")
-    scale = float(np.max(np.abs(K))) if K.size else 0.0
-    asym = float(np.max(np.abs(K - K.T))) if K.size else 0.0
+    scale = _finite_scale("K", K)
+    asym = _max_asymmetry(K)
     if asym > sym_tol * max(scale, 1e-300):
         raise InvalidInputError(
             f"K is asymmetric beyond tolerance (|K-K'| = {asym:.3e})"
@@ -200,7 +222,7 @@ def solve_ridge_gram(K, Y, lam_reg: float, sym_tol: float = 1e-8) -> RidgeSoluti
         jitter, method = 0.0, "eigh"
     else:
         try:
-            L, pivot, jitter = _cholesky_factor_jittered(K + lam * np.eye(n))
+            L, pivot, jitter = _cholesky_factor_jittered(K, lam)
             alpha = scipy.linalg.cho_solve((L, True), Y2, check_finite=False)
             method = "cholesky"
         except ConditioningError:
@@ -209,6 +231,36 @@ def solve_ridge_gram(K, Y, lam_reg: float, sym_tol: float = 1e-8) -> RidgeSoluti
     alpha = np.ascontiguousarray(alpha)
     coef = alpha[:, 0] if squeeze else alpha
     return RidgeSolution(coef, lam, pivot, jitter, method)
+
+
+def _finite_scale(name: str, A: np.ndarray) -> float:
+    """``max|A|``, raising if ``A`` has a NaN or infinite entry.
+
+    NaN propagates through both ``max`` and ``min``, so two reductions
+    check finiteness without an elementwise temporary.
+    """
+    if not A.size:
+        return 0.0
+    hi, lo = float(A.max()), float(A.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    return max(hi, -lo)
+
+
+def _max_asymmetry(A: np.ndarray) -> float:
+    """``max|A - A'|`` over row panels of the upper triangle.
+
+    Each panel compares rows ``i0:i1`` right of the diagonal block with the
+    matching columns below it, so every pair ``(i, j)`` is seen once and the
+    temporaries stay at ``_SYM_PANEL_ROWS`` rows.
+    """
+    n = A.shape[0]
+    asym = 0.0
+    for i0 in range(0, n, _SYM_PANEL_ROWS):
+        i1 = min(i0 + _SYM_PANEL_ROWS, n)
+        diff = A[i0:i1, i0:] - A[i0:, i0:i1].T
+        asym = max(asym, float(np.abs(diff, out=diff).max()))
+    return asym
 
 
 def _gram_eigh_solve(K: np.ndarray, Y: np.ndarray,
@@ -232,11 +284,11 @@ def psd_sqrt(S, rel_tol: float = 1e-10) -> np.ndarray:
     :class:`~kernelcast.errors.InvalidInputError`; small negative values
     within the tolerance are clipped to zero.
     """
-    S = _check_finite("S", S)
+    S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InvalidInputError("S must be a square matrix")
-    scale = float(np.max(np.abs(S))) if S.size else 0.0
-    if float(np.max(np.abs(S - S.T))) > 1e-8 * max(scale, 1e-300):
+    scale = _finite_scale("S", S)
+    if _max_asymmetry(S) > 1e-8 * max(scale, 1e-300):
         raise InvalidInputError("S must be symmetric")
     evals, vecs = scipy.linalg.eigh(S, check_finite=False)
     norm = float(np.max(np.abs(evals))) if evals.size else 0.0

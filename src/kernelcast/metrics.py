@@ -219,10 +219,11 @@ class MetricReport:
                   "t_valid_censored")
 
     def csv_cells(self) -> list:
-        """CSV_FIELDS values: ``None`` as an empty cell, booleans as 0/1."""
+        """CSV_FIELDS values: ``None`` (no valid time) as ``nan``, booleans
+        as 0/1, so that :func:`~kernelcast.datasets.read_csv` reads it back."""
         values = (getattr(self, name) for name in self.CSV_FIELDS)
-        return ["" if v is None else int(v) if isinstance(v, bool) else v
-                for v in values]
+        return [float("nan") if v is None
+                else int(v) if isinstance(v, bool) else v for v in values]
 
     def csv_header(self) -> str:
         return ",".join(self.CSV_FIELDS)

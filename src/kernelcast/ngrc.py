@@ -107,9 +107,13 @@ def build_exponent_table(tau: int, d: int, p: int) -> ExponentTable:
     i = 0
     for degree in range(p + 1):
         for comp in _compositions(degree, width):
-            rows[i] = comp
+            if i < n:
+                rows[i] = comp
             i += 1
-    assert i == n
+    if i != n:
+        raise CapacityError(
+            f"exponent table enumerated {i} rows, expected {n}"
+        )
     return ExponentTable(tau, d, p, rows)
 
 

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -12,6 +13,27 @@ REPLICATION_PRESETS = {
                      "mackey-glass-volterra"),
     "bekk": ("bekk-ngrc", "bekk-polynomial", "bekk-volterra"),
 }
+
+
+def _peak_traced_bytes(fn) -> int:
+    """Peak bytes traced by ``tracemalloc`` while ``fn()`` runs, over what
+    was already allocated.  numpy reports its array buffers to tracemalloc."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.fixture()
+def peak_bytes():
+    return _peak_traced_bytes
 
 
 def run_preset_pipeline(preset: str, out_dir) -> dict:

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from kernelcast.cli import config_hash, main
+from kernelcast.datasets import read_csv
 from kernelcast.errors import ParseError
 from kernelcast.forecast import ForecastRun, load_forecast_csv
 from kernelcast.presets import PRESETS
@@ -111,7 +113,7 @@ class TestMetricsCsv:
         assert (out / "metrics.csv").read_bytes() == (
             f"# config_sha256={config_hash(cfg)}\n"
             "nmse,mae,mdae,mape,psde,w1,t_valid,t_valid_censored\n"
-            "0.10000000000000001,0.25,0,0.125,0.54471788715486202,0.25,,0\n"
+            "0.10000000000000001,0.25,0,0.125,0.54471788715486202,0.25,nan,0\n"
         ).encode()
 
 
@@ -245,6 +247,29 @@ class TestBekkPipeline:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["t_valid"] is None
         assert np.isfinite(metrics["w1"])
+
+
+class TestShippedBekkArtifacts:
+    """Artifacts of the shipped BEKK presets, run at their shipped sizes."""
+
+    @pytest.mark.parametrize("preset, method", [
+        ("bekk-polynomial", "cholesky"),  # dual, n = 3007
+        ("bekk-ngrc", "cholesky"),        # primal, 3007 rows
+    ])
+    def test_fit_manifest_records_solver_route(self, bekk_pipelines, preset,
+                                               method):
+        out = bekk_pipelines[preset]["a"]["dir"]
+        solver = json.loads((out / "fit_manifest.json").read_text())["solver"]
+        assert solver["method"] == method
+        assert solver["jitter"] == 0.0
+        assert solver["smallest_pivot"] > 0.0
+
+    def test_metrics_csv_reads_back(self, bekk_pipelines):
+        out = bekk_pipelines["bekk-polynomial"]["a"]["dir"]
+        _, header, values = read_csv(out / "metrics.csv", "nmse")
+        assert values.shape == (1, len(header) - 1)
+        assert math.isnan(values[0, header.index("t_valid") - 1])
+        assert np.isfinite(values[0, header.index("w1") - 1])
 
 
 class TestBench:

@@ -9,6 +9,7 @@ from kernelcast.datasets import (
     gaussian_iid,
     integrate_ode,
     load_csv,
+    read_csv,
     save_csv,
     simulate_bekk,
     simulate_lorenz,
@@ -245,6 +246,24 @@ class TestCsv:
             b"0.10000000000000001,-0\n"
             b"0.20000000000000001,7\n"
         )
+
+    def test_every_number_form_reads_back(self, tmp_path):
+        path = tmp_path / "forms.csv"
+        path.write_text("t,c0,c1,c2,c3\n"
+                        "0, 1. ,.5,-inf,nan\r\n"
+                        "1,+2e3,1E-2,inf,-0\n")
+        _, _, values = read_csv(path, "t")
+        np.testing.assert_array_equal(
+            values, [[1.0, 0.5, -np.inf, np.nan], [2e3, 1e-2, np.inf, -0.0]])
+
+    def test_bad_last_cell_of_long_row_named(self, tmp_path):
+        path = tmp_path / "long.csv"
+        cols = [f"c{j}" for j in range(40)]
+        cells = ["12345678901234567"] * 39 + ["1e"]
+        path.write_text("t," + ",".join(cols) + "\n0," + ",".join(cells) + "\n")
+        with pytest.raises(ParseError, match="column c39") as err:
+            read_csv(path, "t")
+        assert err.value.line == 2
 
     def test_lf_line_endings(self, tmp_path):
         ts = TimeSeries(np.ones((3, 1)), dt=1.0)

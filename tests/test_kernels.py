@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -403,3 +404,55 @@ def test_poly_gram_matches_pairwise_kernel():
         for j in range(6):
             assert G[i, j] == pytest.approx(poly_kernel(U[i], U[j], params),
                                             rel=1e-12)
+
+
+class TestVolterraModelDocument:
+    @staticmethod
+    def fitted(n, seed=20, washout=0):
+        rng = np.random.default_rng(seed)
+        inputs = rng.normal(size=(n, 3))
+        inputs /= np.linalg.norm(inputs, axis=1).max()
+        targets = rng.normal(size=(n, 2))
+        return fit_kernel_model(inputs, targets, VolterraParams(*LORENZ_VOLT),
+                                1e-6, washout=washout)
+
+    def test_document_carries_last_column(self):
+        model = self.fitted(30)
+        doc = model.to_dict()
+        assert doc["schema"] == "kernel-model/2"
+        assert len(doc["last_column"]) == 31
+        gram = volterra_gram(model.train_inputs, model.kernel).values
+        assert doc["last_column"][1:] == gram[:, -1].tolist()
+
+    def test_schema_1_twin_predicts_bit_for_bit_the_same(self):
+        model = self.fitted(40, washout=5)
+        doc = json.loads(model.to_json())
+        old = dict(doc, schema="kernel-model/1")
+        del old["last_column"]
+        new_inputs = np.random.default_rng(21).normal(size=(6, 3)) * 0.3
+        a = predict_kernel(KernelModel.from_dict(doc), new_inputs)
+        b = predict_kernel(KernelModel.from_dict(old), new_inputs)
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, predict_kernel(model, new_inputs))
+
+    def test_schema_2_without_last_column_rejected(self):
+        doc = self.fitted(10).to_dict()
+        del doc["last_column"]
+        with pytest.raises(InvalidInputError, match="last_column"):
+            KernelModel.from_dict(doc)
+
+    def test_load_builds_no_gram(self, peak_bytes):
+        n = 1500
+        doc = self.fitted(n).to_dict()
+        peak = peak_bytes(lambda: KernelModel.from_dict(doc))
+        assert peak < 0.1 * 8 * n * n
+
+    def test_fit_peak_memory(self, peak_bytes):
+        n = 1500
+        rng = np.random.default_rng(22)
+        inputs = rng.normal(size=(n, 3))
+        inputs /= np.linalg.norm(inputs, axis=1).max()
+        targets = rng.normal(size=(n, 3))
+        peak = peak_bytes(lambda: fit_kernel_model(
+            inputs, targets, VolterraParams(*LORENZ_VOLT), 1e-6, washout=100))
+        assert peak <= 2.1 * 8 * n * n

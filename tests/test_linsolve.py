@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from kernelcast import linsolve
 from kernelcast.errors import InvalidInputError
 from kernelcast.linsolve import psd_sqrt, solve_ridge_gram, solve_ridge_primal
 
@@ -153,3 +154,54 @@ class TestPsdSqrt:
         S = np.diag([1.0, -1e-14])
         R = psd_sqrt(S)
         assert R[1, 1] == 0.0
+
+
+class TestGramCholeskyRoute:
+    """The route above GRAM_EIGH_LIMIT: one work array, every check kept."""
+
+    @staticmethod
+    def spd_gram(n, seed=0):
+        X = np.random.default_rng(seed).normal(size=(n, 2 * n))
+        return X @ X.T / n
+
+    def test_peak_memory_is_one_work_array(self, peak_bytes):
+        n = 1500
+        K = self.spd_gram(n)
+        Y = np.ones((n, 3))
+        peak = peak_bytes(lambda: solve_ridge_gram(K, Y, 1e-6))
+        assert peak <= 1.1 * 8 * n * n
+
+    @pytest.mark.parametrize("n", [5, linsolve.GRAM_EIGH_LIMIT + 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_on_both_routes(self, n, bad):
+        K = np.eye(n)
+        K[n - 1, n - 2] = K[n - 2, n - 1] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            solve_ridge_gram(K, np.ones(n), 1e-3)
+
+    def test_asymmetry_in_last_row_panel_rejected(self):
+        n = 1100
+        K = self.spd_gram(n, seed=1)
+        # both indices in the last, partial 64-row panel (rows 1088-1099)
+        K[n - 1, n - 5] += 1e-6 * np.abs(K).max()
+        with pytest.raises(InvalidInputError, match="asymmetric"):
+            solve_ridge_gram(K, np.ones(n), 1e-3)
+
+    def test_asymmetry_within_tolerance_accepted(self):
+        n = 1100
+        K = self.spd_gram(n, seed=1)
+        K[n - 1, n - 5] += 1e-10 * np.abs(K).max()
+        assert solve_ridge_gram(K, np.ones(n), 1e-3).method == "cholesky"
+
+    def test_jitter_retry_matches_direct_factorization(self):
+        n = linsolve.GRAM_EIGH_LIMIT + 1
+        u = np.random.default_rng(2).normal(size=(n, 3))
+        K = u @ u.T  # rank 3: the unjittered factorization fails
+        Y = np.random.default_rng(3).normal(size=(n, 2))
+        lam = 1e-300
+        sol = solve_ridge_gram(K, Y, lam)
+        assert sol.method == "cholesky" and sol.jitter > 0
+        L = scipy.linalg.cholesky(K + lam * np.eye(n) + sol.jitter * np.eye(n),
+                                  lower=True)
+        expected = scipy.linalg.cho_solve((L, True), Y)
+        assert np.array_equal(sol.coefficients, expected)

@@ -272,7 +272,7 @@ class TestMetricReport:
         doc = report.to_json()
         assert '"t_valid": 7.2' in doc
 
-    def test_none_t_valid_serializes_empty(self):
+    def test_none_t_valid_serializes_nan(self):
         report = MetricReport()
         cells = report.csv_row().split(",")
-        assert cells[6] == ""
+        assert cells[6] == "nan"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kernelcast import ngrc
 from kernelcast.errors import CapacityError, InvalidInputError
 from kernelcast.ngrc import (
     NgrcModel,
@@ -69,6 +70,15 @@ class TestExponentTable:
     def test_table_cap(self):
         with pytest.raises(CapacityError):
             build_exponent_table(6, 6, 6)
+
+    @pytest.mark.parametrize("skew", [-1, 1])
+    def test_row_count_mismatch_is_checked(self, monkeypatch, skew):
+        # an explicit check, not an assert that `python -O` strips
+        true_dim = feature_dim
+        monkeypatch.setattr(ngrc, "feature_dim",
+                            lambda tau, d, p: true_dim(tau, d, p) + skew)
+        with pytest.raises(CapacityError, match="enumerated 10 rows"):
+            build_exponent_table(3, 1, 2)
 
 
 @settings(max_examples=30, deadline=None)
