@@ -291,7 +291,8 @@ def cmd_fit(config: dict, out_dir: str) -> int:
     _write_manifest(out_dir, "fit", config, {"model": "model.json"},
                     {"fit_seconds": elapsed,
                      "solver": {"method": sol.method, "jitter": sol.jitter,
-                                "smallest_pivot": sol.smallest_pivot}})
+                                "smallest_pivot": sol.smallest_pivot,
+                                "modes_cut": sol.modes_cut}})
     print(f"fit: {est.kind} model written to {out_dir}/model.json "
           f"({elapsed:.2f}s)")
     return 0
@@ -347,7 +348,8 @@ def cmd_cv(config: dict, out_dir: str) -> int:
     result.leaderboard_csv(lb_path)
     best_doc = {"config_sha256": config_hash(config), "best": result.best,
                 "pruned": result.pruned,
-                "n_candidates": len(result.table)}
+                "n_candidates": len(result.table),
+                "candidates": [row.describe() for row in result.table]}
     _write_json(os.path.join(out_dir, "cv_best.json"), best_doc)
     _write_manifest(out_dir, "cv", config,
                     {"leaderboard": "leaderboard.csv",

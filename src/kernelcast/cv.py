@@ -10,8 +10,9 @@ Two fold geometries:
 Grid search refits the estimator, including its preprocessing, on each
 fold's training slice, scores validation MSE in the task's own mode, and
 averages across folds.  Divergent rollouts score as infinity rather than
-aborting the candidate.  Ties break toward simpler models: smaller p,
-smaller tau, larger ridge, then first in grid order.
+aborting the candidate, and the candidate records why.  Ties break toward
+simpler models: smaller p, smaller tau, larger ridge, then first in grid
+order.
 """
 
 from __future__ import annotations
@@ -120,10 +121,20 @@ class Grid:
 
 @dataclass
 class CandidateResult:
+    """Scores of one candidate; ``failures`` names the cause of every
+    infinite entry of ``fold_mse``."""
+
     params: dict
     fold_mse: list
     mean_mse: float
     failures: list = field(default_factory=list)
+
+    def describe(self) -> dict:
+        """JSON form: ``fold_mse`` with ``None`` for a fold without a score."""
+        return {"params": self.params,
+                "fold_mse": [s if math.isfinite(s) else None
+                             for s in self.fold_mse],
+                "failures": self.failures}
 
 
 @dataclass
@@ -143,28 +154,30 @@ def _mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def _score_path_fold(kind, params, values, fold: Fold, fit_kw) -> float:
+def _rollout_score(run, reference) -> tuple[float, str | None]:
+    """(validation MSE, None), or (inf, why the rollout has no score)."""
+    if run.truncated:
+        return float("inf"), f"truncated at step {run.error_step}: {run.error}"
+    if not np.all(np.isfinite(run.predicted)):
+        return float("inf"), "non-finite prediction"
+    return _mse(run.predicted, reference), None
+
+
+def _score_path_fold(kind, params, values, fold: Fold, fit_kw):
     train = values[fold.train_start:fold.train_stop]
     val = values[fold.val_start:fold.val_stop]
     est, seed = fit_path_estimator(kind, params, train, **fit_kw)
-    run = path_continue(est, seed, val.shape[0], reference=val)
-    if run.truncated or run.predicted.shape[0] < val.shape[0]:
-        return float("inf")
-    if not np.all(np.isfinite(run.predicted)):
-        return float("inf")
-    return _mse(run.predicted, val)
+    return _rollout_score(path_continue(est, seed, val.shape[0],
+                                        reference=val), val)
 
 
-def _score_open_fold(kind, params, inputs, outputs, fold: Fold,
-                     fit_kw) -> float:
+def _score_open_fold(kind, params, inputs, outputs, fold: Fold, fit_kw):
+    val = outputs[fold.val_start:fold.val_stop]
     est = fit_estimator(kind, params,
                         inputs[fold.train_start:fold.train_stop],
                         outputs[fold.train_start:fold.train_stop], **fit_kw)
-    run = open_loop(est, inputs[fold.val_start:fold.val_stop],
-                    reference=outputs[fold.val_start:fold.val_stop])
-    if run.truncated or not np.all(np.isfinite(run.predicted)):
-        return float("inf")
-    return _mse(run.predicted, outputs[fold.val_start:fold.val_stop])
+    return _rollout_score(open_loop(est, inputs[fold.val_start:fold.val_stop],
+                                    reference=val), val)
 
 
 def _tie_break_key(item):
@@ -212,26 +225,31 @@ def grid_search(estimator_kind: str, grid: Grid, plan: FoldPlan,
         full = {**fixed_hyper, **params}
         fold_scores = []
         failures = []
-        for fold in plan.folds:
+        for k, fold in enumerate(plan.folds, 1):
             try:
                 if task_mode == "path-continuation":
-                    score = _score_path_fold(estimator_kind, full, values,
-                                             fold, fit_kw)
+                    score, reason = _score_path_fold(estimator_kind, full,
+                                                     values, fold, fit_kw)
                 else:
-                    score = _score_open_fold(estimator_kind, full, inputs,
-                                             outputs, fold, fit_kw)
+                    score, reason = _score_open_fold(estimator_kind, full,
+                                                     inputs, outputs, fold,
+                                                     fit_kw)
             except (KernelcastError, np.linalg.LinAlgError) as exc:
                 # candidate-level failure, not fatal
-                score = float("inf")
-                failures.append(f"fold {fold}: {exc}")
+                score, reason = float("inf"), str(exc)
+            if reason is not None:
+                failures.append(f"fold {k} of {len(plan.folds)}: {reason}")
             fold_scores.append(score)
         mean = float(np.mean(fold_scores)) if fold_scores else float("inf")
         table.append(CandidateResult(params, fold_scores, mean, failures))
 
     if all(not math.isfinite(c.mean_mse) for c in table):
+        first = table[0]
+        cause = "; ".join(first.failures) or first.fold_mse
         raise GridSearchError(
-            "every candidate failed or diverged on every fold",
-            [f"{c.params}: {c.failures or c.fold_mse}" for c in table],
+            "every candidate failed or diverged on at least one fold; "
+            f"first: {first.params}: {cause}",
+            [f"{c.params}: {c.failures}" for c in table],
         )
     best_idx, best = min(enumerate(table), key=_tie_break_key)
     return GridSearchResult(dict(best.params), table, pruned)

@@ -131,7 +131,10 @@ def poly_gram(U, V, params: PolyKernelParams) -> np.ndarray:
     """Pairwise polynomial kernel between the rows of U and V."""
     U = np.atleast_2d(np.asarray(U, dtype=np.float64))
     V = np.atleast_2d(np.asarray(V, dtype=np.float64))
-    return (params.c + U @ V.T) ** params.p
+    G = U @ V.T
+    G += params.c
+    G **= params.p
+    return G
 
 
 def ngrc_kernel(u, v, table: ExponentTable) -> float:
@@ -146,13 +149,17 @@ _PRECISE_GRAM_ELEMENTS = 1 << 16
 
 
 def ngrc_gram(U, V, table: ExponentTable) -> np.ndarray:
-    """Pairwise NG-RC kernel between the rows of U and V."""
+    """Pairwise NG-RC kernel between the rows of U and V.
+
+    A self-Gram (``V is U``) maps the rows once and multiplies the features
+    by their own transpose, which makes it exactly symmetric.
+    """
     FU = ngrc_features(np.atleast_2d(U), table)
-    FV = ngrc_features(np.atleast_2d(V), table)
+    FV = FU if V is U else ngrc_features(np.atleast_2d(V), table)
     if FU.size <= _PRECISE_GRAM_ELEMENTS and FV.size <= _PRECISE_GRAM_ELEMENTS:
-        return (FU.astype(np.longdouble) @ FV.astype(np.longdouble).T).astype(
-            np.float64
-        )
+        FUl = FU.astype(np.longdouble)
+        FVl = FUl if FV is FU else FV.astype(np.longdouble)
+        return (FUl @ FVl.T).astype(np.float64)
     return FU @ FV.T
 
 
@@ -184,23 +191,32 @@ def volterra_gram(inputs, params: VolterraParams) -> GramMatrix:
 
     Row sweep of the diagonal recursion: row i is produced from row i-1
     shifted by one column, with the border column/row pinned at
-    ``1 / (1 - theta^2)``.
+    ``1 / (1 - theta^2)``.  The sweep overwrites ``Z @ Z.T`` row by row, so
+    the Gram is the only n x n array; it is exactly symmetric.
     """
     Z = _as_samples(inputs)
     _check_sample_norms(Z, params)
     n = Z.shape[0]
     lam2 = params.lam**2
-    denom = 1.0 - params.theta**2 * (Z @ Z.T)
+    theta2 = params.theta**2
+    K = Z @ Z.T
     # Cauchy-Schwarz keeps denominators >= 1 - theta^2 M^2 > 0; a violation
-    # means the norm check above was bypassed.
-    if denom.size and float(denom.min()) < params.denominator_floor * (1.0 - 1e-9):
+    # means the norm check above was bypassed.  Rounding is monotone, so the
+    # smallest denominator is the one of the largest inner product.
+    if K.size and 1.0 - theta2 * float(K.max()) < (
+            params.denominator_floor * (1.0 - 1e-9)):
         raise InvalidInputError("Volterra denominator fell below its floor")
-    G = np.empty((n + 1, n + 1))
-    G[0, :] = params.border
-    G[:, 0] = params.border
-    for i in range(1, n + 1):
-        G[i, 1:] = 1.0 + lam2 * G[i - 1, :n] / denom[i - 1]
-    return GramMatrix(G[1:, 1:])
+    prev = np.full(n + 1, params.border)  # bordered row i of the recursion
+    denom = np.empty(n)
+    for i in range(n):
+        row = K[i]
+        np.multiply(theta2, row, out=denom)
+        np.subtract(1.0, denom, out=denom)
+        np.multiply(lam2, prev[:n], out=row)
+        row /= denom
+        row += 1.0
+        prev[1:] = row
+    return GramMatrix(K)
 
 
 class VolterraExtension:
@@ -410,6 +426,20 @@ def _lagged_gram(kernel, windows: np.ndarray) -> np.ndarray:
     return ngrc_gram(windows, windows, kernel.table())
 
 
+def _drop_leading(K: np.ndarray, w: int) -> np.ndarray:
+    """``K[w:, w:]`` as a C-contiguous matrix at the front of ``K``'s own
+    buffer (``K`` is C-contiguous and lost).  Row r moves from offset
+    ``(w + r) n + w`` down to ``r (n - w)``, so no row lands on a source row
+    that is still to be read."""
+    if not w:
+        return K
+    m = K.shape[0] - w
+    flat = K.reshape(-1)
+    for r in range(m):
+        flat[r * m:(r + 1) * m] = K[w + r, w:]
+    return flat[:m * m].reshape(m, m)
+
+
 def fit_kernel_model(inputs, targets, kernel, lam_reg: float,
                      washout: int = 0,
                      preprocessing: dict | None = None) -> KernelModel:
@@ -433,13 +463,13 @@ def fit_kernel_model(inputs, targets, kernel, lam_reg: float,
     if isinstance(kernel, VolterraParams):
         if washout >= Z.shape[0]:
             raise InvalidInputError("washout leaves no training rows")
-        gram = volterra_gram(Z, kernel)
-        K_eff = gram.values[washout:, washout:]
-        Y_eff = Y[washout:]
-        sol = solve_ridge_gram(K_eff, Y_eff, lam_reg)
+        K = volterra_gram(Z, kernel).values
+        last_col = np.concatenate(([kernel.border], K[:, -1]))
+        sol = solve_ridge_gram(_drop_leading(K, washout), Y[washout:],
+                               lam_reg, overwrite_k=True)
         model = KernelModel(kernel, Z, sol.coefficients, washout,
                             float(lam_reg), preprocessing, sol)
-        model._last_col = np.concatenate(([kernel.border], gram.values[:, -1]))
+        model._last_col = last_col
         return model
 
     if isinstance(kernel, NgrcKernelParams) and kernel.d != Z.shape[1]:
@@ -451,7 +481,7 @@ def fit_kernel_model(inputs, targets, kernel, lam_reg: float,
     windows = windows[washout:]
     Y_eff = Y_emb[washout:]
     K = _lagged_gram(kernel, windows)
-    sol = solve_ridge_gram(K, Y_eff, lam_reg)
+    sol = solve_ridge_gram(K, Y_eff, lam_reg, overwrite_k=True)
     model = KernelModel(kernel, Z, sol.coefficients, washout,
                         float(lam_reg), preprocessing, sol)
     model.train_windows = windows

@@ -18,10 +18,17 @@ solved through a symmetric eigendecomposition with a null-space cutoff.
 Large systems use plain Cholesky with escalating diagonal jitter before a
 :class:`~kernelcast.errors.ConditioningError` is raised.
 
-The large Gram route keeps one n x n work array: ``K`` is copied once into a
-Fortran-ordered buffer, the ridge (and any jitter) is added to its diagonal
-in place, and LAPACK factors it where it lies.  The finiteness, scale and
-symmetry checks on ``K`` allocate no n x n temporary.
+The large Gram route keeps one n x n work array.  By default ``K`` is copied
+once into a Fortran-ordered buffer, the ridge (and any jitter) is added to
+its diagonal in place, and LAPACK factors it where it lies.  A caller that
+passes ``overwrite_k=True`` hands ``K`` over, as with scipy's ``overwrite_a``:
+when ``K`` is C-contiguous and exactly symmetric, ``K.T`` (the same values in
+Fortran order) is the work array, and ``K`` holds the transposed Cholesky
+factor in its upper triangle afterwards.  A failed attempt leaves the strict lower triangle
+of ``K`` untouched, so a retry or the eigendecomposition fallback mirrors it
+back and restores the saved diagonal; those see exactly the bytes of the copy
+route.  The finiteness, scale and symmetry checks on ``K`` allocate no n x n
+temporary.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ GRAM_EIGH_LIMIT = 1024      # Gram dimension solved by eigendecomposition
 
 _REFINE_STEPS = 2
 
-# Rows per panel of the Gram symmetry check.
+# Rows per panel of the Gram symmetry check and of the triangle refill.
 _SYM_PANEL_ROWS = 64
 
 
@@ -66,6 +73,9 @@ class RidgeSolution:
         Total diagonal jitter that had to be added (0.0 in the common case).
     method : str
         ``"cholesky"``, ``"cholesky-refined"``, or ``"eigh"``.
+    modes_cut : int
+        Eigenmodes at numerical zero that got no coefficient (``"eigh"``
+        only; 0 otherwise).
     """
 
     coefficients: np.ndarray
@@ -73,6 +83,7 @@ class RidgeSolution:
     smallest_pivot: float
     jitter: float = 0.0
     method: str = "cholesky"
+    modes_cut: int = 0
 
 
 def _check_finite(name: str, arr) -> np.ndarray:
@@ -92,37 +103,66 @@ def _as_targets(Y: np.ndarray) -> tuple[np.ndarray, bool]:
     return Y, False
 
 
-def _cholesky_factor_jittered(A: np.ndarray, lam: float = 0.0
+def _cholesky_factor_jittered(A: np.ndarray, lam: float = 0.0,
+                              overwrite_a: bool = False
                               ) -> tuple[np.ndarray, float, float]:
     """Lower Cholesky factor of ``A + lam I``, retrying with escalating jitter.
 
     ``A`` is copied once into a Fortran-ordered work array that LAPACK
-    overwrites with the factor; a retry refills it from ``A``.  The jitter
-    scale ``max|A + lam I|`` is only computed once a factorization fails.
+    overwrites with the factor; a retry refills it from ``A``.  With
+    ``overwrite_a`` the work array is ``A.T`` itself (``A`` must be
+    C-contiguous and exactly symmetric): a retry mirrors its untouched
+    strict upper triangle into the lower one and puts the saved diagonal
+    back, and so does a final failure, which leaves ``A`` as it came.  The
+    jitter scale ``max|A + lam I|`` is only computed once a factorization
+    fails.
     """
     n = A.shape[0]
-    work = np.empty((n, n), order="F")
+    if overwrite_a:
+        work = A.T
+        diag = A.diagonal().copy()
+    else:
+        work = np.empty((n, n), order="F")
     scale = None
     jitter = 0.0
     for retry in range(MAX_JITTER_RETRIES + 1):
-        work[...] = A
+        if not overwrite_a:
+            work[...] = A
+        elif retry:
+            _refill_lower(work, diag)
         work.flat[:: n + 1] += lam
         if retry:
             if scale is None:
                 scale = max(float(work.max()), -float(work.min()))
             jitter = JITTER_REL * max(scale, 1e-300) * (10.0 ** (retry - 1))
             work.flat[:: n + 1] += jitter
-        try:
-            L = scipy.linalg.cholesky(work, lower=True, overwrite_a=True,
-                                      check_finite=False)
-        except scipy.linalg.LinAlgError:
+        # clean=0: LAPACK leaves the strict upper triangle alone, which the
+        # in-place refill reads (scipy.linalg.cholesky zeroes it).
+        L, info = scipy.linalg.lapack.dpotrf(work, lower=1, clean=0,
+                                             overwrite_a=1)
+        if info:
             continue
         smallest_pivot = float(np.min(np.diag(L)) ** 2) if L.size else 0.0
         return L, smallest_pivot, jitter
+    if overwrite_a:
+        _refill_lower(work, diag)
     raise ConditioningError(
         f"Cholesky failed after {MAX_JITTER_RETRIES} jitter retries "
         f"(max jitter {jitter:.3e})"
     )
+
+
+def _refill_lower(A: np.ndarray, diag: np.ndarray) -> None:
+    """Mirror the strict upper triangle of ``A`` into the strict lower one,
+    in column panels, and write ``diag`` back onto the diagonal."""
+    n = A.shape[0]
+    for j0 in range(0, n, _SYM_PANEL_ROWS):
+        j1 = min(j0 + _SYM_PANEL_ROWS, n)
+        A[j1:, j0:j1] = A[j0:j1, j1:].T
+        block = A[j0:j1, j0:j1]
+        below = np.tri(j1 - j0, k=-1, dtype=bool)
+        block[below] = block.T[below]
+    A.flat[:: n + 1] = diag
 
 
 def solve_ridge_primal(X, Y, lam_reg: float) -> RidgeSolution:
@@ -177,7 +217,8 @@ def solve_ridge_primal(X, Y, lam_reg: float) -> RidgeSolution:
     return RidgeSolution(coef, lam, pivot, jitter, method)
 
 
-def solve_ridge_gram(K, Y, lam_reg: float, sym_tol: float = 1e-8) -> RidgeSolution:
+def solve_ridge_gram(K, Y, lam_reg: float, sym_tol: float = 1e-8,
+                     overwrite_k: bool = False) -> RidgeSolution:
     """Solve the Gramian ridge regression for dual coefficients.
 
     For nonsingular ``K`` the result solves ``(K + lam I) alpha = Y``; for
@@ -197,6 +238,10 @@ def solve_ridge_gram(K, Y, lam_reg: float, sym_tol: float = 1e-8) -> RidgeSoluti
         Targets.
     lam_reg : float
         Ridge strength, must be positive.
+    overwrite_k : bool
+        The caller gives ``K`` up: on the Cholesky route an exactly symmetric,
+        C-contiguous ``K`` is factored in place and its contents are lost.
+        The answer is the same either way.
     """
     if not (np.isscalar(lam_reg) and lam_reg > 0):
         raise InvalidInputError("lam_reg must be a positive scalar")
@@ -217,20 +262,23 @@ def solve_ridge_gram(K, Y, lam_reg: float, sym_tol: float = 1e-8) -> RidgeSoluti
     n = K.shape[0]
     lam = float(lam_reg)
 
+    cut = 0
     if n <= GRAM_EIGH_LIMIT:
-        alpha, pivot = _gram_eigh_solve(K, Y2, lam)
+        alpha, pivot, cut = _gram_eigh_solve(K, Y2, lam)
         jitter, method = 0.0, "eigh"
     else:
+        in_place = (overwrite_k and asym == 0.0 and K.flags.c_contiguous
+                    and K.flags.writeable)
         try:
-            L, pivot, jitter = _cholesky_factor_jittered(K, lam)
+            L, pivot, jitter = _cholesky_factor_jittered(K, lam, in_place)
             alpha = scipy.linalg.cho_solve((L, True), Y2, check_finite=False)
             method = "cholesky"
         except ConditioningError:
-            alpha, pivot = _gram_eigh_solve(K, Y2, lam)
+            alpha, pivot, cut = _gram_eigh_solve(K, Y2, lam)
             jitter, method = 0.0, "eigh"
     alpha = np.ascontiguousarray(alpha)
     coef = alpha[:, 0] if squeeze else alpha
-    return RidgeSolution(coef, lam, pivot, jitter, method)
+    return RidgeSolution(coef, lam, pivot, jitter, method, cut)
 
 
 def _finite_scale(name: str, A: np.ndarray) -> float:
@@ -264,17 +312,19 @@ def _max_asymmetry(A: np.ndarray) -> float:
 
 
 def _gram_eigh_solve(K: np.ndarray, Y: np.ndarray,
-                     lam: float) -> tuple[np.ndarray, float]:
+                     lam: float) -> tuple[np.ndarray, float, int]:
+    """Spectral ridge solve; returns (alpha, smallest eigenvalue, modes cut)."""
     try:
         evals, vecs = scipy.linalg.eigh(K, check_finite=False)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConditioningError(f"eigendecomposition failed: {exc}") from exc
     d_max = float(evals[-1]) if evals.size else 0.0
     cutoff = K.shape[0] * np.finfo(np.float64).eps * max(d_max, 0.0)
-    gains = np.where(evals > cutoff, 1.0 / (evals + lam), 0.0)
+    kept = evals > cutoff
+    gains = np.where(kept, 1.0 / (evals + lam), 0.0)
     alpha = vecs @ (gains[:, None] * (vecs.T @ Y))
     pivot = float(np.min(evals)) if evals.size else 0.0
-    return alpha, pivot
+    return alpha, pivot, int(kept.size - np.count_nonzero(kept))
 
 
 def psd_sqrt(S, rel_tol: float = 1e-10) -> np.ndarray:

@@ -64,6 +64,18 @@ class TestPipeline:
         best = json.loads((out / "cv_best.json").read_text())["best"]
         assert best == cfg["estimator"]["hyper"]
 
+    def test_cv_best_records_fold_scores(self, tmp_path, mini_lorenz_config):
+        _, cfg_path = mini_lorenz_config
+        out = tmp_path / "exp"
+        for cmd in ("simulate", "cv"):
+            assert run_cli(cmd, "--config", str(cfg_path),
+                           "--out", str(out)) == 0
+        [row] = json.loads((out / "cv_best.json").read_text())["candidates"]
+        assert row["params"] == {"tau": 3, "p": 2, "lam_reg": 1e-7}
+        assert len(row["fold_mse"]) == 3  # folds start at 0, 600, 1200
+        assert all(math.isfinite(s) for s in row["fold_mse"])
+        assert row["failures"] == []
+
     def test_eval_on_identical_files_gives_zero_pointwise(self, tmp_path,
                                                           mini_lorenz_config):
         cfg, cfg_path = mini_lorenz_config
@@ -230,6 +242,20 @@ class TestNumericalFailureExit:
         assert run_cli("cv", "--config", str(path), "--out", str(out)) == 3
 
 
+    def test_shipped_volterra_cv_names_the_cause(self, tmp_path, capsys):
+        # shipped sizes; every candidate trips the norm bound on fold 2 of 4
+        # (the open cv failure of ROADMAP item 3): the message says so
+        out = tmp_path / "exp"
+        assert run_cli("simulate", "--preset", "lorenz-volterra",
+                       "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli("cv", "--preset", "lorenz-volterra",
+                       "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "fold 2 of 4: truncated at step" in err
+        assert "> M = 1" in err
+
+
 class TestBekkPipeline:
     def test_open_loop_chain(self, tmp_path):
         cfg = copy.deepcopy(PRESETS["bekk-ngrc"])
@@ -263,6 +289,7 @@ class TestShippedBekkArtifacts:
         assert solver["method"] == method
         assert solver["jitter"] == 0.0
         assert solver["smallest_pivot"] > 0.0
+        assert solver["modes_cut"] == 0
 
     def test_metrics_csv_reads_back(self, bekk_pipelines):
         out = bekk_pipelines["bekk-polynomial"]["a"]["dir"]

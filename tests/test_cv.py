@@ -240,6 +240,37 @@ class TestGridSearch:
             grid_search("volterra", grid, plan, "path-continuation",
                         series=series, fixed_hyper={"washout": 1000})
 
+    def test_diverged_folds_record_their_cause(self):
+        # a rising ramp: every rollout leaves the training norm ball at once
+        grid = Grid(lams=[0.5], thetas=[0.4], lam_regs=[1e-6])
+        plan = overlapping_folds(400, 150, 40, 110)
+        with pytest.raises(GridSearchError) as err:
+            grid_search("volterra", grid, plan, "path-continuation",
+                        series=np.linspace(0.0, 1.0, 400),
+                        fixed_hyper={"washout": 20}, fit_kw={"headroom": 1.0})
+        assert "fold 1 of 2: truncated at step 1: sample 149 has norm" \
+            in str(err.value)
+        [diagnostic] = err.value.diagnostics
+        assert diagnostic.count("truncated at step 1") == 2
+
+    def test_non_finite_rollout_names_its_cause(self):
+        from kernelcast.cv import _rollout_score
+        from kernelcast.forecast import ForecastRun
+
+        ref = np.zeros((3, 1))
+        run = ForecastRun("open-loop", 3, np.array([[0.0], [np.nan], [1.0]]),
+                          ref)
+        assert _rollout_score(run, ref) == (math.inf, "non-finite prediction")
+        run = ForecastRun("open-loop", 3, np.ones((3, 1)), ref)
+        assert _rollout_score(run, ref) == (1.0, None)
+
+    def test_candidate_document_nulls_missing_scores(self):
+        row = CandidateResult({"tau": 1}, [0.5, math.inf], math.inf,
+                              ["fold 2 of 2: non-finite prediction"])
+        assert row.describe() == {
+            "params": {"tau": 1}, "fold_mse": [0.5, None],
+            "failures": ["fold 2 of 2: non-finite prediction"]}
+
     def test_replication_grids_contain_chosen_values(self):
         # every shipped preset grid must offer its chosen hyperparameters
         # as a feasible candidate

@@ -455,4 +455,60 @@ class TestVolterraModelDocument:
         targets = rng.normal(size=(n, 3))
         peak = peak_bytes(lambda: fit_kernel_model(
             inputs, targets, VolterraParams(*LORENZ_VOLT), 1e-6, washout=100))
-        assert peak <= 2.1 * 8 * n * n
+        assert peak <= 1.15 * 8 * n * n
+
+    def test_gram_peak_memory(self, peak_bytes):
+        n = 1500
+        inputs = np.random.default_rng(23).normal(size=(n, 3))
+        inputs /= np.linalg.norm(inputs, axis=1).max()
+        peak = peak_bytes(lambda: volterra_gram(inputs,
+                                                VolterraParams(*LORENZ_VOLT)))
+        assert peak <= 1.1 * 8 * n * n
+
+
+class TestSelfGramsInPlace:
+    """Fits build one n x n array: the Gram, exactly symmetric, which the
+    Cholesky route then factors where it lies."""
+
+    @staticmethod
+    def windows(n, tau=2, seed=24):
+        inputs = np.random.default_rng(seed).normal(size=(n, 3))
+        return inputs / np.linalg.norm(inputs, axis=1).max(), \
+            delay_vectors(inputs, tau)
+
+    def test_polynomial_fit_peak_memory(self, peak_bytes):
+        n = 1500
+        inputs, _ = self.windows(n)
+        targets = np.random.default_rng(25).normal(size=(n, 3))
+        peak = peak_bytes(lambda: fit_kernel_model(
+            inputs, targets, PolyKernelParams(p=2, tau=2), 1e-6))
+        assert peak <= 1.15 * 8 * n * n
+
+    def test_volterra_gram_exactly_symmetric(self):
+        inputs, _ = self.windows(300)
+        for lam, theta in TABLE_PARAMS:
+            K = volterra_gram(inputs, VolterraParams(lam, theta)).values
+            assert np.array_equal(K, K.T)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_poly_gram_exactly_symmetric(self, p):
+        _, W = self.windows(300)
+        K = poly_gram(W, W, PolyKernelParams(p=p, tau=2))
+        assert np.array_equal(K, K.T)
+
+    @pytest.mark.parametrize("n", [100, 3000])  # extended / plain precision
+    def test_ngrc_self_gram_exactly_symmetric(self, n):
+        _, W = self.windows(n)
+        table = build_exponent_table(2, 3, 2)
+        K = ngrc_gram(W, W, table)
+        assert np.array_equal(K, K.T)
+        F = ngrc_features(W, table)
+        np.testing.assert_allclose(K, F @ F.T, rtol=1e-12, atol=1e-12)
+
+    def test_pair_gram_matches_self_gram(self):
+        # V a distinct array with the same rows: the features are mapped
+        # twice, same values up to BLAS rounding
+        _, W = self.windows(200)
+        table = build_exponent_table(2, 3, 2)
+        np.testing.assert_allclose(ngrc_gram(W, W.copy(), table),
+                                   ngrc_gram(W, W, table), rtol=1e-13)

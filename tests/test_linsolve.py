@@ -205,3 +205,86 @@ class TestGramCholeskyRoute:
                                   lower=True)
         expected = scipy.linalg.cho_solve((L, True), Y)
         assert np.array_equal(sol.coefficients, expected)
+
+
+class TestGramOverwrite:
+    """``overwrite_k=True`` factors an exactly symmetric K in place and
+    answers bit for bit as the copy route does."""
+
+    @staticmethod
+    def both(K, Y, lam):
+        copy_route = solve_ridge_gram(K, Y, lam)
+        owned = K.copy()
+        in_place = solve_ridge_gram(owned, Y, lam, overwrite_k=True)
+        return copy_route, in_place, owned
+
+    def test_plain_factor_bit_identical(self):
+        K = TestGramCholeskyRoute.spd_gram(linsolve.GRAM_EIGH_LIMIT + 40)
+        Y = np.random.default_rng(4).normal(size=(K.shape[0], 2))
+        a, b, owned = self.both(K, Y, 1e-6)
+        assert a.method == b.method == "cholesky" and a.jitter == 0.0
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert a.smallest_pivot == b.smallest_pivot
+        assert not np.array_equal(owned, K)  # the factor lives in K now
+
+    def test_jitter_retry_bit_identical(self):
+        n = linsolve.GRAM_EIGH_LIMIT + 1
+        u = np.random.default_rng(2).normal(size=(n, 3))
+        K = u @ u.T  # rank 3, as in test_jitter_retry_matches_direct_...
+        Y = np.random.default_rng(3).normal(size=(n, 2))
+        a, b, _ = self.both(K, Y, 1e-300)
+        assert a.method == b.method == "cholesky" and a.jitter > 0
+        assert a.jitter == b.jitter
+        assert np.array_equal(a.coefficients, b.coefficients)
+
+    def test_eigh_fallback_bit_identical_and_k_restored(self):
+        from kernelcast.kernels import VolterraParams, volterra_gram
+
+        rng = np.random.default_rng(20)
+        inputs = rng.normal(size=(1200, 3))
+        inputs /= np.linalg.norm(inputs, axis=1).max()
+        K = volterra_gram(inputs, VolterraParams(0.3 * np.sqrt(0.91),
+                                                 0.3)).values
+        Y = rng.normal(size=(1200, 2))
+        a, b, owned = self.both(K, Y, 1e-10)
+        assert a.method == b.method == "eigh"
+        assert np.array_equal(a.coefficients, b.coefficients)
+        assert a.modes_cut == b.modes_cut > 0
+        # every failed attempt was undone before the fallback
+        assert np.array_equal(owned, K)
+
+    def test_default_leaves_k_untouched(self):
+        K = TestGramCholeskyRoute.spd_gram(linsolve.GRAM_EIGH_LIMIT + 40)
+        before = K.copy()
+        solve_ridge_gram(K, np.ones(K.shape[0]), 1e-6)
+        assert np.array_equal(K, before)
+
+    def test_asymmetric_k_is_not_overwritten(self):
+        # within tolerance but not exactly symmetric: the copy route runs
+        n = 1100
+        K = TestGramCholeskyRoute.spd_gram(n, seed=1)
+        K[n - 1, n - 5] += 1e-10 * np.abs(K).max()
+        before = K.copy()
+        sol = solve_ridge_gram(K, np.ones(n), 1e-3, overwrite_k=True)
+        assert sol.method == "cholesky"
+        assert np.array_equal(K, before)
+
+    def test_in_place_peak_memory(self, peak_bytes):
+        n = 1500
+        K = TestGramCholeskyRoute.spd_gram(n)
+        Y = np.ones((n, 3))
+        peak = peak_bytes(lambda: solve_ridge_gram(K, Y, 1e-6,
+                                                   overwrite_k=True))
+        assert peak <= 0.1 * 8 * n * n
+
+
+class TestModesCut:
+    def test_cholesky_cuts_nothing(self):
+        K = TestGramCholeskyRoute.spd_gram(linsolve.GRAM_EIGH_LIMIT + 1)
+        assert solve_ridge_gram(K, np.ones(K.shape[0]), 1e-6).modes_cut == 0
+
+    def test_eigh_counts_null_modes(self):
+        u = np.random.default_rng(7).normal(size=(40, 3))
+        sol = solve_ridge_gram(u @ u.T, np.ones(40), 1e-6)
+        assert sol.method == "eigh"
+        assert sol.modes_cut == 37  # rank 3
