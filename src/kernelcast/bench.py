@@ -1,0 +1,122 @@
+"""Timings of the training and prediction primitives (``kernelcast bench``).
+
+Each row times one primitive at one size: NG-RC training and per-step
+prediction over a sweep of ``p``, the polynomial Gram and per-step
+prediction, and the Volterra Gram at ``n`` and ``n_doubled`` plus its
+per-step prediction.  Rows carry the expected asymptotic cost, so a
+``bench.csv`` can be read against the complexity claims.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from .errors import ConfigError
+from .kernels import (
+    PolyKernelParams,
+    VolterraParams,
+    fit_kernel_model,
+    poly_gram,
+    predict_kernel,
+    volterra_gram,
+)
+from .ngrc import delay_vectors, fit_ngrc, predict_ngrc
+
+_ASYMPTOTIC = {
+    "ngrc-train": "O(n*(p+tau*d)^(2*kappa) + (p+tau*d)^(3*kappa))",
+    "poly-gram": "O(n^2*tau*d)",
+    "volterra-gram": "O(n^2*d)",
+    "ngrc-predict": "O((p+tau*d)^kappa)",
+    "poly-predict": "O(n*tau*d)",
+    "volterra-predict": "O(n*d)",
+}
+
+
+def _time_sweep(fns: dict, repeats: int) -> dict:
+    """(median, min) wall-clock seconds per closure over ``repeats``.
+
+    One warm-up round precedes the timed ones.  Repeats are interleaved,
+    which exposes every entry to the same scheduler noise and makes
+    within-sweep comparisons (constant vs growing cost) fair.
+    """
+    for fn in fns.values():  # warm-up round
+        fn()
+    times = {key: [] for key in fns}
+    for _ in range(repeats):
+        for key, fn in fns.items():
+            t0 = time.perf_counter()
+            fn()
+            times[key].append(time.perf_counter() - t0)
+    return {key: (float(np.median(ts)), float(np.min(ts)))
+            for key, ts in times.items()}
+
+
+def run_bench(config: dict) -> list[dict]:
+    """One row per timed primitive, as ``kernelcast bench`` writes them."""
+    b_cfg = config.get("bench")
+    if not isinstance(b_cfg, dict):
+        raise ConfigError("missing required field", field="bench")
+    n = int(b_cfg.get("n", 2000))
+    n2 = int(b_cfg.get("n_doubled", 2 * n))
+    tau = int(b_cfg.get("tau", 8))
+    d = int(b_cfg.get("d", 1))
+    gram_d = int(b_cfg.get("gram_d", 3))
+    ps = [int(p) for p in b_cfg.get("ps", [2, 3, 4, 5])]
+    lam_reg = float(b_cfg.get("lam_reg", 1e-6))
+    repeats = int(b_cfg.get("repeats", 5))
+    steps = int(b_cfg.get("prediction_steps", 50))
+    v_cfg = b_cfg.get("volterra", {})
+    vp = VolterraParams(float(v_cfg.get("lam", 0.6)),
+                        float(v_cfg.get("theta", 0.5)))
+    seed = int(config.get("seed", 0))
+    rng = np.random.Generator(np.random.Philox(seed))
+
+    series = rng.uniform(-1.0, 1.0, (n + steps, d))
+    targets = rng.uniform(-1.0, 1.0, (n + steps, 1))
+    rows = []
+
+    def record(op, p_val, n_val, timing, per_step=1):
+        median_s, min_s = timing
+        rows.append({"op": op, "n": n_val, "tau": tau, "p": p_val,
+                     "d": d if op.startswith(("ngrc", "poly")) else gram_d,
+                     "median_s": median_s / per_step, "min_s": min_s / per_step,
+                     "repeats": repeats, "asymptotic": _ASYMPTOTIC[op]})
+
+    train_sweep = _time_sweep(
+        {p: (lambda p=p: fit_ngrc(series[:n], targets[:n], tau, p, lam_reg))
+         for p in ps}, repeats)
+    for p in ps:
+        record("ngrc-train", p, n, train_sweep[p])
+        model = fit_ngrc(series[:n], targets[:n], tau, p, lam_reg)
+        windows = delay_vectors(series[: n + steps], tau)[-steps:]
+        record("ngrc-predict", p, n, _time_sweep(
+            {p: lambda: predict_ngrc(model, windows)}, repeats)[p],
+            per_step=steps)
+
+    windows_n = delay_vectors(series[:n], tau)
+    pk = PolyKernelParams(2, tau)
+    record("poly-gram", 2, n, _time_sweep(
+        {2: lambda: poly_gram(windows_n, windows_n, pk)}, repeats)[2])
+    poly_model = fit_kernel_model(series[:n], targets[:n], pk, lam_reg)
+    test_windows = delay_vectors(series[: n + steps], tau)[-steps:]
+    record("poly-predict", 2, n, _time_sweep(
+        {2: lambda: predict_kernel(poly_model, test_windows)}, repeats)[2],
+        per_step=steps)
+
+    volt_inputs = rng.uniform(-1.0, 1.0, (n2 + steps, gram_d))
+    volt_inputs /= np.linalg.norm(volt_inputs, axis=1).max()
+    # the Volterra Gram ignores p; timed across the sweep to expose that
+    volt_sweep = _time_sweep(
+        {p: (lambda: volterra_gram(volt_inputs[:n], vp)) for p in ps},
+        repeats)
+    for p in ps:
+        record("volterra-gram", p, n, volt_sweep[p])
+    record("volterra-gram", 0, n2, _time_sweep(
+        {0: lambda: volterra_gram(volt_inputs[:n2], vp)}, repeats)[0])
+    volt_model = fit_kernel_model(volt_inputs[:n], targets[:n], vp, lam_reg)
+    record("volterra-predict", 0, n, _time_sweep(
+        {0: lambda: predict_kernel(volt_model, volt_inputs[n : n + steps])},
+        repeats)[0], per_step=steps)
+    return rows

@@ -45,7 +45,6 @@ from .estimators import (
     fit_path_estimator,
 )
 from .forecast import load_forecast_csv, open_loop, path_continue, valid_time
-from .kernels import VolterraParams, volterra_gram
 from .metrics import (
     MetricReport,
     mae,
@@ -58,7 +57,6 @@ from .metrics import (
     w1_nd,
     welch_psd,
 )
-from .ngrc import fit_ngrc, predict_ngrc
 from .preprocess import bekk_output_pipeline
 from .presets import PRESETS
 
@@ -100,8 +98,10 @@ def load_config(args) -> dict:
                 config = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}", field="config")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise ConfigError(f"config is not valid JSON: {exc}", field="config")
+        if not isinstance(config, dict):
+            raise ConfigError("top level must be a JSON object", field="config")
     else:
         raise ConfigError("either --config or --preset is required")
     if config.get("schema") != SCHEMA:
@@ -120,8 +120,17 @@ def _write_json(path: str, doc: dict) -> None:
 def _read_json(path: str, what: str) -> dict:
     if not os.path.exists(path):
         raise DependencyError(f"missing upstream artifact: {path}", field=what)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DependencyError(f"corrupt upstream artifact {path}: {exc}",
+                              field=what)
+    if not isinstance(doc, dict):
+        raise DependencyError(
+            f"corrupt upstream artifact {path}: top level is not an object",
+            field=what)
+    return doc
 
 
 def _write_manifest(out_dir: str, stage: str, config: dict,
@@ -513,105 +522,9 @@ def cmd_eval(config: dict, out_dir: str) -> int:
 # bench
 
 
-_ASYMPTOTIC = {
-    "ngrc-train": "O(n*(p+tau*d)^(2*kappa) + (p+tau*d)^(3*kappa))",
-    "poly-gram": "O(n^2*tau*d)",
-    "volterra-gram": "O(n^2*d)",
-    "ngrc-predict": "O((p+tau*d)^kappa)",
-    "poly-predict": "O(n*tau*d)",
-    "volterra-predict": "O(n*d)",
-}
-
-
-def _time_sweep(fns: dict, repeats: int) -> dict:
-    """(median, min) wall-clock seconds per closure over ``repeats``.
-
-    One warm-up round precedes the timed ones.  Repeats are interleaved,
-    which exposes every entry to the same scheduler noise and makes
-    within-sweep comparisons (constant vs growing cost) fair.
-    """
-    for fn in fns.values():  # warm-up round
-        fn()
-    times = {key: [] for key in fns}
-    for _ in range(repeats):
-        for key, fn in fns.items():
-            t0 = time.perf_counter()
-            fn()
-            times[key].append(time.perf_counter() - t0)
-    return {key: (float(np.median(ts)), float(np.min(ts)))
-            for key, ts in times.items()}
-
-
-def run_bench(config: dict) -> list[dict]:
-    b_cfg = _get(config, "bench")
-    n = int(b_cfg.get("n", 2000))
-    n2 = int(b_cfg.get("n_doubled", 2 * n))
-    tau = int(b_cfg.get("tau", 8))
-    d = int(b_cfg.get("d", 1))
-    gram_d = int(b_cfg.get("gram_d", 3))
-    ps = [int(p) for p in b_cfg.get("ps", [2, 3, 4, 5])]
-    lam_reg = float(b_cfg.get("lam_reg", 1e-6))
-    repeats = int(b_cfg.get("repeats", 5))
-    steps = int(b_cfg.get("prediction_steps", 50))
-    v_cfg = b_cfg.get("volterra", {})
-    vp = VolterraParams(float(v_cfg.get("lam", 0.6)),
-                        float(v_cfg.get("theta", 0.5)))
-    seed = int(config.get("seed", 0))
-    rng = np.random.Generator(np.random.Philox(seed))
-
-    series = rng.uniform(-1.0, 1.0, (n + steps, d))
-    targets = rng.uniform(-1.0, 1.0, (n + steps, 1))
-    rows = []
-
-    from .kernels import PolyKernelParams, fit_kernel_model, poly_gram, predict_kernel
-    from .ngrc import delay_vectors
-
-    def record(op, p_val, n_val, timing, per_step=1):
-        median_s, min_s = timing
-        rows.append({"op": op, "n": n_val, "tau": tau, "p": p_val,
-                     "d": d if op.startswith(("ngrc", "poly")) else gram_d,
-                     "median_s": median_s / per_step, "min_s": min_s / per_step,
-                     "repeats": repeats, "asymptotic": _ASYMPTOTIC[op]})
-
-    train_sweep = _time_sweep(
-        {p: (lambda p=p: fit_ngrc(series[:n], targets[:n], tau, p, lam_reg))
-         for p in ps}, repeats)
-    for p in ps:
-        record("ngrc-train", p, n, train_sweep[p])
-        model = fit_ngrc(series[:n], targets[:n], tau, p, lam_reg)
-        windows = delay_vectors(series[: n + steps], tau)[-steps:]
-        record("ngrc-predict", p, n, _time_sweep(
-            {p: lambda: predict_ngrc(model, windows)}, repeats)[p],
-            per_step=steps)
-
-    windows_n = delay_vectors(series[:n], tau)
-    pk = PolyKernelParams(2, tau)
-    record("poly-gram", 2, n, _time_sweep(
-        {2: lambda: poly_gram(windows_n, windows_n, pk)}, repeats)[2])
-    poly_model = fit_kernel_model(series[:n], targets[:n], pk, lam_reg)
-    test_windows = delay_vectors(series[: n + steps], tau)[-steps:]
-    record("poly-predict", 2, n, _time_sweep(
-        {2: lambda: predict_kernel(poly_model, test_windows)}, repeats)[2],
-        per_step=steps)
-
-    volt_inputs = rng.uniform(-1.0, 1.0, (n2 + steps, gram_d))
-    volt_inputs /= np.linalg.norm(volt_inputs, axis=1).max()
-    # the Volterra Gram ignores p; timed across the sweep to expose that
-    volt_sweep = _time_sweep(
-        {p: (lambda: volterra_gram(volt_inputs[:n], vp)) for p in ps},
-        repeats)
-    for p in ps:
-        record("volterra-gram", p, n, volt_sweep[p])
-    record("volterra-gram", 0, n2, _time_sweep(
-        {0: lambda: volterra_gram(volt_inputs[:n2], vp)}, repeats)[0])
-    volt_model = fit_kernel_model(volt_inputs[:n], targets[:n], vp, lam_reg)
-    record("volterra-predict", 0, n, _time_sweep(
-        {0: lambda: predict_kernel(volt_model, volt_inputs[n : n + steps])},
-        repeats)[0], per_step=steps)
-    return rows
-
-
 def cmd_bench(config: dict, out_dir: str) -> int:
+    from .bench import run_bench  # loaded only by the bench subcommand
+
     os.makedirs(out_dir, exist_ok=True)
     rows = run_bench(config)
     path = os.path.join(out_dir, "bench.csv")

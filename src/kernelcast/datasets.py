@@ -23,7 +23,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import InvalidInputError, ParseError, SimulationError
 from .linsolve import psd_sqrt
@@ -89,6 +88,9 @@ def gaussian_iid(n: int, d: int, seed: int) -> np.ndarray:
 
 def integrate_ode(rhs, y0, dt: float, n_points: int) -> np.ndarray:
     """Sample an ODE trajectory on a uniform grid with RK45 at tight tolerance."""
+    # imported on use: only the ODE simulators need it
+    from scipy.integrate import solve_ivp
+
     y0 = np.asarray(y0, dtype=np.float64)
     t_eval = np.arange(n_points) * dt
     sol = solve_ivp(rhs, (0.0, t_eval[-1] if n_points > 1 else dt), y0,
@@ -143,6 +145,9 @@ def simulate_mackey_glass(dt_fine: float = 0.02, delay: float = 17.0,
     if feedback is None:
         def feedback(u):
             return beta * u / (1.0 + u**power)
+
+    # imported on use: only the ODE simulators need it
+    from scipy.integrate import solve_ivp
 
     fine = np.empty(n_fine)
     fine[0] = history

@@ -146,20 +146,28 @@ def ngrc_kernel(u, v, table: ExponentTable) -> float:
 # precision, which keeps its numerical null space clean enough for the
 # dual solver's pseudo-inverse cutoff.
 _PRECISE_GRAM_ELEMENTS = 1 << 16
+_PRECISE_GRAM_PANEL_ROWS = 64
 
 
 def ngrc_gram(U, V, table: ExponentTable) -> np.ndarray:
     """Pairwise NG-RC kernel between the rows of U and V.
 
     A self-Gram (``V is U``) maps the rows once and multiplies the features
-    by their own transpose, which makes it exactly symmetric.
+    by their own transpose, which makes it exactly symmetric.  The
+    extended-precision product is cast to float64 one row panel at a time,
+    so the output is the only n x n array; numpy's ``longdouble`` matmul
+    sums each element on its own, so the panels do not change its bits.
     """
     FU = ngrc_features(np.atleast_2d(U), table)
     FV = FU if V is U else ngrc_features(np.atleast_2d(V), table)
     if FU.size <= _PRECISE_GRAM_ELEMENTS and FV.size <= _PRECISE_GRAM_ELEMENTS:
         FUl = FU.astype(np.longdouble)
-        FVl = FUl if FV is FU else FV.astype(np.longdouble)
-        return (FUl @ FVl.T).astype(np.float64)
+        FVlT = (FUl if FV is FU else FV.astype(np.longdouble)).T
+        K = np.empty((FU.shape[0], FV.shape[0]))
+        for i in range(0, FU.shape[0], _PRECISE_GRAM_PANEL_ROWS):
+            K[i:i + _PRECISE_GRAM_PANEL_ROWS] = \
+                FUl[i:i + _PRECISE_GRAM_PANEL_ROWS] @ FVlT
+        return K
     return FU @ FV.T
 
 

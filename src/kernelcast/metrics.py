@@ -22,9 +22,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .datasets import format_cell
 from .errors import InvalidInputError
@@ -112,6 +109,8 @@ def welch_psd(values, nperseg: int, overlap: float = 0.5,
         raise InvalidInputError(f"nperseg must lie in [1, {n}]")
     if not 0.0 <= overlap < 1.0:
         raise InvalidInputError("overlap must lie in [0, 1)")
+    import scipy.signal  # imported on use: only eval needs the spectral code
+
     noverlap = int(round(overlap * nperseg))
     freqs, power = scipy.signal.welch(
         x, fs=fs, window="hann", nperseg=nperseg, noverlap=noverlap,
@@ -182,6 +181,10 @@ def w1_nd(samples_a, samples_b, cap: int = W1_DEFAULT_CAP) -> float:
         raise InvalidInputError(
             f"{A.shape[0]} samples exceed the cap of {cap}"
         )
+    # imported on use: only eval needs the matching code
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
     with np.errstate(over="ignore"):
         cost = cdist(A, B)
     if not np.all(np.isfinite(cost)):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import kernelcast as kc
-from kernelcast.cli import run_bench
+from kernelcast.bench import run_bench
 from kernelcast.estimators import fit_estimator
 from kernelcast.forecast import load_forecast_csv
 from kernelcast.metrics import (

@@ -1,8 +1,10 @@
 import copy
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +227,40 @@ class TestExitCodes:
         assert run_cli("eval", "--config", str(cfg_path),
                        "--out", str(out)) == 3
 
+    def test_config_not_an_object_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1,2]")
+        assert run_cli("simulate", "--config", str(path),
+                       "--out", str(tmp_path / "o")) == 2
+        assert "config: top level must be a JSON object" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"stage": ', "[]"])
+    def test_corrupt_simulate_manifest_is_dependency_error(self, tmp_path,
+                                                            capsys, text):
+        out = tmp_path / "exp"
+        assert run_cli("simulate", "--preset", "bekk-polynomial",
+                       "--out", str(out)) == 0
+        manifest = out / "simulate_manifest.json"
+        manifest.write_text(text)
+        capsys.readouterr()
+        assert run_cli("fit", "--preset", "bekk-polynomial",
+                       "--out", str(out)) == 2
+        assert f"corrupt upstream artifact {manifest}" in \
+            capsys.readouterr().err
+
+    def test_corrupt_model_json_is_dependency_error(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        for cmd in ("simulate", "fit"):
+            assert run_cli(cmd, "--preset", "bekk-polynomial",
+                           "--out", str(out)) == 0
+        model = out / "model.json"
+        model.write_text(model.read_text()[:100])
+        capsys.readouterr()
+        assert run_cli("forecast", "--preset", "bekk-polynomial",
+                       "--out", str(out)) == 2
+        assert f"corrupt upstream artifact {model}" in capsys.readouterr().err
+
 
 class TestNumericalFailureExit:
     def test_exhausted_grid_exits_three(self, tmp_path):
@@ -335,6 +371,62 @@ class TestBench:
         ops = {line.split(",")[0] for line in lines[2:]}
         assert {"ngrc-train", "poly-gram", "volterra-gram",
                 "ngrc-predict", "poly-predict", "volterra-predict"} <= ops
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# scipy subpackages that only the ODE simulators and eval's metrics need
+DEFERRED_SCIPY = ("scipy.integrate", "scipy.signal", "scipy.optimize",
+                  "scipy.spatial", "scipy.stats")
+# (call, the deferred subpackage it loads)
+FIRST_CALLS = {
+    "welch_psd": ("welch_psd(np.sin(0.3 * np.arange(512.0)), 128).power.sum()",
+                  "scipy.signal"),
+    "w1_nd": ("w1_nd(np.eye(3), 2.0 * np.eye(3)[::-1])", "scipy.optimize"),
+    "simulate_lorenz": ("simulate_lorenz(n_points=200).values[-1].sum()",
+                        "scipy.integrate"),
+    "simulate_mackey_glass": (
+        "simulate_mackey_glass(n_fine=2000).values[-1, 0]", "scipy.integrate"),
+}
+_PRELUDE = """
+import json, sys
+import numpy as np
+import kernelcast.cli
+from kernelcast.datasets import simulate_lorenz, simulate_mackey_glass
+from kernelcast.metrics import w1_nd, welch_psd
+"""
+
+
+def _run_fresh(body: str) -> dict:
+    """Run ``body`` after the prelude in a new interpreter; parse its JSON."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _PRELUDE + body],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestImportBoundary:
+    """``import kernelcast.cli`` loads numpy and scipy.linalg, not the ODE,
+    spectral or matching code that only some stages use."""
+
+    def test_cli_import_loads_no_deferred_scipy(self):
+        loaded = _run_fresh(
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.'))))")
+        assert "scipy.linalg" in loaded
+        assert [m for m in loaded
+                if ".".join(m.split(".")[:2]) in DEFERRED_SCIPY] == []
+
+    @pytest.mark.parametrize("name", sorted(FIRST_CALLS))
+    def test_first_call_in_fresh_process(self, name):
+        expr, module = FIRST_CALLS[name]
+        got = _run_fresh(
+            f"before = {module!r} in sys.modules\n"
+            f"value = float({expr})\n"
+            f"print(json.dumps([before, value, {module!r} in sys.modules]))")
+        here = {}
+        exec(_PRELUDE, here)
+        assert got == [False, float(eval(expr, here)), True]
 
 
 class TestEntryPoint:

@@ -505,6 +505,22 @@ class TestSelfGramsInPlace:
         F = ngrc_features(W, table)
         np.testing.assert_allclose(K, F @ F.T, rtol=1e-12, atol=1e-12)
 
+    def test_extended_precision_gram_in_row_panels(self, peak_bytes):
+        # NgrcKernelParams(p=2, tau=2, d=3): 1499 x 28 features, inside the
+        # extended-precision branch
+        n = 1500
+        _, W = self.windows(n)
+        table = NgrcKernelParams(p=2, tau=2, d=3).table()
+        F = ngrc_features(W, table).astype(np.longdouble)
+        K = ngrc_gram(W, W, table)
+        assert np.array_equal(K, (F @ F.T).astype(np.float64))
+        W2 = W[::-1][:700].copy()
+        F2 = ngrc_features(W2, table).astype(np.longdouble)
+        assert np.array_equal(ngrc_gram(W, W2, table),
+                              (F @ F2.T).astype(np.float64))
+        m = W.shape[0]
+        assert peak_bytes(lambda: ngrc_gram(W, W, table)) <= 1.2 * 8 * m * m
+
     def test_pair_gram_matches_self_gram(self):
         # V a distinct array with the same rows: the features are mapped
         # twice, same values up to BLAS rounding
