@@ -34,21 +34,48 @@ _ASYMPTOTIC = {
 }
 
 
-def _time_sweep(fns: dict, repeats: int) -> dict:
-    """(median, min) wall-clock seconds per closure over ``repeats``.
+# Shortest timed sample: each closure runs enough calls per sample to last
+# this long, as timeit's autorange does, so one scheduler hiccup is a small
+# share of a sample.
+_MIN_SAMPLE_S = 0.2
 
-    One warm-up round precedes the timed ones.  Repeats are interleaved,
-    which exposes every entry to the same scheduler noise and makes
-    within-sweep comparisons (constant vs growing cost) fair.
+
+def _calls_per_sample(fn) -> int:
+    """Calls of ``fn`` that last at least ``_MIN_SAMPLE_S`` together, from
+    the sequence 1, 2, 5, 10, 20, 50, ...; the probing also warms ``fn`` up."""
+    scale = 1
+    while True:
+        for number in (scale, 2 * scale, 5 * scale):
+            t0 = time.perf_counter()
+            for _ in range(number):
+                fn()
+            if time.perf_counter() - t0 >= _MIN_SAMPLE_S:
+                return number
+        scale *= 10
+
+
+def _time_sweep(fns: dict, repeats: int) -> dict:
+    """(median, min) wall-clock seconds per call of each closure, over
+    ``repeats`` samples.
+
+    A sample runs the closure as many times as it takes to last at least
+    ``_MIN_SAMPLE_S``.  The calls of one round of samples are interleaved
+    across the closures, so every entry sees the same phases of machine
+    noise, which makes within-sweep comparisons (constant vs growing cost)
+    fair.
     """
-    for fn in fns.values():  # warm-up round
-        fn()
+    numbers = {key: _calls_per_sample(fn) for key, fn in fns.items()}
     times = {key: [] for key in fns}
     for _ in range(repeats):
-        for key, fn in fns.items():
-            t0 = time.perf_counter()
-            fn()
-            times[key].append(time.perf_counter() - t0)
+        spent = dict.fromkeys(fns, 0.0)
+        for call in range(max(numbers.values(), default=0)):
+            for key, fn in fns.items():
+                if call < numbers[key]:
+                    t0 = time.perf_counter()
+                    fn()
+                    spent[key] += time.perf_counter() - t0
+        for key in fns:
+            times[key].append(spent[key] / numbers[key])
     return {key: (float(np.median(ts)), float(np.min(ts)))
             for key, ts in times.items()}
 

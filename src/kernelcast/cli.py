@@ -37,7 +37,13 @@ from .datasets import (
     split_train_test,
     write_csv,
 )
-from .errors import ConfigError, DependencyError, InvalidInputError, KernelcastError
+from .errors import (
+    ConfigError,
+    DependencyError,
+    InvalidInputError,
+    KernelcastError,
+    doc_field,
+)
 from .estimators import (
     estimator_from_dict,
     estimator_to_dict,
@@ -148,12 +154,14 @@ def _write_manifest(out_dir: str, stage: str, config: dict,
 
 
 def _check_manifest(out_dir: str, stage: str, config: dict) -> dict:
-    doc = _read_json(os.path.join(out_dir, f"{stage}_manifest.json"), stage)
+    path = os.path.join(out_dir, f"{stage}_manifest.json")
+    doc = _read_json(path, stage)
     expected = config_hash(config)
-    if doc.get("config_sha256") != expected:
+    found = doc_field(doc, "config_sha256", path)
+    if found != expected:
         raise DependencyError(
             f"{stage} artifacts were produced from a different configuration "
-            f"({doc.get('config_sha256')} != {expected})"
+            f"({found} != {expected})"
         )
     return doc
 
@@ -256,11 +264,13 @@ def cmd_simulate(config: dict, out_dir: str) -> int:
 
 def load_dataset_artifacts(config: dict, out_dir: str) -> dict:
     manifest = _check_manifest(out_dir, "simulate", config)
-    task = manifest.get("task")
+    source = os.path.join(out_dir, "simulate_manifest.json")
+    task = doc_field(manifest, "task", source)
     names = _PATH_FILES if task == "path-continuation" else _OPEN_FILES
     data = {"task": task}
     for name in names:
-        path = os.path.join(out_dir, manifest["files"][name])
+        path = os.path.join(out_dir,
+                            doc_field(manifest, f"files.{name}", source))
         if not os.path.exists(path):
             raise DependencyError(f"missing upstream artifact: {path}")
         data[name], _ = load_csv(path)
@@ -293,15 +303,20 @@ def cmd_fit(config: dict, out_dir: str) -> int:
     started = time.perf_counter()
     est, _seed = _fit_from_config(config, data)
     elapsed = time.perf_counter() - started
+    written = time.perf_counter()
     doc = {"config_sha256": config_hash(config),
            "estimator": estimator_to_dict(est)}
     _write_json(os.path.join(out_dir, "model.json"), doc)
     sol = est.model.solution
     _write_manifest(out_dir, "fit", config, {"model": "model.json"},
-                    {"fit_seconds": elapsed,
+                    {"fit_seconds": elapsed, "gram_s": sol.gram_s,
+                     "solve_s": sol.solve_s,
+                     "write_s": time.perf_counter() - written,
                      "solver": {"method": sol.method, "jitter": sol.jitter,
                                 "smallest_pivot": sol.smallest_pivot,
-                                "modes_cut": sol.modes_cut}})
+                                "modes_cut": sol.modes_cut,
+                                "storage": sol.storage,
+                                "gram_bytes": sol.gram_bytes}})
     print(f"fit: {est.kind} model written to {out_dir}/model.json "
           f"({elapsed:.2f}s)")
     return 0
@@ -375,10 +390,12 @@ def cmd_cv(config: dict, out_dir: str) -> int:
 def cmd_forecast(config: dict, out_dir: str) -> int:
     data = load_dataset_artifacts(config, out_dir)
     _check_manifest(out_dir, "fit", config)
-    model_doc = _read_json(os.path.join(out_dir, "model.json"), "model")
-    if model_doc.get("config_sha256") != config_hash(config):
+    model_path = os.path.join(out_dir, "model.json")
+    model_doc = _read_json(model_path, "model")
+    if doc_field(model_doc, "config_sha256", model_path) != config_hash(config):
         raise DependencyError("model.json was fitted under a different config")
-    est = estimator_from_dict(model_doc["estimator"])
+    est = estimator_from_dict(doc_field(model_doc, "estimator", model_path),
+                              model_path, "estimator")
     mode = _get(config, "task.mode")
     horizon_cfg = _get(config, "task.horizon", required=False)
     if mode == "path-continuation":
@@ -485,8 +502,9 @@ def evaluate_run(reference: np.ndarray, predicted: np.ndarray, config: dict,
 
 def cmd_eval(config: dict, out_dir: str) -> int:
     _check_manifest(out_dir, "forecast", config)
-    run, meta = load_forecast_csv(os.path.join(out_dir, "forecast.csv"))
-    if meta.get("config_sha256") != config_hash(config):
+    forecast_path = os.path.join(out_dir, "forecast.csv")
+    run, meta = load_forecast_csv(forecast_path)
+    if doc_field(meta, "config_sha256", forecast_path) != config_hash(config):
         raise DependencyError("forecast.csv was produced under a different config")
     if run.reference is None:
         raise DependencyError("forecast.csv carries no reference columns")

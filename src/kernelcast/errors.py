@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the accessor that reads
+upstream artifact documents."""
 
 
 class KernelcastError(Exception):
@@ -59,9 +60,34 @@ class DependencyError(ConfigError):
     """A pipeline stage is missing an upstream artifact or hashes disagree."""
 
 
+class MissingKeyError(DependencyError, InvalidInputError):
+    """An artifact document lacks a required key.
+
+    It is a :class:`DependencyError` to the pipeline stages (exit 2) and an
+    :class:`InvalidInputError` to code that loads documents directly.
+    """
+
+
 class ParseError(InvalidInputError):
     """A CSV file is malformed; carries the 1-based line number."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(f"line {line}: {message}" if line else message)
         self.line = line
+
+
+def doc_field(doc: dict, key: str, source: str, path: str = ""):
+    """Value at the dotted ``key`` of an artifact document.
+
+    ``source`` names the artifact (its file) and ``path`` the dotted
+    location of ``doc`` inside it; a missing key raises
+    :class:`MissingKeyError` naming both, down to the first part missing.
+    """
+    node = doc
+    parts = path.split(".") if path else []
+    for part in key.split("."):
+        parts.append(part)
+        if not isinstance(node, dict) or part not in node:
+            raise MissingKeyError(f"{source} has no key {'.'.join(parts)!r}")
+        node = node[part]
+    return node

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import preprocess
-from .errors import InvalidInputError
+from .errors import InvalidInputError, doc_field
 from .kernels import (
     KernelModel,
     NgrcKernelParams,
@@ -255,22 +255,30 @@ def estimator_to_dict(est: Estimator) -> dict:
     }
 
 
-def estimator_from_dict(doc: dict) -> Estimator:
-    if doc.get("schema") != "estimator/1":
-        raise InvalidInputError(f"unknown estimator schema {doc.get('schema')!r}")
-    model_doc = doc["model"]
-    if model_doc.get("schema") == "ngrc-model/1":
-        model = NgrcModel.from_dict(model_doc)
+def estimator_from_dict(doc: dict, source: str = "estimator document",
+                        path: str = "") -> Estimator:
+    """Load an ``estimator/1`` document.  ``source`` and ``path`` (the
+    dotted location of ``doc`` in it) name a missing key."""
+    def get(key):
+        return doc_field(doc, key, source, path)
+
+    schema = get("schema")
+    if schema != "estimator/1":
+        raise InvalidInputError(f"unknown estimator schema {schema!r}")
+    model_doc = get("model")
+    model_path = f"{path}.model" if path else "model"
+    if get("model.schema") == "ngrc-model/1":
+        model = NgrcModel.from_dict(model_doc, source, model_path)
     else:
-        model = KernelModel.from_dict(model_doc)
-    input_specs = preprocess.pipeline_from_dicts(doc["input_specs"])
-    if doc.get("shared_pipeline"):
+        model = KernelModel.from_dict(model_doc, source, model_path)
+    input_specs = preprocess.pipeline_from_dicts(get("input_specs"))
+    if get("shared_pipeline"):
         output_specs = input_specs
     else:
-        output_specs = preprocess.pipeline_from_dicts(doc.get("output_specs") or [])
-    tail = doc.get("input_tail")
+        output_specs = preprocess.pipeline_from_dicts(get("output_specs"))
+    tail = get("input_tail")
     return Estimator(
-        doc["kind"], dict(doc["hyper"]), model, input_specs, output_specs,
+        get("kind"), dict(get("hyper")), model, input_specs, output_specs,
         input_tail=None if tail is None else np.asarray(tail, dtype=np.float64),
     )
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, NormBoundError
-from .linsolve import RidgeSolution, solve_ridge_gram
+from .errors import DependencyError, InvalidInputError, NormBoundError, doc_field
+from .linsolve import GramRows, RidgeSolution, solve_ridge_gram
 from .ngrc import ExponentTable, build_exponent_table, delay_vectors, ngrc_features
 
 # Relative slack when checking sample norms against M; guards float fuzz only.
@@ -128,8 +128,15 @@ def poly_kernel(u, v, params: PolyKernelParams) -> float:
 
 
 def poly_gram(U, V, params: PolyKernelParams) -> np.ndarray:
-    """Pairwise polynomial kernel between the rows of U and V."""
+    """Pairwise polynomial kernel between the rows of U and V.
+
+    A self-Gram (``V is U``) is built from the rows a fit factors, so it is
+    exactly symmetric and carries the fit's bits.
+    """
+    self_gram = V is U
     U = np.atleast_2d(np.asarray(U, dtype=np.float64))
+    if self_gram:
+        return _poly_rows(U, params).full()
     V = np.atleast_2d(np.asarray(V, dtype=np.float64))
     G = U @ V.T
     G += params.c
@@ -146,29 +153,68 @@ def ngrc_kernel(u, v, table: ExponentTable) -> float:
 # precision, which keeps its numerical null space clean enough for the
 # dual solver's pseudo-inverse cutoff.
 _PRECISE_GRAM_ELEMENTS = 1 << 16
-_PRECISE_GRAM_PANEL_ROWS = 64
+# Rows per panel of a Gram product.
+_GRAM_PANEL_ROWS = 64
 
 
 def ngrc_gram(U, V, table: ExponentTable) -> np.ndarray:
     """Pairwise NG-RC kernel between the rows of U and V.
 
-    A self-Gram (``V is U``) maps the rows once and multiplies the features
-    by their own transpose, which makes it exactly symmetric.  The
+    A self-Gram (``V is U``) is built from the rows a fit factors: the rows
+    are mapped once, and the Gram is exactly symmetric.  The
     extended-precision product is cast to float64 one row panel at a time,
     so the output is the only n x n array; numpy's ``longdouble`` matmul
     sums each element on its own, so the panels do not change its bits.
     """
+    if V is U:
+        return _ngrc_rows(U, table).full()
     FU = ngrc_features(np.atleast_2d(U), table)
-    FV = FU if V is U else ngrc_features(np.atleast_2d(V), table)
+    FV = ngrc_features(np.atleast_2d(V), table)
     if FU.size <= _PRECISE_GRAM_ELEMENTS and FV.size <= _PRECISE_GRAM_ELEMENTS:
         FUl = FU.astype(np.longdouble)
-        FVlT = (FUl if FV is FU else FV.astype(np.longdouble)).T
+        FVlT = FV.astype(np.longdouble).T
         K = np.empty((FU.shape[0], FV.shape[0]))
-        for i in range(0, FU.shape[0], _PRECISE_GRAM_PANEL_ROWS):
-            K[i:i + _PRECISE_GRAM_PANEL_ROWS] = \
-                FUl[i:i + _PRECISE_GRAM_PANEL_ROWS] @ FVlT
+        for i in range(0, FU.shape[0], _GRAM_PANEL_ROWS):
+            K[i:i + _GRAM_PANEL_ROWS] = FUl[i:i + _GRAM_PANEL_ROWS] @ FVlT
         return K
     return FU @ FV.T
+
+
+def _panel_rows(F: np.ndarray, finish=None) -> GramRows:
+    """Lower-triangle rows of the self-Gram ``F @ F.T``, with ``finish``
+    applied in place to each product panel.
+
+    Panels of 64 rows against the rows above them go through one reused
+    buffer of ``F``'s dtype; extended-precision rows are rounded to float64
+    where they are stored.
+    """
+    n = F.shape[0]
+
+    def rows():
+        buf = np.empty(_GRAM_PANEL_ROWS * n, F.dtype)
+        for i0 in range(0, n, _GRAM_PANEL_ROWS):
+            i1 = min(i0 + _GRAM_PANEL_ROWS, n)
+            block = buf[:(i1 - i0) * i1].reshape(i1 - i0, i1)
+            np.matmul(F[i0:i1], F[:i1].T, out=block)
+            if finish is not None:
+                finish(block)
+            for r, row in enumerate(block):
+                yield row[:i0 + r + 1]
+    return GramRows(n, rows)
+
+
+def _poly_rows(W: np.ndarray, params: PolyKernelParams) -> GramRows:
+    def finish(G):
+        G += params.c
+        G **= params.p
+    return _panel_rows(W, finish)
+
+
+def _ngrc_rows(W, table: ExponentTable) -> GramRows:
+    F = ngrc_features(np.atleast_2d(W), table)
+    if F.size <= _PRECISE_GRAM_ELEMENTS:
+        F = F.astype(np.longdouble)
+    return _panel_rows(F)
 
 
 def _check_sample_norms(Z: np.ndarray, params: VolterraParams,
@@ -194,37 +240,55 @@ def _as_samples(inputs) -> np.ndarray:
     return Z
 
 
-def volterra_gram(inputs, params: VolterraParams) -> GramMatrix:
-    """Square Volterra Gram matrix over one input sequence.
+def _volterra_rows(Z: np.ndarray, params: VolterraParams, washout: int = 0,
+                   last: np.ndarray | None = None):
+    """Rows ``i >= washout`` of the Volterra Gram's lower triangle, from
+    column ``washout`` on.
 
-    Row sweep of the diagonal recursion: row i is produced from row i-1
-    shifted by one column, with the border column/row pinned at
-    ``1 / (1 - theta^2)``.  The sweep overwrites ``Z @ Z.T`` row by row, so
-    the Gram is the only n x n array; it is exactly symmetric.
+    Row sweep of the diagonal recursion over ``j <= i``: row i is produced
+    from row i-1 shifted by one column, with the border pinned at
+    ``1 / (1 - theta^2)``.  Rows before the washout live only in the rolling
+    bordered row.  ``last``, when given, receives the bordered final row
+    ``[border, K[n-1, 0], ..., K[n-1, n-1]]``.  Each row is a view that the
+    next one overwrites.
     """
-    Z = _as_samples(inputs)
-    _check_sample_norms(Z, params)
     n = Z.shape[0]
     lam2 = params.lam**2
     theta2 = params.theta**2
-    K = Z @ Z.T
-    # Cauchy-Schwarz keeps denominators >= 1 - theta^2 M^2 > 0; a violation
-    # means the norm check above was bypassed.  Rounding is monotone, so the
-    # smallest denominator is the one of the largest inner product.
-    if K.size and 1.0 - theta2 * float(K.max()) < (
-            params.denominator_floor * (1.0 - 1e-9)):
-        raise InvalidInputError("Volterra denominator fell below its floor")
-    prev = np.full(n + 1, params.border)  # bordered row i of the recursion
+    floor = params.denominator_floor * (1.0 - 1e-9)
+    prev = np.full(n + 1, params.border)  # bordered row i - 1
+    row = np.empty(n)
     denom = np.empty(n)
     for i in range(n):
-        row = K[i]
-        np.multiply(theta2, row, out=denom)
-        np.subtract(1.0, denom, out=denom)
-        np.multiply(lam2, prev[:n], out=row)
-        row /= denom
-        row += 1.0
-        prev[1:] = row
-    return GramMatrix(K)
+        d = denom[:i + 1]
+        np.dot(Z[:i + 1], Z[i], out=d)
+        d *= theta2
+        np.subtract(1.0, d, out=d)
+        # Cauchy-Schwarz keeps denominators >= 1 - theta^2 M^2 > 0; a
+        # violation means the norm check was bypassed.
+        if d.min() < floor:
+            raise InvalidInputError("Volterra denominator fell below its floor")
+        r = row[:i + 1]
+        np.multiply(lam2, prev[:i + 1], out=r)
+        r /= d
+        r += 1.0
+        prev[1:i + 2] = r
+        if last is not None and i == n - 1:
+            last[...] = prev
+        if i >= washout:
+            yield r[washout:]
+
+
+def volterra_gram(inputs, params: VolterraParams) -> GramMatrix:
+    """Square Volterra Gram matrix over one input sequence.
+
+    The rows of the fit's sweep, mirrored: the Gram is the only n x n array,
+    it is exactly symmetric, and its lower triangle carries the fit's bits.
+    """
+    Z = _as_samples(inputs)
+    _check_sample_norms(Z, params)
+    return GramMatrix(GramRows(Z.shape[0],
+                               lambda: _volterra_rows(Z, params)).full())
 
 
 class VolterraExtension:
@@ -279,9 +343,10 @@ def volterra_gram_extend(train_inputs, test_inputs,
     T = _as_samples(test_inputs)
     if T.shape[1] != Z.shape[1]:
         raise InvalidInputError("train and test sample dimensions differ")
-    square = volterra_gram(Z, params)
-    last = np.concatenate(([params.border], square.values[:, -1])) \
-        if Z.shape[0] else np.array([params.border])
+    _check_sample_norms(Z, params)
+    last = np.full(Z.shape[0] + 1, params.border)
+    for _ in _volterra_rows(Z, params, last=last):
+        pass
     ext = VolterraExtension(Z, params, last)
     cols = np.empty((Z.shape[0], T.shape[0]))
     for j in range(T.shape[0]):
@@ -388,14 +453,22 @@ class KernelModel:
         return json.dumps(self.to_dict())
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "KernelModel":
-        """Load a ``kernel-model/2`` document, or a ``/1`` one, whose Volterra
-        models carry no last column and get it from a Gram rebuild."""
-        schema = doc.get("schema")
-        if schema not in ("kernel-model/1", "kernel-model/2"):
+    def from_dict(cls, doc: dict, source: str = "model document",
+                  path: str = "") -> "KernelModel":
+        """Load a ``kernel-model/2`` document.  ``source`` and ``path`` (the
+        dotted location of ``doc`` in it) name a missing key."""
+        def get(key):
+            return doc_field(doc, key, source, path)
+
+        schema = get("schema")
+        if schema == "kernel-model/1":
+            raise DependencyError(
+                f"{source}: schema kernel-model/1 is no longer read; refit "
+                "the model")
+        if schema != "kernel-model/2":
             raise InvalidInputError(f"unknown model schema {schema!r}")
-        kdoc = dict(doc["kernel"])
-        kind = kdoc.pop("kind")
+        kind = get("kernel.kind")
+        kdoc = {k: v for k, v in get("kernel").items() if k != "kind"}
         if kind == "polynomial":
             kernel = PolyKernelParams(**kdoc)
         elif kind == "ngrc":
@@ -404,23 +477,17 @@ class KernelModel:
             kernel = VolterraParams(**kdoc)
         else:
             raise InvalidInputError(f"unknown kernel kind {kind!r}")
-        train_inputs = np.asarray(doc["train_inputs"], dtype=np.float64)
-        washout = int(doc["washout"])
+        train_inputs = np.asarray(get("train_inputs"), dtype=np.float64)
+        washout = int(get("washout"))
         model = KernelModel(kernel, train_inputs,
-                            np.asarray(doc["alpha"], dtype=np.float64),
-                            washout, float(doc["lam_reg"]),
-                            doc.get("preprocessing"))
-        if not model.is_volterra:
+                            np.asarray(get("alpha"), dtype=np.float64),
+                            washout, float(get("lam_reg")),
+                            get("preprocessing"))
+        if model.is_volterra:
+            model._last_col = np.asarray(get("last_column"), dtype=np.float64)
+        else:
             windows = delay_vectors(train_inputs, kernel.tau)
             model.train_windows = windows[washout:]
-        elif schema == "kernel-model/1":
-            gram = volterra_gram(train_inputs, kernel)
-            model._last_col = np.concatenate(([kernel.border],
-                                              gram.values[:, -1]))
-        elif "last_column" in doc:
-            model._last_col = np.asarray(doc["last_column"], dtype=np.float64)
-        else:
-            raise InvalidInputError("Volterra model has no last_column")
         return model
 
     @classmethod
@@ -428,24 +495,10 @@ class KernelModel:
         return cls.from_dict(json.loads(text))
 
 
-def _lagged_gram(kernel, windows: np.ndarray) -> np.ndarray:
+def _lagged_rows(kernel, windows: np.ndarray) -> GramRows:
     if isinstance(kernel, PolyKernelParams):
-        return poly_gram(windows, windows, kernel)
-    return ngrc_gram(windows, windows, kernel.table())
-
-
-def _drop_leading(K: np.ndarray, w: int) -> np.ndarray:
-    """``K[w:, w:]`` as a C-contiguous matrix at the front of ``K``'s own
-    buffer (``K`` is C-contiguous and lost).  Row r moves from offset
-    ``(w + r) n + w`` down to ``r (n - w)``, so no row lands on a source row
-    that is still to be read."""
-    if not w:
-        return K
-    m = K.shape[0] - w
-    flat = K.reshape(-1)
-    for r in range(m):
-        flat[r * m:(r + 1) * m] = K[w + r, w:]
-    return flat[:m * m].reshape(m, m)
+        return _poly_rows(windows, kernel)
+    return _ngrc_rows(windows, kernel.table())
 
 
 def fit_kernel_model(inputs, targets, kernel, lam_reg: float,
@@ -458,7 +511,8 @@ def fit_kernel_model(inputs, targets, kernel, lam_reg: float,
     rows to drop (normally 0).  For the Volterra kernel the Gram covers the
     whole sequence and ``washout`` rows/columns are trimmed from the solve
     to flush the zero-padding transient; the trimmed sequence is still used
-    when predicting.
+    when predicting.  The Gram reaches the solver as its lower-triangle rows,
+    so the solver stores it (see :mod:`kernelcast.linsolve`).
     """
     Z = _as_samples(inputs)
     targets = np.asarray(targets, dtype=np.float64)
@@ -471,10 +525,11 @@ def fit_kernel_model(inputs, targets, kernel, lam_reg: float,
     if isinstance(kernel, VolterraParams):
         if washout >= Z.shape[0]:
             raise InvalidInputError("washout leaves no training rows")
-        K = volterra_gram(Z, kernel).values
-        last_col = np.concatenate(([kernel.border], K[:, -1]))
-        sol = solve_ridge_gram(_drop_leading(K, washout), Y[washout:],
-                               lam_reg, overwrite_k=True)
+        _check_sample_norms(Z, kernel)
+        last_col = np.empty(Z.shape[0] + 1)
+        rows = GramRows(Z.shape[0] - washout, lambda: _volterra_rows(
+            Z, kernel, washout, last_col))
+        sol = solve_ridge_gram(rows, Y[washout:], lam_reg)
         model = KernelModel(kernel, Z, sol.coefficients, washout,
                             float(lam_reg), preprocessing, sol)
         model._last_col = last_col
@@ -488,8 +543,7 @@ def fit_kernel_model(inputs, targets, kernel, lam_reg: float,
         raise InvalidInputError("washout leaves no training rows")
     windows = windows[washout:]
     Y_eff = Y_emb[washout:]
-    K = _lagged_gram(kernel, windows)
-    sol = solve_ridge_gram(K, Y_eff, lam_reg, overwrite_k=True)
+    sol = solve_ridge_gram(_lagged_rows(kernel, windows), Y_eff, lam_reg)
     model = KernelModel(kernel, Z, sol.coefficients, washout,
                         float(lam_reg), preprocessing, sol)
     model.train_windows = windows

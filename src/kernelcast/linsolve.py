@@ -18,22 +18,29 @@ solved through a symmetric eigendecomposition with a null-space cutoff.
 Large systems use plain Cholesky with escalating diagonal jitter before a
 :class:`~kernelcast.errors.ConditioningError` is raised.
 
-The large Gram route keeps one n x n work array.  By default ``K`` is copied
-once into a Fortran-ordered buffer, the ridge (and any jitter) is added to
-its diagonal in place, and LAPACK factors it where it lies.  A caller that
-passes ``overwrite_k=True`` hands ``K`` over, as with scipy's ``overwrite_a``:
-when ``K`` is C-contiguous and exactly symmetric, ``K.T`` (the same values in
-Fortran order) is the work array, and ``K`` holds the transposed Cholesky
-factor in its upper triangle afterwards.  A failed attempt leaves the strict lower triangle
-of ``K`` untouched, so a retry or the eigendecomposition fallback mirrors it
-back and restores the saved diagonal; those see exactly the bytes of the copy
-route.  The finiteness, scale and symmetry checks on ``K`` allocate no n x n
-temporary.
+A Gram reaches :func:`solve_ridge_gram` either as a caller's full n x n
+array or as a :class:`GramRows`, which produces the rows of its lower
+triangle in order; this module alone decides how the Gram is stored.  The
+eigendecomposition route (n up to :data:`GRAM_EIGH_LIMIT`) works on a full
+array.  The Cholesky route keeps one triangle in LAPACK's rectangular full
+packed (RFP) storage, n(n+1)/2 doubles (about 96 MB at n = 4899), and
+factors and solves it where it lies (``dpftrf``/``dpftrs``).  A full ``K``
+is packed with ``dtrttf``; a :class:`GramRows` writes its rows straight into
+the packed array.  A jitter retry repacks from the source, and the
+eigendecomposition fallback builds a full array from it after the packed one
+is released, so no second copy is kept.  Still n x n: that route, a
+caller's full ``K``, and :meth:`GramRows.full`, which the analysis Grams
+(``kernels.volterra_gram`` and the self-Grams of ``poly_gram`` and
+``ngrc_gram``) return.  The finiteness, scale and symmetry checks on a full
+``K`` allocate no n x n temporary.  The primal normal matrices stay in full
+storage (``dpotrf``).
 """
 
 from __future__ import annotations
 
 import math
+import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +59,13 @@ GRAM_EIGH_LIMIT = 1024      # Gram dimension solved by eigendecomposition
 
 _REFINE_STEPS = 2
 
-# Rows per panel of the Gram symmetry check and of the triangle refill.
+# Rows per panel of the Gram symmetry check and of the triangle mirror.
 _SYM_PANEL_ROWS = 64
+
+# RFP layout of the Cholesky route: TRANSR='N', UPLO='U'.  The upper
+# triangle of a symmetric matrix is its lower triangle transposed, so
+# column i of the stored upper triangle is row i of the lower one.
+_RFP = {"transr": "N", "uplo": "U"}
 
 
 @dataclass(frozen=True)
@@ -76,6 +88,14 @@ class RidgeSolution:
     modes_cut : int
         Eigenmodes at numerical zero that got no coefficient (``"eigh"``
         only; 0 otherwise).
+    storage : str or None
+        Layout of the Gram the answer came from: ``"full"`` (n x n) or
+        ``"rfp"`` (one packed triangle); ``None`` for a primal solve.
+    gram_bytes : int
+        Bytes of that Gram array (0 for a primal solve).
+    gram_s, solve_s : float
+        Seconds spent producing Gram rows (a :class:`GramRows` source,
+        retries included), and in the rest of the solve.
     """
 
     coefficients: np.ndarray
@@ -84,6 +104,88 @@ class RidgeSolution:
     jitter: float = 0.0
     method: str = "cholesky"
     modes_cut: int = 0
+    storage: str | None = None
+    gram_bytes: int = 0
+    gram_s: float = 0.0
+    solve_s: float = 0.0
+
+
+class GramRows:
+    """A symmetric n x n Gram given by the rows of its lower triangle.
+
+    ``rows()`` returns a fresh iterator over rows ``0 .. n-1``; row ``i``
+    holds the entries ``(i, 0 .. i)``, is rounded to float64 where it is
+    stored, and needs to stay valid only until the next row is requested.
+    :func:`solve_ridge_gram` decides where the rows go and may run
+    ``rows()`` more than once (a jitter retry, the eigendecomposition
+    fallback), so every run must produce the same bits.  ``shape`` is the
+    full matrix's.
+    """
+
+    def __init__(self, n: int, rows: Callable[[], Iterable[np.ndarray]]):
+        self.shape = (n, n)
+        self._rows = rows
+        self.seconds = 0.0  # spent producing rows, over every run
+
+    def _produce(self):
+        started = time.perf_counter()
+        try:
+            yield from self._rows()
+        finally:
+            self.seconds += time.perf_counter() - started
+
+    def full(self) -> np.ndarray:
+        """The Gram as an exactly symmetric C-contiguous n x n array."""
+        n = self.shape[0]
+        K = np.empty((n, n))
+        for i, row in enumerate(self._produce()):
+            K[i, :i + 1] = row
+        _mirror_lower(K)
+        return K
+
+    def packed(self) -> np.ndarray:
+        """The Gram's lower triangle in RFP storage (see ``_RFP``)."""
+        n = self.shape[0]
+        arf = np.empty(n * (n + 1) // 2)
+        for i, row in enumerate(self._produce()):
+            _rfp_row(arf, n, i)[...] = row
+        return arf
+
+
+def _mirror_lower(K: np.ndarray) -> None:
+    """Copy the strict lower triangle of ``K`` onto the strict upper one,
+    in column panels."""
+    n = K.shape[0]
+    for j0 in range(0, n, _SYM_PANEL_ROWS):
+        j1 = min(j0 + _SYM_PANEL_ROWS, n)
+        K[j0:j1, j1:] = K[j1:, j0:j1].T
+        block = K[j0:j1, j0:j1]
+        above = np.tri(j1 - j0, k=-1, dtype=bool).T
+        block[above] = block.T[above]
+
+
+def _rfp_layout(n: int) -> tuple[int, int]:
+    """``(n1, ld)`` of the RFP array: rows ``i >= n1`` of the lower triangle
+    are columns ``i - n1`` of an ``ld``-row Fortran block; rows ``i < n1``
+    are stored transposed in its rows ``n1 + 1 + i``."""
+    return n // 2, n + 1 - n % 2
+
+
+def _rfp_row(arf: np.ndarray, n: int, i: int) -> np.ndarray:
+    """Writable view of row ``i`` (entries ``(i, 0 .. i)``) in ``arf``:
+    one contiguous slice for ``i >= n // 2``, a strided one below."""
+    n1, ld = _rfp_layout(n)
+    if i >= n1:
+        start = (i - n1) * ld
+        return arf[start:start + i + 1]
+    return arf[n1 + 1 + i::ld][:i + 1]
+
+
+def _rfp_diagonal(n: int) -> np.ndarray:
+    """Positions of the diagonal entries in an RFP array."""
+    n1, ld = _rfp_layout(n)
+    i = np.arange(n)
+    return np.where(i >= n1, (i - n1) * ld + i, n1 + 1 + i + i * ld)
 
 
 def _check_finite(name: str, arr) -> np.ndarray:
@@ -103,66 +205,70 @@ def _as_targets(Y: np.ndarray) -> tuple[np.ndarray, bool]:
     return Y, False
 
 
-def _cholesky_factor_jittered(A: np.ndarray, lam: float = 0.0,
-                              overwrite_a: bool = False
+def _cholesky_factor_jittered(A: np.ndarray, lam: float = 0.0
                               ) -> tuple[np.ndarray, float, float]:
     """Lower Cholesky factor of ``A + lam I``, retrying with escalating jitter.
 
     ``A`` is copied once into a Fortran-ordered work array that LAPACK
-    overwrites with the factor; a retry refills it from ``A``.  With
-    ``overwrite_a`` the work array is ``A.T`` itself (``A`` must be
-    C-contiguous and exactly symmetric): a retry mirrors its untouched
-    strict upper triangle into the lower one and puts the saved diagonal
-    back, and so does a final failure, which leaves ``A`` as it came.  The
-    jitter scale ``max|A + lam I|`` is only computed once a factorization
-    fails.
+    overwrites with the factor; a retry refills it from ``A``.  The jitter
+    scale ``max|A + lam I|`` is only computed once a factorization fails.
     """
     n = A.shape[0]
-    if overwrite_a:
-        work = A.T
-        diag = A.diagonal().copy()
-    else:
-        work = np.empty((n, n), order="F")
+    work = np.empty((n, n), order="F")
     scale = None
     jitter = 0.0
     for retry in range(MAX_JITTER_RETRIES + 1):
-        if not overwrite_a:
-            work[...] = A
-        elif retry:
-            _refill_lower(work, diag)
+        work[...] = A
         work.flat[:: n + 1] += lam
         if retry:
             if scale is None:
                 scale = max(float(work.max()), -float(work.min()))
             jitter = JITTER_REL * max(scale, 1e-300) * (10.0 ** (retry - 1))
             work.flat[:: n + 1] += jitter
-        # clean=0: LAPACK leaves the strict upper triangle alone, which the
-        # in-place refill reads (scipy.linalg.cholesky zeroes it).
         L, info = scipy.linalg.lapack.dpotrf(work, lower=1, clean=0,
                                              overwrite_a=1)
         if info:
             continue
         smallest_pivot = float(np.min(np.diag(L)) ** 2) if L.size else 0.0
         return L, smallest_pivot, jitter
-    if overwrite_a:
-        _refill_lower(work, diag)
-    raise ConditioningError(
+    raise _cholesky_failed(jitter)
+
+
+def _cholesky_failed(jitter: float) -> ConditioningError:
+    return ConditioningError(
         f"Cholesky failed after {MAX_JITTER_RETRIES} jitter retries "
         f"(max jitter {jitter:.3e})"
     )
 
 
-def _refill_lower(A: np.ndarray, diag: np.ndarray) -> None:
-    """Mirror the strict upper triangle of ``A`` into the strict lower one,
-    in column panels, and write ``diag`` back onto the diagonal."""
-    n = A.shape[0]
-    for j0 in range(0, n, _SYM_PANEL_ROWS):
-        j1 = min(j0 + _SYM_PANEL_ROWS, n)
-        A[j1:, j0:j1] = A[j0:j1, j1:].T
-        block = A[j0:j1, j0:j1]
-        below = np.tri(j1 - j0, k=-1, dtype=bool)
-        block[below] = block.T[below]
-    A.flat[:: n + 1] = diag
+def _packed_cholesky_jittered(pack: Callable[[], np.ndarray], n: int,
+                              lam: float) -> tuple[np.ndarray, float, float]:
+    """Packed factor of ``A + lam I`` (``pack()`` returns ``A`` in RFP
+    storage, fresh on each call), retrying with escalating jitter.
+
+    Each attempt packs the source again and ``dpftrf`` overwrites that one
+    array; the previous attempt's array is released first.
+    """
+    diag = _rfp_diagonal(n)
+    scale = None
+    jitter = 0.0
+    for retry in range(MAX_JITTER_RETRIES + 1):
+        work = None  # release the failed attempt before packing again
+        work = pack()
+        work[diag] += lam
+        if retry:
+            if scale is None:
+                scale = max(float(work.max()), -float(work.min()))
+            jitter = JITTER_REL * max(scale, 1e-300) * (10.0 ** (retry - 1))
+            work[diag] += jitter
+        work, info = scipy.linalg.lapack.dpftrf(n, work, overwrite_a=1,
+                                                **_RFP)
+        if info:
+            continue
+        smallest_pivot = float(np.min(work[diag]) ** 2) if n else 0.0
+        return work, smallest_pivot, jitter
+    del work  # the traceback of the error below must not keep it alive
+    raise _cholesky_failed(jitter)
 
 
 def solve_ridge_primal(X, Y, lam_reg: float) -> RidgeSolution:
@@ -182,6 +288,7 @@ def solve_ridge_primal(X, Y, lam_reg: float) -> RidgeSolution:
     RidgeSolution
         ``coefficients`` has shape (N,) or (N, m) matching ``Y``.
     """
+    started = time.perf_counter()
     if not (np.isscalar(lam_reg) and lam_reg > 0):
         raise InvalidInputError("lam_reg must be a positive scalar")
     X = _check_finite("X", X)
@@ -214,11 +321,12 @@ def solve_ridge_primal(X, Y, lam_reg: float) -> RidgeSolution:
         method = "cholesky-refined"
     w = np.ascontiguousarray(w)
     coef = w[:, 0] if squeeze else w
-    return RidgeSolution(coef, lam, pivot, jitter, method)
+    return RidgeSolution(coef, lam, pivot, jitter, method,
+                         solve_s=time.perf_counter() - started)
 
 
-def solve_ridge_gram(K, Y, lam_reg: float, sym_tol: float = 1e-8,
-                     overwrite_k: bool = False) -> RidgeSolution:
+def solve_ridge_gram(K, Y, lam_reg: float,
+                     sym_tol: float = 1e-8) -> RidgeSolution:
     """Solve the Gramian ridge regression for dual coefficients.
 
     For nonsingular ``K`` the result solves ``(K + lam I) alpha = Y``; for
@@ -227,58 +335,69 @@ def solve_ridge_gram(K, Y, lam_reg: float, sym_tol: float = 1e-8,
     ``K alpha``.  Up to :data:`GRAM_EIGH_LIMIT` the two cases are handled
     uniformly by an eigendecomposition (modes at numerical zero, including
     any slightly negative noise modes, carry no coefficient); larger systems
-    go through Cholesky with jitter escalation, falling back to the
-    eigendecomposition on failure.
+    go through a packed Cholesky factorization with jitter escalation,
+    falling back to the eigendecomposition on failure.
 
     Parameters
     ----------
-    K : (n, n) array
-        Gram matrix, symmetric within ``sym_tol * max|K|``.
+    K : (n, n) array or GramRows
+        Gram matrix, symmetric within ``sym_tol * max|K|`` (its lower
+        triangle is factored and ``K`` is left as it is), or the producer
+        of an exactly symmetric Gram's lower-triangle rows.
     Y : (n,) or (n, m) array
         Targets.
     lam_reg : float
         Ridge strength, must be positive.
-    overwrite_k : bool
-        The caller gives ``K`` up: on the Cholesky route an exactly symmetric,
-        C-contiguous ``K`` is factored in place and its contents are lost.
-        The answer is the same either way.
     """
+    started = time.perf_counter()
     if not (np.isscalar(lam_reg) and lam_reg > 0):
         raise InvalidInputError("lam_reg must be a positive scalar")
-    K = np.asarray(K, dtype=np.float64)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise InvalidInputError("K must be a square matrix")
-    scale = _finite_scale("K", K)
-    asym = _max_asymmetry(K)
-    if asym > sym_tol * max(scale, 1e-300):
-        raise InvalidInputError(
-            f"K is asymmetric beyond tolerance (|K-K'| = {asym:.3e})"
-        )
-    Y2, squeeze = _as_targets(_check_finite("Y", Y))
-    if Y2.shape[0] != K.shape[0]:
-        raise InvalidInputError(
-            f"K has {K.shape[0]} rows but Y has {Y2.shape[0]}"
-        )
+    rows = K if isinstance(K, GramRows) else None
+    if rows is None:
+        K = np.asarray(K, dtype=np.float64)
+        if K.ndim != 2 or K.shape[0] != K.shape[1]:
+            raise InvalidInputError("K must be a square matrix")
+        scale = _finite_scale("K", K)
+        asym = _max_asymmetry(K)
+        if asym > sym_tol * max(scale, 1e-300):
+            raise InvalidInputError(
+                f"K is asymmetric beyond tolerance (|K-K'| = {asym:.3e})"
+            )
     n = K.shape[0]
+    Y2, squeeze = _as_targets(_check_finite("Y", Y))
+    if Y2.shape[0] != n:
+        raise InvalidInputError(f"K has {n} rows but Y has {Y2.shape[0]}")
     lam = float(lam_reg)
 
-    cut = 0
-    if n <= GRAM_EIGH_LIMIT:
-        alpha, pivot, cut = _gram_eigh_solve(K, Y2, lam)
-        jitter, method = 0.0, "eigh"
-    else:
-        in_place = (overwrite_k and asym == 0.0 and K.flags.c_contiguous
-                    and K.flags.writeable)
+    def pack() -> np.ndarray:
+        if rows is None:  # K's lower triangle is the upper one of K.T
+            return scipy.linalg.lapack.dtrttf(K.T, **_RFP)[0]
+        arf = rows.packed()
+        _finite_scale("K", arf)
+        return arf
+
+    jitter, cut = 0.0, 0
+    factored = None
+    if n > GRAM_EIGH_LIMIT:
         try:
-            L, pivot, jitter = _cholesky_factor_jittered(K, lam, in_place)
-            alpha = scipy.linalg.cho_solve((L, True), Y2, check_finite=False)
-            method = "cholesky"
+            factored, pivot, jitter = _packed_cholesky_jittered(pack, n, lam)
         except ConditioningError:
-            alpha, pivot, cut = _gram_eigh_solve(K, Y2, lam)
-            jitter, method = 0.0, "eigh"
+            pass  # every packed attempt is released before the fallback
+    if factored is not None:
+        alpha, _ = scipy.linalg.lapack.dpftrs(n, factored, Y2, **_RFP)
+        method, storage, gram_bytes = "cholesky", "rfp", factored.nbytes
+    else:
+        if rows is not None:
+            K = rows.full()
+            _finite_scale("K", K)
+        alpha, pivot, cut = _gram_eigh_solve(K, Y2, lam)
+        jitter, method, storage, gram_bytes = 0.0, "eigh", "full", K.nbytes
     alpha = np.ascontiguousarray(alpha)
     coef = alpha[:, 0] if squeeze else alpha
-    return RidgeSolution(coef, lam, pivot, jitter, method, cut)
+    gram_s = rows.seconds if rows is not None else 0.0
+    return RidgeSolution(coef, lam, pivot, jitter, method, cut, storage,
+                         gram_bytes, gram_s,
+                         time.perf_counter() - started - gram_s)
 
 
 def _finite_scale(name: str, A: np.ndarray) -> float:

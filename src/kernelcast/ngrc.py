@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError
+from .errors import CapacityError, InvalidInputError, doc_field
 from .linsolve import RidgeSolution, solve_ridge_primal
 
 # Hard cap on materialized exponent-table rows; anything bigger is a config
@@ -202,14 +202,21 @@ class NgrcModel:
         return json.dumps(self.to_dict())
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "NgrcModel":
-        if doc.get("schema") != "ngrc-model/1":
-            raise InvalidInputError(f"unknown model schema {doc.get('schema')!r}")
-        delay = DelaySpec(int(doc["tau"]), int(doc["d"]))
-        table = build_exponent_table(delay.tau, delay.d, int(doc["p"]))
-        weights = np.asarray(doc["weights"], dtype=np.float64)
-        return cls(delay, table, weights, float(doc["lam_reg"]),
-                   doc.get("preprocessing"))
+    def from_dict(cls, doc: dict, source: str = "model document",
+                  path: str = "") -> "NgrcModel":
+        """Load an ``ngrc-model/1`` document.  ``source`` and ``path`` (the
+        dotted location of ``doc`` in it) name a missing key."""
+        def get(key):
+            return doc_field(doc, key, source, path)
+
+        schema = get("schema")
+        if schema != "ngrc-model/1":
+            raise InvalidInputError(f"unknown model schema {schema!r}")
+        delay = DelaySpec(int(get("tau")), int(get("d")))
+        table = build_exponent_table(delay.tau, delay.d, int(get("p")))
+        weights = np.asarray(get("weights"), dtype=np.float64)
+        return cls(delay, table, weights, float(get("lam_reg")),
+                   get("preprocessing"))
 
     @classmethod
     def from_json(cls, text: str) -> "NgrcModel":

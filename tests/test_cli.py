@@ -2,8 +2,10 @@ import copy
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +329,15 @@ class TestShippedBekkArtifacts:
         assert solver["smallest_pivot"] > 0.0
         assert solver["modes_cut"] == 0
 
+    def test_fit_manifest_records_gram_storage(self, bekk_pipelines):
+        out = bekk_pipelines["bekk-polynomial"]["a"]["dir"]
+        manifest = json.loads((out / "fit_manifest.json").read_text())
+        n = 3007  # tau = 1: one window per training sample
+        assert manifest["solver"]["storage"] == "rfp"
+        assert manifest["solver"]["gram_bytes"] == 8 * n * (n + 1) // 2
+        for phase in ("gram_s", "solve_s", "write_s"):
+            assert manifest[phase] > 0.0
+
     def test_metrics_csv_reads_back(self, bekk_pipelines):
         out = bekk_pipelines["bekk-polynomial"]["a"]["dir"]
         _, header, values = read_csv(out / "metrics.csv", "nmse")
@@ -335,7 +346,68 @@ class TestShippedBekkArtifacts:
         assert np.isfinite(values[0, header.index("w1") - 1])
 
 
+class TestMissingArtifactKey:
+    """A shipped run whose upstream document lacks a key exits 2, naming
+    the file and the dotted key."""
+
+    @pytest.mark.parametrize("preset, family, name, path, stage", [
+        ("bekk-polynomial", "bekk", "model.json", "estimator", "forecast"),
+        ("bekk-polynomial", "bekk", "simulate_manifest.json", "files", "fit"),
+        ("bekk-polynomial", "bekk", "simulate_manifest.json",
+         "files.test_inputs", "eval"),
+        ("lorenz-volterra", "lorenz", "model.json",
+         "estimator.model.last_column", "forecast"),
+        ("lorenz-volterra", "lorenz", "model.json", "estimator.input_tail",
+         "forecast"),
+    ])
+    def test_missing_key_is_dependency_error(self, request, tmp_path, capsys,
+                                             preset, family, name, path,
+                                             stage):
+        shipped = request.getfixturevalue(f"{family}_pipelines")
+        out = tmp_path / "exp"
+        shutil.copytree(shipped[preset]["a"]["dir"], out)
+        doc = json.loads((out / name).read_text())
+        *parents, key = path.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        del node[key]
+        (out / name).write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(stage, "--preset", preset, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert str(out / name) in err and repr(path) in err
+
+    def test_schema_1_model_asks_for_refit(self, lorenz_pipelines, tmp_path,
+                                           capsys):
+        out = tmp_path / "exp"
+        shutil.copytree(lorenz_pipelines["lorenz-volterra"]["a"]["dir"], out)
+        doc = json.loads((out / "model.json").read_text())
+        doc["estimator"]["model"]["schema"] = "kernel-model/1"
+        (out / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("forecast", "--preset", "lorenz-volterra",
+                       "--out", str(out)) == 2
+        assert "refit" in capsys.readouterr().err
+
+
 class TestBench:
+    def test_samples_last_at_least_the_minimum(self, monkeypatch):
+        from kernelcast import bench
+
+        calls = []
+
+        def fn():
+            calls.append(1)
+            time.sleep(0.01)
+
+        monkeypatch.setattr(bench, "_MIN_SAMPLE_S", 0.05)
+        median_s, min_s = bench._time_sweep({"f": fn}, 3)["f"]
+        # probing times 1, 2 and then 5 calls (>= 0.05 s), then 3 samples
+        assert len(calls) == 1 + 2 + 5 + 3 * 5
+        assert 0.01 <= min_s <= median_s
+
+
     def test_degenerate_single_sample_completes(self, tmp_path):
         cfg = {
             "schema": "kernelcast-experiment/1",

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import lapack
 
 from kernelcast import linsolve
 from kernelcast.errors import InvalidInputError
-from kernelcast.linsolve import psd_sqrt, solve_ridge_gram, solve_ridge_primal
+from kernelcast.linsolve import (
+    GramRows,
+    psd_sqrt,
+    solve_ridge_gram,
+    solve_ridge_primal,
+)
 
 
 def lu_normal_equations(X, Y, lam):
@@ -169,7 +175,7 @@ class TestGramCholeskyRoute:
         K = self.spd_gram(n)
         Y = np.ones((n, 3))
         peak = peak_bytes(lambda: solve_ridge_gram(K, Y, 1e-6))
-        assert peak <= 1.1 * 8 * n * n
+        assert peak <= 0.6 * 8 * n * n
 
     @pytest.mark.parametrize("n", [5, linsolve.GRAM_EIGH_LIMIT + 1])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -201,81 +207,78 @@ class TestGramCholeskyRoute:
         lam = 1e-300
         sol = solve_ridge_gram(K, Y, lam)
         assert sol.method == "cholesky" and sol.jitter > 0
-        L = scipy.linalg.cholesky(K + lam * np.eye(n) + sol.jitter * np.eye(n),
-                                  lower=True)
-        expected = scipy.linalg.cho_solve((L, True), Y)
+        expected = rfp_solve(K + lam * np.eye(n) + sol.jitter * np.eye(n), Y)
         assert np.array_equal(sol.coefficients, expected)
+        # a row producer is run again for the retry and answers the same
+        runs = []
+
+        def rows():
+            runs.append(1)
+            return (K[i, :i + 1] for i in range(n))
+
+        from_rows = solve_ridge_gram(GramRows(n, rows), Y, lam)
+        assert len(runs) > 1 and from_rows.jitter == sol.jitter
+        assert np.array_equal(from_rows.coefficients, expected)
 
 
-class TestGramOverwrite:
-    """``overwrite_k=True`` factors an exactly symmetric K in place and
-    answers bit for bit as the copy route does."""
+def rfp_solve(A, Y):
+    """Reference: dpftrs(dpftrf(dtrttf(A))) in the solver's RFP layout."""
+    n = A.shape[0]
+    arf, info = lapack.dpftrf(n, lapack.dtrttf(A, transr="N", uplo="U")[0],
+                              transr="N", uplo="U")
+    assert info == 0
+    return lapack.dpftrs(n, arf, Y, transr="N", uplo="U")[0]
 
-    @staticmethod
-    def both(K, Y, lam):
-        copy_route = solve_ridge_gram(K, Y, lam)
-        owned = K.copy()
-        in_place = solve_ridge_gram(owned, Y, lam, overwrite_k=True)
-        return copy_route, in_place, owned
 
-    def test_plain_factor_bit_identical(self):
-        K = TestGramCholeskyRoute.spd_gram(linsolve.GRAM_EIGH_LIMIT + 40)
-        Y = np.random.default_rng(4).normal(size=(K.shape[0], 2))
-        a, b, owned = self.both(K, Y, 1e-6)
-        assert a.method == b.method == "cholesky" and a.jitter == 0.0
+class TestPackedStorage:
+    """The Cholesky route keeps one triangle in RFP storage."""
+
+    @pytest.mark.parametrize("n", list(range(1, 12)) + [64, 65])
+    def test_rows_land_where_dtrttf_puts_them(self, n):
+        K = np.arange(n * n, dtype=float).reshape(n, n)
+        K = K + K.T
+        rows = GramRows(n, lambda: (K[i, :i + 1] for i in range(n)))
+        expected = lapack.dtrttf(K, transr="N", uplo="U")[0]
+        assert np.array_equal(rows.packed(), expected)
+        assert np.array_equal(rows.full(), K)
+        assert np.array_equal(rows.packed()[linsolve._rfp_diagonal(n)],
+                              np.diag(K))
+
+    def test_full_k_and_its_rows_answer_alike(self):
+        K = TestGramCholeskyRoute.spd_gram(linsolve.GRAM_EIGH_LIMIT + 41)
+        n = K.shape[0]
+        Y = np.random.default_rng(4).normal(size=(n, 2))
+        a = solve_ridge_gram(K, Y, 1e-6)
+        b = solve_ridge_gram(
+            GramRows(n, lambda: (K[i, :i + 1] for i in range(n))), Y, 1e-6)
+        assert a.method == b.method == "cholesky"
+        assert a.storage == b.storage == "rfp"
+        assert a.gram_bytes == b.gram_bytes == 8 * n * (n + 1) // 2
         assert np.array_equal(a.coefficients, b.coefficients)
-        assert a.smallest_pivot == b.smallest_pivot
-        assert not np.array_equal(owned, K)  # the factor lives in K now
+        assert np.array_equal(a.coefficients, rfp_solve(K + 1e-6 * np.eye(n), Y))
+        assert a.smallest_pivot == b.smallest_pivot > 0
 
-    def test_jitter_retry_bit_identical(self):
-        n = linsolve.GRAM_EIGH_LIMIT + 1
-        u = np.random.default_rng(2).normal(size=(n, 3))
-        K = u @ u.T  # rank 3, as in test_jitter_retry_matches_direct_...
-        Y = np.random.default_rng(3).normal(size=(n, 2))
-        a, b, _ = self.both(K, Y, 1e-300)
-        assert a.method == b.method == "cholesky" and a.jitter > 0
-        assert a.jitter == b.jitter
-        assert np.array_equal(a.coefficients, b.coefficients)
-
-    def test_eigh_fallback_bit_identical_and_k_restored(self):
-        from kernelcast.kernels import VolterraParams, volterra_gram
-
-        rng = np.random.default_rng(20)
-        inputs = rng.normal(size=(1200, 3))
-        inputs /= np.linalg.norm(inputs, axis=1).max()
-        K = volterra_gram(inputs, VolterraParams(0.3 * np.sqrt(0.91),
-                                                 0.3)).values
-        Y = rng.normal(size=(1200, 2))
-        a, b, owned = self.both(K, Y, 1e-10)
-        assert a.method == b.method == "eigh"
-        assert np.array_equal(a.coefficients, b.coefficients)
-        assert a.modes_cut == b.modes_cut > 0
-        # every failed attempt was undone before the fallback
-        assert np.array_equal(owned, K)
-
-    def test_default_leaves_k_untouched(self):
+    def test_caller_k_left_untouched(self):
         K = TestGramCholeskyRoute.spd_gram(linsolve.GRAM_EIGH_LIMIT + 40)
         before = K.copy()
         solve_ridge_gram(K, np.ones(K.shape[0]), 1e-6)
         assert np.array_equal(K, before)
 
-    def test_asymmetric_k_is_not_overwritten(self):
-        # within tolerance but not exactly symmetric: the copy route runs
-        n = 1100
-        K = TestGramCholeskyRoute.spd_gram(n, seed=1)
-        K[n - 1, n - 5] += 1e-10 * np.abs(K).max()
-        before = K.copy()
-        sol = solve_ridge_gram(K, np.ones(n), 1e-3, overwrite_k=True)
-        assert sol.method == "cholesky"
-        assert np.array_equal(K, before)
+    def test_non_finite_rows_rejected(self):
+        n = linsolve.GRAM_EIGH_LIMIT + 1
+        K = np.eye(n)
+        K[n - 1, 3] = np.nan
+        rows = GramRows(n, lambda: (K[i, :i + 1] for i in range(n)))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            solve_ridge_gram(rows, np.ones(n), 1e-3)
 
-    def test_in_place_peak_memory(self, peak_bytes):
-        n = 1500
-        K = TestGramCholeskyRoute.spd_gram(n)
-        Y = np.ones((n, 3))
-        peak = peak_bytes(lambda: solve_ridge_gram(K, Y, 1e-6,
-                                                   overwrite_k=True))
-        assert peak <= 0.1 * 8 * n * n
+    def test_small_gram_from_rows_is_full(self):
+        u = np.random.default_rng(7).normal(size=(40, 3))
+        K = u @ u.T
+        rows = GramRows(40, lambda: (K[i, :i + 1] for i in range(40)))
+        sol = solve_ridge_gram(rows, np.ones(40), 1e-6)
+        assert sol.method == "eigh" and sol.storage == "full"
+        assert sol.gram_bytes == 8 * 40 * 40
 
 
 class TestModesCut:
