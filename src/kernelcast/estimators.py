@@ -271,11 +271,14 @@ def estimator_from_dict(doc: dict, source: str = "estimator document",
         model = NgrcModel.from_dict(model_doc, source, model_path)
     else:
         model = KernelModel.from_dict(model_doc, source, model_path)
-    input_specs = preprocess.pipeline_from_dicts(get("input_specs"))
-    if get("shared_pipeline"):
-        output_specs = input_specs
-    else:
-        output_specs = preprocess.pipeline_from_dicts(get("output_specs"))
+
+    def specs(key):
+        return preprocess.pipeline_from_dicts(
+            get(key), source, f"{path}.{key}" if path else key)
+
+    input_specs = specs("input_specs")
+    output_specs = input_specs if get("shared_pipeline") else specs(
+        "output_specs")
     tail = get("input_tail")
     return Estimator(
         get("kind"), dict(get("hyper")), model, input_specs, output_specs,

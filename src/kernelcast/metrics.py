@@ -10,7 +10,10 @@ and several dimensions.  Conventions:
   dimension count); MdAE uses the lower median for even step counts.
 * MAPE divides by ``max(eps, |y|)`` per dimension and step.
 * PSDE sums ``|PSD - PSD_hat| / PSD`` over dimensions and bins up to a
-  cutoff; zero-power bins below the cutoff are skipped and counted.
+  cutoff; zero-power bins below the cutoff are skipped and counted.  The
+  Welch PSD is computed on ``numpy.fft`` and matches SciPy's ``welch``
+  (Hann window, constant detrend, density scaling) bit for bit, without
+  loading SciPy's signal package.
 * W1 for equal-size samples is the exact optimal transport cost; in one
   dimension via the sorted-CDF formula, in d dimensions via a minimum-cost
   perfect matching on the Euclidean cost matrix.
@@ -99,7 +102,9 @@ def welch_psd(values, nperseg: int, overlap: float = 0.5,
     """Welch power spectral density, Hann window, mean-detrended segments.
 
     ``values`` is (n,) or (n, d); densities are returned per dimension on a
-    shared one-sided frequency grid.
+    shared one-sided frequency grid.  The steps are those of SciPy's
+    ``welch`` with ``noverlap = round(overlap * nperseg)``, in its order, so
+    the bits agree.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim == 1:
@@ -109,14 +114,33 @@ def welch_psd(values, nperseg: int, overlap: float = 0.5,
         raise InvalidInputError(f"nperseg must lie in [1, {n}]")
     if not 0.0 <= overlap < 1.0:
         raise InvalidInputError("overlap must lie in [0, 1)")
-    import scipy.signal  # imported on use: only eval needs the spectral code
-
+    if not 0.0 < fs < np.inf:
+        raise InvalidInputError("fs must be positive and finite")
     noverlap = int(round(overlap * nperseg))
-    freqs, power = scipy.signal.welch(
-        x, fs=fs, window="hann", nperseg=nperseg, noverlap=noverlap,
-        detrend="constant", scaling="density", axis=0,
-    )
-    return Periodogram(freqs, np.atleast_2d(power.T).T, nperseg, overlap)
+    hop = nperseg - noverlap
+    if hop < 1:
+        raise InvalidInputError(
+            f"overlap {overlap} rounds to a full overlap of {nperseg} samples")
+    T = 1 / fs
+    # periodic Hann window, scaled to a density the way SciPy scales it
+    # (builtin sum, divided by T = 1/fs) so that the bits agree
+    window = np.ones(1)
+    if nperseg > 1:
+        fac = np.linspace(-np.pi, np.pi, nperseg + 1)
+        window = (0.5 + 0.5 * np.cos(fac))[:-1]
+    window = window * (1 / np.sqrt(sum(window**2) / T))
+    # (d, segments, nperseg) view of the (d, n) transpose, laid out as
+    # SciPy's welch lays it out, so the segment means sum in its order
+    xt = x.T if x.flags.c_contiguous else np.ascontiguousarray(x.T)
+    segments = np.lib.stride_tricks.sliding_window_view(xt, nperseg, axis=1)
+    segments = segments[:, : (n - noverlap) // hop * hop : hop]
+    spectra = np.fft.rfft(
+        (segments - segments.mean(axis=-1, keepdims=True)) * window, axis=-1)
+    power = spectra.real**2 + spectra.imag**2
+    power[..., 1:-1 if nperseg % 2 == 0 else None] *= 2
+    # average with the segment axis contiguous (pairwise summation)
+    power = np.ascontiguousarray(power.transpose(2, 0, 1)).mean(axis=-1)
+    return Periodogram(np.fft.rfftfreq(nperseg, T), power, nperseg, overlap)
 
 
 def psde_detailed(psd_true: Periodogram, psd_est: Periodogram,

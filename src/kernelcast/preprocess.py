@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, doc_field
 
 KINDS = ("identity", "minmax01", "standardize", "demean", "max-norm-scale",
          "constant-scale")
@@ -48,11 +48,15 @@ class TransformSpec:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "TransformSpec":
+    def from_dict(cls, doc: dict, source: str = "transform document",
+                  path: str = "") -> "TransformSpec":
+        """Load one transform.  ``source`` and ``path`` (the dotted location
+        of ``doc`` in it) name a missing ``kind``."""
+        kind = doc_field(doc, "kind", source, path)
         shift = doc.get("shift")
         scale = doc.get("scale", 1.0)
         return cls(
-            doc["kind"],
+            kind,
             None if shift is None else np.asarray(shift, dtype=np.float64),
             float(scale) if np.isscalar(scale)
             else np.asarray(scale, dtype=np.float64),
@@ -181,5 +185,9 @@ def pipeline_to_dicts(specs) -> list[dict]:
     return [s.to_dict() for s in specs]
 
 
-def pipeline_from_dicts(docs) -> list[TransformSpec]:
-    return [TransformSpec.from_dict(d) for d in docs]
+def pipeline_from_dicts(docs, source: str = "transform document",
+                        path: str = "") -> list[TransformSpec]:
+    """Load a transform chain; entry ``i`` sits at ``path.i`` of ``source``."""
+    prefix = f"{path}." if path else ""
+    return [TransformSpec.from_dict(d, source, f"{prefix}{i}")
+            for i, d in enumerate(docs)]

@@ -359,6 +359,10 @@ class TestMissingArtifactKey:
          "estimator.model.last_column", "forecast"),
         ("lorenz-volterra", "lorenz", "model.json", "estimator.input_tail",
          "forecast"),
+        ("bekk-polynomial", "bekk", "model.json",
+         "estimator.input_specs.0.kind", "forecast"),
+        ("bekk-polynomial", "bekk", "model.json",
+         "estimator.output_specs.0.kind", "forecast"),
     ])
     def test_missing_key_is_dependency_error(self, request, tmp_path, capsys,
                                              preset, family, name, path,
@@ -370,7 +374,7 @@ class TestMissingArtifactKey:
         *parents, key = path.split(".")
         node = doc
         for part in parents:
-            node = node[part]
+            node = node[int(part)] if isinstance(node, list) else node[part]
         del node[key]
         (out / name).write_text(json.dumps(doc))
         capsys.readouterr()
@@ -446,13 +450,14 @@ class TestBench:
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# scipy subpackages that only the ODE simulators and eval's metrics need
+# scipy subpackages that `import kernelcast.cli` does not load; the ODE
+# simulators and W1 load some of them on first use
 DEFERRED_SCIPY = ("scipy.integrate", "scipy.signal", "scipy.optimize",
                   "scipy.spatial", "scipy.stats")
-# (call, the deferred subpackage it loads)
+# (call, the deferred subpackage it loads, or None if it loads none)
 FIRST_CALLS = {
     "welch_psd": ("welch_psd(np.sin(0.3 * np.arange(512.0)), 128).power.sum()",
-                  "scipy.signal"),
+                  None),
     "w1_nd": ("w1_nd(np.eye(3), 2.0 * np.eye(3)[::-1])", "scipy.optimize"),
     "simulate_lorenz": ("simulate_lorenz(n_points=200).values[-1].sum()",
                         "scipy.integrate"),
@@ -465,6 +470,11 @@ import numpy as np
 import kernelcast.cli
 from kernelcast.datasets import simulate_lorenz, simulate_mackey_glass
 from kernelcast.metrics import w1_nd, welch_psd
+
+
+def loaded(names):  # the imported ones of the scipy subpackages ``names``
+    return sorted({".".join(m.split(".")[:2]) for m in sys.modules}
+                  & set(names))
 """
 
 
@@ -493,12 +503,32 @@ class TestImportBoundary:
     def test_first_call_in_fresh_process(self, name):
         expr, module = FIRST_CALLS[name]
         got = _run_fresh(
-            f"before = {module!r} in sys.modules\n"
+            f"before = loaded({DEFERRED_SCIPY!r})\n"
             f"value = float({expr})\n"
-            f"print(json.dumps([before, value, {module!r} in sys.modules]))")
+            f"print(json.dumps([before, value, loaded({DEFERRED_SCIPY!r})]))")
         here = {}
         exec(_PRELUDE, here)
-        assert got == [False, float(eval(expr, here)), True]
+        before, value, after = got
+        assert before == []
+        assert value == float(eval(expr, here))
+        if module is None:
+            assert after == []
+        else:
+            assert module in after
+
+    def test_eval_loads_no_spectral_or_statistics_code(self, bekk_pipelines,
+                                                       tmp_path):
+        out = tmp_path / "exp"
+        shutil.copytree(bekk_pipelines["bekk-polynomial"]["a"]["dir"], out)
+        heavy = ("scipy.signal", "scipy.stats", "scipy.interpolate",
+                 "scipy.ndimage")
+        got = _run_fresh(
+            "import contextlib, io\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = kernelcast.cli.main(['eval', '--preset', "
+            f"'bekk-polynomial', '--out', {str(out)!r}])\n"
+            f"print(json.dumps([code, loaded({heavy!r})]))")
+        assert got == [0, []]
 
 
 class TestEntryPoint:

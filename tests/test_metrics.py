@@ -135,6 +135,56 @@ class TestWelch:
         with pytest.raises(InvalidInputError):
             welch_psd(np.ones(10), nperseg=11)
 
+    @pytest.mark.parametrize("fs", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_fs_validation(self, fs):
+        with pytest.raises(InvalidInputError, match="fs"):
+            welch_psd(np.ones(10), nperseg=4, fs=fs)
+
+    def test_overlap_rounding_to_full_is_rejected(self):
+        # round(0.75 * 1) = 1 sample of overlap leaves no hop
+        with pytest.raises(InvalidInputError, match="overlap"):
+            welch_psd(np.ones(10), nperseg=1, overlap=0.75)
+
+
+class TestWelchMatchesScipy:
+    """``welch_psd`` reproduces ``scipy.signal.welch`` bit for bit; SciPy is
+    imported here only, as the reference."""
+
+    @staticmethod
+    def reference(x, nperseg, overlap, fs):
+        import scipy.signal
+
+        return scipy.signal.welch(
+            x, fs=fs, window="hann", nperseg=nperseg,
+            noverlap=round(overlap * nperseg), detrend="constant",
+            scaling="density", axis=0)
+
+    @pytest.mark.parametrize("shape", [(301,), (301, 3)])
+    @pytest.mark.parametrize("nperseg, overlap", [
+        (nperseg, overlap) for nperseg, overlap in itertools.product(
+            [1, 2, 64, 75, 301], [0.0, 0.5, 0.75])
+        if round(overlap * nperseg) < nperseg  # 0.75 of 1 or 2 leaves no hop
+    ])
+    @pytest.mark.parametrize("fs", [1.0, 200.0])
+    def test_bit_for_bit(self, shape, nperseg, overlap, fs):
+        x = 2.0 + 3.0 * np.random.default_rng(11).normal(size=shape)
+        freqs, power = self.reference(x, nperseg, overlap, fs)
+        pg = welch_psd(x, nperseg, overlap, fs)
+        assert np.array_equal(pg.frequencies, freqs)
+        assert np.array_equal(pg.power, power.reshape(pg.power.shape))
+
+    @pytest.mark.parametrize("layout", ["fortran", "column-stride",
+                                        "row-stride"])
+    def test_bit_for_bit_on_strided_input(self, layout):
+        base = np.random.default_rng(12).normal(size=(2000, 6))
+        x = {"fortran": np.asfortranarray(base[:, :3]),
+             "column-stride": base[:, ::2],
+             "row-stride": base[::2, :3]}[layout]
+        freqs, power = self.reference(x, 256, 0.5, 100.0)
+        pg = welch_psd(x, 256, 0.5, 100.0)
+        assert np.array_equal(pg.frequencies, freqs)
+        assert np.array_equal(pg.power, power)
+
 
 class TestPsde:
     def make_pair(self, n=2048, d=2, seed=5):
