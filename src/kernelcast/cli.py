@@ -15,6 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -45,10 +46,12 @@ from .errors import (
     doc_field,
 )
 from .estimators import (
+    REQUIRED_HYPER,
     estimator_from_dict,
     estimator_to_dict,
     fit_estimator,
     fit_path_estimator,
+    hyper_value,
 )
 from .forecast import load_forecast_csv, open_loop, path_continue, valid_time
 from .metrics import (
@@ -78,15 +81,26 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _get(config: dict, path: str, required: bool = True, default=None):
+def _get(config: dict, path: str, default=..., conv=None):
+    """Value at the dotted ``path`` of ``config``, passed through ``conv``.
+
+    A missing or null value gives ``default``; without one (``...``) it is a
+    :class:`ConfigError`, as is a value ``conv`` rejects with a
+    ``TypeError`` or ``ValueError``.  Both name ``path``.
+    """
     node = config
     for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
+        node = node.get(part) if isinstance(node, dict) else None
+        if node is None:
+            if default is ...:
                 raise ConfigError("missing required field", field=path)
             return default
-        node = node[part]
-    return node
+    if conv is None:
+        return node
+    try:
+        return conv(node)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed value {node!r}: {exc}", field=path)
 
 
 def load_config(args) -> dict:
@@ -170,45 +184,43 @@ def _check_manifest(out_dir: str, stage: str, config: dict) -> dict:
 # dataset handling
 
 
-def _build_bekk_params(d_cfg: dict, seed: int) -> BekkParams:
-    d = int(_get(d_cfg, "d"))
-    C = np.asarray(_get(d_cfg, "C"), dtype=np.float64)
-    a = d_cfg.get("a", 0.3)
-    b = d_cfg.get("b", 0.9)
-    a = np.full(d, float(a)) if np.isscalar(a) else np.asarray(a, dtype=np.float64)
-    b = np.full(d, float(b)) if np.isscalar(b) else np.asarray(b, dtype=np.float64)
-    try:
-        return BekkParams(C, a, b, seed=seed)
-    except KernelcastError as exc:
-        raise ConfigError(str(exc), field="dataset")
-
-
 def generate_dataset(config: dict) -> dict:
     """Simulate or load the configured dataset, already split and paired."""
-    d_cfg = _get(config, "dataset")
     kind = _get(config, "dataset.kind")
-    seed = int(config.get("seed", 0))
-    n_train = int(_get(config, "dataset.n_train"))
+    seed = _get(config, "seed", 0, int)
+    n_train = _get(config, "dataset.n_train", conv=int)
     series = pair = None
 
     if kind == "lorenz":
-        n_points = int(d_cfg.get("n_points", 15001))
+        n_points = _get(config, "dataset.n_points", 15001, int)
         if n_points < 2:
             raise ConfigError("n_points must be >= 2", field="dataset.n_points")
         series = simulate_lorenz(
-            tuple(d_cfg.get("initial", (0.0, 1.0, 1.05))),
-            float(d_cfg.get("dt", 0.005)), n_points,
+            _get(config, "dataset.initial", (0.0, 1.0, 1.05), np.float64),
+            _get(config, "dataset.dt", 0.005, float), n_points,
         )
     elif kind == "mackey-glass":
         series = simulate_mackey_glass(
-            float(d_cfg.get("dt_fine", 0.02)), float(d_cfg.get("delay", 17.0)),
-            int(d_cfg.get("n_fine", 382500)), int(d_cfg.get("splice", 50)),
+            _get(config, "dataset.dt_fine", 0.02, float),
+            _get(config, "dataset.delay", 17.0, float),
+            _get(config, "dataset.n_fine", 382500, int),
+            _get(config, "dataset.splice", 50, int),
         )
     elif kind == "bekk":
-        n_points = int(d_cfg.get("n_points", 3761))
+        n_points = _get(config, "dataset.n_points", 3761, int)
         if n_points < 3:
             raise ConfigError("n_points must be >= 3", field="dataset.n_points")
-        params = _build_bekk_params(d_cfg, seed)
+        d = _get(config, "dataset.d", conv=int)
+        # np.float64 of a list is a float64 array: a, b are scalars or lists
+        a = _get(config, "dataset.a", 0.3, np.float64)
+        b = _get(config, "dataset.b", 0.9, np.float64)
+        try:
+            params = BekkParams(_get(config, "dataset.C", conv=np.float64),
+                                np.full(d, a) if np.ndim(a) == 0 else a,
+                                np.full(d, b) if np.ndim(b) == 0 else b,
+                                seed=seed)
+        except KernelcastError as exc:
+            raise ConfigError(str(exc), field="dataset")
         innovations, _returns, covariances = simulate_bekk(params, n_points)
         # Pair input z_t with next-step vech covariance.
         pair = (TimeSeries(innovations.values[:-1], 1.0, "bekk-inputs"),
@@ -281,11 +293,27 @@ def load_dataset_artifacts(config: dict, out_dir: str) -> dict:
 # fit / cv
 
 
-def _fit_from_config(config: dict, data: dict):
-    e_cfg = _get(config, "estimator")
+def _estimator_kind(config: dict) -> str:
     kind = _get(config, "estimator.kind")
-    hyper = dict(_get(config, "estimator.hyper"))
-    headroom = float(e_cfg.get("headroom", 1.0))
+    if kind not in REQUIRED_HYPER:
+        raise ConfigError(f"unknown estimator kind {kind!r}",
+                          field="estimator.kind")
+    return kind
+
+
+def _hyper(config: dict, path: str, required=()) -> dict:
+    """The hyperparameters at ``path``, typed by ``hyper_value``; each name
+    in ``required`` must be present."""
+    names = dict.fromkeys((*required, *_get(config, path, {}, dict)))
+    return {name: _get(config, f"{path}.{name}",
+                       conv=functools.partial(hyper_value, name))
+            for name in names}
+
+
+def _fit_from_config(config: dict, data: dict):
+    kind = _estimator_kind(config)
+    hyper = _hyper(config, "estimator.hyper", REQUIRED_HYPER[kind])
+    headroom = _get(config, "estimator.headroom", 1.0, float)
     if data["task"] == "path-continuation":
         est, seed_hist = fit_path_estimator(kind, hyper, data["train"].values,
                                             headroom=headroom)
@@ -323,22 +351,23 @@ def cmd_fit(config: dict, out_dir: str) -> int:
 
 
 def _grid_from_config(config: dict) -> Grid:
-    g_cfg = _get(config, "estimator.grid")
+    def values(name, conv):
+        return _get(config, f"estimator.grid.{name}", [],
+                    lambda value: [conv(v) for v in value])
+
+    _get(config, "estimator.grid", conv=dict)  # required; its lists are not
     return Grid(
-        taus=list(g_cfg.get("taus", [])),
-        ps=list(g_cfg.get("ps", [])),
-        lams=list(g_cfg.get("lams", [])),
-        thetas=list(g_cfg.get("thetas", [])),
-        lam_regs=list(g_cfg.get("lam_regs", [])),
-        M=float(g_cfg.get("M", 1.0)),
+        taus=values("taus", int), ps=values("ps", int),
+        lams=values("lams", float), thetas=values("thetas", float),
+        lam_regs=values("lam_regs", float),
+        M=_get(config, "estimator.grid.M", 1.0, float),
     )
 
 
 def cmd_cv(config: dict, out_dir: str) -> int:
     data = load_dataset_artifacts(config, out_dir)
-    kind = _get(config, "estimator.kind")
+    kind = _estimator_kind(config)
     grid = _grid_from_config(config)
-    cv_cfg = _get(config, "cv")
     if data["task"] == "path-continuation":
         n_train = data["train"].n
     else:
@@ -346,18 +375,18 @@ def cmd_cv(config: dict, out_dir: str) -> int:
     mode = _get(config, "cv.mode")
     try:
         if mode == "overlapping":
-            plan = overlapping_folds(n_train, int(_get(config, "cv.fold_len")),
-                                     int(_get(config, "cv.val_len")),
-                                     int(_get(config, "cv.stride")))
+            plan = overlapping_folds(n_train,
+                                     _get(config, "cv.fold_len", conv=int),
+                                     _get(config, "cv.val_len", conv=int),
+                                     _get(config, "cv.stride", conv=int))
         elif mode == "expanding":
-            plan = expanding_folds(n_train, int(_get(config, "cv.k")))
+            plan = expanding_folds(n_train, _get(config, "cv.k", conv=int))
         else:
             raise ConfigError(f"unknown cv mode {mode!r}", field="cv.mode")
     except InvalidInputError as exc:
         raise ConfigError(str(exc), field="cv")
-    fixed = dict(cv_cfg.get("fixed_hyper", {}))
-    fit_kw = {"headroom": float(_get(config, "estimator.headroom",
-                                     required=False, default=1.0))}
+    fixed = _hyper(config, "cv.fixed_hyper")
+    fit_kw = {"headroom": _get(config, "estimator.headroom", 1.0, float)}
     if data["task"] == "path-continuation":
         result = grid_search(kind, grid, plan, "path-continuation",
                              series=data["train"].values,
@@ -397,14 +426,13 @@ def cmd_forecast(config: dict, out_dir: str) -> int:
     est = estimator_from_dict(doc_field(model_doc, "estimator", model_path),
                               model_path, "estimator")
     mode = _get(config, "task.mode")
-    horizon_cfg = _get(config, "task.horizon", required=False)
+    horizon_cfg = _get(config, "task.horizon", None, int)
     if mode == "path-continuation":
         if data["task"] != "path-continuation":
             raise ConfigError("dataset does not support path continuation",
                               field="task.mode")
         test = data["test"]
-        horizon = int(horizon_cfg) if horizon_cfg else test.n
-        horizon = min(horizon, test.n)
+        horizon = min(horizon_cfg or test.n, test.n)
         seed_hist = data["train"].values[-est.seed_length:]
         run = path_continue(est, seed_hist, horizon,
                             reference=test.values[:horizon])
@@ -412,13 +440,13 @@ def cmd_forecast(config: dict, out_dir: str) -> int:
         if data["task"] == "path-continuation":
             # one-step-ahead predictions along the test span
             test = data["test"]
-            horizon = min(int(horizon_cfg) if horizon_cfg else test.n, test.n)
+            horizon = min(horizon_cfg or test.n, test.n)
             stacked = np.vstack([data["train"].values[-1:],
                                  test.values[:horizon - 1]])
             run = open_loop(est, stacked, reference=test.values[:horizon])
         else:
             inputs = data["test_inputs"]
-            horizon = int(horizon_cfg) if horizon_cfg else inputs.n
+            horizon = horizon_cfg or inputs.n
             run = open_loop(est, inputs.values[:horizon],
                             reference=data["test_outputs"].values[:horizon])
     else:
@@ -437,26 +465,21 @@ def cmd_forecast(config: dict, out_dir: str) -> int:
 def evaluate_run(reference: np.ndarray, predicted: np.ndarray, config: dict,
                  dt: float, mode: str) -> MetricReport:
     """Score one forecast against its reference per the configured metrics."""
-    m_cfg = _get(config, "metrics", required=False, default={}) or {}
-    eps = float(m_cfg.get("mape_eps", 1e-8))
     report = MetricReport(config={"mode": mode, "dt": dt})
     flags = {}
 
     t_valid_steps = None
-    lyap = _get(config, "task.lyapunov_exponent", required=False)
+    lyap = _get(config, "task.lyapunov_exponent", None, float)
     if mode == "path-continuation" and lyap:
-        vt = valid_time(reference, predicted, float(lyap), dt,
-                        float(_get(config, "task.valid_threshold",
-                                   required=False, default=0.2)))
+        vt = valid_time(reference, predicted, lyap, dt,
+                        _get(config, "task.valid_threshold", 0.2, float))
         report.t_valid = vt.value
         report.t_valid_censored = vt.censored
-        window = m_cfg.get("pointwise_window")
-        if window is None:
+        t_valid_steps = _get(config, "metrics.pointwise_window", None, int)
+        if t_valid_steps is None:
             t_valid_steps = int(min(
-                math.ceil(vt.value) / float(lyap) / dt, reference.shape[0]))
+                math.ceil(vt.value) / lyap / dt, reference.shape[0]))
             t_valid_steps = max(t_valid_steps, 1)
-        else:
-            t_valid_steps = int(window)
     y = reference if t_valid_steps is None else reference[:t_valid_steps]
     y_hat = predicted if t_valid_steps is None else predicted[:t_valid_steps]
 
@@ -465,23 +488,27 @@ def evaluate_run(reference: np.ndarray, predicted: np.ndarray, config: dict,
         flags["nmse_degenerate_dims"] = list(degenerate)
     report.mae = mae(y, y_hat)
     report.mdae = mdae(y, y_hat)
-    report.mape = mape(y, y_hat, eps)
+    report.mape = mape(y, y_hat, _get(config, "metrics.mape_eps", 1e-8, float))
 
-    nperseg = int(m_cfg.get("welch_nperseg", 1024))
-    nperseg = min(nperseg, reference.shape[0])
-    overlap = float(m_cfg.get("welch_overlap", 0.5))
+    nperseg = min(_get(config, "metrics.welch_nperseg", 1024, int),
+                  reference.shape[0])
+    if nperseg < 1:
+        raise ConfigError("must be >= 1", field="metrics.welch_nperseg")
+    overlap = _get(config, "metrics.welch_overlap", 0.5, float)
     fs = 1.0 / dt
-    psd_true = welch_psd(reference, nperseg, overlap, fs)
+    try:
+        psd_true = welch_psd(reference, nperseg, overlap, fs)
+    except InvalidInputError as exc:  # fs = 1/dt > 0: the overlap is at fault
+        raise ConfigError(str(exc), field="metrics.welch_overlap")
     psd_est = welch_psd(predicted, nperseg, overlap, fs)
-    fcut = m_cfg.get("psde_fcut_bins")
-    report.psde, skipped = psde_detailed(psd_true, psd_est,
-                                         None if fcut is None else int(fcut))
+    report.psde, skipped = psde_detailed(
+        psd_true, psd_est, _get(config, "metrics.psde_fcut_bins", None, int))
     if skipped:
         flags["psde_skipped_bins"] = skipped
 
-    cap = int(m_cfg.get("w1_cap", 512))
-    sub = int(m_cfg.get("w1_subsample", 512))
-    w1_seed = int(m_cfg.get("w1_seed", 7))
+    cap = _get(config, "metrics.w1_cap", 512, int)
+    sub = _get(config, "metrics.w1_subsample", 512, int)
+    w1_seed = _get(config, "metrics.w1_seed", 7, int)
     try:
         if reference.shape[1] == 1:
             report.w1 = w1_1d(reference[:, 0], predicted[:, 0])
@@ -511,16 +538,12 @@ def cmd_eval(config: dict, out_dir: str) -> int:
     data = load_dataset_artifacts(config, out_dir)
     dt = data["test"].dt if data["task"] == "path-continuation" \
         else data["test_outputs"].dt
+    if run.truncated and run.predicted.shape[0] == 0:
+        raise KernelcastError("forecast is empty; nothing to evaluate")
+    # forecast.csv holds one reference row per predicted row
+    report = evaluate_run(run.reference, run.predicted, config, dt, run.mode)
     if run.truncated:
-        n = run.predicted.shape[0]
-        if n == 0:
-            raise KernelcastError("forecast is empty; nothing to evaluate")
-        report = evaluate_run(run.reference[:n], run.predicted, config, dt,
-                              run.mode)
         report.flags["truncated_at"] = run.error_step
-    else:
-        report = evaluate_run(run.reference, run.predicted, config, dt,
-                              run.mode)
     report.config["config_sha256"] = config_hash(config)
     write_csv(os.path.join(out_dir, "metrics.csv"), report.CSV_FIELDS,
               [report.csv_cells()], {"config_sha256": config_hash(config)})

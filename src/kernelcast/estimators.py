@@ -25,7 +25,19 @@ from .kernels import (
 )
 from .ngrc import NgrcModel, delay_vectors, fit_ngrc, predict_ngrc
 
-ESTIMATOR_KINDS = ("ngrc", "polynomial", "volterra", "ngrc-kernel")
+# Hyperparameters each kind requires; all are numbers (see hyper_value).
+_LAGGED_HYPER = ("tau", "p", "lam_reg")
+REQUIRED_HYPER = {"ngrc": _LAGGED_HYPER, "polynomial": _LAGGED_HYPER,
+                  "volterra": ("lam", "theta", "lam_reg"),
+                  "ngrc-kernel": _LAGGED_HYPER}
+_INT_HYPER = ("tau", "p", "washout")
+
+
+def hyper_value(name: str, value):
+    """``value`` as hyperparameter ``name`` takes it: an int for ``tau``,
+    ``p`` and ``washout``, a float otherwise.  Raises ``TypeError`` or
+    ``ValueError`` for a value that is no number."""
+    return int(value) if name in _INT_HYPER else float(value)
 
 
 @dataclass
@@ -162,7 +174,7 @@ def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
     hyper : dict
         ``tau, p, lam_reg`` for the lagged estimators (plus optional ``c``
         for the polynomial kernel); ``lam, theta, lam_reg, washout`` and
-        optional ``M`` for Volterra.
+        optional ``M`` for Volterra; each value is typed by ``hyper_value``.
     inputs, targets : arrays
         Raw aligned samples; targets may be the shifted inputs for
         path-continuation tasks.
@@ -176,8 +188,9 @@ def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
         the regression runs entirely in the normalized space and closed-loop
         feedback needs no round trip.
     """
-    if kind not in ESTIMATOR_KINDS:
+    if kind not in REQUIRED_HYPER:
         raise InvalidInputError(f"unknown estimator kind {kind!r}")
+    hyper = {name: hyper_value(name, value) for name, value in hyper.items()}
     X_raw = np.asarray(inputs, dtype=np.float64)
     if X_raw.ndim == 1:
         X_raw = X_raw[:, None]
@@ -213,29 +226,28 @@ def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
               "outputs": preprocess.pipeline_to_dicts(output_specs)}
 
     if kind == "ngrc":
-        model = fit_ngrc(X, Y, int(hyper["tau"]), int(hyper["p"]),
-                         float(hyper["lam_reg"]), preprocessing=pp_doc)
+        model = fit_ngrc(X, Y, hyper["tau"], hyper["p"], hyper["lam_reg"],
+                         preprocessing=pp_doc)
     elif kind == "polynomial":
-        kernel = PolyKernelParams(int(hyper["p"]), int(hyper["tau"]),
-                                  float(hyper.get("c", 1.0)))
-        model = fit_kernel_model(X, Y, kernel, float(hyper["lam_reg"]),
-                                 washout=int(hyper.get("washout", 0)),
+        kernel = PolyKernelParams(hyper["p"], hyper["tau"],
+                                  hyper.get("c", 1.0))
+        model = fit_kernel_model(X, Y, kernel, hyper["lam_reg"],
+                                 washout=hyper.get("washout", 0),
                                  preprocessing=pp_doc)
     elif kind == "ngrc-kernel":
-        kernel = NgrcKernelParams(int(hyper["p"]), int(hyper["tau"]),
-                                  X.shape[1])
-        model = fit_kernel_model(X, Y, kernel, float(hyper["lam_reg"]),
-                                 washout=int(hyper.get("washout", 0)),
+        kernel = NgrcKernelParams(hyper["p"], hyper["tau"], X.shape[1])
+        model = fit_kernel_model(X, Y, kernel, hyper["lam_reg"],
+                                 washout=hyper.get("washout", 0),
                                  preprocessing=pp_doc)
     else:
-        kernel = VolterraParams(float(hyper["lam"]), float(hyper["theta"]),
-                                float(hyper.get("M", 1.0)))
-        model = fit_kernel_model(X, Y, kernel, float(hyper["lam_reg"]),
-                                 washout=int(hyper.get("washout", 0)),
+        kernel = VolterraParams(hyper["lam"], hyper["theta"],
+                                hyper.get("M", 1.0))
+        model = fit_kernel_model(X, Y, kernel, hyper["lam_reg"],
+                                 washout=hyper.get("washout", 0),
                                  preprocessing=pp_doc)
 
-    tail_len = max(int(hyper.get("tau", 1)), 1)
-    return Estimator(kind, dict(hyper), model, input_specs, output_specs,
+    tail_len = max(hyper.get("tau", 1), 1)
+    return Estimator(kind, hyper, model, input_specs, output_specs,
                      input_tail=X_raw[-tail_len:].copy())
 
 

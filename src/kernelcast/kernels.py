@@ -24,7 +24,6 @@ where ``M`` bounds the Euclidean norm of every sample.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -309,10 +308,6 @@ class VolterraExtension:
         if self._col.shape != (Z_train.shape[0] + 1,):
             raise InvalidInputError("last column must include the border entry")
 
-    @property
-    def steps_taken(self) -> int:
-        return self._steps
-
     def step(self, z_new) -> np.ndarray:
         """Append one sample; return kernel values against training samples."""
         z = np.asarray(z_new, dtype=np.float64).reshape(-1)
@@ -449,9 +444,6 @@ class KernelModel:
             doc["last_column"] = self._last_col.tolist()
         return doc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, doc: dict, source: str = "model document",
                   path: str = "") -> "KernelModel":
@@ -489,10 +481,6 @@ class KernelModel:
             windows = delay_vectors(train_inputs, kernel.tau)
             model.train_windows = windows[washout:]
         return model
-
-    @classmethod
-    def from_json(cls, text: str) -> "KernelModel":
-        return cls.from_dict(json.loads(text))
 
 
 def _lagged_rows(kernel, windows: np.ndarray) -> GramRows:

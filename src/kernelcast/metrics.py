@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import format_cell
 from .errors import InvalidInputError
 
 W1_DEFAULT_CAP = 512
@@ -251,12 +250,6 @@ class MetricReport:
         values = (getattr(self, name) for name in self.CSV_FIELDS)
         return [float("nan") if v is None
                 else int(v) if isinstance(v, bool) else v for v in values]
-
-    def csv_header(self) -> str:
-        return ",".join(self.CSV_FIELDS)
-
-    def csv_row(self) -> str:
-        return ",".join(map(format_cell, self.csv_cells()))
 
     def to_json(self) -> str:
         doc = {name: getattr(self, name) for name in self.CSV_FIELDS}

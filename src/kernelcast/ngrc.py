@@ -3,12 +3,13 @@ and the primal ridge estimator built on them.
 
 A model maps the flattened window of the last ``tau`` input samples (oldest
 lag first) through every monomial of total degree at most ``p`` (constant
-included) and applies a linear readout fitted by ridge regression.
+included) and applies a linear readout fitted by ridge regression.  The
+features are built degree by degree, one slice multiply per run of the
+exponent table (see :class:`ExponentTable`).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -35,10 +36,6 @@ class DelaySpec:
         if self.tau < 1 or self.d < 1:
             raise InvalidInputError("tau and d must be >= 1")
 
-    @property
-    def window(self) -> int:
-        return self.tau * self.d
-
 
 def feature_dim(tau: int, d: int, p: int) -> int:
     """Number of monomials of degree <= p in tau*d variables, constant included.
@@ -55,17 +52,6 @@ def feature_dim(tau: int, d: int, p: int) -> int:
     return n
 
 
-def _compositions(total: int, parts: int):
-    """Yield all tuples of `parts` non-negative ints summing to `total`,
-    in ascending lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
 @dataclass
 class ExponentTable:
     """Monomial exponent rows in graded lexicographic order, constant first.
@@ -73,48 +59,49 @@ class ExponentTable:
     ``rows[k]`` holds the exponent applied to each window component for the
     k-th feature.  The ordering is deterministic: degrees ascend, and within
     a degree rows ascend lexicographically.
+
+    Within degree k, the monomials whose lowest variable is ``c`` form one
+    run for each ``c = w-1, ..., 0``: ``x_c`` times the leading monomials of
+    degree k-1.  ``runs`` holds each as ``(dst, src, n, c)``, meaning
+    features ``dst:dst+n`` = features ``src:src+n`` times window entry ``c``.
     """
 
     tau: int
     d: int
     p: int
     rows: np.ndarray
-    _terms: list | None = field(default=None, repr=False, compare=False)
+    runs: tuple = field(repr=False, compare=False)
 
     @property
     def n_features(self) -> int:
         return self.rows.shape[0]
 
-    def terms(self) -> list:
-        """Per-row (column indices, exponents) with zero exponents dropped."""
-        if self._terms is None:
-            self._terms = []
-            for row in self.rows:
-                cols = np.nonzero(row)[0]
-                self._terms.append((cols, row[cols].astype(np.float64)))
-        return self._terms
-
 
 def build_exponent_table(tau: int, d: int, p: int) -> ExponentTable:
-    """Enumerate the exponent table for ``feature_dim(tau, d, p)`` monomials."""
+    """Exponent table and runs for ``feature_dim(tau, d, p)`` monomials."""
     n = feature_dim(tau, d, p)
     if n > MAX_TABLE_ROWS:
         raise CapacityError(
             f"exponent table with {n} rows exceeds the cap of {MAX_TABLE_ROWS}"
         )
-    width = tau * d
-    rows = np.empty((n, width), dtype=np.int64)
-    i = 0
-    for degree in range(p + 1):
-        for comp in _compositions(degree, width):
-            if i < n:
-                rows[i] = comp
-            i += 1
-    if i != n:
+    w = tau * d
+    runs = []
+    dst = 1
+    for k in range(1, p + 1):
+        src = math.comb(w + k - 2, w)  # first monomial of degree k-1
+        for c in range(w - 1, -1, -1):
+            run = math.comb(w - c + k - 2, k - 1)
+            runs.append((dst, src, run, c))
+            dst += run
+    if dst != n:
         raise CapacityError(
-            f"exponent table enumerated {i} rows, expected {n}"
+            f"exponent table enumerated {dst} rows, expected {n}"
         )
-    return ExponentTable(tau, d, p, rows)
+    rows = np.zeros((n, w), dtype=np.int64)
+    for dst, src, run, c in runs:
+        rows[dst:dst + run] = rows[src:src + run]
+        rows[dst:dst + run, c] += 1
+    return ExponentTable(tau, d, p, rows, tuple(runs))
 
 
 def delay_vectors(values, tau: int) -> np.ndarray:
@@ -148,7 +135,8 @@ def ngrc_features(v, table: ExponentTable) -> np.ndarray:
 
     Accepts a single window of length tau*d or a matrix of windows; returns
     a vector of length ``table.n_features`` or a matrix with one feature row
-    per window.  Feature 0 is the constant 1.
+    per window.  Feature 0 is the constant 1; one multiply per run of
+    ``table.runs`` makes a window's features its batch row, bit for bit.
     """
     v = np.asarray(v, dtype=np.float64)
     single = v.ndim == 1
@@ -160,10 +148,9 @@ def ngrc_features(v, table: ExponentTable) -> np.ndarray:
         )
     out = np.empty((V.shape[0], table.n_features))
     out[:, 0] = 1.0
-    for k, (cols, exps) in enumerate(table.terms()):
-        if k == 0:
-            continue
-        out[:, k] = np.prod(V[:, cols] ** exps, axis=1)
+    for dst, src, n, c in table.runs:
+        np.multiply(out[:, src:src + n], V[:, c, None],
+                    out=out[:, dst:dst + n])
     return out[0] if single else out
 
 
@@ -198,9 +185,6 @@ class NgrcModel:
             "preprocessing": self.preprocessing,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, doc: dict, source: str = "model document",
                   path: str = "") -> "NgrcModel":
@@ -217,10 +201,6 @@ class NgrcModel:
         weights = np.asarray(get("weights"), dtype=np.float64)
         return cls(delay, table, weights, float(get("lam_reg")),
                    get("preprocessing"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "NgrcModel":
-        return cls.from_dict(json.loads(text))
 
 
 def design_matrix(inputs, tau: int, table: ExponentTable) -> np.ndarray:

@@ -264,6 +264,72 @@ class TestExitCodes:
         assert f"corrupt upstream artifact {model}" in capsys.readouterr().err
 
 
+class TestMalformedConfigValue:
+    """A shipped preset with one value of the wrong type, missing or out of
+    range exits 2 at the stage that reads it, naming the dotted field."""
+
+    @pytest.mark.parametrize("path, value, stage", [
+        ("dataset.n_points", "abc", "simulate"),
+        ("metrics.welch_nperseg", "x", "eval"),
+        ("estimator.hyper.tau", "x", "fit"),
+        ("estimator.hyper.lam_reg", None, "fit"),  # None: the key removed
+        ("estimator.grid.taus", 3, "cv"),
+        ("metrics.welch_overlap", 1.5, "eval"),
+        ("metrics.welch_nperseg", 0, "eval"),
+        ("estimator.kind", "foo", "fit"),
+        ("estimator.kind", "foo", "cv"),
+        ("cv.fixed_hyper.washout", "x", "cv"),
+    ])
+    def test_exits_two_naming_the_field(self, tmp_path, capsys, path, value,
+                                        stage):
+        cfg = copy.deepcopy(PRESETS["bekk-ngrc"])
+        *parents, key = path.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "exp"
+        chain = ["simulate", "fit", "forecast", "eval"]
+        upstream = chain[:chain.index(stage)] if stage in chain \
+            else ["simulate"]
+        for cmd in upstream:
+            assert run_cli(cmd, "--config", str(cfg_path),
+                           "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run_cli(stage, "--config", str(cfg_path),
+                       "--out", str(out)) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+
+
+    def test_bekk_a_b_default_to_scalars(self, tmp_path):
+        """Without ``dataset.a`` and ``dataset.b`` BEKK simulates as with
+        0.3 and 0.9 given explicitly."""
+        n_points = 401
+        tables = []
+        for a_b in (None, (0.3, 0.9)):
+            cfg = copy.deepcopy(PRESETS["bekk-ngrc"])
+            cfg["dataset"]["n_points"] = n_points
+            cfg["dataset"]["n_train"] = 300
+            if a_b is None:
+                del cfg["dataset"]["a"], cfg["dataset"]["b"]
+            else:
+                cfg["dataset"]["a"], cfg["dataset"]["b"] = a_b
+            cfg_path = tmp_path / f"cfg{len(tables)}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            out = tmp_path / f"exp{len(tables)}"
+            assert run_cli("simulate", "--config", str(cfg_path),
+                           "--out", str(out)) == 0
+            tables.append([read_csv(out / f"{name}.csv", "t")[2]
+                           for name in ("train_inputs", "test_outputs")])
+        for default, explicit in zip(*tables):
+            assert np.array_equal(default, explicit)
+
+
 class TestNumericalFailureExit:
     def test_exhausted_grid_exits_three(self, tmp_path):
         cfg = copy.deepcopy(PRESETS["lorenz-volterra"])

@@ -357,7 +357,7 @@ class TestKernelModels:
         targets = rng.uniform(-1, 1, size=(25, 2))
         model = fit_kernel_model(inputs, targets, PolyKernelParams(p=2, tau=3),
                                  1e-5)
-        clone = KernelModel.from_json(model.to_json())
+        clone = KernelModel.from_dict(json.loads(json.dumps(model.to_dict())))
         windows = delay_vectors(rng.uniform(-1, 1, size=(8, 1)), 3)
         np.testing.assert_allclose(predict_kernel(clone, windows),
                                    predict_kernel(model, windows), rtol=1e-12)
@@ -369,7 +369,7 @@ class TestKernelModels:
         targets = rng.normal(size=(20, 1))
         model = fit_kernel_model(inputs, targets, VolterraParams(0.5, 0.4),
                                  1e-6, washout=3)
-        clone = KernelModel.from_json(model.to_json())
+        clone = KernelModel.from_dict(json.loads(json.dumps(model.to_dict())))
         new = rng.normal(size=(4, 2)) * 0.4
         np.testing.assert_allclose(predict_kernel(clone, new),
                                    predict_kernel(model, new), rtol=1e-12)
@@ -427,7 +427,7 @@ class TestVolterraModelDocument:
         assert doc["last_column"][1:] == gram[:, -1].tolist()
 
     def test_schema_1_document_asks_for_refit(self):
-        doc = json.loads(self.fitted(40, washout=5).to_json())
+        doc = self.fitted(40, washout=5).to_dict()
         old = dict(doc, schema="kernel-model/1")
         del old["last_column"]
         with pytest.raises(DependencyError, match="refit"):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from kernelcast.datasets import format_cell
 from kernelcast.errors import InvalidInputError
 from kernelcast.metrics import (
     MetricReport,
@@ -315,14 +316,15 @@ class TestMetricReport:
                               psde=3.0, w1=0.4, t_valid=7.2,
                               t_valid_censored=False,
                               flags={"note": 1}, config={"mode": "x"})
-        header = report.csv_header()
-        row = report.csv_row()
-        assert header.split(",")[0] == "nmse"
-        assert row.split(",")[0] == "0.5"
+        assert report.CSV_FIELDS[0] == "nmse"
+        cells = report.csv_cells()
+        assert len(cells) == len(report.CSV_FIELDS)
+        assert format_cell(cells[0]) == "0.5"
+        assert cells[7] == 0  # t_valid_censored as 0/1
         doc = report.to_json()
         assert '"t_valid": 7.2' in doc
 
     def test_none_t_valid_serializes_nan(self):
         report = MetricReport()
-        cells = report.csv_row().split(",")
-        assert cells[6] == "nan"
+        cells = report.csv_cells()
+        assert format_cell(cells[6]) == "nan"

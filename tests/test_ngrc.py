@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -135,6 +136,38 @@ class TestFeatures:
                                  for i, e in enumerate(row))
             assert feats[k] == pytest.approx(expected, rel=1e-12)
 
+        def per_monomial(V, table):
+            # one product of powers per monomial over its row's nonzero
+            # exponents; a column's exponent is broadcast, so numpy squares
+            # by x * x (an elementwise ``V ** row`` may use a SIMD pow that
+            # rounds differently)
+            out = np.empty((V.shape[0], table.n_features))
+            for k, row in enumerate(table.rows):
+                cols = np.nonzero(row)[0]
+                out[:, k] = np.prod(V[:, cols] ** row[cols].astype(float),
+                                    axis=1)
+            return out
+
+        # bit for bit at p <= 2, where every feature is x_i or x_i * x_j;
+        # at p >= 3 the products associate differently
+        for shape, rtol in [((3, 3, 2), 0), ((2, 3, 2), 0), ((1, 5, 1), 0),
+                            ((1, 5, 2), 0), ((2, 5, 1), 0), ((2, 5, 2), 0),
+                            ((8, 1, 2), 0), ((4, 1, 5), 2e-15),
+                            ((2, 1, 3), 2e-15), ((8, 1, 5), 2e-15)]:
+            tau, d, p = shape
+            table = build_exponent_table(tau, d, p)
+            assert len(table.runs) == p * tau * d
+            V = rng.normal(size=(2000, tau * d))
+            feats = ngrc_features(V, table)
+            expected = per_monomial(V, table)
+            if rtol == 0:
+                np.testing.assert_array_equal(feats, expected, str(shape))
+            else:
+                np.testing.assert_allclose(feats, expected, rtol=rtol,
+                                           atol=0, err_msg=str(shape))
+            np.testing.assert_array_equal(ngrc_features(V[7], table),
+                                          feats[7], str(shape))
+
     def test_shape_mismatch(self):
         table = build_exponent_table(2, 1, 2)
         with pytest.raises(InvalidInputError):
@@ -191,7 +224,7 @@ class TestFitPredict:
         targets = rng.normal(size=(40, 2))
         model = fit_ngrc(inputs, targets, tau=2, p=2, lam_reg=1e-4,
                          preprocessing={"inputs": [], "outputs": []})
-        clone = NgrcModel.from_json(model.to_json())
+        clone = NgrcModel.from_dict(json.loads(json.dumps(model.to_dict())))
         np.testing.assert_array_equal(clone.weights, model.weights)
         assert clone.delay == model.delay
         v = rng.normal(size=4)
