@@ -195,10 +195,15 @@ def generate_dataset(config: dict) -> dict:
         n_points = _get(config, "dataset.n_points", 15001, int)
         if n_points < 2:
             raise ConfigError("n_points must be >= 2", field="dataset.n_points")
-        series = simulate_lorenz(
-            _get(config, "dataset.initial", (0.0, 1.0, 1.05), np.float64),
-            _get(config, "dataset.dt", 0.005, float), n_points,
-        )
+        dt = _get(config, "dataset.dt", 0.005, float)
+        if not 0 < dt < math.inf:
+            raise ConfigError("must be positive and finite", field="dataset.dt")
+        try:
+            series = simulate_lorenz(
+                _get(config, "dataset.initial", (0.0, 1.0, 1.05), np.float64),
+                dt, n_points)
+        except InvalidInputError as exc:  # dt and n_points are checked above
+            raise ConfigError(str(exc), field="dataset.initial")
     elif kind == "mackey-glass":
         series = simulate_mackey_glass(
             _get(config, "dataset.dt_fine", 0.02, float),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,18 +87,143 @@ def gaussian_iid(n: int, d: int, seed: int) -> np.ndarray:
     return z[: n * d].reshape(n, d)
 
 
-def integrate_ode(rhs, y0, dt: float, n_points: int) -> np.ndarray:
-    """Sample an ODE trajectory on a uniform grid with RK45 at tight tolerance."""
-    # imported on use: only the ODE simulators need it
-    from scipy.integrate import solve_ivp
+# Dormand-Prince 5(4) as SciPy 1.17's RK45 takes it
+# (scipy/integrate/_ivp/rk.py): nodes, stages, fifth-order weights, error
+# weights and the quartic dense-output matrix.
+_RK_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_RK_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                  1/40])
+_RK_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5  # -1 / (error estimator order + 1)
 
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+@dataclass(frozen=True)
+class _Step:
+    """One accepted step and its quartic interpolant ``y_old + h Q p(x)``."""
+
+    t_old: float
+    t: float
+    h: float
+    y_old: np.ndarray
+    Q: np.ndarray
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """State at the 1-D times ``t``, one column per time."""
+        x = (t - self.t_old) / self.h
+        p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+        y = self.h * np.dot(self.Q, p)
+        y += self.y_old[:, None]
+        return y
+
+
+def _rk45_steps(rhs, t, y, t_bound):
+    """Accepted Dormand-Prince steps from ``t`` to ``t_bound > t``.
+
+    The operations are those of SciPy's ``RK45`` at ``rtol = atol =
+    RK_TOL``, in its order, so the steps and their interpolants carry its
+    bits: ``select_initial_step``, ``rk_step``, and the step-size control.
+    ``rhs(t, y)`` is cast to a float64 array, as SciPy casts it.  A step
+    size below ten spacings of floats at ``t`` raises
+    :class:`SimulationError`.
+    """
+    def fun(t, y):
+        return np.asarray(rhs(t, y), dtype=np.float64)
+
+    f = fun(t, y)
+    interval = t_bound - t
+    scale = RK_TOL + np.abs(y) * RK_TOL
+    d0 = _rms(y / scale)
+    d1 = _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, interval)
+
+    K = np.empty((7, y.size))
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # a NaN step size stops here too
+                raise SimulationError(
+                    "integrator failed: Required step size is less than "
+                    "spacing between numbers.")
+            t_new = t + h_abs
+            if t_new - t_bound > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                dy = np.dot(K[:s].T, _RK_A[s, :s]) * h
+                K[s] = fun(t + _RK_C[s] * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _RK_B)
+            f_new = fun(t + h, y_new)
+            K[-1] = f_new
+            scale = RK_TOL + np.maximum(np.abs(y), np.abs(y_new)) * RK_TOL
+            error_norm = _rms(np.dot(K.T, _RK_E) * h / scale)
+            if error_norm < 1:
+                factor = _MAX_FACTOR if error_norm == 0 else min(
+                    _MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        yield _Step(t, t_new, t_new - t, y, K.T.dot(_RK_P))
+        t, y, f = t_new, y_new, f_new
+
+
+def integrate_ode(rhs, y0, dt: float, n_points: int) -> np.ndarray:
+    """Sample an ODE trajectory on a uniform grid with RK45 at tight tolerance.
+
+    The trajectory equals ``solve_ivp(rhs, ..., method="RK45",
+    t_eval=...)`` bit for bit: each accepted step's interpolant is evaluated
+    at the grid points up to and including its end, as ``solve_ivp`` slices
+    them.  ``y0`` must be a finite 1-D state.
+    """
     y0 = np.asarray(y0, dtype=np.float64)
+    if y0.ndim != 1 or not np.all(np.isfinite(y0)):
+        raise InvalidInputError("initial state must be a finite 1-D vector")
     t_eval = np.arange(n_points) * dt
-    sol = solve_ivp(rhs, (0.0, t_eval[-1] if n_points > 1 else dt), y0,
-                    method="RK45", t_eval=t_eval, rtol=RK_TOL, atol=RK_TOL)
-    if not sol.success:
-        raise SimulationError(f"integrator failed: {sol.message}")
-    return sol.y.T
+    t_bound = float(t_eval[-1]) if n_points > 1 else dt
+    ys = np.empty((y0.size, n_points))
+    done = 0
+    for step in _rk45_steps(rhs, 0.0, y0, t_bound):
+        end = np.searchsorted(t_eval, step.t, side="right")
+        if end > done:
+            ys[:, done:end] = step(t_eval[done:end])
+            done = end
+    return ys.T
 
 
 def simulate_lorenz(initial=(0.0, 1.0, 1.05), dt: float = 0.005,
@@ -108,6 +234,10 @@ def simulate_lorenz(initial=(0.0, 1.0, 1.05), dt: float = 0.005,
         raise InvalidInputError("dt must be positive")
     if n_points < 1:
         raise InvalidInputError("n_points must be >= 1")
+    initial = np.asarray(initial, dtype=np.float64)
+    if initial.shape != (3,) or not np.all(np.isfinite(initial)):
+        raise InvalidInputError(
+            f"initial state must be 3 finite numbers, got {initial.tolist()}")
 
     def rhs(_t, s):
         x, y, z = s
@@ -115,6 +245,35 @@ def simulate_lorenz(initial=(0.0, 1.0, 1.05), dt: float = 0.005,
 
     values = integrate_ode(rhs, initial, dt, n_points)
     return TimeSeries(values, dt, origin="lorenz")
+
+
+class _DenseSolution:
+    """The accepted steps of one integration, evaluated where SciPy's
+    ``OdeSolution`` evaluates them: a time on a step boundary belongs to
+    the earlier step, a time outside to the nearest end step."""
+
+    def __init__(self, steps: list):
+        self.steps = steps
+        self.ends = [step.t for step in steps]
+        self.last = len(steps) - 1
+
+    def at(self, t: float) -> float:
+        """First state component at the scalar time ``t``."""
+        step = self.steps[min(bisect_left(self.ends, t), self.last)]
+        x = (t - step.t_old) / step.h
+        x2 = x * x
+        x3 = x2 * x
+        p = np.array([x, x2, x3, x3 * x])  # what cumprod forms
+        return float(step.h * np.dot(step.Q, p)[0] + step.y_old[0])
+
+    def sample(self, t: np.ndarray) -> np.ndarray:
+        """First state component at the increasing times ``t``, evaluated
+        step by step in the groups ``OdeSolution`` forms."""
+        which = np.minimum(np.searchsorted(self.ends, t, side="left"),
+                           self.last)
+        starts = [0, *(np.flatnonzero(np.diff(which)) + 1), t.size]
+        return np.concatenate([self.steps[which[a]](t[a:b])[0]
+                               for a, b in zip(starts[:-1], starts[1:])])
 
 
 def simulate_mackey_glass(dt_fine: float = 0.02, delay: float = 17.0,
@@ -128,14 +287,16 @@ def simulate_mackey_glass(dt_fine: float = 0.02, delay: float = 17.0,
     segment of length ``delay`` is integrated by RK45 while the delayed term
     is read from the previous segment's dense solution (the constant
     ``history`` before t = 0).  The concatenated fine grid is then thinned
-    to every ``splice``-th point.
+    to every ``splice``-th point.  The series equals the one SciPy's
+    ``solve_ivp(..., dense_output=True)`` gives segment by segment, bit for
+    bit.
 
     ``feedback`` overrides the delayed-term nonlinearity
     ``u -> beta * u / (1 + u**power)``; passing ``lambda u: 0.0`` leaves the
     pure decay ``dz/dt = -gamma z``.
     """
-    if not dt_fine > 0:
-        raise InvalidInputError("dt_fine must be positive")
+    if not dt_fine > 0 or not delay > 0:
+        raise InvalidInputError("dt_fine and delay must be positive")
     if splice < 1 or n_fine < 1:
         raise InvalidInputError("splice and n_fine must be >= 1")
     m = delay / dt_fine
@@ -146,41 +307,34 @@ def simulate_mackey_glass(dt_fine: float = 0.02, delay: float = 17.0,
         def feedback(u):
             return beta * u / (1.0 + u**power)
 
-    # imported on use: only the ODE simulators need it
-    from scipy.integrate import solve_ivp
-
     fine = np.empty(n_fine)
     fine[0] = history
     produced = 1
     z_start = history
     segment = 0
-    prev_dense = None  # dense solution over the previous segment
+    prev = None  # dense solution over the previous segment
 
     while produced < n_fine:
         t0 = segment * delay
         t1 = t0 + delay
-        if segment == 0:
+        if prev is None:
             def delayed(_t):
                 return history
         else:
-            dense = prev_dense
-
-            def delayed(t, _dense=dense):
-                return float(_dense(t - delay)[0])
+            def delayed(t, _at=prev.at):
+                return _at(t - delay)
 
         def rhs(t, y):
             return (feedback(delayed(t)) - gamma * y[0],)
 
-        sol = solve_ivp(rhs, (t0, t1), [z_start], method="RK45",
-                        rtol=RK_TOL, atol=RK_TOL, dense_output=True)
-        if not sol.success:
-            raise SimulationError(f"integrator failed: {sol.message}")
+        sol = _DenseSolution(list(
+            _rk45_steps(rhs, t0, np.array([z_start]), t1)))
         take = min(m, n_fine - produced)
         ts = t0 + dt_fine * np.arange(1, take + 1)
-        fine[produced : produced + take] = sol.sol(ts)[0]
+        fine[produced : produced + take] = sol.sample(ts)
         produced += take
-        z_start = float(sol.sol(t1)[0])
-        prev_dense = sol.sol
+        z_start = sol.at(t1)
+        prev = sol
         segment += 1
 
     return TimeSeries(fine[::splice], dt_fine * splice, origin="mackey-glass")

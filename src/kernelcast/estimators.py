@@ -66,9 +66,6 @@ class Estimator:
         """
         return 1 if self.kind == "volterra" else self.tau
 
-    def describe(self) -> dict:
-        return {"kind": self.kind, "hyper": dict(self.hyper)}
-
     # -- raw-space prediction paths -------------------------------------
 
     def _predict_windows(self, windows: np.ndarray) -> np.ndarray:

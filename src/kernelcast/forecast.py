@@ -34,7 +34,6 @@ class ForecastRun:
     horizon: int
     predicted: np.ndarray
     reference: np.ndarray | None = None
-    estimator: dict | None = None
     error: str | None = None
     error_step: int | None = None
 
@@ -76,7 +75,6 @@ def load_forecast_csv(path) -> tuple[ForecastRun, dict]:
         horizon,
         predicted,
         data[:, ref_cols] if ref_cols else None,
-        None,
         meta.get("error"),
         error_step,
     )
@@ -119,8 +117,8 @@ def path_continue(estimator, seed_history, horizon: int,
             ref = ref[: predicted.shape[0]]
         elif ref.shape[0] != horizon:
             raise InvalidInputError("reference length must equal the horizon")
-    return ForecastRun("path-continuation", horizon, predicted, ref,
-                       estimator.describe(), error, error_step)
+    return ForecastRun("path-continuation", horizon, predicted, ref, error,
+                       error_step)
 
 
 def open_loop(estimator, test_inputs, reference=None) -> ForecastRun:
@@ -144,7 +142,7 @@ def open_loop(estimator, test_inputs, reference=None) -> ForecastRun:
         ref = np.atleast_2d(np.asarray(reference, dtype=np.float64))
         ref = ref[: np.atleast_2d(predicted).shape[0]]
     return ForecastRun("open-loop", inputs.shape[0], np.atleast_2d(predicted),
-                       ref, estimator.describe(), error, error_step)
+                       ref, error, error_step)
 
 
 @dataclass(frozen=True)

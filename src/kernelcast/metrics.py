@@ -16,7 +16,9 @@ and several dimensions.  Conventions:
   loading SciPy's signal package.
 * W1 for equal-size samples is the exact optimal transport cost; in one
   dimension via the sorted-CDF formula, in d dimensions via a minimum-cost
-  perfect matching on the Euclidean cost matrix.
+  perfect matching on the Euclidean cost matrix.  Cost matrix and matching
+  are SciPy's ``cdist`` and ``linear_sum_assignment``, bit for bit, done
+  on numpy.
 """
 
 from __future__ import annotations
@@ -204,16 +206,96 @@ def w1_nd(samples_a, samples_b, cap: int = W1_DEFAULT_CAP) -> float:
         raise InvalidInputError(
             f"{A.shape[0]} samples exceed the cap of {cap}"
         )
-    # imported on use: only eval needs the matching code
-    from scipy.optimize import linear_sum_assignment
-    from scipy.spatial.distance import cdist
-
-    with np.errstate(over="ignore"):
-        cost = cdist(A, B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = euclidean_cost(A, B)
     if not np.all(np.isfinite(cost)):
         raise InvalidInputError("cost matrix has non-finite entries")
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
+    cols = min_cost_matching(cost)
+    return float(cost[np.arange(cost.shape[0]), cols].mean())
+
+
+def euclidean_cost(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Distances between the rows of ``A`` and of ``B`` as SciPy's ``cdist``
+    forms them: squared differences added over the dimensions in order,
+    then the square root."""
+    cost = np.zeros((A.shape[0], B.shape[0]))
+    for j in range(A.shape[1]):
+        delta = np.subtract.outer(A[:, j], B[:, j])
+        delta *= delta
+        cost += delta
+    return np.sqrt(cost, out=cost)
+
+
+def min_cost_matching(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-cost perfect matching.
+
+    ``cost`` is a finite square matrix.  Shortest augmenting paths with
+    row and column duals (Crouse 2016), in the steps of SciPy's
+    ``linear_sum_assignment``: rows join in order; each search scans the
+    columns not yet reached in SciPy's order, and of equally short paths
+    it takes one that ends at an unassigned column.  So the matching is
+    SciPy's, ties included.  Each scan is one vectorized pass.
+    """
+    n = cost.shape[0]
+    u = np.zeros(n)
+    v = np.zeros(n)
+    path = np.full(n, -1)  # the row each column's shortest path comes from
+    col4row = np.full(n, -1)
+    row4col = np.full(n, -1)
+    for cur_row in range(n):
+        # the columns not yet reached in scan order, and aligned with them
+        # their shortest path length so far, the row it comes from, their
+        # dual and whether they are free; the first `left` are live
+        cols = np.arange(n - 1, -1, -1)
+        short = np.full(n, np.inf)
+        via = np.empty(n, dtype=np.intp)
+        col_dual = v[cols]
+        free = row4col[cols] == -1
+        left = n
+        min_val = 0.0
+        i = cur_row
+        reached = []  # (column, shortest path length) in the order reached
+        while True:
+            live = short[:left]
+            r = cost[i].take(cols[:left])
+            r += min_val
+            r -= u[i]
+            r -= col_dual[:left]
+            better = r < live
+            np.copyto(via[:left], i, where=better)
+            np.copyto(live, r, where=better)
+            index = int(live.argmin())
+            min_val = live[index]
+            ties = (live == min_val).nonzero()[0]
+            if ties.size > 1:
+                # the scan keeps the first shortest, then any later free one
+                free_ties = ties[free[ties]]
+                if free_ties.size:
+                    index = int(free_ties[-1])
+            j = int(cols[index])
+            path[j] = via[index]
+            reached.append((j, min_val))
+            if free[index]:
+                break
+            i = int(row4col[j])
+            left -= 1
+            for a in (cols, short, via, col_dual, free):
+                a[index] = a[left]
+        # update the duals: each reached column but the sink leads to the
+        # row matched to it
+        u[cur_row] += min_val
+        for j, length in reached[:-1]:
+            u[row4col[j]] += min_val - length
+        for j, length in reached:
+            v[j] -= min_val - length
+        # augment along the path back to the current row
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
 
 
 def subsample_rows(values, k: int, seed: int) -> np.ndarray:

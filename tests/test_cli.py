@@ -92,7 +92,7 @@ class TestPipeline:
 
         run, meta = load_forecast_csv(out / "forecast.csv")
         perfect = ForecastRun(run.mode, run.horizon, run.reference.copy(),
-                              run.reference, None)
+                              run.reference)
         perfect.save_csv(out / "forecast.csv",
                          extra_meta={"config_sha256": meta["config_sha256"]})
         assert run_cli("eval", "--config", str(cfg_path),
@@ -306,6 +306,20 @@ class TestMalformedConfigValue:
         assert f"config error: {path}: " in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("initial", [math.nan, 1.0, 1.05]),
+        ("initial", [0.0, 1.0]),
+        ("dt", -0.005),
+    ])
+    def test_bad_lorenz_setting(self, tmp_path, capsys, key, value):
+        cfg = copy.deepcopy(PRESETS["lorenz-ngrc"])
+        cfg["dataset"][key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "exp")) == 2
+        assert f"config error: dataset.{key}: " in capsys.readouterr().err
+
     def test_bekk_a_b_default_to_scalars(self, tmp_path):
         """Without ``dataset.a`` and ``dataset.b`` BEKK simulates as with
         0.3 and 0.9 given explicitly."""
@@ -516,19 +530,16 @@ class TestBench:
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# scipy subpackages that `import kernelcast.cli` does not load; the ODE
-# simulators and W1 load some of them on first use
+# scipy subpackages that no stage loads: the package integrates, matches
+# and transforms on numpy, and factors on scipy.linalg
 DEFERRED_SCIPY = ("scipy.integrate", "scipy.signal", "scipy.optimize",
                   "scipy.spatial", "scipy.stats")
-# (call, the deferred subpackage it loads, or None if it loads none)
+# a first call of each function that once loaded a deferred subpackage
 FIRST_CALLS = {
-    "welch_psd": ("welch_psd(np.sin(0.3 * np.arange(512.0)), 128).power.sum()",
-                  None),
-    "w1_nd": ("w1_nd(np.eye(3), 2.0 * np.eye(3)[::-1])", "scipy.optimize"),
-    "simulate_lorenz": ("simulate_lorenz(n_points=200).values[-1].sum()",
-                        "scipy.integrate"),
-    "simulate_mackey_glass": (
-        "simulate_mackey_glass(n_fine=2000).values[-1, 0]", "scipy.integrate"),
+    "welch_psd": "welch_psd(np.sin(0.3 * np.arange(512.0)), 128).power.sum()",
+    "w1_nd": "w1_nd(np.eye(3), 2.0 * np.eye(3)[::-1])",
+    "simulate_lorenz": "simulate_lorenz(n_points=200).values[-1].sum()",
+    "simulate_mackey_glass": "simulate_mackey_glass(n_fine=2000).values[-1, 0]",
 }
 _PRELUDE = """
 import json, sys
@@ -541,6 +552,12 @@ from kernelcast.metrics import w1_nd, welch_psd
 def loaded(names):  # the imported ones of the scipy subpackages ``names``
     return sorted({".".join(m.split(".")[:2]) for m in sys.modules}
                   & set(names))
+
+
+def public_scipy_packages():  # scipy.linalg, not scipy._lib or scipy.version
+    return sorted(m for m in sys.modules if m.count(".") == 1
+                  and m.startswith("scipy.") and not m.startswith("scipy._")
+                  and sys.modules[m].__spec__.submodule_search_locations)
 """
 
 
@@ -554,8 +571,9 @@ def _run_fresh(body: str) -> dict:
 
 
 class TestImportBoundary:
-    """``import kernelcast.cli`` loads numpy and scipy.linalg, not the ODE,
-    spectral or matching code that only some stages use."""
+    """``import kernelcast.cli`` loads numpy and scipy.linalg, and no stage
+    loads another scipy subpackage: the package has its own ODE, spectral
+    and matching code."""
 
     def test_cli_import_loads_no_deferred_scipy(self):
         loaded = _run_fresh(
@@ -567,7 +585,7 @@ class TestImportBoundary:
 
     @pytest.mark.parametrize("name", sorted(FIRST_CALLS))
     def test_first_call_in_fresh_process(self, name):
-        expr, module = FIRST_CALLS[name]
+        expr = FIRST_CALLS[name]
         got = _run_fresh(
             f"before = loaded({DEFERRED_SCIPY!r})\n"
             f"value = float({expr})\n"
@@ -575,12 +593,8 @@ class TestImportBoundary:
         here = {}
         exec(_PRELUDE, here)
         before, value, after = got
-        assert before == []
+        assert before == after == []
         assert value == float(eval(expr, here))
-        if module is None:
-            assert after == []
-        else:
-            assert module in after
 
     def test_eval_loads_no_spectral_or_statistics_code(self, bekk_pipelines,
                                                        tmp_path):
@@ -595,6 +609,23 @@ class TestImportBoundary:
             f"'bekk-polynomial', '--out', {str(out)!r}])\n"
             f"print(json.dumps([code, loaded({heavy!r})]))")
         assert got == [0, []]
+
+    def test_every_stage_loads_only_scipy_linalg(self, tmp_path):
+        # shipped presets at their shipped sizes, every stage in one process
+        runs = [("lorenz-ngrc", ("simulate", "fit", "forecast", "eval")),
+                ("bekk-polynomial",
+                 ("simulate", "fit", "forecast", "eval", "cv")),
+                ("mackey-glass-ngrc", ("simulate",))]
+        got = _run_fresh(
+            "import contextlib, io\n"
+            "codes = []\n"
+            f"for preset, stages in {runs!r}:\n"
+            "    for stage in stages:\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            codes.append(kernelcast.cli.main([stage, '--preset', "
+            f"preset, '--out', {str(tmp_path)!r} + '/' + preset]))\n"
+            "print(json.dumps([codes, public_scipy_packages()]))")
+        assert got == [[0] * 10, ["scipy.linalg"]]
 
 
 class TestEntryPoint:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kernelcast.datasets import (
+    RK_TOL,
     BekkParams,
     TimeSeries,
     gaussian_iid,
@@ -19,7 +20,7 @@ from kernelcast.datasets import (
     unvech,
     vech,
 )
-from kernelcast.errors import InvalidInputError, ParseError
+from kernelcast.errors import InvalidInputError, ParseError, SimulationError
 
 
 class TestLorenz:
@@ -83,6 +84,81 @@ class TestMackeyGlass:
     def test_rejects_non_integral_grid(self):
         with pytest.raises(InvalidInputError):
             simulate_mackey_glass(dt_fine=0.03, delay=17.0, n_fine=100)
+
+
+def _lorenz_rhs(_t, s):
+    x, y, z = s
+    return (10.0 * (y - x), x * (28.0 - z) - y, x * y - 8.0 / 3.0 * z)
+
+
+def _mackey_glass_reference(n_fine, delay, dt_fine=0.02, history=1.2):
+    """The method of steps on SciPy's ``solve_ivp`` and ``OdeSolution``."""
+    from scipy.integrate import solve_ivp
+
+    m = int(round(delay / dt_fine))
+    fine = [history]
+    z_start, dense = history, None
+    t0 = 0.0
+    while len(fine) < n_fine:
+        def delayed(t, _dense=dense):
+            return history if _dense is None else float(_dense(t - delay)[0])
+
+        def rhs(t, y, _delayed=delayed):
+            u = _delayed(t)
+            return (0.2 * u / (1.0 + u**10.0) - 0.1 * y[0],)
+
+        sol = solve_ivp(rhs, (t0, t0 + delay), [z_start], method="RK45",
+                        rtol=RK_TOL, atol=RK_TOL, dense_output=True)
+        take = min(m, n_fine - len(fine))
+        fine.extend(sol.sol(t0 + dt_fine * np.arange(1, take + 1))[0])
+        z_start = float(sol.sol(t0 + delay)[0])
+        dense = sol.sol
+        t0 += delay
+    return np.array(fine)
+
+
+class TestIntegratorMatchesScipy:
+    """The Dormand-Prince integrator takes SciPy's RK45 steps, so its
+    trajectories equal ``solve_ivp``'s bit for bit; SciPy is imported here
+    only, as the reference."""
+
+    @pytest.mark.parametrize("y0", [(0.0, 1.0, 1.05), (1.0, -2.0, 20.0),
+                                    (-5.0, 3.3, 0.1)])
+    @pytest.mark.parametrize("n_points", [1, 2, 4001])
+    def test_lorenz_trajectory(self, y0, n_points):
+        from scipy.integrate import solve_ivp
+
+        dt = 0.005
+        t_eval = np.arange(n_points) * dt
+        ref = solve_ivp(_lorenz_rhs, (0.0, t_eval[-1] if n_points > 1 else dt),
+                        y0, method="RK45", t_eval=t_eval, rtol=RK_TOL,
+                        atol=RK_TOL)
+        assert np.array_equal(integrate_ode(_lorenz_rhs, y0, dt, n_points),
+                              ref.y.T)
+
+    @pytest.mark.parametrize("delay", [17.0, 5.0])
+    def test_mackey_glass_series(self, delay):
+        ours = simulate_mackey_glass(delay=delay, n_fine=3000, splice=1)
+        assert np.array_equal(ours.values[:, 0],
+                              _mackey_glass_reference(3000, delay))
+
+    @pytest.mark.parametrize("rhs", [
+        lambda t, y: (y[0] ** 2,),  # from y = 1, blows up at t = 1
+        lambda t, y: (math.nan,),  # a NaN step size, on which SciPy spins
+    ])
+    def test_too_small_step_is_simulation_error(self, rhs):
+        with pytest.raises(SimulationError, match="integrator failed"):
+            integrate_ode(rhs, [1.0], 0.5, 5)
+
+    @pytest.mark.parametrize("initial", [(np.nan, 1.0, 1.05), (0.0, 1.0),
+                                         (0.0, 1.0, 1.05, 2.0)])
+    def test_bad_lorenz_initial_state(self, initial):
+        with pytest.raises(InvalidInputError, match="initial state"):
+            simulate_lorenz(initial=initial, n_points=10)
+
+    def test_non_positive_delay_rejected(self):
+        with pytest.raises(InvalidInputError, match="delay"):
+            simulate_mackey_glass(delay=0.0, n_fine=10)
 
 
 class TestBekk:

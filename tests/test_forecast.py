@@ -18,9 +18,6 @@ class _ScalarMapEstimator:
     def __init__(self, factor):
         self.factor = factor
 
-    def describe(self):
-        return {"kind": "scalar-map", "factor": self.factor}
-
     def start(self, seed):
         seed = np.atleast_2d(np.asarray(seed, dtype=np.float64))
         est = self
@@ -158,8 +155,7 @@ class TestForecastCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         run = ForecastRun("path-continuation", 5,
-                          rng.normal(size=(5, 2)), rng.normal(size=(5, 2)),
-                          {"kind": "ngrc"})
+                          rng.normal(size=(5, 2)), rng.normal(size=(5, 2)))
         path = tmp_path / "forecast.csv"
         run.save_csv(path, extra_meta={"config_sha256": "abc"})
         clone, meta = load_forecast_csv(path)
@@ -170,7 +166,7 @@ class TestForecastCsv:
 
     def test_truncated_run_metadata(self, tmp_path):
         run = ForecastRun("path-continuation", 10, np.ones((3, 1)),
-                          np.ones((3, 1)), None, "non-finite prediction", 4)
+                          np.ones((3, 1)), "non-finite prediction", 4)
         path = tmp_path / "trunc.csv"
         run.save_csv(path)
         clone, _ = load_forecast_csv(path)
@@ -182,7 +178,7 @@ class TestForecastCsv:
     def test_golden_text_truncated(self, tmp_path):
         error = "sample 7 has norm 1.2 > M = 1"
         run = ForecastRun("path-continuation", 5, np.array([[0.5], [0.25]]),
-                          np.array([[0.25], [1.0]]), None, error, 3)
+                          np.array([[0.25], [1.0]]), error, 3)
         path = tmp_path / "forecast.csv"
         run.save_csv(path, extra_meta={"config_sha256": "abc",
                                        "estimator": "volterra"})

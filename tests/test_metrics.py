@@ -10,9 +10,11 @@ from kernelcast.datasets import format_cell
 from kernelcast.errors import InvalidInputError
 from kernelcast.metrics import (
     MetricReport,
+    euclidean_cost,
     mae,
     mape,
     mdae,
+    min_cost_matching,
     nmse,
     nmse_detailed,
     psde,
@@ -294,6 +296,40 @@ class TestWasserstein:
         b = subsample_rows(x, 10, seed=3)
         np.testing.assert_array_equal(a, b)
         assert a.shape == (10, 1)
+
+
+class TestW1MatchesScipy:
+    """``w1_nd``'s cost matrix is SciPy's ``cdist`` and its matching is
+    ``linear_sum_assignment``, bit for bit; SciPy is imported here only,
+    as the reference."""
+
+    @pytest.mark.parametrize("d", [1, 3, 15])
+    @pytest.mark.parametrize("k", [1, 2, 9, 100, 512])
+    def test_continuous_costs(self, d, k):
+        from scipy.optimize import linear_sum_assignment
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(100 * d + k)
+        A = rng.normal(size=(k, d)) * np.logspace(-2, 2, d)
+        B = rng.normal(size=(k, d)) + 0.5
+        cost = euclidean_cost(A, B)
+        assert np.array_equal(cost, cdist(A, B))
+        rows, cols = linear_sum_assignment(cost)
+        assert np.array_equal(min_cost_matching(cost), cols)
+        assert w1_nd(A, B) == cost[rows, cols].mean()
+
+    @pytest.mark.parametrize("k, levels", [(2, 1), (7, 2), (30, 3), (64, 5)])
+    def test_tie_heavy_integer_costs(self, k, levels):
+        from scipy.optimize import linear_sum_assignment
+
+        # many optimal matchings: the tie rule must pick SciPy's
+        rng = np.random.default_rng(k)
+        for _ in range(20):
+            cost = rng.integers(0, levels + 1, size=(k, k)).astype(float)
+            cols = min_cost_matching(cost)
+            rows, ref = linear_sum_assignment(cost)
+            assert cost[rows, cols].sum() == cost[rows, ref].sum()
+            assert np.array_equal(cols, ref)
 
 
 @settings(max_examples=30, deadline=None)
