@@ -61,7 +61,6 @@ from .metrics import (
     welch_psd,
 )
 from .ngrc import (
-    DelaySpec,
     ExponentTable,
     NgrcModel,
     build_exponent_table,

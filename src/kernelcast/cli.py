@@ -184,6 +184,15 @@ def _check_manifest(out_dir: str, stage: str, config: dict) -> dict:
 # dataset handling
 
 
+def _dataset_csv(config: dict, path: str) -> TimeSeries:
+    """The series in the CSV file named at ``path``; a file that cannot be
+    read or parsed is a :class:`ConfigError` naming ``path``."""
+    try:
+        return load_csv(_get(config, path, conv=str))[0]
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError
+        raise ConfigError(f"cannot load: {exc}", field=path)
+
+
 def generate_dataset(config: dict) -> dict:
     """Simulate or load the configured dataset, already split and paired."""
     kind = _get(config, "dataset.kind")
@@ -205,12 +214,22 @@ def generate_dataset(config: dict) -> dict:
         except InvalidInputError as exc:  # dt and n_points are checked above
             raise ConfigError(str(exc), field="dataset.initial")
     elif kind == "mackey-glass":
-        series = simulate_mackey_glass(
-            _get(config, "dataset.dt_fine", 0.02, float),
-            _get(config, "dataset.delay", 17.0, float),
-            _get(config, "dataset.n_fine", 382500, int),
-            _get(config, "dataset.splice", 50, int),
-        )
+        settings = {"dt_fine": _get(config, "dataset.dt_fine", 0.02, float),
+                    "delay": _get(config, "dataset.delay", 17.0, float),
+                    "n_fine": _get(config, "dataset.n_fine", 382500, int),
+                    "splice": _get(config, "dataset.splice", 50, int)}
+        for name in ("dt_fine", "delay"):
+            if not 0 < settings[name] < math.inf:
+                raise ConfigError("must be positive and finite",
+                                  field=f"dataset.{name}")
+        for name in ("n_fine", "splice"):
+            if settings[name] < 1:
+                raise ConfigError("must be >= 1", field=f"dataset.{name}")
+        try:
+            series = simulate_mackey_glass(**settings)
+        except InvalidInputError as exc:  # each setting is checked above;
+            # what is left is delay not being a multiple of dt_fine
+            raise ConfigError(str(exc), field="dataset.delay")
     elif kind == "bekk":
         n_points = _get(config, "dataset.n_points", 3761, int)
         if n_points < 3:
@@ -232,10 +251,10 @@ def generate_dataset(config: dict) -> dict:
                 TimeSeries(covariances.values[1:], 1.0, "bekk-outputs"))
     elif kind == "csv":
         if _get(config, "task.mode") == "path-continuation":
-            series, _ = load_csv(_get(config, "dataset.path"))
+            series = _dataset_csv(config, "dataset.path")
         else:
-            pair = (load_csv(_get(config, "dataset.inputs_path"))[0],
-                    load_csv(_get(config, "dataset.outputs_path"))[0])
+            pair = (_dataset_csv(config, "dataset.inputs_path"),
+                    _dataset_csv(config, "dataset.outputs_path"))
             if pair[0].n != pair[1].n:
                 raise ConfigError("input/output CSV lengths differ",
                                   field="dataset")
@@ -267,13 +286,14 @@ def cmd_simulate(config: dict, out_dir: str) -> int:
             "seed": config.get("seed"),
             "generator": "philox-boxmuller"}
     names = _PATH_FILES if data["task"] == "path-continuation" else _OPEN_FILES
+    reference = data[names[-1]]  # what a forecast is scored against
     files = {}
     for name in names:
         path = os.path.join(out_dir, f"{name}.csv")
         save_csv(data[name], path, extra_meta=meta)
         files[name] = f"{name}.csv"
     _write_manifest(out_dir, "simulate", config, files,
-                    {"task": data["task"],
+                    {"task": data["task"], "dt": float(reference.dt),
                      "sizes": {name: data[name].n for name in names}})
     print(f"simulate: wrote {', '.join(files.values())} to {out_dir}")
     return 0
@@ -438,7 +458,7 @@ def cmd_forecast(config: dict, out_dir: str) -> int:
                               field="task.mode")
         test = data["test"]
         horizon = min(horizon_cfg or test.n, test.n)
-        seed_hist = data["train"].values[-est.seed_length:]
+        seed_hist = data["train"].values[-est.tau:]
         run = path_continue(est, seed_hist, horizon,
                             reference=test.values[:horizon])
     elif mode == "open-loop":
@@ -540,9 +560,11 @@ def cmd_eval(config: dict, out_dir: str) -> int:
         raise DependencyError("forecast.csv was produced under a different config")
     if run.reference is None:
         raise DependencyError("forecast.csv carries no reference columns")
-    data = load_dataset_artifacts(config, out_dir)
-    dt = data["test"].dt if data["task"] == "path-continuation" \
-        else data["test_outputs"].dt
+    source = os.path.join(out_dir, "simulate_manifest.json")
+    dt = doc_field(_check_manifest(out_dir, "simulate", config), "dt", source)
+    if not (isinstance(dt, float) and 0 < dt < math.inf):
+        raise DependencyError(f"{source}: dt {dt!r} is not a positive finite "
+                              "number")
     if run.truncated and run.predicted.shape[0] == 0:
         raise KernelcastError("forecast is empty; nothing to evaluate")
     # forecast.csv holds one reference row per predicted row

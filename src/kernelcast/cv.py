@@ -25,8 +25,9 @@ import numpy as np
 
 from .datasets import write_csv
 from .errors import GridSearchError, InvalidInputError, KernelcastError
-from .estimators import fit_estimator, fit_path_estimator
+from .estimators import REQUIRED_HYPER, fit_estimator, fit_path_estimator
 from .forecast import open_loop, path_continue
+from .kernels import VolterraParams
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,11 @@ def expanding_folds(n_train: int, k: int) -> FoldPlan:
 class Grid:
     """Per-hyperparameter value lists.
 
-    Lagged estimators use ``taus``, ``ps``, ``lam_regs``; Volterra uses
-    ``lams``, ``thetas``, ``lam_regs``.  Volterra pairs violating
-    ``theta^2 M^2 < 1`` or ``lam >= sqrt(1 - theta^2 M^2)`` are pruned and
-    reported, never evaluated.
+    A kind's candidates are the product of the lists its
+    ``REQUIRED_HYPER`` names, in that order: ``taus``, ``ps``, ``lam_regs``
+    for the lagged estimators, ``lams``, ``thetas``, ``lam_regs`` for
+    Volterra.  Volterra pairs that ``VolterraParams`` rejects for ``M`` are
+    pruned and reported, never evaluated.
     """
 
     taus: list = field(default_factory=list)
@@ -94,28 +96,29 @@ class Grid:
 
     def candidates(self, estimator_kind: str) -> tuple[list[dict], list[dict]]:
         """(feasible candidates in grid order, pruned candidates)."""
-        if not self.lam_regs:
-            raise InvalidInputError("lam_regs must be non-empty")
+        if estimator_kind not in REQUIRED_HYPER:
+            raise InvalidInputError(
+                f"unknown estimator kind {estimator_kind!r}")
+        axes = {"tau": self.taus, "p": self.ps, "lam": self.lams,
+                "theta": self.thetas, "lam_reg": self.lam_regs}
+        names = REQUIRED_HYPER[estimator_kind]
+        empty = [name for name in names if not axes[name]]
+        if empty:
+            raise InvalidInputError(
+                f"{estimator_kind} grids need non-empty values for "
+                + ", ".join(empty))
         feasible = []
         pruned = []
-        if estimator_kind == "volterra":
-            if not (self.lams and self.thetas):
-                raise InvalidInputError("volterra grids need lams and thetas")
-            for lam, theta, reg in itertools.product(self.lams, self.thetas,
-                                                     self.lam_regs):
-                cand = {"lam": lam, "theta": theta, "lam_reg": reg, "M": self.M}
-                if theta**2 * self.M**2 >= 1.0 or not (
-                    0.0 < lam < math.sqrt(1.0 - theta**2 * self.M**2)
-                ):
+        for values in itertools.product(*(axes[name] for name in names)):
+            cand = dict(zip(names, values))
+            if estimator_kind == "volterra":
+                cand["M"] = self.M
+                try:
+                    VolterraParams(cand["lam"], cand["theta"], self.M)
+                except InvalidInputError:
                     pruned.append(cand)
-                else:
-                    feasible.append(cand)
-        else:
-            if not (self.taus and self.ps):
-                raise InvalidInputError("lagged grids need taus and ps")
-            for tau, p, reg in itertools.product(self.taus, self.ps,
-                                                 self.lam_regs):
-                feasible.append({"tau": tau, "p": p, "lam_reg": reg})
+                    continue
+            feasible.append(cand)
         return feasible, pruned
 
 

@@ -300,8 +300,9 @@ def simulate_mackey_glass(dt_fine: float = 0.02, delay: float = 17.0,
     if splice < 1 or n_fine < 1:
         raise InvalidInputError("splice and n_fine must be >= 1")
     m = delay / dt_fine
-    if abs(m - round(m)) > 1e-9:
-        raise InvalidInputError("delay must be an integral multiple of dt_fine")
+    if abs(m - round(m)) > 1e-9 or m < 0.5:  # a segment needs a fine step
+        raise InvalidInputError(
+            "delay must be a positive integral multiple of dt_fine")
     m = int(round(m))
     if feedback is None:
         def feedback(u):

@@ -4,7 +4,9 @@ Bundles a fitted model with its train-fitted input/output transform chains
 so that rollout and evaluation code can treat NG-RC, polynomial kernel
 ridge, and Volterra kernel ridge uniformly.  All raw-data plumbing
 (transform application, delay-window bookkeeping, Volterra sequence
-extension) lives here.
+extension) lives here, and so does the one declaration of each estimator
+kind: its hyperparameters (:data:`REQUIRED_HYPER`) and input transforms
+(:data:`INPUT_TRANSFORMS`).
 """
 
 from __future__ import annotations
@@ -25,11 +27,20 @@ from .kernels import (
 )
 from .ngrc import NgrcModel, delay_vectors, fit_ngrc, predict_ngrc
 
-# Hyperparameters each kind requires; all are numbers (see hyper_value).
+# Hyperparameters each kind requires, in grid order; all are numbers (see
+# hyper_value).
 _LAGGED_HYPER = ("tau", "p", "lam_reg")
 REQUIRED_HYPER = {"ngrc": _LAGGED_HYPER, "polynomial": _LAGGED_HYPER,
                   "volterra": ("lam", "theta", "lam_reg"),
                   "ngrc-kernel": _LAGGED_HYPER}
+# Input transform chain of each kind.  NG-RC runs on raw data, and its
+# dot-product dual must see exactly the NG-RC inputs; the polynomial kernel
+# rescales inputs into [0, 1] per dimension; the Volterra kernel demeans and
+# then rescales so the largest training row norm equals the fit's
+# ``headroom`` (0.95 leaves room for test excursions before the norm bound
+# trips).
+INPUT_TRANSFORMS = {"ngrc": [], "ngrc-kernel": [], "polynomial": ["minmax01"],
+                    "volterra": ["demean", "max-norm-scale"]}
 _INT_HYPER = ("tau", "p", "washout")
 
 
@@ -53,18 +64,12 @@ class Estimator:
 
     @property
     def tau(self) -> int:
+        """Samples in one input window, and of raw history needed to start a
+        closed-loop rollout: 1 for Volterra, whose seed is the sample that
+        immediately follows the sequence stored at fit time."""
         if self.kind == "volterra":
             return 1
         return int(self.hyper["tau"])
-
-    @property
-    def seed_length(self) -> int:
-        """Samples of raw history needed to start a closed-loop rollout.
-
-        For the Volterra model the seed must consist of the samples that
-        immediately follow the sequence stored at fit time.
-        """
-        return 1 if self.kind == "volterra" else self.tau
 
     # -- raw-space prediction paths -------------------------------------
 
@@ -108,10 +113,9 @@ class Estimator:
         seed = np.asarray(seed_history, dtype=np.float64)
         if seed.ndim == 1:
             seed = seed[:, None]
-        if seed.shape[0] < self.seed_length:
+        if seed.shape[0] < self.tau:
             raise InvalidInputError(
-                f"seed of length {seed.shape[0]} is shorter than "
-                f"{self.seed_length}"
+                f"seed of length {seed.shape[0]} is shorter than {self.tau}"
             )
         seed_t = preprocess.apply_pipeline(self.input_specs, seed)
         if self.kind == "volterra":
@@ -159,15 +163,15 @@ class _VolterraStepper:
 
 def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
                   input_kinds=None, output_kinds=(), headroom: float = 1.0,
-                  scale_constant: float = 1000.0,
                   share_output_pipeline: bool = False) -> Estimator:
     """Fit one estimator with train-fitted preprocessing.
 
     Parameters
     ----------
     kind : str
-        ``"ngrc"``, ``"polynomial"``, ``"volterra"``, or ``"ngrc-kernel"``
-        (the dot-product dual of NG-RC, mostly for equivalence checks).
+        A key of :data:`REQUIRED_HYPER`: ``"ngrc"``, ``"polynomial"``,
+        ``"volterra"``, or ``"ngrc-kernel"`` (the dot-product dual of NG-RC,
+        mostly for equivalence checks).
     hyper : dict
         ``tau, p, lam_reg`` for the lagged estimators (plus optional ``c``
         for the polynomial kernel); ``lam, theta, lam_reg, washout`` and
@@ -176,7 +180,8 @@ def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
         Raw aligned samples; targets may be the shifted inputs for
         path-continuation tasks.
     input_kinds, output_kinds
-        Transform chains; ``None`` selects the estimator's convention.
+        Transform chains; ``None`` selects the kind's
+        :data:`INPUT_TRANSFORMS`.
     headroom : float
         Target training norm for the Volterra max-norm rescale.
     share_output_pipeline : bool
@@ -196,13 +201,9 @@ def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
         Y_raw = Y_raw[:, None]
 
     if input_kinds is None:
-        # the dot-product dual must see exactly the NG-RC inputs
-        input_kinds = preprocess.estimator_pipeline(
-            "ngrc" if kind == "ngrc-kernel" else kind
-        )
+        input_kinds = INPUT_TRANSFORMS[kind]
     input_specs = preprocess.fit_pipeline(input_kinds, X_raw,
-                                          target_norm=headroom,
-                                          constant=scale_constant)
+                                          target_norm=headroom)
     if share_output_pipeline:
         if output_kinds:
             raise InvalidInputError(
@@ -214,34 +215,23 @@ def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
             )
         output_specs = input_specs
     else:
-        output_specs = preprocess.fit_pipeline(output_kinds, Y_raw,
-                                               constant=scale_constant)
+        output_specs = preprocess.fit_pipeline(output_kinds, Y_raw)
     X = preprocess.apply_pipeline(input_specs, X_raw)
     Y = preprocess.apply_pipeline(output_specs, Y_raw)
 
-    pp_doc = {"inputs": preprocess.pipeline_to_dicts(input_specs),
-              "outputs": preprocess.pipeline_to_dicts(output_specs)}
-
     if kind == "ngrc":
-        model = fit_ngrc(X, Y, hyper["tau"], hyper["p"], hyper["lam_reg"],
-                         preprocessing=pp_doc)
-    elif kind == "polynomial":
-        kernel = PolyKernelParams(hyper["p"], hyper["tau"],
-                                  hyper.get("c", 1.0))
-        model = fit_kernel_model(X, Y, kernel, hyper["lam_reg"],
-                                 washout=hyper.get("washout", 0),
-                                 preprocessing=pp_doc)
-    elif kind == "ngrc-kernel":
-        kernel = NgrcKernelParams(hyper["p"], hyper["tau"], X.shape[1])
-        model = fit_kernel_model(X, Y, kernel, hyper["lam_reg"],
-                                 washout=hyper.get("washout", 0),
-                                 preprocessing=pp_doc)
+        model = fit_ngrc(X, Y, hyper["tau"], hyper["p"], hyper["lam_reg"])
     else:
-        kernel = VolterraParams(hyper["lam"], hyper["theta"],
-                                hyper.get("M", 1.0))
+        if kind == "polynomial":
+            kernel = PolyKernelParams(hyper["p"], hyper["tau"],
+                                      hyper.get("c", 1.0))
+        elif kind == "ngrc-kernel":
+            kernel = NgrcKernelParams(hyper["p"], hyper["tau"], X.shape[1])
+        else:
+            kernel = VolterraParams(hyper["lam"], hyper["theta"],
+                                    hyper.get("M", 1.0))
         model = fit_kernel_model(X, Y, kernel, hyper["lam_reg"],
-                                 washout=hyper.get("washout", 0),
-                                 preprocessing=pp_doc)
+                                 washout=hyper.get("washout", 0))
 
     tail_len = max(hyper.get("tau", 1), 1)
     return Estimator(kind, hyper, model, input_specs, output_specs,
@@ -311,5 +301,5 @@ def fit_path_estimator(kind: str, hyper: dict, series_values, **kw) -> tuple[
         raise InvalidInputError("series too short to form training pairs")
     est = fit_estimator(kind, hyper, V[:-1], V[1:],
                         share_output_pipeline=True, **kw)
-    seed = V[-est.seed_length:]
+    seed = V[-est.tau:]
     return est, seed

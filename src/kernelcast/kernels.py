@@ -110,6 +110,11 @@ class VolterraParams:
                 "M": self.M}
 
 
+# Kernel parameter class of each ``describe()["kind"]``.
+_KERNEL_PARAMS = {"polynomial": PolyKernelParams, "ngrc": NgrcKernelParams,
+                  "volterra": VolterraParams}
+
+
 @dataclass
 class GramMatrix:
     """Kernel evaluation table."""
@@ -403,7 +408,6 @@ class KernelModel:
     alpha: np.ndarray
     washout: int
     lam_reg: float
-    preprocessing: dict | None = None
     solution: RidgeSolution | None = None
     train_windows: np.ndarray | None = field(default=None, repr=False)
     _last_col: np.ndarray | None = field(default=None, repr=False)
@@ -438,7 +442,6 @@ class KernelModel:
             "alpha": self.alpha.tolist(),
             "washout": self.washout,
             "lam_reg": self.lam_reg,
-            "preprocessing": self.preprocessing,
         }
         if self.is_volterra:
             doc["last_column"] = self._last_col.tolist()
@@ -460,21 +463,15 @@ class KernelModel:
         if schema != "kernel-model/2":
             raise InvalidInputError(f"unknown model schema {schema!r}")
         kind = get("kernel.kind")
-        kdoc = {k: v for k, v in get("kernel").items() if k != "kind"}
-        if kind == "polynomial":
-            kernel = PolyKernelParams(**kdoc)
-        elif kind == "ngrc":
-            kernel = NgrcKernelParams(**kdoc)
-        elif kind == "volterra":
-            kernel = VolterraParams(**kdoc)
-        else:
+        if kind not in _KERNEL_PARAMS:
             raise InvalidInputError(f"unknown kernel kind {kind!r}")
+        kernel = _KERNEL_PARAMS[kind](
+            **{k: v for k, v in get("kernel").items() if k != "kind"})
         train_inputs = np.asarray(get("train_inputs"), dtype=np.float64)
         washout = int(get("washout"))
         model = KernelModel(kernel, train_inputs,
                             np.asarray(get("alpha"), dtype=np.float64),
-                            washout, float(get("lam_reg")),
-                            get("preprocessing"))
+                            washout, float(get("lam_reg")))
         if model.is_volterra:
             model._last_col = np.asarray(get("last_column"), dtype=np.float64)
         else:
@@ -490,8 +487,7 @@ def _lagged_rows(kernel, windows: np.ndarray) -> GramRows:
 
 
 def fit_kernel_model(inputs, targets, kernel, lam_reg: float,
-                     washout: int = 0,
-                     preprocessing: dict | None = None) -> KernelModel:
+                     washout: int = 0) -> KernelModel:
     """Fit dual coefficients on the washout-trimmed Gram matrix.
 
     For the lagged kernels (polynomial, NG-RC) the embedding itself consumes
@@ -519,7 +515,7 @@ def fit_kernel_model(inputs, targets, kernel, lam_reg: float,
             Z, kernel, washout, last_col))
         sol = solve_ridge_gram(rows, Y[washout:], lam_reg)
         model = KernelModel(kernel, Z, sol.coefficients, washout,
-                            float(lam_reg), preprocessing, sol)
+                            float(lam_reg), sol)
         model._last_col = last_col
         return model
 
@@ -533,7 +529,7 @@ def fit_kernel_model(inputs, targets, kernel, lam_reg: float,
     Y_eff = Y_emb[washout:]
     sol = solve_ridge_gram(_lagged_rows(kernel, windows), Y_eff, lam_reg)
     model = KernelModel(kernel, Z, sol.coefficients, washout,
-                        float(lam_reg), preprocessing, sol)
+                        float(lam_reg), sol)
     model.train_windows = windows
     return model
 

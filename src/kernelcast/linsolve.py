@@ -59,6 +59,10 @@ GRAM_EIGH_LIMIT = 1024      # Gram dimension solved by eigendecomposition
 
 _REFINE_STEPS = 2
 
+# Largest asymmetry ``max|A - A'|`` accepted in a caller's full Gram or
+# square-root argument, relative to ``max|A|``.
+SYMMETRY_RTOL = 1e-8
+
 # Rows per panel of the Gram symmetry check and of the triangle mirror.
 _SYM_PANEL_ROWS = 64
 
@@ -76,8 +80,6 @@ class RidgeSolution:
     ----------
     coefficients : ndarray
         Solved coefficients, one column per target column.
-    regularizer : float
-        The ridge strength that was used.
     smallest_pivot : float
         Smallest pivot (squared Cholesky diagonal) or eigenvalue encountered
         while factoring; a conditioning diagnostic.
@@ -99,7 +101,6 @@ class RidgeSolution:
     """
 
     coefficients: np.ndarray
-    regularizer: float
     smallest_pivot: float
     jitter: float = 0.0
     method: str = "cholesky"
@@ -205,70 +206,37 @@ def _as_targets(Y: np.ndarray) -> tuple[np.ndarray, bool]:
     return Y, False
 
 
-def _cholesky_factor_jittered(A: np.ndarray, lam: float = 0.0
-                              ) -> tuple[np.ndarray, float, float]:
-    """Lower Cholesky factor of ``A + lam I``, retrying with escalating jitter.
+def _factor_jittered(fill: Callable[[], np.ndarray], diag, factor
+                     ) -> tuple[np.ndarray, float, float]:
+    """Cholesky factor of the symmetric matrix ``fill()`` holds, retrying
+    with escalating diagonal jitter.
 
-    ``A`` is copied once into a Fortran-ordered work array that LAPACK
-    overwrites with the factor; a retry refills it from ``A``.  The jitter
-    scale ``max|A + lam I|`` is only computed once a factorization fails.
+    ``fill()`` returns a fresh work array on each call, ``diag`` indexes
+    its diagonal, and ``factor(work)`` overwrites it with the factor and
+    returns ``(factor, info)``.  The previous attempt's array is released
+    before the next fill.  The jitter scale ``max|A|`` is only computed once
+    a factorization fails.
     """
-    n = A.shape[0]
-    work = np.empty((n, n), order="F")
     scale = None
     jitter = 0.0
     for retry in range(MAX_JITTER_RETRIES + 1):
-        work[...] = A
-        work.flat[:: n + 1] += lam
-        if retry:
-            if scale is None:
-                scale = max(float(work.max()), -float(work.min()))
-            jitter = JITTER_REL * max(scale, 1e-300) * (10.0 ** (retry - 1))
-            work.flat[:: n + 1] += jitter
-        L, info = scipy.linalg.lapack.dpotrf(work, lower=1, clean=0,
-                                             overwrite_a=1)
-        if info:
-            continue
-        smallest_pivot = float(np.min(np.diag(L)) ** 2) if L.size else 0.0
-        return L, smallest_pivot, jitter
-    raise _cholesky_failed(jitter)
-
-
-def _cholesky_failed(jitter: float) -> ConditioningError:
-    return ConditioningError(
-        f"Cholesky failed after {MAX_JITTER_RETRIES} jitter retries "
-        f"(max jitter {jitter:.3e})"
-    )
-
-
-def _packed_cholesky_jittered(pack: Callable[[], np.ndarray], n: int,
-                              lam: float) -> tuple[np.ndarray, float, float]:
-    """Packed factor of ``A + lam I`` (``pack()`` returns ``A`` in RFP
-    storage, fresh on each call), retrying with escalating jitter.
-
-    Each attempt packs the source again and ``dpftrf`` overwrites that one
-    array; the previous attempt's array is released first.
-    """
-    diag = _rfp_diagonal(n)
-    scale = None
-    jitter = 0.0
-    for retry in range(MAX_JITTER_RETRIES + 1):
-        work = None  # release the failed attempt before packing again
-        work = pack()
-        work[diag] += lam
+        work = None  # release the failed attempt before filling again
+        work = fill()
         if retry:
             if scale is None:
                 scale = max(float(work.max()), -float(work.min()))
             jitter = JITTER_REL * max(scale, 1e-300) * (10.0 ** (retry - 1))
             work[diag] += jitter
-        work, info = scipy.linalg.lapack.dpftrf(n, work, overwrite_a=1,
-                                                **_RFP)
+        work, info = factor(work)
         if info:
             continue
-        smallest_pivot = float(np.min(work[diag]) ** 2) if n else 0.0
+        smallest_pivot = float(np.min(work[diag]) ** 2) if work.size else 0.0
         return work, smallest_pivot, jitter
     del work  # the traceback of the error below must not keep it alive
-    raise _cholesky_failed(jitter)
+    raise ConditioningError(
+        f"Cholesky failed after {MAX_JITTER_RETRIES} jitter retries "
+        f"(max jitter {jitter:.3e})"
+    )
 
 
 def solve_ridge_primal(X, Y, lam_reg: float) -> RidgeSolution:
@@ -311,7 +279,10 @@ def solve_ridge_primal(X, Y, lam_reg: float) -> RidgeSolution:
     else:
         A = X.T @ X + lam * np.eye(N)
         B = X.T @ Y2
-    L, pivot, jitter = _cholesky_factor_jittered(A)
+    L, pivot, jitter = _factor_jittered(
+        lambda: np.array(A, order="F"), np.diag_indices(N),
+        lambda work: scipy.linalg.lapack.dpotrf(work, lower=1, clean=0,
+                                                overwrite_a=1))
     w = scipy.linalg.cho_solve((L, True), B, check_finite=False)
     method = "cholesky"
     if precise and jitter == 0.0:
@@ -321,12 +292,11 @@ def solve_ridge_primal(X, Y, lam_reg: float) -> RidgeSolution:
         method = "cholesky-refined"
     w = np.ascontiguousarray(w)
     coef = w[:, 0] if squeeze else w
-    return RidgeSolution(coef, lam, pivot, jitter, method,
+    return RidgeSolution(coef, pivot, jitter, method,
                          solve_s=time.perf_counter() - started)
 
 
-def solve_ridge_gram(K, Y, lam_reg: float,
-                     sym_tol: float = 1e-8) -> RidgeSolution:
+def solve_ridge_gram(K, Y, lam_reg: float) -> RidgeSolution:
     """Solve the Gramian ridge regression for dual coefficients.
 
     For nonsingular ``K`` the result solves ``(K + lam I) alpha = Y``; for
@@ -341,7 +311,7 @@ def solve_ridge_gram(K, Y, lam_reg: float,
     Parameters
     ----------
     K : (n, n) array or GramRows
-        Gram matrix, symmetric within ``sym_tol * max|K|`` (its lower
+        Gram matrix, symmetric within ``SYMMETRY_RTOL * max|K|`` (its lower
         triangle is factored and ``K`` is left as it is), or the producer
         of an exactly symmetric Gram's lower-triangle rows.
     Y : (n,) or (n, m) array
@@ -359,7 +329,7 @@ def solve_ridge_gram(K, Y, lam_reg: float,
             raise InvalidInputError("K must be a square matrix")
         scale = _finite_scale("K", K)
         asym = _max_asymmetry(K)
-        if asym > sym_tol * max(scale, 1e-300):
+        if asym > SYMMETRY_RTOL * max(scale, 1e-300):
             raise InvalidInputError(
                 f"K is asymmetric beyond tolerance (|K-K'| = {asym:.3e})"
             )
@@ -369,18 +339,24 @@ def solve_ridge_gram(K, Y, lam_reg: float,
         raise InvalidInputError(f"K has {n} rows but Y has {Y2.shape[0]}")
     lam = float(lam_reg)
 
-    def pack() -> np.ndarray:
+    def fill() -> np.ndarray:
+        """``K + lam I`` in RFP storage, packed afresh."""
         if rows is None:  # K's lower triangle is the upper one of K.T
-            return scipy.linalg.lapack.dtrttf(K.T, **_RFP)[0]
-        arf = rows.packed()
-        _finite_scale("K", arf)
+            arf = scipy.linalg.lapack.dtrttf(K.T, **_RFP)[0]
+        else:
+            arf = rows.packed()
+            _finite_scale("K", arf)
+        arf[diag] += lam
         return arf
 
     jitter, cut = 0.0, 0
     factored = None
     if n > GRAM_EIGH_LIMIT:
+        diag = _rfp_diagonal(n)
         try:
-            factored, pivot, jitter = _packed_cholesky_jittered(pack, n, lam)
+            factored, pivot, jitter = _factor_jittered(
+                fill, diag, lambda work: scipy.linalg.lapack.dpftrf(
+                    n, work, overwrite_a=1, **_RFP))
         except ConditioningError:
             pass  # every packed attempt is released before the fallback
     if factored is not None:
@@ -395,7 +371,7 @@ def solve_ridge_gram(K, Y, lam_reg: float,
     alpha = np.ascontiguousarray(alpha)
     coef = alpha[:, 0] if squeeze else alpha
     gram_s = rows.seconds if rows is not None else 0.0
-    return RidgeSolution(coef, lam, pivot, jitter, method, cut, storage,
+    return RidgeSolution(coef, pivot, jitter, method, cut, storage,
                          gram_bytes, gram_s,
                          time.perf_counter() - started - gram_s)
 
@@ -457,7 +433,7 @@ def psd_sqrt(S, rel_tol: float = 1e-10) -> np.ndarray:
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InvalidInputError("S must be a square matrix")
     scale = _finite_scale("S", S)
-    if _max_asymmetry(S) > 1e-8 * max(scale, 1e-300):
+    if _max_asymmetry(S) > SYMMETRY_RTOL * max(scale, 1e-300):
         raise InvalidInputError("S must be symmetric")
     evals, vecs = scipy.linalg.eigh(S, check_finite=False)
     norm = float(np.max(np.abs(evals))) if evals.size else 0.0

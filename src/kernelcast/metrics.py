@@ -202,6 +202,8 @@ def w1_nd(samples_a, samples_b, cap: int = W1_DEFAULT_CAP) -> float:
         raise InvalidInputError(
             "sample counts differ; subsample to equal sizes first"
         )
+    if not A.size:
+        raise InvalidInputError("samples must be non-empty")
     if A.shape[0] > cap:
         raise InvalidInputError(
             f"{A.shape[0]} samples exceed the cap of {cap}"

@@ -25,18 +25,6 @@ MAX_TABLE_ROWS = 1 << 22
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-@dataclass(frozen=True)
-class DelaySpec:
-    """Number of lags ``tau`` and per-sample input dimension ``d``."""
-
-    tau: int
-    d: int
-
-    def __post_init__(self):
-        if self.tau < 1 or self.d < 1:
-            raise InvalidInputError("tau and d must be >= 1")
-
-
 def feature_dim(tau: int, d: int, p: int) -> int:
     """Number of monomials of degree <= p in tau*d variables, constant included.
 
@@ -159,15 +147,13 @@ class NgrcModel:
     """Fitted NG-RC estimator.
 
     ``weights`` has one column per target dimension; row k multiplies the
-    k-th monomial feature.  ``preprocessing`` is an opaque descriptor echoed
-    into serialized models.
+    k-th monomial feature of ``table``, which also holds the lag count
+    ``tau`` and the sample dimension ``d``.
     """
 
-    delay: DelaySpec
     table: ExponentTable
     weights: np.ndarray
     lam_reg: float
-    preprocessing: dict | None = None
     solution: RidgeSolution | None = None
 
     @property
@@ -177,12 +163,11 @@ class NgrcModel:
     def to_dict(self) -> dict:
         return {
             "schema": "ngrc-model/1",
-            "tau": self.delay.tau,
-            "d": self.delay.d,
+            "tau": self.table.tau,
+            "d": self.table.d,
             "p": self.table.p,
             "lam_reg": self.lam_reg,
             "weights": self.weights.tolist(),
-            "preprocessing": self.preprocessing,
         }
 
     @classmethod
@@ -196,11 +181,10 @@ class NgrcModel:
         schema = get("schema")
         if schema != "ngrc-model/1":
             raise InvalidInputError(f"unknown model schema {schema!r}")
-        delay = DelaySpec(int(get("tau")), int(get("d")))
-        table = build_exponent_table(delay.tau, delay.d, int(get("p")))
+        table = build_exponent_table(int(get("tau")), int(get("d")),
+                                     int(get("p")))
         weights = np.asarray(get("weights"), dtype=np.float64)
-        return cls(delay, table, weights, float(get("lam_reg")),
-                   get("preprocessing"))
+        return cls(table, weights, float(get("lam_reg")))
 
 
 def design_matrix(inputs, tau: int, table: ExponentTable) -> np.ndarray:
@@ -208,8 +192,7 @@ def design_matrix(inputs, tau: int, table: ExponentTable) -> np.ndarray:
     return ngrc_features(delay_vectors(inputs, tau), table)
 
 
-def fit_ngrc(inputs, targets, tau: int, p: int, lam_reg: float,
-             preprocessing: dict | None = None) -> NgrcModel:
+def fit_ngrc(inputs, targets, tau: int, p: int, lam_reg: float) -> NgrcModel:
     """Fit the primal NG-RC ridge regression.
 
     Parameters
@@ -231,8 +214,7 @@ def fit_ngrc(inputs, targets, tau: int, p: int, lam_reg: float,
     Y = targets[:, None] if targets.ndim == 1 else targets
     if Y.shape[0] != inputs.shape[0]:
         raise InvalidInputError("inputs and targets must have equal length")
-    delay = DelaySpec(tau, inputs.shape[1])
-    table = build_exponent_table(tau, delay.d, p)
+    table = build_exponent_table(tau, inputs.shape[1], p)
     X = design_matrix(inputs, tau, table)
     Y_eff = Y[tau - 1 :]
     if X.shape[0] < table.n_features:
@@ -242,8 +224,7 @@ def fit_ngrc(inputs, targets, tau: int, p: int, lam_reg: float,
             stacklevel=2,
         )
     sol = solve_ridge_primal(X, Y_eff, lam_reg)
-    return NgrcModel(delay, table, sol.coefficients, float(lam_reg),
-                     preprocessing, sol)
+    return NgrcModel(table, sol.coefficients, float(lam_reg), sol)
 
 
 def predict_ngrc(model: NgrcModel, v) -> np.ndarray:

@@ -159,23 +159,6 @@ def invert_pipeline(specs, x) -> np.ndarray:
     return out
 
 
-def estimator_pipeline(estimator_kind: str, *, headroom: float = 1.0) -> list[str]:
-    """Input transform chain conventionally used by each estimator.
-
-    NG-RC runs on raw data; the polynomial kernel rescales inputs into
-    [0, 1] per dimension; the Volterra kernel demeans and then rescales so
-    the largest training row norm equals ``headroom`` (1.0 by default,
-    0.95 leaves room for test excursions before the norm bound trips).
-    """
-    if estimator_kind == "ngrc":
-        return []
-    if estimator_kind in ("polynomial", "poly"):
-        return ["minmax01"]
-    if estimator_kind == "volterra":
-        return ["demean", "max-norm-scale"]
-    raise InvalidInputError(f"unknown estimator kind {estimator_kind!r}")
-
-
 def bekk_output_pipeline() -> list[str]:
     """Output transform chain for covariance targets: x1000, then standardize."""
     return ["constant-scale", "standardize"]

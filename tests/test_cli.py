@@ -102,6 +102,24 @@ class TestPipeline:
             assert metrics[name] == 0.0
 
 
+    def test_eval_reads_no_dataset_csv(self, tmp_path, mini_lorenz_config):
+        """``eval`` needs only ``forecast.csv`` and the manifests."""
+        _, cfg_path = mini_lorenz_config
+        out = tmp_path / "exp"
+        for cmd in ("simulate", "fit", "forecast"):
+            assert run_cli(cmd, "--config", str(cfg_path),
+                           "--out", str(out)) == 0
+        bare = tmp_path / "bare"
+        shutil.copytree(out, bare)
+        for name in ("train.csv", "test.csv"):
+            (bare / name).unlink()
+        for exp in (out, bare):
+            assert run_cli("eval", "--config", str(cfg_path),
+                           "--out", str(exp)) == 0
+        for name in ("metrics.csv", "metrics.json"):
+            assert (bare / name).read_bytes() == (out / name).read_bytes()
+
+
 class TestMetricsCsv:
     def test_golden_text(self, tmp_path):
         reference, predicted = [1.0, -1.0, 2.0, -2.0], [1.0, -1.0, 2.0, -1.0]
@@ -320,6 +338,54 @@ class TestMalformedConfigValue:
                        "--out", str(tmp_path / "exp")) == 2
         assert f"config error: dataset.{key}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, field", [
+        ("delay", 17.01, "delay"),  # not a multiple of dt_fine
+        ("dt_fine", 1e12, "delay"),  # a multiple of zero fine steps
+        ("delay", 0.0, "delay"),
+        ("dt_fine", -0.02, "dt_fine"),
+        ("splice", 0, "splice"),
+        ("n_fine", 0, "n_fine"),
+    ])
+    def test_bad_mackey_glass_setting(self, tmp_path, capsys, key, value,
+                                      field):
+        cfg = copy.deepcopy(PRESETS["mackey-glass-ngrc"])
+        cfg["dataset"][key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "exp")) == 2
+        assert f"config error: dataset.{field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset, key, text", [
+        ("lorenz-ngrc", "path", None),  # None: the file does not exist
+        ("lorenz-ngrc", "path", "# dt=1\nt,c0\n0,1.5\n1,x\n"),
+        ("bekk-ngrc", "inputs_path", None),
+        ("bekk-ngrc", "outputs_path", "t,c0\n0,1.5\n"),  # no dt comment
+    ])
+    def test_unreadable_csv_dataset(self, tmp_path, capsys, preset, key,
+                                    text):
+        good = tmp_path / "good.csv"
+        good.write_text("# dt=1\nt,c0\n"
+                        + "".join(f"{i},{i % 7}.5\n" for i in range(20)))
+        cfg = copy.deepcopy(PRESETS[preset])
+        paths = ("path",) if key == "path" else ("inputs_path",
+                                                  "outputs_path")
+        cfg["dataset"] = {"kind": "csv", "n_train": 15,
+                          **{name: str(good) for name in paths}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "ok")) == 0
+        bad = tmp_path / "bad.csv"
+        if text is not None:
+            bad.write_text(text)
+        cfg["dataset"][key] = str(bad)
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "exp")) == 2
+        assert f"config error: dataset.{key}: " in capsys.readouterr().err
+
     def test_bekk_a_b_default_to_scalars(self, tmp_path):
         """Without ``dataset.a`` and ``dataset.b`` BEKK simulates as with
         0.3 and 0.9 given explicitly."""
@@ -434,7 +500,8 @@ class TestMissingArtifactKey:
         ("bekk-polynomial", "bekk", "model.json", "estimator", "forecast"),
         ("bekk-polynomial", "bekk", "simulate_manifest.json", "files", "fit"),
         ("bekk-polynomial", "bekk", "simulate_manifest.json",
-         "files.test_inputs", "eval"),
+         "files.test_inputs", "forecast"),
+        ("bekk-polynomial", "bekk", "simulate_manifest.json", "dt", "eval"),
         ("lorenz-volterra", "lorenz", "model.json",
          "estimator.model.last_column", "forecast"),
         ("lorenz-volterra", "lorenz", "model.json", "estimator.input_tail",

@@ -114,6 +114,16 @@ class TestGrid:
                     or c["lam"] >= math.sqrt(max(1.0 - c["theta"] ** 2, 0.0)))
         assert len(cands) + len(pruned) == 4
 
+    def test_volterra_pairs_outside_the_kernel_domain_are_pruned(self):
+        grid = Grid(lams=[0.5, 0.99], thetas=[-0.3, 0.0, 0.3],
+                    lam_regs=[1e-6], M=1.0)
+        cands, pruned = grid.candidates("volterra")
+        # sqrt(1 - 0.3^2) = 0.954 bounds lam; theta must be positive
+        assert cands == [{"lam": 0.5, "theta": 0.3, "lam_reg": 1e-6,
+                          "M": 1.0}]
+        assert [(c["lam"], c["theta"]) for c in pruned] == [
+            (0.5, -0.3), (0.5, 0.0), (0.99, -0.3), (0.99, 0.0), (0.99, 0.3)]
+
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidInputError):
             Grid(taus=[1], ps=[1], lam_regs=[]).candidates("ngrc")

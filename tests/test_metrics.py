@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,12 @@ class TestWasserstein:
     def test_nd_rejects_unequal_counts(self):
         with pytest.raises(InvalidInputError):
             w1_nd(np.ones((3, 2)), np.ones((4, 2)))
+
+    def test_nd_rejects_zero_samples_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="non-empty"):
+                w1_nd(np.empty((0, 3)), np.empty((0, 3)))
 
     def test_nd_cap(self):
         with pytest.raises(InvalidInputError):

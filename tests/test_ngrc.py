@@ -222,11 +222,11 @@ class TestFitPredict:
         rng = np.random.default_rng(5)
         inputs = rng.normal(size=(40, 2))
         targets = rng.normal(size=(40, 2))
-        model = fit_ngrc(inputs, targets, tau=2, p=2, lam_reg=1e-4,
-                         preprocessing={"inputs": [], "outputs": []})
+        model = fit_ngrc(inputs, targets, tau=2, p=2, lam_reg=1e-4)
         clone = NgrcModel.from_dict(json.loads(json.dumps(model.to_dict())))
         np.testing.assert_array_equal(clone.weights, model.weights)
-        assert clone.delay == model.delay
+        assert (clone.table.tau, clone.table.d) == (model.table.tau,
+                                                    model.table.d) == (2, 2)
         v = rng.normal(size=4)
         np.testing.assert_allclose(predict_ngrc(clone, v),
                                    predict_ngrc(model, v), rtol=0, atol=0)

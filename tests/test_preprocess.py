@@ -5,6 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from kernelcast import preprocess
 from kernelcast.errors import InvalidInputError
+from kernelcast.estimators import INPUT_TRANSFORMS
 
 
 class TestFit:
@@ -67,12 +68,9 @@ def test_round_trip_property(data, kind):
 
 class TestPipelines:
     def test_estimator_conventions(self):
-        assert preprocess.estimator_pipeline("ngrc") == []
-        assert preprocess.estimator_pipeline("polynomial") == ["minmax01"]
-        assert preprocess.estimator_pipeline("volterra") == [
-            "demean", "max-norm-scale"]
-        with pytest.raises(InvalidInputError):
-            preprocess.estimator_pipeline("esn")
+        assert INPUT_TRANSFORMS["ngrc"] == INPUT_TRANSFORMS["ngrc-kernel"] == []
+        assert INPUT_TRANSFORMS["polynomial"] == ["minmax01"]
+        assert INPUT_TRANSFORMS["volterra"] == ["demean", "max-norm-scale"]
 
     def test_identity_pipeline_round_trips(self):
         rng = np.random.default_rng(1)
@@ -85,7 +83,7 @@ class TestPipelines:
         rng = np.random.default_rng(2)
         data = rng.normal(5.0, 2.0, size=(100, 3))
         specs = preprocess.fit_pipeline(
-            preprocess.estimator_pipeline("volterra"), data)
+            INPUT_TRANSFORMS["volterra"], data)
         out = preprocess.apply_pipeline(specs, data)
         norms = np.linalg.norm(out, axis=1)
         assert norms.max() <= 1.0 + 1e-12
