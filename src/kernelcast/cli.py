@@ -46,6 +46,7 @@ from .errors import (
     doc_field,
 )
 from .estimators import (
+    INPUT_TRANSFORMS,
     REQUIRED_HYPER,
     estimator_from_dict,
     estimator_to_dict,
@@ -335,18 +336,30 @@ def _hyper(config: dict, path: str, required=()) -> dict:
             for name in names}
 
 
+def _fit_kw(config: dict, kind: str) -> dict:
+    """Fit keywords from the ``estimator`` block: ``headroom``, which only a
+    kind with ``max-norm-scale`` inputs reads (the target training norm)."""
+    headroom = _get(config, "estimator.headroom", None, float)
+    if headroom is None:
+        return {}
+    if "max-norm-scale" not in INPUT_TRANSFORMS[kind]:
+        raise ConfigError(f"has no effect on {kind!r} estimators, whose "
+                          "inputs are not max-norm scaled",
+                          field="estimator.headroom")
+    return {"headroom": headroom}
+
+
 def _fit_from_config(config: dict, data: dict):
     kind = _estimator_kind(config)
     hyper = _hyper(config, "estimator.hyper", REQUIRED_HYPER[kind])
-    headroom = _get(config, "estimator.headroom", 1.0, float)
+    fit_kw = _fit_kw(config, kind)
     if data["task"] == "path-continuation":
         est, seed_hist = fit_path_estimator(kind, hyper, data["train"].values,
-                                            headroom=headroom)
+                                            **fit_kw)
     else:
         est = fit_estimator(kind, hyper, data["train_inputs"].values,
                             data["train_outputs"].values,
-                            output_kinds=bekk_output_pipeline(),
-                            headroom=headroom)
+                            output_kinds=bekk_output_pipeline(), **fit_kw)
         seed_hist = None
     return est, seed_hist
 
@@ -365,7 +378,9 @@ def cmd_fit(config: dict, out_dir: str) -> int:
                     {"fit_seconds": elapsed, "gram_s": sol.gram_s,
                      "solve_s": sol.solve_s,
                      "write_s": time.perf_counter() - written,
-                     "solver": {"method": sol.method, "jitter": sol.jitter,
+                     "solver": {"route": est.route,
+                                "features": est.features,
+                                "method": sol.method, "jitter": sol.jitter,
                                 "smallest_pivot": sol.smallest_pivot,
                                 "modes_cut": sol.modes_cut,
                                 "storage": sol.storage,
@@ -411,7 +426,7 @@ def cmd_cv(config: dict, out_dir: str) -> int:
     except InvalidInputError as exc:
         raise ConfigError(str(exc), field="cv")
     fixed = _hyper(config, "cv.fixed_hyper")
-    fit_kw = {"headroom": _get(config, "estimator.headroom", 1.0, float)}
+    fit_kw = _fit_kw(config, kind)
     if data["task"] == "path-continuation":
         result = grid_search(kind, grid, plan, "path-continuation",
                              series=data["train"].values,

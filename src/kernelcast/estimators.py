@@ -11,6 +11,7 @@ kind: its hyperparameters (:data:`REQUIRED_HYPER`) and input transforms
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,15 @@ from .kernels import (
     fit_kernel_model,
     predict_kernel,
 )
-from .ngrc import NgrcModel, delay_vectors, fit_ngrc, predict_ngrc
+from .linsolve import solve_ridge_primal
+from .ngrc import (
+    NgrcModel,
+    build_exponent_table,
+    delay_vectors,
+    design_matrix,
+    fit_ngrc,
+    predict_ngrc,
+)
 
 # Hyperparameters each kind requires, in grid order; all are numbers (see
 # hyper_value).
@@ -71,10 +80,26 @@ class Estimator:
             return 1
         return int(self.hyper["tau"])
 
+    @property
+    def route(self) -> str:
+        """``"primal"`` for a model fitted on explicit features (NG-RC, and
+        the polynomial kernel when its features are no more than its rows),
+        ``"dual"`` for a model fitted on a Gram."""
+        return "primal" if isinstance(self.model, NgrcModel) else "dual"
+
+    @property
+    def features(self) -> int | None:
+        """N, the monomials spanned by a lagged kind's regression (scaled
+        ones for the polynomial kernel); ``None`` for Volterra."""
+        if self.kind == "volterra":
+            return None
+        return _n_features(self.tau, self.input_tail.shape[1],
+                           int(self.hyper["p"]))
+
     # -- raw-space prediction paths -------------------------------------
 
     def _predict_windows(self, windows: np.ndarray) -> np.ndarray:
-        if self.kind == "ngrc":
+        if isinstance(self.model, NgrcModel):
             out = predict_ngrc(self.model, windows)
         else:
             out = predict_kernel(self.model, windows)
@@ -171,7 +196,10 @@ def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
     kind : str
         A key of :data:`REQUIRED_HYPER`: ``"ngrc"``, ``"polynomial"``,
         ``"volterra"``, or ``"ngrc-kernel"`` (the dot-product dual of NG-RC,
-        mostly for equivalence checks).
+        mostly for equivalence checks).  A polynomial kernel whose N
+        monomials are no more than its n embedded rows is fitted in that
+        explicit feature space, as an :class:`~kernelcast.ngrc.NgrcModel`;
+        otherwise, and for the other kernels, on the Gram.
     hyper : dict
         ``tau, p, lam_reg`` for the lagged estimators (plus optional ``c``
         for the polynomial kernel); ``lam, theta, lam_reg, washout`` and
@@ -219,6 +247,7 @@ def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
     X = preprocess.apply_pipeline(input_specs, X_raw)
     Y = preprocess.apply_pipeline(output_specs, Y_raw)
 
+    washout = hyper.get("washout", 0)
     if kind == "ngrc":
         model = fit_ngrc(X, Y, hyper["tau"], hyper["p"], hyper["lam_reg"])
     else:
@@ -230,12 +259,44 @@ def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
         else:
             kernel = VolterraParams(hyper["lam"], hyper["theta"],
                                     hyper.get("M", 1.0))
-        model = fit_kernel_model(X, Y, kernel, hyper["lam_reg"],
-                                 washout=hyper.get("washout", 0))
+        # The polynomial kernel is a scaled NG-RC regression: fit it in the
+        # smaller space, its N monomials or its n embedded rows.
+        if kind == "polynomial" and washout >= 0 and _n_features(
+                kernel.tau, X.shape[1], kernel.p) <= (
+                X.shape[0] - kernel.tau + 1 - washout):
+            model = _fit_polynomial_primal(X, Y, kernel, hyper["lam_reg"],
+                                           washout)
+        else:
+            model = fit_kernel_model(X, Y, kernel, hyper["lam_reg"],
+                                     washout=washout)
 
     tail_len = max(hyper.get("tau", 1), 1)
     return Estimator(kind, hyper, model, input_specs, output_specs,
                      input_tail=X_raw[-tail_len:].copy())
+
+
+def _n_features(tau: int, d: int, p: int) -> int:
+    """Monomials of degree <= p in tau*d variables: ``ngrc.feature_dim``
+    without its int64 cap, which only the explicit features need."""
+    return math.comb(tau * d + p, p)
+
+
+def _fit_polynomial_primal(X, Y, kernel: PolyKernelParams, lam_reg: float,
+                           washout: int) -> NgrcModel:
+    """Polynomial kernel ridge regression in its explicit feature space.
+
+    ``(c + u'v)^p`` is the dot product of the NG-RC monomials of degree
+    <= p, each scaled by :meth:`PolyKernelParams.feature_scale`.  The stored
+    weights carry that scale, so the model predicts from plain NG-RC
+    features.
+    """
+    table = build_exponent_table(kernel.tau, X.shape[1], kernel.p)
+    s = kernel.feature_scale(table)
+    F = design_matrix(X, kernel.tau, table)[washout:]
+    F *= s
+    sol = solve_ridge_primal(F, Y[kernel.tau - 1 + washout:], lam_reg)
+    return NgrcModel(table, s[:, None] * sol.coefficients, float(lam_reg),
+                     sol)
 
 
 def estimator_to_dict(est: Estimator) -> dict:

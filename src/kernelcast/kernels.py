@@ -2,9 +2,9 @@
 
 The polynomial kernel ``(c + u'v)^p`` acts on flattened delay windows and
 spans the same monomials as the NG-RC feature map, up to multinomial
-weights.  The NG-RC kernel is the plain dot product of NG-RC feature
-vectors, so kernel ridge regression with it reproduces the primal NG-RC
-solution exactly.
+weights (:meth:`PolyKernelParams.feature_scale`).  The NG-RC kernel is the
+plain dot product of NG-RC feature vectors, so kernel ridge regression with
+it reproduces the primal NG-RC solution exactly.
 
 The Volterra kernel acts on whole left-zero-padded input sequences and
 encodes every lag and every monomial degree with geometrically decaying
@@ -50,6 +50,16 @@ class PolyKernelParams:
             raise InvalidInputError("p and tau must be >= 1")
         if not self.c > 0:
             raise InvalidInputError("offset c must be positive")
+
+    def feature_scale(self, table: ExponentTable) -> np.ndarray:
+        """Scale ``s`` of each monomial of ``table`` (degree ``p``) such that
+        ``(c + u'v)^p = (F(u) * s) @ (F(v) * s)`` for the NG-RC features
+        ``F``: ``s_a^2 = p! c^(p-|a|) / ((p-|a|)! prod_i a_i!)``."""
+        fact = np.array([math.factorial(i) for i in range(self.p + 1)], float)
+        k = table.rows.sum(axis=1)
+        s2 = fact[self.p] * self.c ** (self.p - k)
+        s2 /= fact[self.p - k] * fact[table.rows].prod(axis=1)
+        return np.sqrt(s2)
 
     def describe(self) -> dict:
         return {"kind": "polynomial", "p": self.p, "tau": self.tau, "c": self.c}

@@ -52,6 +52,9 @@ class ExponentTable:
     run for each ``c = w-1, ..., 0``: ``x_c`` times the leading monomials of
     degree k-1.  ``runs`` holds each as ``(dst, src, n, c)``, meaning
     features ``dst:dst+n`` = features ``src:src+n`` times window entry ``c``.
+    ``gathers`` holds the same products one degree at a time, as
+    ``(start, stop, parents, cols)``: feature ``start + i`` = feature
+    ``parents[i]`` times window entry ``cols[i]``.
     """
 
     tau: int
@@ -59,6 +62,7 @@ class ExponentTable:
     p: int
     rows: np.ndarray
     runs: tuple = field(repr=False, compare=False)
+    gathers: tuple = field(repr=False, compare=False)
 
     @property
     def n_features(self) -> int:
@@ -74,13 +78,19 @@ def build_exponent_table(tau: int, d: int, p: int) -> ExponentTable:
         )
     w = tau * d
     runs = []
+    gathers = []
     dst = 1
     for k in range(1, p + 1):
         src = math.comb(w + k - 2, w)  # first monomial of degree k-1
+        start, parents, cols = dst, [], []
         for c in range(w - 1, -1, -1):
             run = math.comb(w - c + k - 2, k - 1)
             runs.append((dst, src, run, c))
+            parents.append(np.arange(src, src + run))
+            cols.append(np.full(run, c))
             dst += run
+        gathers.append((start, dst, np.concatenate(parents),
+                        np.concatenate(cols)))
     if dst != n:
         raise CapacityError(
             f"exponent table enumerated {dst} rows, expected {n}"
@@ -89,7 +99,7 @@ def build_exponent_table(tau: int, d: int, p: int) -> ExponentTable:
     for dst, src, run, c in runs:
         rows[dst:dst + run] = rows[src:src + run]
         rows[dst:dst + run, c] += 1
-    return ExponentTable(tau, d, p, rows, tuple(runs))
+    return ExponentTable(tau, d, p, rows, tuple(runs), tuple(gathers))
 
 
 def delay_vectors(values, tau: int) -> np.ndarray:
@@ -123,8 +133,10 @@ def ngrc_features(v, table: ExponentTable) -> np.ndarray:
 
     Accepts a single window of length tau*d or a matrix of windows; returns
     a vector of length ``table.n_features`` or a matrix with one feature row
-    per window.  Feature 0 is the constant 1; one multiply per run of
-    ``table.runs`` makes a window's features its batch row, bit for bit.
+    per window.  Feature 0 is the constant 1.  A batch takes one multiply
+    per run of ``table.runs``, a single window (also a batch of one) one
+    per degree of ``table.gathers``; both form the same products, so a
+    window's features are its batch row, bit for bit.
     """
     v = np.asarray(v, dtype=np.float64)
     single = v.ndim == 1
@@ -134,12 +146,18 @@ def ngrc_features(v, table: ExponentTable) -> np.ndarray:
             f"window length {V.shape[1]} does not match table width "
             f"{table.rows.shape[1]}"
         )
+    if V.shape[0] == 1:
+        f = np.empty(table.n_features)
+        f[0] = 1.0
+        for start, stop, parents, cols in table.gathers:
+            np.multiply(f[parents], V[0, cols], out=f[start:stop])
+        return f if single else f[None, :]
     out = np.empty((V.shape[0], table.n_features))
     out[:, 0] = 1.0
     for dst, src, n, c in table.runs:
         np.multiply(out[:, src:src + n], V[:, c, None],
                     out=out[:, dst:dst + n])
-    return out[0] if single else out
+    return out
 
 
 @dataclass

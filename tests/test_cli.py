@@ -297,6 +297,8 @@ class TestMalformedConfigValue:
         ("estimator.kind", "foo", "fit"),
         ("estimator.kind", "foo", "cv"),
         ("cv.fixed_hyper.washout", "x", "cv"),
+        ("estimator.headroom", 0.9, "fit"),  # only Volterra reads it
+        ("estimator.headroom", 0.9, "cv"),
     ])
     def test_exits_two_naming_the_field(self, tmp_path, capsys, path, value,
                                         stage):
@@ -463,22 +465,32 @@ class TestShippedBekkArtifacts:
     """Artifacts of the shipped BEKK presets, run at their shipped sizes."""
 
     @pytest.mark.parametrize("preset, method", [
-        ("bekk-polynomial", "cholesky"),  # dual, n = 3007
+        ("bekk-polynomial", "cholesky"),  # primal, 21 features, 3007 rows
         ("bekk-ngrc", "cholesky"),        # primal, 3007 rows
     ])
     def test_fit_manifest_records_solver_route(self, bekk_pipelines, preset,
                                                method):
         out = bekk_pipelines[preset]["a"]["dir"]
         solver = json.loads((out / "fit_manifest.json").read_text())["solver"]
+        assert solver["route"] == "primal"
         assert solver["method"] == method
         assert solver["jitter"] == 0.0
         assert solver["smallest_pivot"] > 0.0
         assert solver["modes_cut"] == 0
 
-    def test_fit_manifest_records_gram_storage(self, bekk_pipelines):
+    def test_fit_manifest_records_gram_storage(self, bekk_pipelines,
+                                               mackey_glass_pipelines):
+        # bekk-polynomial: 21 scaled monomials against 3007 rows, no Gram
         out = bekk_pipelines["bekk-polynomial"]["a"]["dir"]
+        solver = json.loads((out / "fit_manifest.json").read_text())["solver"]
+        assert solver["route"] == "primal" and solver["features"] == 21
+        assert solver["storage"] is None and solver["gram_bytes"] == 0
+        # mackey-glass-polynomial: 5985 monomials against 2983 windows
+        out = mackey_glass_pipelines["mackey-glass-polynomial"]["a"]["dir"]
         manifest = json.loads((out / "fit_manifest.json").read_text())
-        n = 3007  # tau = 1: one window per training sample
+        n = 2983  # 2999 training pairs, tau = 17
+        assert manifest["solver"]["route"] == "dual"
+        assert manifest["solver"]["features"] == 5985
         assert manifest["solver"]["storage"] == "rfp"
         assert manifest["solver"]["gram_bytes"] == 8 * n * (n + 1) // 2
         for phase in ("gram_s", "solve_s", "write_s"):

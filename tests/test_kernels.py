@@ -55,6 +55,20 @@ class TestPolyKernel:
                         + zi1**2 * zj1**2 + 2 * zi * zj * zi1 * zj1)
             assert poly_kernel(u, v, p) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("c", [0.7, 2.5])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_feature_scale_reproduces_kernel(self, p, c):
+        # (c + u'v)^p = (F(u) s) . (F(v) s) on the NG-RC monomials
+        rng = np.random.default_rng(10 * p)
+        params = PolyKernelParams(p=p, tau=2, c=c)
+        table = build_exponent_table(2, 2, p)
+        s = params.feature_scale(table)
+        for _ in range(10):
+            u, v = rng.uniform(-1, 1, size=(2, 4))
+            rhs = float((ngrc_features(u, table) * s)
+                        @ (ngrc_features(v, table) * s))
+            assert poly_kernel(u, v, params) == pytest.approx(rhs, rel=1e-12)
+
     def test_invalid_params(self):
         with pytest.raises(InvalidInputError):
             PolyKernelParams(p=0, tau=1)

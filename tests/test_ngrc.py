@@ -168,6 +168,21 @@ class TestFeatures:
             np.testing.assert_array_equal(ngrc_features(V[7], table),
                                           feats[7], str(shape))
 
+    @pytest.mark.parametrize("shape", [(3, 3, 2), (4, 1, 5), (6, 3, 2),
+                                       (17, 1, 4)])
+    def test_single_window_gathers_match_batch_bit_for_bit(self, shape):
+        # a single window, or a batch of one, takes one gather per degree;
+        # they form the products of the batch's runs
+        table = build_exponent_table(*shape)
+        assert len(table.gathers) == shape[2]
+        V = np.random.default_rng(5).normal(size=(300, shape[0] * shape[1]))
+        feats = ngrc_features(V, table)
+        for i in range(V.shape[0]):
+            np.testing.assert_array_equal(ngrc_features(V[i], table),
+                                          feats[i])
+            np.testing.assert_array_equal(ngrc_features(V[i:i + 1], table),
+                                          feats[i:i + 1])
+
     def test_shape_mismatch(self):
         table = build_exponent_table(2, 1, 2)
         with pytest.raises(InvalidInputError):
