@@ -496,7 +496,7 @@ def cmd_forecast(config: dict, out_dir: str) -> int:
                                    "estimator": est.kind})
     _write_manifest(out_dir, "forecast", config, {"forecast": "forecast.csv"},
                     {"mode": mode, "horizon": run.horizon,
-                     "truncated": run.truncated})
+                     "truncated": run.truncated, "projected": run.projected})
     status = f"truncated at step {run.error_step}" if run.truncated else "ok"
     print(f"forecast: {mode} horizon {run.horizon} -> forecast.csv ({status})")
     return 0

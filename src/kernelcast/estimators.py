@@ -46,8 +46,8 @@ REQUIRED_HYPER = {"ngrc": _LAGGED_HYPER, "polynomial": _LAGGED_HYPER,
 # dot-product dual must see exactly the NG-RC inputs; the polynomial kernel
 # rescales inputs into [0, 1] per dimension; the Volterra kernel demeans and
 # then rescales so the largest training row norm equals the fit's
-# ``headroom`` (0.95 leaves room for test excursions before the norm bound
-# trips).
+# ``headroom`` (0.95 leaves room for test excursions before they are
+# projected onto the norm ball).
 INPUT_TRANSFORMS = {"ngrc": [], "ngrc-kernel": [], "polynomial": ["minmax01"],
                     "volterra": ["demean", "max-norm-scale"]}
 _INT_HYPER = ("tau", "p", "washout")
@@ -105,18 +105,19 @@ class Estimator:
             out = predict_kernel(self.model, windows)
         return np.atleast_2d(out)
 
-    def open_loop(self, test_inputs) -> np.ndarray:
+    def open_loop(self, test_inputs, ext=None) -> np.ndarray:
         """One raw prediction per raw test input, no feedback.
 
         Lagged estimators embed the test inputs as a continuation of the
         training inputs, reusing the stored raw tail for the first windows.
+        A Volterra estimator steps ``ext`` (see ``predict_kernel``).
         """
         raw = np.asarray(test_inputs, dtype=np.float64)
         if raw.ndim == 1:
             raw = raw[:, None]
         transformed = preprocess.apply_pipeline(self.input_specs, raw)
         if self.kind == "volterra":
-            preds = predict_kernel(self.model, transformed)
+            preds = predict_kernel(self.model, transformed, ext)
         else:
             if self.tau > 1:
                 if self.input_tail is None or self.input_tail.shape[0] < self.tau - 1:
@@ -176,8 +177,12 @@ class _VolterraStepper:
         self._ext = ext
         self._pending = pending
 
+    @property
+    def projected(self) -> int:
+        return self._ext.projected
+
     def step(self) -> np.ndarray:
-        col = self._ext.step(self._pending)  # may raise NormBoundError
+        col = self._ext.step(self._pending)
         model = self._est.model
         y_model = col[model.washout:] @ model.alpha
         y_raw = self._est._finish(y_model)

@@ -1,10 +1,10 @@
 """Closed-loop path continuation, open-loop forecasting, and valid time.
 
 A closed-loop rollout feeds each prediction back as the next input; it is
-deterministic given the fitted estimator and the seed history.  When the
-estimator fails mid-rollout (Volterra norm bound, non-finite output) the
-run is returned truncated with the failing step recorded instead of being
-padded.
+deterministic given the fitted estimator and the seed history.  A run
+whose prediction turns non-finite is returned truncated at that step
+instead of being padded; Volterra inputs outside the kernel's norm ball
+are projected onto it and counted in ``projected``.
 
 The valid prediction time converts the first threshold crossing of the
 normalized instantaneous error
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import read_csv, write_csv
-from .errors import InvalidInputError, NormBoundError, ParseError
+from .errors import InvalidInputError, ParseError
 
 
 @dataclass
@@ -36,6 +36,7 @@ class ForecastRun:
     reference: np.ndarray | None = None
     error: str | None = None
     error_step: int | None = None
+    projected: int = 0  # Volterra inputs projected onto the norm ball
 
     @property
     def truncated(self) -> bool:
@@ -86,8 +87,8 @@ def path_continue(estimator, seed_history, horizon: int,
     """Autoregressive rollout of ``horizon`` steps.
 
     ``estimator`` must provide ``start(seed) -> stepper`` with
-    ``stepper.step() -> next raw prediction`` (see
-    :mod:`kernelcast.estimators`).
+    ``stepper.step() -> next raw prediction`` and, optionally,
+    ``stepper.projected`` (see :mod:`kernelcast.estimators`).
     """
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
@@ -98,12 +99,7 @@ def path_continue(estimator, seed_history, horizon: int,
     # divergence shows up as overflow before the finiteness check catches it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, horizon + 1):
-            try:
-                y = stepper.step()
-            except NormBoundError as exc:
-                error = str(exc)
-                error_step = k
-                break
+            y = stepper.step()
             if not np.all(np.isfinite(y)):
                 error = "non-finite prediction"
                 error_step = k
@@ -118,31 +114,21 @@ def path_continue(estimator, seed_history, horizon: int,
         elif ref.shape[0] != horizon:
             raise InvalidInputError("reference length must equal the horizon")
     return ForecastRun("path-continuation", horizon, predicted, ref, error,
-                       error_step)
+                       error_step, getattr(stepper, "projected", 0))
 
 
 def open_loop(estimator, test_inputs, reference=None) -> ForecastRun:
     """One prediction per test input, no feedback."""
-    inputs = np.atleast_2d(np.asarray(test_inputs, dtype=np.float64))
-    error = None
-    error_step = None
-    try:
-        predicted = estimator.open_loop(test_inputs)
-    except NormBoundError as exc:
-        # Volterra extension positions count from the start of the stored
-        # training sequence; recover the step within the test batch.
-        n_train = estimator.model.train_inputs.shape[0]
-        step = (exc.position - n_train + 1) if exc.position is not None else 1
-        predicted = estimator.open_loop(inputs[: step - 1]) if step > 1 \
-            else np.empty((0, inputs.shape[1]))
-        error = str(exc)
-        error_step = step
+    ext = estimator.model.extension() if estimator.kind == "volterra" else None
+    predicted = np.atleast_2d(estimator.open_loop(test_inputs, ext))
+    horizon = predicted.shape[0]
     ref = None
     if reference is not None:
         ref = np.atleast_2d(np.asarray(reference, dtype=np.float64))
-        ref = ref[: np.atleast_2d(predicted).shape[0]]
-    return ForecastRun("open-loop", inputs.shape[0], np.atleast_2d(predicted),
-                       ref, error, error_step)
+        if ref.shape[0] != horizon:
+            raise InvalidInputError("reference length must equal the horizon")
+    return ForecastRun("open-loop", horizon, predicted, ref,
+                       projected=0 if ext is None else ext.projected)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ oracle) is
     K = 1 + sum_{t>=1} lam^(2t) * prod_{s<t} 1 / (1 - theta^2 <z_{-s}, z'_{-s}>).
 
 Parameters must satisfy ``theta^2 M^2 < 1`` and ``0 < lam < sqrt(1 - theta^2 M^2)``
-where ``M`` bounds the Euclidean norm of every sample.
+where ``M`` bounds the Euclidean norm of every training sample; later
+samples outside that ball are projected onto it (:class:`VolterraExtension`).
 """
 
 from __future__ import annotations
@@ -231,15 +232,14 @@ def _ngrc_rows(W, table: ExponentTable) -> GramRows:
     return _panel_rows(F)
 
 
-def _check_sample_norms(Z: np.ndarray, params: VolterraParams,
-                        offset: int = 0) -> None:
+def _check_sample_norms(Z: np.ndarray, params: VolterraParams) -> None:
     norms = np.linalg.norm(Z, axis=1)
     bad = np.nonzero(norms > params.M * (1.0 + _NORM_SLACK))[0]
     if bad.size:
         i = int(bad[0])
         raise NormBoundError(
-            f"sample {offset + i} has norm {norms[i]:.6g} > M = {params.M:.6g}",
-            position=offset + i,
+            f"sample {i} has norm {norms[i]:.6g} > M = {params.M:.6g}",
+            position=i,
         )
 
 
@@ -311,6 +311,8 @@ class VolterraExtension:
     Holds the training samples and the most recent full column (border
     entry included); each ``step`` appends one sample that continues the
     sequence and returns the kernel values against every training index.
+    A sample outside the ball ``||z|| <= M``, where the kernel is defined,
+    becomes ``z * M / ||z||`` and is counted in ``projected``.
     Single-writer: not safe for concurrent stepping.
     """
 
@@ -319,7 +321,7 @@ class VolterraExtension:
         self._Z = Z_train
         self._params = params
         self._col = np.asarray(last_col_with_border, dtype=np.float64).copy()
-        self._steps = 0
+        self.projected = 0
         if self._col.shape != (Z_train.shape[0] + 1,):
             raise InvalidInputError("last column must include the border entry")
 
@@ -331,13 +333,15 @@ class VolterraExtension:
         if not np.all(np.isfinite(z)):
             raise InvalidInputError("appended sample is non-finite")
         p = self._params
-        _check_sample_norms(z[None, :], p, offset=self._Z.shape[0] + self._steps)
+        norm = math.sqrt(z @ z)
+        if norm > p.M * (1.0 + _NORM_SLACK):
+            z = z * (p.M / norm)
+            self.projected += 1
         denom = 1.0 - p.theta**2 * (self._Z @ z)
         new = np.empty_like(self._col)
         new[0] = p.border
         new[1:] = 1.0 + p.lam**2 * self._col[:-1] / denom
         self._col = new
-        self._steps += 1
         return new[1:]
 
 
@@ -544,17 +548,18 @@ def fit_kernel_model(inputs, targets, kernel, lam_reg: float,
     return model
 
 
-def predict_kernel(model: KernelModel, new_inputs) -> np.ndarray:
+def predict_kernel(model: KernelModel, new_inputs,
+                   ext: VolterraExtension | None = None) -> np.ndarray:
     """Out-of-sample outputs ``sum_i alpha_i K(new, z_i)``.
 
     For lagged kernels ``new_inputs`` is one delay window or a batch of
     windows.  For Volterra models it is the batch of raw samples that
-    continues the training sequence, consumed in order through a fresh
-    rectangular extension.
+    continues the training sequence, consumed in order through ``ext``
+    (a fresh ``model.extension()`` when ``None``).
     """
     if model.is_volterra:
         T = _as_samples(new_inputs)
-        ext = model.extension()
+        ext = model.extension() if ext is None else ext
         out = np.empty((T.shape[0], model.n_targets))
         for j in range(T.shape[0]):
             col = ext.step(T[j])

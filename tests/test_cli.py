@@ -428,18 +428,23 @@ class TestNumericalFailureExit:
         assert run_cli("cv", "--config", str(path), "--out", str(out)) == 3
 
 
-    def test_shipped_volterra_cv_names_the_cause(self, tmp_path, capsys):
-        # shipped sizes; every candidate trips the norm bound on fold 2 of 4
-        # (the open cv failure of ROADMAP item 3): the message says so
-        out = tmp_path / "exp"
-        assert run_cli("simulate", "--preset", "lorenz-volterra",
-                       "--out", str(out)) == 0
-        capsys.readouterr()
-        assert run_cli("cv", "--preset", "lorenz-volterra",
-                       "--out", str(out)) == 3
-        err = capsys.readouterr().err
-        assert "fold 2 of 4: truncated at step" in err
-        assert "> M = 1" in err
+    def test_shipped_volterra_cv_names_the_cause(self, tmp_path):
+        # shipped sizes: each fold refits max-norm-scale on its own rows, and
+        # the closed-loop rollouts leave that ball.  Their inputs are
+        # projected onto it, so cv exits 0 and every fold has a score.
+        for preset in ("lorenz-volterra", "bekk-volterra",
+                       "mackey-glass-volterra"):
+            out = tmp_path / preset
+            for cmd in ("simulate", "cv"):
+                assert run_cli(cmd, "--preset", preset,
+                               "--out", str(out)) == 0, (preset, cmd)
+        doc = json.loads((out / "cv_best.json").read_text())
+        [cand] = [c for c in doc["candidates"]
+                  if c["params"]["lam"] == 0.4
+                  and c["params"]["lam_reg"] == 1e-9]
+        assert len(cand["fold_mse"]) == 2
+        assert all(s is not None and np.isfinite(s) for s in cand["fold_mse"])
+        assert cand["failures"] == []
 
 
 class TestBekkPipeline:
@@ -552,6 +557,13 @@ class TestMissingArtifactKey:
         assert run_cli("forecast", "--preset", "lorenz-volterra",
                        "--out", str(out)) == 2
         assert "refit" in capsys.readouterr().err
+
+
+def test_forecast_manifest_counts_projected_inputs(lorenz_pipelines):
+    # the shipped Volterra rollout stays inside the norm ball
+    out = lorenz_pipelines["lorenz-volterra"]["a"]["dir"]
+    manifest = json.loads((out / "forecast_manifest.json").read_text())
+    assert manifest["projected"] == 0 and manifest["truncated"] is False
 
 
 class TestBench:

@@ -95,13 +95,27 @@ class TestVolterraRollout:
             "volterra",
             {"lam": 0.5, "theta": 0.5, "lam_reg": 1e-8, "washout": 4},
             series, input_kinds=[])  # no rescaling: raw feedback can escape
-        # force escape by seeding outside the training envelope
+        # force escape by seeding outside the training envelope; inputs that
+        # leave the ball are projected onto it, so the run keeps its length
         run = path_continue(est, np.array([[0.999]]), 200)
-        if run.truncated:
-            assert run.error_step is not None
-            assert run.predicted.shape[0] == run.error_step - 1
-        else:  # rollout stayed inside the ball; still a valid outcome
-            assert run.predicted.shape[0] == 200
+        assert not run.truncated and run.error_step is None
+        assert run.predicted.shape == (200, 1)
+        assert np.all(np.isfinite(run.predicted))
+        assert run.projected > 0
+
+    def test_open_loop_counts_projected_inputs(self):
+        rng = np.random.default_rng(1)
+        inputs = rng.normal(size=(60, 1)) * 0.1
+        est = fit_estimator("volterra", {"lam": 0.5, "theta": 0.5,
+                                         "lam_reg": 1e-8, "washout": 4},
+                            inputs[:-1], inputs[1:], input_kinds=[])
+        test = np.array([[0.5], [3.0], [-2.0], [0.1]])
+        run = open_loop(est, test, reference=np.zeros((4, 1)))
+        assert run.projected == 2 and not run.truncated
+        # the projected inputs score as their images on the ball
+        onto = open_loop(est, np.array([[0.5], [1.0], [-1.0], [0.1]]))
+        assert onto.projected == 0
+        np.testing.assert_array_equal(run.predicted, onto.predicted)
 
 
 class TestValidTime:
@@ -244,3 +258,11 @@ class TestOpenLoopRuns:
         assert run.predicted.shape == (10, 2)
         assert run.mode == "open-loop"
         assert not run.truncated
+
+    def test_open_loop_reference_must_match_the_inputs(self):
+        rng = np.random.default_rng(7)
+        inputs = rng.normal(size=(60, 2)) * 0.2
+        est = fit_estimator("ngrc", {"tau": 2, "p": 1, "lam_reg": 1e-6},
+                            inputs[:50], inputs[1:51])
+        with pytest.raises(InvalidInputError, match="reference length"):
+            open_loop(est, inputs[50:], reference=inputs[51:])

@@ -389,14 +389,19 @@ class TestKernelModels:
                                    predict_kernel(model, new), rtol=1e-12)
 
     def test_extension_positions_continue_sequence(self):
+        # an appended sample outside the ball ||z|| <= M is projected onto
+        # it, z * M / ||z||, and counted
         p = VolterraParams(0.5, 0.5)
-        inputs = np.zeros((6, 1))
-        targets = np.zeros((6, 1))
-        model = fit_kernel_model(inputs, targets, p, 1e-6)
+        inputs = np.linspace(-0.5, 0.5, 6)[:, None]
+        model = fit_kernel_model(inputs, np.zeros((6, 1)), p, 1e-6)
         ext = model.extension()
-        with pytest.raises(NormBoundError) as err:
-            ext.step(np.array([2.0]))
-        assert err.value.position == 6
+        col = ext.step(np.array([2.0])).copy()
+        assert ext.projected == 1
+        fresh = model.extension()
+        np.testing.assert_array_equal(col, fresh.step(np.array([p.M])))
+        assert fresh.projected == 0
+        ext.step(np.array([0.5]))
+        assert ext.projected == 1
 
 
 def test_ngrc_gram_matches_pairwise_kernel():
