@@ -336,38 +336,39 @@ def _hyper(config: dict, path: str, required=()) -> dict:
             for name in names}
 
 
-def _fit_kw(config: dict, kind: str) -> dict:
-    """Fit keywords from the ``estimator`` block: ``headroom``, which only a
-    kind with ``max-norm-scale`` inputs reads (the target training norm)."""
+def _fit_kw(config: dict, kind: str, task: str) -> dict:
+    """Fit keywords: the covariance output transforms for open-loop data,
+    and ``headroom``, which only a kind with ``max-norm-scale`` inputs reads
+    (the target training norm)."""
+    fit_kw = {}
+    if task != "path-continuation":
+        fit_kw["output_kinds"] = bekk_output_pipeline()
     headroom = _get(config, "estimator.headroom", None, float)
     if headroom is None:
-        return {}
+        return fit_kw
     if "max-norm-scale" not in INPUT_TRANSFORMS[kind]:
         raise ConfigError(f"has no effect on {kind!r} estimators, whose "
                           "inputs are not max-norm scaled",
                           field="estimator.headroom")
-    return {"headroom": headroom}
+    fit_kw["headroom"] = headroom
+    return fit_kw
 
 
 def _fit_from_config(config: dict, data: dict):
     kind = _estimator_kind(config)
     hyper = _hyper(config, "estimator.hyper", REQUIRED_HYPER[kind])
-    fit_kw = _fit_kw(config, kind)
+    fit_kw = _fit_kw(config, kind, data["task"])
     if data["task"] == "path-continuation":
-        est, seed_hist = fit_path_estimator(kind, hyper, data["train"].values,
-                                            **fit_kw)
-    else:
-        est = fit_estimator(kind, hyper, data["train_inputs"].values,
-                            data["train_outputs"].values,
-                            output_kinds=bekk_output_pipeline(), **fit_kw)
-        seed_hist = None
-    return est, seed_hist
+        return fit_path_estimator(kind, hyper, data["train"].values,
+                                  **fit_kw)[0]
+    return fit_estimator(kind, hyper, data["train_inputs"].values,
+                         data["train_outputs"].values, **fit_kw)
 
 
 def cmd_fit(config: dict, out_dir: str) -> int:
     data = load_dataset_artifacts(config, out_dir)
     started = time.perf_counter()
-    est, _seed = _fit_from_config(config, data)
+    est = _fit_from_config(config, data)
     elapsed = time.perf_counter() - started
     written = time.perf_counter()
     doc = {"config_sha256": config_hash(config),
@@ -426,13 +427,12 @@ def cmd_cv(config: dict, out_dir: str) -> int:
     except InvalidInputError as exc:
         raise ConfigError(str(exc), field="cv")
     fixed = _hyper(config, "cv.fixed_hyper")
-    fit_kw = _fit_kw(config, kind)
+    fit_kw = _fit_kw(config, kind, data["task"])
     if data["task"] == "path-continuation":
         result = grid_search(kind, grid, plan, "path-continuation",
                              series=data["train"].values,
                              fit_kw=fit_kw, fixed_hyper=fixed)
     else:
-        fit_kw["output_kinds"] = bekk_output_pipeline()
         result = grid_search(kind, grid, plan, "open-loop",
                              inputs=data["train_inputs"].values,
                              outputs=data["train_outputs"].values,

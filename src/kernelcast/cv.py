@@ -125,19 +125,26 @@ class Grid:
 @dataclass
 class CandidateResult:
     """Scores of one candidate; ``failures`` names the cause of every
-    infinite entry of ``fold_mse``."""
+    infinite entry of ``fold_mse``.  ``fold_projected`` counts, per fold,
+    the inputs its rollout projected onto the Volterra norm ball (``None``
+    for a fold whose fit or rollout raised); ``None`` when not counted."""
 
     params: dict
     fold_mse: list
     mean_mse: float
     failures: list = field(default_factory=list)
+    fold_projected: list | None = None
 
     def describe(self) -> dict:
-        """JSON form: ``fold_mse`` with ``None`` for a fold without a score."""
-        return {"params": self.params,
-                "fold_mse": [s if math.isfinite(s) else None
-                             for s in self.fold_mse],
-                "failures": self.failures}
+        """JSON form: ``fold_mse`` with ``None`` for a fold without a score,
+        and ``fold_projected`` when counted."""
+        doc = {"params": self.params,
+               "fold_mse": [s if math.isfinite(s) else None
+                            for s in self.fold_mse],
+               "failures": self.failures}
+        if self.fold_projected is not None:
+            doc["fold_projected"] = self.fold_projected
+        return doc
 
 
 @dataclass
@@ -170,8 +177,8 @@ def _score_path_fold(kind, params, values, fold: Fold, fit_kw):
     train = values[fold.train_start:fold.train_stop]
     val = values[fold.val_start:fold.val_stop]
     est, seed = fit_path_estimator(kind, params, train, **fit_kw)
-    return _rollout_score(path_continue(est, seed, val.shape[0],
-                                        reference=val), val)
+    run = path_continue(est, seed, val.shape[0], reference=val)
+    return (*_rollout_score(run, val), run.projected)
 
 
 def _score_open_fold(kind, params, inputs, outputs, fold: Fold, fit_kw):
@@ -179,8 +186,8 @@ def _score_open_fold(kind, params, inputs, outputs, fold: Fold, fit_kw):
     est = fit_estimator(kind, params,
                         inputs[fold.train_start:fold.train_stop],
                         outputs[fold.train_start:fold.train_stop], **fit_kw)
-    return _rollout_score(open_loop(est, inputs[fold.val_start:fold.val_stop],
-                                    reference=val), val)
+    run = open_loop(est, inputs[fold.val_start:fold.val_stop], reference=val)
+    return (*_rollout_score(run, val), run.projected)
 
 
 def _tie_break_key(item):
@@ -228,23 +235,25 @@ def grid_search(estimator_kind: str, grid: Grid, plan: FoldPlan,
         full = {**fixed_hyper, **params}
         fold_scores = []
         failures = []
+        projected = []
         for k, fold in enumerate(plan.folds, 1):
             try:
                 if task_mode == "path-continuation":
-                    score, reason = _score_path_fold(estimator_kind, full,
-                                                     values, fold, fit_kw)
+                    score, reason, count = _score_path_fold(
+                        estimator_kind, full, values, fold, fit_kw)
                 else:
-                    score, reason = _score_open_fold(estimator_kind, full,
-                                                     inputs, outputs, fold,
-                                                     fit_kw)
+                    score, reason, count = _score_open_fold(
+                        estimator_kind, full, inputs, outputs, fold, fit_kw)
             except (KernelcastError, np.linalg.LinAlgError) as exc:
                 # candidate-level failure, not fatal
-                score, reason = float("inf"), str(exc)
+                score, reason, count = float("inf"), str(exc), None
             if reason is not None:
                 failures.append(f"fold {k} of {len(plan.folds)}: {reason}")
             fold_scores.append(score)
+            projected.append(count)
         mean = float(np.mean(fold_scores)) if fold_scores else float("inf")
-        table.append(CandidateResult(params, fold_scores, mean, failures))
+        table.append(CandidateResult(params, fold_scores, mean, failures,
+                                     projected))
 
     if all(not math.isfinite(c.mean_mse) for c in table):
         first = table[0]

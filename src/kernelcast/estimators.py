@@ -3,10 +3,11 @@
 Bundles a fitted model with its train-fitted input/output transform chains
 so that rollout and evaluation code can treat NG-RC, polynomial kernel
 ridge, and Volterra kernel ridge uniformly.  All raw-data plumbing
-(transform application, delay-window bookkeeping, Volterra sequence
-extension) lives here, and so does the one declaration of each estimator
-kind: its hyperparameters (:data:`REQUIRED_HYPER`) and input transforms
-(:data:`INPUT_TRANSFORMS`).
+(transform application, prediction windows, Volterra sequence extension)
+lives here, and so does the one declaration of each estimator kind: its
+hyperparameters (:data:`REQUIRED_HYPER`) and input transforms
+(:data:`INPUT_TRANSFORMS`).  Training rows come from
+:func:`kernelcast.ngrc.lagged_pairs`.
 """
 
 from __future__ import annotations
@@ -26,15 +27,7 @@ from .kernels import (
     fit_kernel_model,
     predict_kernel,
 )
-from .linsolve import solve_ridge_primal
-from .ngrc import (
-    NgrcModel,
-    build_exponent_table,
-    delay_vectors,
-    design_matrix,
-    fit_ngrc,
-    predict_ngrc,
-)
+from .ngrc import NgrcModel, delay_vectors, fit_ngrc, predict_ngrc
 
 # Hyperparameters each kind requires, in grid order; all are numbers (see
 # hyper_value).
@@ -135,7 +128,8 @@ class Estimator:
         return preprocess.invert_pipeline(self.output_specs, preds)
 
     def start(self, seed_history) -> "_Stepper":
-        """Closed-loop stepper primed with raw seed samples."""
+        """Closed-loop stepper primed with the last ``tau`` raw seed samples;
+        earlier rows are ignored."""
         seed = np.asarray(seed_history, dtype=np.float64)
         if seed.ndim == 1:
             seed = seed[:, None]
@@ -143,13 +137,11 @@ class Estimator:
             raise InvalidInputError(
                 f"seed of length {seed.shape[0]} is shorter than {self.tau}"
             )
-        seed_t = preprocess.apply_pipeline(self.input_specs, seed)
+        seed_t = preprocess.apply_pipeline(self.input_specs,
+                                           seed[-self.tau:])
         if self.kind == "volterra":
-            ext = self.model.extension()
-            for row in seed_t[:-1]:
-                ext.step(row)
-            return _VolterraStepper(self, ext, seed_t[-1])
-        return _LaggedStepper(self, list(seed_t[-self.tau:]))
+            return _VolterraStepper(self, self.model.extension(), seed_t[0])
+        return _LaggedStepper(self, list(seed_t))
 
     def _finish(self, model_output: np.ndarray) -> np.ndarray:
         return preprocess.invert_pipeline(self.output_specs, model_output)
@@ -207,8 +199,11 @@ def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
         otherwise, and for the other kernels, on the Gram.
     hyper : dict
         ``tau, p, lam_reg`` for the lagged estimators (plus optional ``c``
-        for the polynomial kernel); ``lam, theta, lam_reg, washout`` and
-        optional ``M`` for Volterra; each value is typed by ``hyper_value``.
+        for the polynomial kernel); ``lam, theta, lam_reg`` and optional
+        ``M`` for Volterra; each value is typed by ``hyper_value``.  Every
+        kind reads an optional ``washout`` (default 0): the training rows
+        dropped after the first full window (Volterra: after the first
+        sample).
     inputs, targets : arrays
         Raw aligned samples; targets may be the shifted inputs for
         path-continuation tasks.
@@ -253,27 +248,28 @@ def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
     Y = preprocess.apply_pipeline(output_specs, Y_raw)
 
     washout = hyper.get("washout", 0)
+    kernel = None
+    if kind == "polynomial":
+        kernel = PolyKernelParams(hyper["p"], hyper["tau"],
+                                  hyper.get("c", 1.0))
+    elif kind == "ngrc-kernel":
+        kernel = NgrcKernelParams(hyper["p"], hyper["tau"], X.shape[1])
+    elif kind == "volterra":
+        kernel = VolterraParams(hyper["lam"], hyper["theta"],
+                                hyper.get("M", 1.0))
     if kind == "ngrc":
-        model = fit_ngrc(X, Y, hyper["tau"], hyper["p"], hyper["lam_reg"])
-    else:
-        if kind == "polynomial":
-            kernel = PolyKernelParams(hyper["p"], hyper["tau"],
-                                      hyper.get("c", 1.0))
-        elif kind == "ngrc-kernel":
-            kernel = NgrcKernelParams(hyper["p"], hyper["tau"], X.shape[1])
-        else:
-            kernel = VolterraParams(hyper["lam"], hyper["theta"],
-                                    hyper.get("M", 1.0))
+        model = fit_ngrc(X, Y, hyper["tau"], hyper["p"], hyper["lam_reg"],
+                         washout)
+    elif kind == "polynomial" and _n_features(
+            kernel.tau, X.shape[1], kernel.p) <= (
+            X.shape[0] - kernel.tau + 1 - washout):
         # The polynomial kernel is a scaled NG-RC regression: fit it in the
         # smaller space, its N monomials or its n embedded rows.
-        if kind == "polynomial" and washout >= 0 and _n_features(
-                kernel.tau, X.shape[1], kernel.p) <= (
-                X.shape[0] - kernel.tau + 1 - washout):
-            model = _fit_polynomial_primal(X, Y, kernel, hyper["lam_reg"],
-                                           washout)
-        else:
-            model = fit_kernel_model(X, Y, kernel, hyper["lam_reg"],
-                                     washout=washout)
+        model = fit_ngrc(X, Y, kernel.tau, kernel.p, hyper["lam_reg"],
+                         washout, kernel.feature_scale)
+    else:
+        model = fit_kernel_model(X, Y, kernel, hyper["lam_reg"],
+                                 washout=washout)
 
     tail_len = max(hyper.get("tau", 1), 1)
     return Estimator(kind, hyper, model, input_specs, output_specs,
@@ -284,24 +280,6 @@ def _n_features(tau: int, d: int, p: int) -> int:
     """Monomials of degree <= p in tau*d variables: ``ngrc.feature_dim``
     without its int64 cap, which only the explicit features need."""
     return math.comb(tau * d + p, p)
-
-
-def _fit_polynomial_primal(X, Y, kernel: PolyKernelParams, lam_reg: float,
-                           washout: int) -> NgrcModel:
-    """Polynomial kernel ridge regression in its explicit feature space.
-
-    ``(c + u'v)^p`` is the dot product of the NG-RC monomials of degree
-    <= p, each scaled by :meth:`PolyKernelParams.feature_scale`.  The stored
-    weights carry that scale, so the model predicts from plain NG-RC
-    features.
-    """
-    table = build_exponent_table(kernel.tau, X.shape[1], kernel.p)
-    s = kernel.feature_scale(table)
-    F = design_matrix(X, kernel.tau, table)[washout:]
-    F *= s
-    sol = solve_ridge_primal(F, Y[kernel.tau - 1 + washout:], lam_reg)
-    return NgrcModel(table, s[:, None] * sol.coefficients, float(lam_reg),
-                     sol)
 
 
 def estimator_to_dict(est: Estimator) -> dict:

@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import DependencyError, InvalidInputError, NormBoundError, doc_field
 from .linsolve import GramRows, RidgeSolution, solve_ridge_gram
-from .ngrc import ExponentTable, build_exponent_table, delay_vectors, ngrc_features
+from .ngrc import (ExponentTable, build_exponent_table, delay_vectors,
+                   lagged_pairs, ngrc_features)
 
 # Relative slack when checking sample norms against M; guards float fuzz only.
 _NORM_SLACK = 1e-12
@@ -504,30 +505,24 @@ def fit_kernel_model(inputs, targets, kernel, lam_reg: float,
                      washout: int = 0) -> KernelModel:
     """Fit dual coefficients on the washout-trimmed Gram matrix.
 
-    For the lagged kernels (polynomial, NG-RC) the embedding itself consumes
+    For the lagged kernels (polynomial, NG-RC) the windows and targets are
+    those of :func:`~kernelcast.ngrc.lagged_pairs`: the embedding consumes
     ``tau - 1`` leading samples and ``washout`` counts additional embedded
-    rows to drop (normally 0).  For the Volterra kernel the Gram covers the
-    whole sequence and ``washout`` rows/columns are trimmed from the solve
-    to flush the zero-padding transient; the trimmed sequence is still used
+    rows to drop.  For the Volterra kernel the Gram covers the whole
+    sequence and ``washout`` rows/columns are trimmed from the solve to
+    flush the zero-padding transient; the trimmed sequence is still used
     when predicting.  The Gram reaches the solver as its lower-triangle rows,
     so the solver stores it (see :mod:`kernelcast.linsolve`).
     """
     Z = _as_samples(inputs)
-    targets = np.asarray(targets, dtype=np.float64)
-    Y = targets[:, None] if targets.ndim == 1 else targets
-    if Y.shape[0] != Z.shape[0]:
-        raise InvalidInputError("inputs and targets must have equal length")
-    if washout < 0:
-        raise InvalidInputError("washout must be non-negative")
-
     if isinstance(kernel, VolterraParams):
-        if washout >= Z.shape[0]:
-            raise InvalidInputError("washout leaves no training rows")
+        # the targets of a tau = 1 lagged fit: one per sample, less washout
+        _, Y = lagged_pairs(Z, targets, 1, washout)
         _check_sample_norms(Z, kernel)
         last_col = np.empty(Z.shape[0] + 1)
         rows = GramRows(Z.shape[0] - washout, lambda: _volterra_rows(
             Z, kernel, washout, last_col))
-        sol = solve_ridge_gram(rows, Y[washout:], lam_reg)
+        sol = solve_ridge_gram(rows, Y, lam_reg)
         model = KernelModel(kernel, Z, sol.coefficients, washout,
                             float(lam_reg), sol)
         model._last_col = last_col
@@ -535,13 +530,8 @@ def fit_kernel_model(inputs, targets, kernel, lam_reg: float,
 
     if isinstance(kernel, NgrcKernelParams) and kernel.d != Z.shape[1]:
         raise InvalidInputError("kernel d does not match the input dimension")
-    windows = delay_vectors(Z, kernel.tau)
-    Y_emb = Y[kernel.tau - 1 :]
-    if washout >= windows.shape[0]:
-        raise InvalidInputError("washout leaves no training rows")
-    windows = windows[washout:]
-    Y_eff = Y_emb[washout:]
-    sol = solve_ridge_gram(_lagged_rows(kernel, windows), Y_eff, lam_reg)
+    windows, Y = lagged_pairs(Z, targets, kernel.tau, washout)
+    sol = solve_ridge_gram(_lagged_rows(kernel, windows), Y, lam_reg)
     model = KernelModel(kernel, Z, sol.coefficients, washout,
                         float(lam_reg), sol)
     model.train_windows = windows

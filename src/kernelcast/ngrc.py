@@ -6,6 +6,9 @@ lag first) through every monomial of total degree at most ``p`` (constant
 included) and applies a linear readout fitted by ridge regression.  The
 features are built degree by degree, one slice multiply per run of the
 exponent table (see :class:`ExponentTable`).
+
+:func:`lagged_pairs` cuts the windows, targets and washout of every lagged
+fit, primal (:func:`fit_ngrc`) or dual (:mod:`kernelcast.kernels`).
 """
 
 from __future__ import annotations
@@ -205,12 +208,27 @@ class NgrcModel:
         return cls(table, weights, float(get("lam_reg")))
 
 
-def design_matrix(inputs, tau: int, table: ExponentTable) -> np.ndarray:
-    """Delay-embed ``inputs`` and evaluate features row by row."""
-    return ngrc_features(delay_vectors(inputs, tau), table)
+def lagged_pairs(inputs, targets, tau: int, washout: int = 0) -> tuple[
+        np.ndarray, np.ndarray]:
+    """Training rows of a lagged regression: (windows, (rows, m) targets).
+
+    Window t of ``delay_vectors(inputs, tau)`` ends at sample ``t + tau - 1``
+    and is paired with that sample's target; the first ``washout`` pairs are
+    dropped."""
+    targets = np.asarray(targets, dtype=np.float64)
+    Y = targets[:, None] if targets.ndim == 1 else targets
+    if Y.shape[0] != np.shape(inputs)[0]:
+        raise InvalidInputError("inputs and targets must have equal length")
+    if washout < 0:
+        raise InvalidInputError("washout must be non-negative")
+    windows = delay_vectors(inputs, tau)
+    if washout >= windows.shape[0]:
+        raise InvalidInputError("washout leaves no training rows")
+    return windows[washout:], Y[tau - 1 + washout:]
 
 
-def fit_ngrc(inputs, targets, tau: int, p: int, lam_reg: float) -> NgrcModel:
+def fit_ngrc(inputs, targets, tau: int, p: int, lam_reg: float,
+             washout: int = 0, scale=None) -> NgrcModel:
     """Fit the primal NG-RC ridge regression.
 
     Parameters
@@ -219,30 +237,32 @@ def fit_ngrc(inputs, targets, tau: int, p: int, lam_reg: float) -> NgrcModel:
         Input samples; the first ``tau - 1`` are consumed by the embedding.
     targets : (n,) or (n, m) array
         Targets aligned with ``inputs``; rows before the first full window
-        are dropped to match.
+        are dropped to match (see :func:`lagged_pairs`).
     tau, p : int
         Delay length and maximum monomial degree.
     lam_reg : float
         Ridge strength.
+    washout : int
+        Embedded rows dropped after the first window.
+    scale : callable, optional
+        ``scale(table)`` weights each monomial for the ridge; the stored
+        weights carry it, so the model predicts from plain features.
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim == 1:
-        inputs = inputs[:, None]
-    targets = np.asarray(targets, dtype=np.float64)
-    Y = targets[:, None] if targets.ndim == 1 else targets
-    if Y.shape[0] != inputs.shape[0]:
-        raise InvalidInputError("inputs and targets must have equal length")
-    table = build_exponent_table(tau, inputs.shape[1], p)
-    X = design_matrix(inputs, tau, table)
-    Y_eff = Y[tau - 1 :]
+    windows, Y = lagged_pairs(inputs, targets, tau, washout)
+    table = build_exponent_table(tau, windows.shape[1] // tau, p)
+    X = ngrc_features(windows, table)
     if X.shape[0] < table.n_features:
         warnings.warn(
             f"only {X.shape[0]} effective rows for {table.n_features} features;"
             " the fit is underdetermined",
             stacklevel=2,
         )
-    sol = solve_ridge_primal(X, Y_eff, lam_reg)
-    return NgrcModel(table, sol.coefficients, float(lam_reg), sol)
+    s = None if scale is None else scale(table)
+    if s is not None:
+        X *= s
+    sol = solve_ridge_primal(X, Y, lam_reg)
+    weights = sol.coefficients if s is None else s[:, None] * sol.coefficients
+    return NgrcModel(table, weights, float(lam_reg), sol)
 
 
 def predict_ngrc(model: NgrcModel, v) -> np.ndarray:

@@ -265,6 +265,29 @@ class TestGridSearch:
         assert all(math.isfinite(s) for s in row.fold_mse)
         assert row.failures == []
 
+    @pytest.mark.filterwarnings("ignore:only .* the fit is underdetermined")
+    def test_folds_record_projected_inputs(self):
+        # on a rising ramp every validation input lies beyond the training
+        # inputs, outside their norm ball
+        ramp = np.linspace(0.0, 1.0, 300)[:, None]
+        plan = expanding_folds(300, 3)
+        result = grid_search("volterra",
+                             Grid(lams=[0.5], thetas=[0.4], lam_regs=[1e-6]),
+                             plan, "open-loop", inputs=ramp,
+                             outputs=ramp ** 2, fixed_hyper={"washout": 20},
+                             fit_kw={"headroom": 1.0})
+        [row] = result.table
+        assert row.fold_projected == [100, 100]
+        assert row.describe()["fold_projected"] == [100, 100]
+        # a lagged kind projects nothing; a fold whose fit raised (tau 150
+        # on 100 training rows) counts nothing either
+        result = grid_search("ngrc", Grid(taus=[1, 150], ps=[1],
+                                          lam_regs=[1e-6]),
+                             plan, "open-loop", inputs=ramp,
+                             outputs=ramp ** 2)
+        assert [row.fold_projected for row in result.table] == [[0, 0],
+                                                                [None, 0]]
+
     def test_non_finite_rollout_names_its_cause(self):
         from kernelcast.cv import _rollout_score
         from kernelcast.forecast import ForecastRun

@@ -44,6 +44,26 @@ class TestKinds:
         assert not run.truncated and run.predicted.shape == (5, 2)
         assert np.all(np.isfinite(run.predicted))
 
+    @pytest.mark.parametrize("kind", sorted(HYPER))
+    def test_rollout_reads_only_the_last_tau_seed_rows(self, kind):
+        series = short_series()
+        est, seed = fit_path_estimator(kind, HYPER[kind], series)
+        runs = [path_continue(est, s, 8).predicted for s in (seed, series[-4:])]
+        assert np.array_equal(runs[0], runs[1])
+
+    @pytest.mark.parametrize("washout", [3, 10])
+    def test_ngrc_washout_matches_its_kernel_dual(self, washout):
+        rng = np.random.default_rng(8)
+        X = rng.uniform(-1, 1, (60, 2))
+        Y = rng.uniform(-1, 1, (60, 2))
+        hyper = {**HYPER["ngrc"], "washout": washout}
+        primal = fit_estimator("ngrc", hyper, X, Y)
+        dual = fit_estimator("ngrc-kernel", hyper, X, Y)
+        for test_inputs in (X, rng.uniform(-1, 1, (12, 2))):
+            a = primal.open_loop(test_inputs)
+            b = dual.open_loop(test_inputs)
+            assert np.max(np.abs(a - b)) <= 1e-8 * max(1.0, np.max(np.abs(a)))
+
     def test_unknown_kind_rejected(self):
         series = short_series()
         with pytest.raises(InvalidInputError, match="unknown estimator kind"):

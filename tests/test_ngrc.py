@@ -14,6 +14,7 @@ from kernelcast.ngrc import (
     delay_vectors,
     feature_dim,
     fit_ngrc,
+    lagged_pairs,
     ngrc_features,
     predict_ngrc,
 )
@@ -189,6 +190,22 @@ class TestFeatures:
             ngrc_features(np.zeros(3), table)
 
 
+class TestLaggedPairs:
+    def test_window_pairs_with_the_target_of_its_last_sample(self):
+        inputs = np.arange(10.0)
+        windows, Y = lagged_pairs(inputs, 100.0 + inputs, 3, washout=2)
+        assert windows.shape == (6, 3) and Y.shape == (6, 1)
+        np.testing.assert_array_equal(windows[:, -1], Y[:, 0] - 100.0)
+        assert windows[0].tolist() == [2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("n_targets, washout, match", [
+        (9, 0, "equal length"), (10, -1, "non-negative"),
+        (10, 8, "no training rows")])
+    def test_rejected_rows(self, n_targets, washout, match):
+        with pytest.raises(InvalidInputError, match=match):
+            lagged_pairs(np.zeros((10, 1)), np.zeros(n_targets), 3, washout)
+
+
 class TestFitPredict:
     def test_realizable_target_interpolates(self):
         rng = np.random.default_rng(1)
@@ -217,9 +234,8 @@ class TestFitPredict:
         model = fit_ngrc(inputs, targets, tau=2, p=2, lam_reg=1e-3)
         # permute the embedded rows directly through the primal solver
         from kernelcast.linsolve import solve_ridge_primal
-        from kernelcast.ngrc import design_matrix
 
-        X = design_matrix(inputs, 2, model.table)
+        X = ngrc_features(delay_vectors(inputs, 2), model.table)
         Y = targets[1:]
         perm = rng.permutation(X.shape[0])
         w_perm = solve_ridge_primal(X[perm], Y[perm], 1e-3).coefficients
