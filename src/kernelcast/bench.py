@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .errors import ConfigError
+from .cli import _get, _int_in
 from .kernels import (
     PolyKernelParams,
     VolterraParams,
@@ -82,22 +82,20 @@ def _time_sweep(fns: dict, repeats: int) -> dict:
 
 def run_bench(config: dict) -> list[dict]:
     """One row per timed primitive, as ``kernelcast bench`` writes them."""
-    b_cfg = config.get("bench")
-    if not isinstance(b_cfg, dict):
-        raise ConfigError("missing required field", field="bench")
-    n = int(b_cfg.get("n", 2000))
-    n2 = int(b_cfg.get("n_doubled", 2 * n))
-    tau = int(b_cfg.get("tau", 8))
-    d = int(b_cfg.get("d", 1))
-    gram_d = int(b_cfg.get("gram_d", 3))
-    ps = [int(p) for p in b_cfg.get("ps", [2, 3, 4, 5])]
-    lam_reg = float(b_cfg.get("lam_reg", 1e-6))
-    repeats = int(b_cfg.get("repeats", 5))
-    steps = int(b_cfg.get("prediction_steps", 50))
-    v_cfg = b_cfg.get("volterra", {})
-    vp = VolterraParams(float(v_cfg.get("lam", 0.6)),
-                        float(v_cfg.get("theta", 0.5)))
-    seed = int(config.get("seed", 0))
+    _get(config, "bench", conv=dict)  # required; its settings are not
+    n = _get(config, "bench.n", 2000, _int_in(1))
+    n2 = _get(config, "bench.n_doubled", 2 * n, _int_in(1))
+    tau = _get(config, "bench.tau", 8, _int_in(1))
+    d = _get(config, "bench.d", 1, _int_in(1))
+    gram_d = _get(config, "bench.gram_d", 3, _int_in(1))
+    ps = _get(config, "bench.ps", [2, 3, 4, 5],
+              lambda value: [_int_in(1)(p) for p in value])
+    lam_reg = _get(config, "bench.lam_reg", 1e-6, float)
+    repeats = _get(config, "bench.repeats", 5, _int_in(1))
+    steps = _get(config, "bench.prediction_steps", 50, _int_in(1))
+    vp = VolterraParams(_get(config, "bench.volterra.lam", 0.6, float),
+                        _get(config, "bench.volterra.theta", 0.5, float))
+    seed = _get(config, "seed", 0, int)
     rng = np.random.Generator(np.random.Philox(seed))
 
     series = rng.uniform(-1.0, 1.0, (n + steps, d))

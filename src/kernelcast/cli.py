@@ -47,6 +47,7 @@ from .errors import (
 )
 from .estimators import (
     INPUT_TRANSFORMS,
+    OPTIONAL_HYPER,
     REQUIRED_HYPER,
     estimator_from_dict,
     estimator_to_dict,
@@ -101,7 +102,26 @@ def _get(config: dict, path: str, default=..., conv=None):
     try:
         return conv(node)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed value {node!r}: {exc}", field=path)
+        raise ConfigError(f"invalid value {node!r}: {exc}", field=path)
+
+
+def _int_in(lo: int, hi: float = math.inf):
+    """Converter for ``_get``: an int in ``[lo, hi]``."""
+    def conv(value):
+        number = int(value)
+        if not lo <= number <= hi:
+            raise ValueError(f"must be >= {lo}" if hi == math.inf
+                             else f"must lie in [{lo}, {hi}]")
+        return number
+    return conv
+
+
+def _positive(value) -> float:
+    """Converter for ``_get``: a positive finite float."""
+    number = float(value)
+    if not 0 < number < math.inf:
+        raise ValueError("must be positive and finite")
+    return number
 
 
 def load_config(args) -> dict:
@@ -202,12 +222,8 @@ def generate_dataset(config: dict) -> dict:
     series = pair = None
 
     if kind == "lorenz":
-        n_points = _get(config, "dataset.n_points", 15001, int)
-        if n_points < 2:
-            raise ConfigError("n_points must be >= 2", field="dataset.n_points")
-        dt = _get(config, "dataset.dt", 0.005, float)
-        if not 0 < dt < math.inf:
-            raise ConfigError("must be positive and finite", field="dataset.dt")
+        n_points = _get(config, "dataset.n_points", 15001, _int_in(2))
+        dt = _get(config, "dataset.dt", 0.005, _positive)
         try:
             series = simulate_lorenz(
                 _get(config, "dataset.initial", (0.0, 1.0, 1.05), np.float64),
@@ -215,26 +231,18 @@ def generate_dataset(config: dict) -> dict:
         except InvalidInputError as exc:  # dt and n_points are checked above
             raise ConfigError(str(exc), field="dataset.initial")
     elif kind == "mackey-glass":
-        settings = {"dt_fine": _get(config, "dataset.dt_fine", 0.02, float),
-                    "delay": _get(config, "dataset.delay", 17.0, float),
-                    "n_fine": _get(config, "dataset.n_fine", 382500, int),
-                    "splice": _get(config, "dataset.splice", 50, int)}
-        for name in ("dt_fine", "delay"):
-            if not 0 < settings[name] < math.inf:
-                raise ConfigError("must be positive and finite",
-                                  field=f"dataset.{name}")
-        for name in ("n_fine", "splice"):
-            if settings[name] < 1:
-                raise ConfigError("must be >= 1", field=f"dataset.{name}")
+        settings = {
+            "dt_fine": _get(config, "dataset.dt_fine", 0.02, _positive),
+            "delay": _get(config, "dataset.delay", 17.0, _positive),
+            "n_fine": _get(config, "dataset.n_fine", 382500, _int_in(1)),
+            "splice": _get(config, "dataset.splice", 50, _int_in(1))}
         try:
             series = simulate_mackey_glass(**settings)
         except InvalidInputError as exc:  # each setting is checked above;
             # what is left is delay not being a multiple of dt_fine
             raise ConfigError(str(exc), field="dataset.delay")
     elif kind == "bekk":
-        n_points = _get(config, "dataset.n_points", 3761, int)
-        if n_points < 3:
-            raise ConfigError("n_points must be >= 3", field="dataset.n_points")
+        n_points = _get(config, "dataset.n_points", 3761, _int_in(3))
         d = _get(config, "dataset.d", conv=int)
         # np.float64 of a list is a float64 array: a, b are scalars or lists
         a = _get(config, "dataset.a", 0.3, np.float64)
@@ -327,10 +335,15 @@ def _estimator_kind(config: dict) -> str:
     return kind
 
 
-def _hyper(config: dict, path: str, required=()) -> dict:
+def _hyper(config: dict, path: str, readable, required=()) -> dict:
     """The hyperparameters at ``path``, typed by ``hyper_value``; each name
-    in ``required`` must be present."""
+    in ``required`` must be present, and a name outside ``readable`` is a
+    :class:`ConfigError`."""
     names = dict.fromkeys((*required, *_get(config, path, {}, dict)))
+    for name in names:
+        if name not in readable:
+            raise ConfigError("not read by this estimator kind, which reads "
+                              + ", ".join(readable), field=f"{path}.{name}")
     return {name: _get(config, f"{path}.{name}",
                        conv=functools.partial(hyper_value, name))
             for name in names}
@@ -356,7 +369,9 @@ def _fit_kw(config: dict, kind: str, task: str) -> dict:
 
 def _fit_from_config(config: dict, data: dict):
     kind = _estimator_kind(config)
-    hyper = _hyper(config, "estimator.hyper", REQUIRED_HYPER[kind])
+    hyper = _hyper(config, "estimator.hyper",
+                   (*REQUIRED_HYPER[kind], *OPTIONAL_HYPER[kind]),
+                   REQUIRED_HYPER[kind])
     fit_kw = _fit_kw(config, kind, data["task"])
     if data["task"] == "path-continuation":
         return fit_path_estimator(kind, hyper, data["train"].values,
@@ -426,7 +441,8 @@ def cmd_cv(config: dict, out_dir: str) -> int:
             raise ConfigError(f"unknown cv mode {mode!r}", field="cv.mode")
     except InvalidInputError as exc:
         raise ConfigError(str(exc), field="cv")
-    fixed = _hyper(config, "cv.fixed_hyper")
+    # the grid sets every required name
+    fixed = _hyper(config, "cv.fixed_hyper", OPTIONAL_HYPER[kind])
     fit_kw = _fit_kw(config, kind, data["task"])
     if data["task"] == "path-continuation":
         result = grid_search(kind, grid, plan, "path-continuation",
@@ -466,13 +482,13 @@ def cmd_forecast(config: dict, out_dir: str) -> int:
     est = estimator_from_dict(doc_field(model_doc, "estimator", model_path),
                               model_path, "estimator")
     mode = _get(config, "task.mode")
-    horizon_cfg = _get(config, "task.horizon", None, int)
+    horizon_cfg = _get(config, "task.horizon", math.inf, _int_in(1))
     if mode == "path-continuation":
         if data["task"] != "path-continuation":
             raise ConfigError("dataset does not support path continuation",
                               field="task.mode")
         test = data["test"]
-        horizon = min(horizon_cfg or test.n, test.n)
+        horizon = min(horizon_cfg, test.n)
         seed_hist = data["train"].values[-est.tau:]
         run = path_continue(est, seed_hist, horizon,
                             reference=test.values[:horizon])
@@ -480,13 +496,13 @@ def cmd_forecast(config: dict, out_dir: str) -> int:
         if data["task"] == "path-continuation":
             # one-step-ahead predictions along the test span
             test = data["test"]
-            horizon = min(horizon_cfg or test.n, test.n)
+            horizon = min(horizon_cfg, test.n)
             stacked = np.vstack([data["train"].values[-1:],
                                  test.values[:horizon - 1]])
             run = open_loop(est, stacked, reference=test.values[:horizon])
         else:
             inputs = data["test_inputs"]
-            horizon = horizon_cfg or inputs.n
+            horizon = min(horizon_cfg, inputs.n)
             run = open_loop(est, inputs.values[:horizon],
                             reference=data["test_outputs"].values[:horizon])
     else:
@@ -509,13 +525,14 @@ def evaluate_run(reference: np.ndarray, predicted: np.ndarray, config: dict,
     flags = {}
 
     t_valid_steps = None
-    lyap = _get(config, "task.lyapunov_exponent", None, float)
-    if mode == "path-continuation" and lyap:
+    lyap = _get(config, "task.lyapunov_exponent", None, _positive)
+    if mode == "path-continuation" and lyap is not None:
         vt = valid_time(reference, predicted, lyap, dt,
-                        _get(config, "task.valid_threshold", 0.2, float))
+                        _get(config, "task.valid_threshold", 0.2, _positive))
         report.t_valid = vt.value
         report.t_valid_censored = vt.censored
-        t_valid_steps = _get(config, "metrics.pointwise_window", None, int)
+        t_valid_steps = _get(config, "metrics.pointwise_window", None,
+                             _int_in(1))
         if t_valid_steps is None:
             t_valid_steps = int(min(
                 math.ceil(vt.value) / lyap / dt, reference.shape[0]))
@@ -528,12 +545,11 @@ def evaluate_run(reference: np.ndarray, predicted: np.ndarray, config: dict,
         flags["nmse_degenerate_dims"] = list(degenerate)
     report.mae = mae(y, y_hat)
     report.mdae = mdae(y, y_hat)
-    report.mape = mape(y, y_hat, _get(config, "metrics.mape_eps", 1e-8, float))
+    report.mape = mape(y, y_hat,
+                       _get(config, "metrics.mape_eps", 1e-8, _positive))
 
-    nperseg = min(_get(config, "metrics.welch_nperseg", 1024, int),
+    nperseg = min(_get(config, "metrics.welch_nperseg", 1024, _int_in(1)),
                   reference.shape[0])
-    if nperseg < 1:
-        raise ConfigError("must be >= 1", field="metrics.welch_nperseg")
     overlap = _get(config, "metrics.welch_overlap", 0.5, float)
     fs = 1.0 / dt
     try:
@@ -541,13 +557,15 @@ def evaluate_run(reference: np.ndarray, predicted: np.ndarray, config: dict,
     except InvalidInputError as exc:  # fs = 1/dt > 0: the overlap is at fault
         raise ConfigError(str(exc), field="metrics.welch_overlap")
     psd_est = welch_psd(predicted, nperseg, overlap, fs)
+    # welch_psd's one-sided grid has nperseg // 2 + 1 bins
     report.psde, skipped = psde_detailed(
-        psd_true, psd_est, _get(config, "metrics.psde_fcut_bins", None, int))
+        psd_true, psd_est, _get(config, "metrics.psde_fcut_bins", None,
+                                _int_in(1, nperseg // 2 + 1)))
     if skipped:
         flags["psde_skipped_bins"] = skipped
 
-    cap = _get(config, "metrics.w1_cap", 512, int)
-    sub = _get(config, "metrics.w1_subsample", 512, int)
+    cap = _get(config, "metrics.w1_cap", 512, _int_in(1))
+    sub = _get(config, "metrics.w1_subsample", 512, _int_in(1))
     w1_seed = _get(config, "metrics.w1_seed", 7, int)
     try:
         if reference.shape[1] == 1:

@@ -5,8 +5,8 @@ so that rollout and evaluation code can treat NG-RC, polynomial kernel
 ridge, and Volterra kernel ridge uniformly.  All raw-data plumbing
 (transform application, prediction windows, Volterra sequence extension)
 lives here, and so does the one declaration of each estimator kind: its
-hyperparameters (:data:`REQUIRED_HYPER`) and input transforms
-(:data:`INPUT_TRANSFORMS`).  Training rows come from
+hyperparameters (:data:`REQUIRED_HYPER`, :data:`OPTIONAL_HYPER`) and input
+transforms (:data:`INPUT_TRANSFORMS`).  Training rows come from
 :func:`kernelcast.ngrc.lagged_pairs`.
 """
 
@@ -35,6 +35,11 @@ _LAGGED_HYPER = ("tau", "p", "lam_reg")
 REQUIRED_HYPER = {"ngrc": _LAGGED_HYPER, "polynomial": _LAGGED_HYPER,
                   "volterra": ("lam", "theta", "lam_reg"),
                   "ngrc-kernel": _LAGGED_HYPER}
+# Hyperparameters each kind reads when given: every kind a ``washout``
+# (default 0), the polynomial kernel its offset ``c`` (1.0) and Volterra
+# its norm bound ``M`` (1.0).
+OPTIONAL_HYPER = {"ngrc": ("washout",), "polynomial": ("c", "washout"),
+                  "volterra": ("M", "washout"), "ngrc-kernel": ("washout",)}
 # Input transform chain of each kind.  NG-RC runs on raw data, and its
 # dot-product dual must see exactly the NG-RC inputs; the polynomial kernel
 # rescales inputs into [0, 1] per dimension; the Volterra kernel demeans and

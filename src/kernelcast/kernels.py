@@ -4,7 +4,9 @@ The polynomial kernel ``(c + u'v)^p`` acts on flattened delay windows and
 spans the same monomials as the NG-RC feature map, up to multinomial
 weights (:meth:`PolyKernelParams.feature_scale`).  The NG-RC kernel is the
 plain dot product of NG-RC feature vectors, so kernel ridge regression with
-it reproduces the primal NG-RC solution exactly.
+it reproduces the primal NG-RC solution exactly.  Every Gram here is built
+in float64; only the primal's normal matrices are accumulated in extended
+precision (:mod:`kernelcast.linsolve`).
 
 The Volterra kernel acts on whole left-zero-padded input sequences and
 encodes every lag and every monomial degree with geometrically decaying
@@ -165,11 +167,7 @@ def ngrc_kernel(u, v, table: ExponentTable) -> float:
     return float(ngrc_features(u, table) @ ngrc_features(v, table))
 
 
-# Below this feature-matrix size the Gram is accumulated in extended
-# precision, which keeps its numerical null space clean enough for the
-# dual solver's pseudo-inverse cutoff.
-_PRECISE_GRAM_ELEMENTS = 1 << 16
-# Rows per panel of a Gram product.
+# Rows per panel of a self-Gram product.
 _GRAM_PANEL_ROWS = 64
 
 
@@ -177,22 +175,12 @@ def ngrc_gram(U, V, table: ExponentTable) -> np.ndarray:
     """Pairwise NG-RC kernel between the rows of U and V.
 
     A self-Gram (``V is U``) is built from the rows a fit factors: the rows
-    are mapped once, and the Gram is exactly symmetric.  The
-    extended-precision product is cast to float64 one row panel at a time,
-    so the output is the only n x n array; numpy's ``longdouble`` matmul
-    sums each element on its own, so the panels do not change its bits.
+    are mapped once, and the Gram is exactly symmetric.
     """
     if V is U:
         return _ngrc_rows(U, table).full()
     FU = ngrc_features(np.atleast_2d(U), table)
     FV = ngrc_features(np.atleast_2d(V), table)
-    if FU.size <= _PRECISE_GRAM_ELEMENTS and FV.size <= _PRECISE_GRAM_ELEMENTS:
-        FUl = FU.astype(np.longdouble)
-        FVlT = FV.astype(np.longdouble).T
-        K = np.empty((FU.shape[0], FV.shape[0]))
-        for i in range(0, FU.shape[0], _GRAM_PANEL_ROWS):
-            K[i:i + _GRAM_PANEL_ROWS] = FUl[i:i + _GRAM_PANEL_ROWS] @ FVlT
-        return K
     return FU @ FV.T
 
 
@@ -201,13 +189,12 @@ def _panel_rows(F: np.ndarray, finish=None) -> GramRows:
     applied in place to each product panel.
 
     Panels of 64 rows against the rows above them go through one reused
-    buffer of ``F``'s dtype; extended-precision rows are rounded to float64
-    where they are stored.
+    buffer.
     """
     n = F.shape[0]
 
     def rows():
-        buf = np.empty(_GRAM_PANEL_ROWS * n, F.dtype)
+        buf = np.empty(_GRAM_PANEL_ROWS * n)
         for i0 in range(0, n, _GRAM_PANEL_ROWS):
             i1 = min(i0 + _GRAM_PANEL_ROWS, n)
             block = buf[:(i1 - i0) * i1].reshape(i1 - i0, i1)
@@ -227,10 +214,7 @@ def _poly_rows(W: np.ndarray, params: PolyKernelParams) -> GramRows:
 
 
 def _ngrc_rows(W, table: ExponentTable) -> GramRows:
-    F = ngrc_features(np.atleast_2d(W), table)
-    if F.size <= _PRECISE_GRAM_ELEMENTS:
-        F = F.astype(np.longdouble)
-    return _panel_rows(F)
+    return _panel_rows(ngrc_features(np.atleast_2d(W), table))
 
 
 def _check_sample_norms(Z: np.ndarray, params: VolterraParams) -> None:

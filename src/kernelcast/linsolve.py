@@ -115,8 +115,8 @@ class GramRows:
     """A symmetric n x n Gram given by the rows of its lower triangle.
 
     ``rows()`` returns a fresh iterator over rows ``0 .. n-1``; row ``i``
-    holds the entries ``(i, 0 .. i)``, is rounded to float64 where it is
-    stored, and needs to stay valid only until the next row is requested.
+    holds the entries ``(i, 0 .. i)`` and needs to stay valid only until the
+    next row is requested.
     :func:`solve_ridge_gram` decides where the rows go and may run
     ``rows()`` more than once (a jitter retry, the eigendecomposition
     fallback), so every run must produce the same bits.  ``shape`` is the

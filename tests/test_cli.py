@@ -302,7 +302,35 @@ class TestMalformedConfigValue:
     ])
     def test_exits_two_naming_the_field(self, tmp_path, capsys, path, value,
                                         stage):
-        cfg = copy.deepcopy(PRESETS["bekk-ngrc"])
+        self.check_exits_two(tmp_path, capsys, "bekk-ngrc", path, value, stage)
+
+    @pytest.mark.parametrize("preset, path, value, stage", [
+        ("bekk-ngrc", "task.horizon", -5, "forecast"),
+        ("lorenz-ngrc", "task.horizon", -5, "forecast"),
+        ("bekk-ngrc", "task.horizon", 0, "forecast"),
+        ("lorenz-ngrc", "metrics.pointwise_window", -3, "eval"),
+        ("bekk-ngrc", "metrics.w1_subsample", -1, "eval"),
+        ("bekk-ngrc", "metrics.w1_cap", -1, "eval"),
+        ("bekk-ngrc", "metrics.mape_eps", 0, "eval"),
+        ("lorenz-ngrc", "task.lyapunov_exponent", -0.9, "eval"),
+        ("bekk-ngrc", "metrics.psde_fcut_bins", 100000, "eval"),
+        ("bekk-ngrc", "metrics.psde_fcut_bins", 0, "eval"),
+        ("lorenz-ngrc", "task.valid_threshold", -1, "eval"),
+        ("lorenz-ngrc", "dataset.n_points", 1, "simulate"),
+        ("bekk-ngrc", "dataset.n_points", 2, "simulate"),
+        ("bekk-ngrc", "estimator.hyper.washuot", 50, "fit"),
+        ("bekk-ngrc", "cv.fixed_hyper.washuot", 50, "cv"),
+        ("bekk-ngrc", "cv.fixed_hyper.tau", 2, "cv"),  # the grid sets tau
+    ])
+    def test_out_of_range_exits_two(self, tmp_path, capsys, preset, path,
+                                    value, stage):
+        self.check_exits_two(tmp_path, capsys, preset, path, value, stage)
+
+    @staticmethod
+    def check_exits_two(tmp_path, capsys, preset, path, value, stage):
+        """``stage`` on ``preset`` with ``path`` set to ``value`` (None: the
+        key removed) exits 2 naming ``path``, after its upstream stages."""
+        cfg = copy.deepcopy(PRESETS[preset])
         *parents, key = path.split(".")
         node = cfg
         for part in parents:
@@ -324,6 +352,22 @@ class TestMalformedConfigValue:
         assert run_cli(stage, "--config", str(cfg_path),
                        "--out", str(out)) == 2
         assert f"config error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value", [
+        ("n", "abc"), ("ps", 3), ("volterra.lam", "x"), ("repeats", 0),
+        ("prediction_steps", 0), ("ps", [2, 0])])
+    def test_bad_bench_setting(self, tmp_path, capsys, path, value):
+        cfg = copy.deepcopy(PRESETS["bench-default"])
+        *parents, key = path.split(".")
+        node = cfg["bench"]
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("bench", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "b")) == 2
+        assert f"config error: bench.{path}: " in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("key, value", [

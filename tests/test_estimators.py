@@ -8,6 +8,7 @@ from kernelcast.datasets import load_csv
 from kernelcast.errors import InvalidInputError
 from kernelcast.estimators import (
     INPUT_TRANSFORMS,
+    OPTIONAL_HYPER,
     REQUIRED_HYPER,
     estimator_from_dict,
     estimator_to_dict,
@@ -32,9 +33,11 @@ def short_series(n=60):
 
 class TestKinds:
     def test_every_kind_declared_in_both_tables(self):
-        assert set(REQUIRED_HYPER) == set(INPUT_TRANSFORMS) == set(HYPER)
+        assert set(REQUIRED_HYPER) == set(INPUT_TRANSFORMS) == set(HYPER) \
+            == set(OPTIONAL_HYPER)
         for kind, hyper in HYPER.items():
-            assert set(REQUIRED_HYPER[kind]) <= set(hyper)
+            assert set(REQUIRED_HYPER[kind]) <= set(hyper) \
+                <= {*REQUIRED_HYPER[kind], *OPTIONAL_HYPER[kind]}
 
     @pytest.mark.parametrize("kind", sorted(HYPER))
     def test_every_kind_fits_and_rolls_out(self, kind):
@@ -59,6 +62,23 @@ class TestKinds:
         hyper = {**HYPER["ngrc"], "washout": washout}
         primal = fit_estimator("ngrc", hyper, X, Y)
         dual = fit_estimator("ngrc-kernel", hyper, X, Y)
+        for test_inputs in (X, rng.uniform(-1, 1, (12, 2))):
+            a = primal.open_loop(test_inputs)
+            b = dual.open_loop(test_inputs)
+            assert np.max(np.abs(a - b)) <= 1e-8 * max(1.0, np.max(np.abs(a)))
+
+    @pytest.mark.parametrize("lam_reg", [1e-8, 1e-2])
+    def test_ngrc_matches_its_rank_deficient_kernel_dual(self, lam_reg):
+        # 299 windows, 15 monomials: the eigh route cuts the Gram's null
+        # space
+        rng = np.random.default_rng(9)
+        X = rng.uniform(-1, 1, (300, 2))
+        Y = rng.uniform(-1, 1, (300, 2))
+        hyper = {**HYPER["ngrc"], "lam_reg": lam_reg}
+        primal = fit_estimator("ngrc", hyper, X, Y)
+        dual = fit_estimator("ngrc-kernel", hyper, X, Y)
+        assert dual.model.solution.method == "eigh"
+        assert dual.model.solution.modes_cut >= 299 - 15
         for test_inputs in (X, rng.uniform(-1, 1, (12, 2))):
             a = primal.open_loop(test_inputs)
             b = dual.open_loop(test_inputs)
