@@ -51,11 +51,10 @@ from .estimators import (
     REQUIRED_HYPER,
     estimator_from_dict,
     estimator_to_dict,
-    fit_estimator,
-    fit_path_estimator,
+    fit_task,
     hyper_value,
 )
-from .forecast import load_forecast_csv, open_loop, path_continue, valid_time
+from .forecast import check_task, forecast_task, load_forecast_csv, valid_time
 from .metrics import (
     MetricReport,
     mae,
@@ -214,20 +213,27 @@ def _dataset_csv(config: dict, path: str) -> TimeSeries:
         raise ConfigError(f"cannot load: {exc}", field=path)
 
 
-def generate_dataset(config: dict) -> dict:
-    """Simulate or load the configured dataset, already split and paired."""
+def _task_mode(config: dict, train: tuple | None = None) -> str:
+    """``task.mode``, checked against the training span ``train`` when
+    given: ``fit``, ``cv`` and ``forecast`` run that task."""
+    return _get(config, "task.mode",
+                conv=functools.partial(check_task, train=train))
+
+
+def generate_dataset(config: dict) -> tuple[tuple, tuple]:
+    """Simulate or load the configured dataset, split into its train and
+    test spans: ``(series,)`` each, or ``(inputs, outputs)`` each."""
     kind = _get(config, "dataset.kind")
     seed = _get(config, "seed", 0, int)
     n_train = _get(config, "dataset.n_train", conv=int)
-    series = pair = None
 
     if kind == "lorenz":
         n_points = _get(config, "dataset.n_points", 15001, _int_in(2))
         dt = _get(config, "dataset.dt", 0.005, _positive)
         try:
-            series = simulate_lorenz(
+            data = (simulate_lorenz(
                 _get(config, "dataset.initial", (0.0, 1.0, 1.05), np.float64),
-                dt, n_points)
+                dt, n_points),)
         except InvalidInputError as exc:  # dt and n_points are checked above
             raise ConfigError(str(exc), field="dataset.initial")
     elif kind == "mackey-glass":
@@ -237,7 +243,7 @@ def generate_dataset(config: dict) -> dict:
             "n_fine": _get(config, "dataset.n_fine", 382500, _int_in(1)),
             "splice": _get(config, "dataset.splice", 50, _int_in(1))}
         try:
-            series = simulate_mackey_glass(**settings)
+            data = (simulate_mackey_glass(**settings),)
         except InvalidInputError as exc:  # each setting is checked above;
             # what is left is delay not being a multiple of dt_fine
             raise ConfigError(str(exc), field="dataset.delay")
@@ -256,71 +262,71 @@ def generate_dataset(config: dict) -> dict:
             raise ConfigError(str(exc), field="dataset")
         innovations, _returns, covariances = simulate_bekk(params, n_points)
         # Pair input z_t with next-step vech covariance.
-        pair = (TimeSeries(innovations.values[:-1], 1.0, "bekk-inputs"),
+        data = (TimeSeries(innovations.values[:-1], 1.0, "bekk-inputs"),
                 TimeSeries(covariances.values[1:], 1.0, "bekk-outputs"))
     elif kind == "csv":
-        if _get(config, "task.mode") == "path-continuation":
-            series = _dataset_csv(config, "dataset.path")
+        if _task_mode(config) == "path-continuation":
+            data = (_dataset_csv(config, "dataset.path"),)
         else:
-            pair = (_dataset_csv(config, "dataset.inputs_path"),
+            data = (_dataset_csv(config, "dataset.inputs_path"),
                     _dataset_csv(config, "dataset.outputs_path"))
-            if pair[0].n != pair[1].n:
+            if data[0].n != data[1].n:
                 raise ConfigError("input/output CSV lengths differ",
                                   field="dataset")
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}", field="dataset.kind")
 
-    n = series.n if series is not None else pair[0].n
-    if not 0 < n_train < n:
-        raise ConfigError(f"must lie strictly between 0 and {n}",
+    if not 0 < n_train < data[0].n:
+        raise ConfigError(f"must lie strictly between 0 and {data[0].n}",
                           field="dataset.n_train")
-    if series is not None:
-        train, test = split_train_test(series, n_train)
-        return {"task": "path-continuation", "train": train, "test": test}
-    tr_in, te_in = split_train_test(pair[0], n_train)
-    tr_out, te_out = split_train_test(pair[1], n_train)
-    return {"task": "open-loop", "train_inputs": tr_in,
-            "train_outputs": tr_out, "test_inputs": te_in,
-            "test_outputs": te_out}
+    train, test = zip(*(split_train_test(series, n_train) for series in data))
+    return train, test
 
 
-_PATH_FILES = ("train", "test")
-_OPEN_FILES = ("train_inputs", "train_outputs", "test_inputs", "test_outputs")
+# The task a dataset's spans serve, and the CSV names of the spans: a series
+# is continued, input/output pairs are predicted open loop.
+_SPAN_FILES = {"path-continuation": (("train",), ("test",)),
+               "open-loop": (("train_inputs", "train_outputs"),
+                             ("test_inputs", "test_outputs"))}
 
 
 def cmd_simulate(config: dict, out_dir: str) -> int:
-    data = generate_dataset(config)
+    spans = generate_dataset(config)
     os.makedirs(out_dir, exist_ok=True)
     meta = {"config_sha256": config_hash(config),
             "seed": config.get("seed"),
             "generator": "philox-boxmuller"}
-    names = _PATH_FILES if data["task"] == "path-continuation" else _OPEN_FILES
-    reference = data[names[-1]]  # what a forecast is scored against
-    files = {}
-    for name in names:
-        path = os.path.join(out_dir, f"{name}.csv")
-        save_csv(data[name], path, extra_meta=meta)
-        files[name] = f"{name}.csv"
+    task = "path-continuation" if len(spans[0]) == 1 else "open-loop"
+    files, sizes = {}, {}
+    for names, span in zip(_SPAN_FILES[task], spans):
+        for name, series in zip(names, span):
+            save_csv(series, os.path.join(out_dir, f"{name}.csv"),
+                     extra_meta=meta)
+            files[name], sizes[name] = f"{name}.csv", series.n
+    # dt of the test outputs, which a forecast is scored against
     _write_manifest(out_dir, "simulate", config, files,
-                    {"task": data["task"], "dt": float(reference.dt),
-                     "sizes": {name: data[name].n for name in names}})
+                    {"task": task, "dt": float(spans[1][-1].dt),
+                     "sizes": sizes})
     print(f"simulate: wrote {', '.join(files.values())} to {out_dir}")
     return 0
 
 
-def load_dataset_artifacts(config: dict, out_dir: str) -> dict:
+def load_dataset_artifacts(config: dict, out_dir: str) -> tuple[tuple, tuple]:
+    """The train and test spans ``simulate`` wrote, as arrays."""
     manifest = _check_manifest(out_dir, "simulate", config)
     source = os.path.join(out_dir, "simulate_manifest.json")
-    task = doc_field(manifest, "task", source)
-    names = _PATH_FILES if task == "path-continuation" else _OPEN_FILES
-    data = {"task": task}
-    for name in names:
+
+    def load(name):
         path = os.path.join(out_dir,
                             doc_field(manifest, f"files.{name}", source))
         if not os.path.exists(path):
             raise DependencyError(f"missing upstream artifact: {path}")
-        data[name], _ = load_csv(path)
-    return data
+        return load_csv(path)[0].values
+
+    task = doc_field(manifest, "task", source)
+    if task not in _SPAN_FILES:
+        raise DependencyError(f"{source}: unknown task {task!r}")
+    return tuple(tuple(map(load, names)) for names in _SPAN_FILES[task])
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +355,12 @@ def _hyper(config: dict, path: str, readable, required=()) -> dict:
             for name in names}
 
 
-def _fit_kw(config: dict, kind: str, task: str) -> dict:
-    """Fit keywords: the covariance output transforms for open-loop data,
-    and ``headroom``, which only a kind with ``max-norm-scale`` inputs reads
-    (the target training norm)."""
+def _fit_kw(config: dict, kind: str, train: tuple) -> dict:
+    """Fit keywords: the covariance output transforms for input/output
+    pairs, and ``headroom``, which only a kind with ``max-norm-scale``
+    inputs reads (the target training norm)."""
     fit_kw = {}
-    if task != "path-continuation":
+    if len(train) > 1:
         fit_kw["output_kinds"] = bekk_output_pipeline()
     headroom = _get(config, "estimator.headroom", None, float)
     if headroom is None:
@@ -367,23 +373,19 @@ def _fit_kw(config: dict, kind: str, task: str) -> dict:
     return fit_kw
 
 
-def _fit_from_config(config: dict, data: dict):
+def _fit_from_config(config: dict, train: tuple):
+    _task_mode(config, train)
     kind = _estimator_kind(config)
     hyper = _hyper(config, "estimator.hyper",
                    (*REQUIRED_HYPER[kind], *OPTIONAL_HYPER[kind]),
                    REQUIRED_HYPER[kind])
-    fit_kw = _fit_kw(config, kind, data["task"])
-    if data["task"] == "path-continuation":
-        return fit_path_estimator(kind, hyper, data["train"].values,
-                                  **fit_kw)[0]
-    return fit_estimator(kind, hyper, data["train_inputs"].values,
-                         data["train_outputs"].values, **fit_kw)
+    return fit_task(kind, hyper, train, **_fit_kw(config, kind, train))
 
 
 def cmd_fit(config: dict, out_dir: str) -> int:
-    data = load_dataset_artifacts(config, out_dir)
+    train, _ = load_dataset_artifacts(config, out_dir)
     started = time.perf_counter()
-    est = _fit_from_config(config, data)
+    est = _fit_from_config(config, train)
     elapsed = time.perf_counter() - started
     written = time.perf_counter()
     doc = {"config_sha256": config_hash(config),
@@ -421,13 +423,11 @@ def _grid_from_config(config: dict) -> Grid:
 
 
 def cmd_cv(config: dict, out_dir: str) -> int:
-    data = load_dataset_artifacts(config, out_dir)
+    train, _ = load_dataset_artifacts(config, out_dir)
+    task_mode = _task_mode(config, train)
     kind = _estimator_kind(config)
     grid = _grid_from_config(config)
-    if data["task"] == "path-continuation":
-        n_train = data["train"].n
-    else:
-        n_train = data["train_inputs"].n
+    n_train = train[0].shape[0]
     mode = _get(config, "cv.mode")
     try:
         if mode == "overlapping":
@@ -443,16 +443,9 @@ def cmd_cv(config: dict, out_dir: str) -> int:
         raise ConfigError(str(exc), field="cv")
     # the grid sets every required name
     fixed = _hyper(config, "cv.fixed_hyper", OPTIONAL_HYPER[kind])
-    fit_kw = _fit_kw(config, kind, data["task"])
-    if data["task"] == "path-continuation":
-        result = grid_search(kind, grid, plan, "path-continuation",
-                             series=data["train"].values,
-                             fit_kw=fit_kw, fixed_hyper=fixed)
-    else:
-        result = grid_search(kind, grid, plan, "open-loop",
-                             inputs=data["train_inputs"].values,
-                             outputs=data["train_outputs"].values,
-                             fit_kw=fit_kw, fixed_hyper=fixed)
+    result = grid_search(kind, grid, plan, task_mode, train,
+                         fit_kw=_fit_kw(config, kind, train),
+                         fixed_hyper=fixed)
     lb_path = os.path.join(out_dir, "leaderboard.csv")
     result.leaderboard_csv(lb_path)
     best_doc = {"config_sha256": config_hash(config), "best": result.best,
@@ -473,7 +466,7 @@ def cmd_cv(config: dict, out_dir: str) -> int:
 
 
 def cmd_forecast(config: dict, out_dir: str) -> int:
-    data = load_dataset_artifacts(config, out_dir)
+    train, test = load_dataset_artifacts(config, out_dir)
     _check_manifest(out_dir, "fit", config)
     model_path = os.path.join(out_dir, "model.json")
     model_doc = _read_json(model_path, "model")
@@ -481,32 +474,9 @@ def cmd_forecast(config: dict, out_dir: str) -> int:
         raise DependencyError("model.json was fitted under a different config")
     est = estimator_from_dict(doc_field(model_doc, "estimator", model_path),
                               model_path, "estimator")
-    mode = _get(config, "task.mode")
-    horizon_cfg = _get(config, "task.horizon", math.inf, _int_in(1))
-    if mode == "path-continuation":
-        if data["task"] != "path-continuation":
-            raise ConfigError("dataset does not support path continuation",
-                              field="task.mode")
-        test = data["test"]
-        horizon = min(horizon_cfg, test.n)
-        seed_hist = data["train"].values[-est.tau:]
-        run = path_continue(est, seed_hist, horizon,
-                            reference=test.values[:horizon])
-    elif mode == "open-loop":
-        if data["task"] == "path-continuation":
-            # one-step-ahead predictions along the test span
-            test = data["test"]
-            horizon = min(horizon_cfg, test.n)
-            stacked = np.vstack([data["train"].values[-1:],
-                                 test.values[:horizon - 1]])
-            run = open_loop(est, stacked, reference=test.values[:horizon])
-        else:
-            inputs = data["test_inputs"]
-            horizon = min(horizon_cfg, inputs.n)
-            run = open_loop(est, inputs.values[:horizon],
-                            reference=data["test_outputs"].values[:horizon])
-    else:
-        raise ConfigError(f"unknown task mode {mode!r}", field="task.mode")
+    mode = _task_mode(config, train)
+    run = forecast_task(est, mode, train, test,
+                        _get(config, "task.horizon", math.inf, _int_in(1)))
     path = os.path.join(out_dir, "forecast.csv")
     run.save_csv(path, extra_meta={"config_sha256": config_hash(config),
                                    "estimator": est.kind})

@@ -25,8 +25,8 @@ import numpy as np
 
 from .datasets import write_csv
 from .errors import GridSearchError, InvalidInputError, KernelcastError
-from .estimators import REQUIRED_HYPER, fit_estimator, fit_path_estimator
-from .forecast import open_loop, path_continue
+from .estimators import REQUIRED_HYPER, fit_task
+from .forecast import check_task, forecast_task
 from .kernels import VolterraParams
 
 
@@ -173,21 +173,16 @@ def _rollout_score(run, reference) -> tuple[float, str | None]:
     return _mse(run.predicted, reference), None
 
 
-def _score_path_fold(kind, params, values, fold: Fold, fit_kw):
-    train = values[fold.train_start:fold.train_stop]
-    val = values[fold.val_start:fold.val_stop]
-    est, seed = fit_path_estimator(kind, params, train, **fit_kw)
-    run = path_continue(est, seed, val.shape[0], reference=val)
-    return (*_rollout_score(run, val), run.projected)
-
-
-def _score_open_fold(kind, params, inputs, outputs, fold: Fold, fit_kw):
-    val = outputs[fold.val_start:fold.val_stop]
-    est = fit_estimator(kind, params,
-                        inputs[fold.train_start:fold.train_stop],
-                        outputs[fold.train_start:fold.train_stop], **fit_kw)
-    run = open_loop(est, inputs[fold.val_start:fold.val_stop], reference=val)
-    return (*_rollout_score(run, val), run.projected)
+def _score_fold(kind, params, task_mode, span, fold: Fold, fit_kw):
+    """(score, why it is infinite, inputs projected) of one fold: the task
+    run on the fold's validation rows of every array in ``span`` by an
+    estimator fitted on its training rows."""
+    train = tuple(a[fold.train_start:fold.train_stop] for a in span)
+    val = tuple(a[fold.val_start:fold.val_stop] for a in span)
+    est = fit_task(kind, params, train, **fit_kw)
+    run = forecast_task(est, task_mode, train, val,
+                        fold.val_stop - fold.val_start)
+    return (*_rollout_score(run, val[-1]), run.projected)
 
 
 def _tie_break_key(item):
@@ -200,35 +195,25 @@ def _tie_break_key(item):
 
 
 def grid_search(estimator_kind: str, grid: Grid, plan: FoldPlan,
-                task_mode: str, series=None, inputs=None, outputs=None,
-                fit_kw: dict | None = None,
+                task_mode: str, train: tuple, fit_kw: dict | None = None,
                 fixed_hyper: dict | None = None) -> GridSearchResult:
     """Exhaustive search over the feasible grid.
 
-    ``task_mode`` is ``"path-continuation"`` (needs ``series``) or
-    ``"open-loop"`` (needs ``inputs`` and ``outputs``).  ``fixed_hyper``
-    entries (for example a Volterra washout) are merged into every
-    candidate before fitting.  Estimator preprocessing is refit inside
-    every fold, so validation slices never contribute statistics.
+    ``train`` is the span the folds cut: ``(series,)`` or ``(inputs,
+    outputs)``.  Each fold runs task ``task_mode`` as
+    :func:`~kernelcast.forecast.forecast_task` does on its validation rows.
+    ``fixed_hyper`` entries (for example a Volterra washout) are merged
+    into every candidate before fitting.  Estimator preprocessing is refit
+    inside every fold, so validation slices never contribute statistics.
     """
+    check_task(task_mode, train)
     fit_kw = dict(fit_kw or {})
     fixed_hyper = dict(fixed_hyper or {})
     feasible, pruned = grid.candidates(estimator_kind)
     if not feasible:
         raise GridSearchError("no feasible candidates in the grid", pruned)
-    if task_mode == "path-continuation":
-        if series is None:
-            raise InvalidInputError("path-continuation needs the series")
-        values = np.asarray(series, dtype=np.float64)
-        if values.ndim == 1:
-            values = values[:, None]
-    elif task_mode == "open-loop":
-        if inputs is None or outputs is None:
-            raise InvalidInputError("open-loop needs inputs and outputs")
-        inputs = np.asarray(inputs, dtype=np.float64)
-        outputs = np.asarray(outputs, dtype=np.float64)
-    else:
-        raise InvalidInputError(f"unknown task mode {task_mode!r}")
+    span = [np.asarray(a, dtype=np.float64).reshape(len(a), -1)
+            for a in train]
 
     table = []
     for params in feasible:
@@ -238,12 +223,8 @@ def grid_search(estimator_kind: str, grid: Grid, plan: FoldPlan,
         projected = []
         for k, fold in enumerate(plan.folds, 1):
             try:
-                if task_mode == "path-continuation":
-                    score, reason, count = _score_path_fold(
-                        estimator_kind, full, values, fold, fit_kw)
-                else:
-                    score, reason, count = _score_open_fold(
-                        estimator_kind, full, inputs, outputs, fold, fit_kw)
+                score, reason, count = _score_fold(
+                    estimator_kind, full, task_mode, span, fold, fit_kw)
             except (KernelcastError, np.linalg.LinAlgError) as exc:
                 # candidate-level failure, not fatal
                 score, reason, count = float("inf"), str(exc), None

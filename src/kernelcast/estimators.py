@@ -334,6 +334,15 @@ def estimator_from_dict(doc: dict, source: str = "estimator document",
     )
 
 
+def fit_task(kind: str, hyper: dict, train: tuple, **kw) -> Estimator:
+    """Fit on a task's training span: a series ``(values,)`` on its
+    one-step-ahead pairs (:func:`fit_path_estimator`), ``(inputs,
+    outputs)`` as paired (:func:`fit_estimator`)."""
+    if len(train) == 1:
+        return fit_path_estimator(kind, hyper, train[0], **kw)[0]
+    return fit_estimator(kind, hyper, *train, **kw)
+
+
 def fit_path_estimator(kind: str, hyper: dict, series_values, **kw) -> tuple[
         Estimator, np.ndarray]:
     """Fit on one-step-ahead pairs of a series; return (estimator, seed).

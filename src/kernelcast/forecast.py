@@ -131,6 +131,38 @@ def open_loop(estimator, test_inputs, reference=None) -> ForecastRun:
                        projected=0 if ext is None else ext.projected)
 
 
+def check_task(mode: str, train=None) -> str:
+    """``mode`` if it is a task that the training span ``train`` (when
+    given) supports: path continuation needs a series."""
+    if mode not in ("path-continuation", "open-loop"):
+        raise InvalidInputError(f"unknown task mode {mode!r}; expected "
+                                "path-continuation or open-loop")
+    if mode == "path-continuation" and train is not None and len(train) > 1:
+        raise InvalidInputError("path continuation needs a series dataset")
+    return mode
+
+
+def forecast_task(estimator, mode: str, train: tuple, test: tuple,
+                  horizon) -> ForecastRun:
+    """Task ``mode`` on the ``test`` span, for at most ``horizon`` steps.
+
+    A span is ``(series,)`` or ``(inputs, outputs)`` of raw sample rows, and
+    ``test`` continues ``train``.  Path continuation rolls out from the end
+    of the training series; open loop predicts once per test input, and a
+    series' inputs are its samples one step behind its outputs.
+    """
+    check_task(mode, train)
+    reference = test[-1][:min(horizon, len(test[-1]))]
+    if mode == "path-continuation":
+        return path_continue(estimator, train[0][-estimator.tau:],
+                             reference.shape[0], reference=reference)
+    if len(test) == 1:
+        inputs = np.concatenate([train[0][-1:], reference[:-1]])
+    else:
+        inputs = test[0][:reference.shape[0]]
+    return open_loop(estimator, inputs, reference=reference)
+
+
 @dataclass(frozen=True)
 class ValidTime:
     """Valid prediction time in Lyapunov times."""

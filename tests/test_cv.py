@@ -146,7 +146,7 @@ class TestGridSearch:
         grid = Grid(taus=[2], ps=[2], lam_regs=[1e-8])
         plan = overlapping_folds(400, 200, 50, 100)
         result = grid_search("ngrc", grid, plan, "path-continuation",
-                             series=series)
+                             (series,))
         assert result.best == {"tau": 2, "p": 2, "lam_reg": 1e-8}
 
     def test_recovers_planted_order(self):
@@ -154,7 +154,7 @@ class TestGridSearch:
         grid = Grid(taus=[1, 2], ps=[1, 2], lam_regs=[1e-8])
         plan = overlapping_folds(400, 200, 50, 100)
         result = grid_search("ngrc", grid, plan, "path-continuation",
-                             series=series)
+                             (series,))
         assert result.best["tau"] == 2
         assert result.best["p"] == 2
 
@@ -165,7 +165,7 @@ class TestGridSearch:
         grid = Grid(taus=[2, 1], ps=[2, 1], lam_regs=[1e-6, 1e-2])
         plan = overlapping_folds(120, 60, 20, 40)
         result = grid_search("ngrc", grid, plan, "path-continuation",
-                             series=series)
+                             (series,))
         assert result.best == {"tau": 1, "p": 1, "lam_reg": 1e-2}
 
     def test_open_loop_mode(self):
@@ -178,7 +178,7 @@ class TestGridSearch:
         grid = Grid(taus=[1], ps=[1, 2], lam_regs=[1e-8])
         plan = expanding_folds(240, 4)
         result = grid_search("ngrc", grid, plan, "open-loop",
-                             inputs=inputs, outputs=outputs)
+                             (inputs, outputs))
         assert result.best["p"] == 2
 
     def test_fixed_hyper_merged(self):
@@ -187,7 +187,7 @@ class TestGridSearch:
         grid = Grid(lams=[0.5], thetas=[0.4], lam_regs=[1e-6])
         plan = overlapping_folds(300, 150, 40, 110)
         result = grid_search("volterra", grid, plan, "path-continuation",
-                             series=series, fixed_hyper={"washout": 20},
+                             (series,), fixed_hyper={"washout": 20},
                              fit_kw={"headroom": 0.9})
         assert "lam" in result.best
 
@@ -196,7 +196,7 @@ class TestGridSearch:
         grid = Grid(taus=[1, 2], ps=[2], lam_regs=[1e-8])
         plan = overlapping_folds(400, 200, 50, 150)
         result = grid_search("ngrc", grid, plan, "path-continuation",
-                             series=series)
+                             (series,))
         path = tmp_path / "leaderboard.csv"
         result.leaderboard_csv(path)
         lines = path.read_text().splitlines()
@@ -209,12 +209,12 @@ class TestGridSearch:
         def broken(*args, **kwargs):
             raise RuntimeError("bug inside a fold")
 
-        monkeypatch.setattr(cv_module, "_score_path_fold", broken)
+        monkeypatch.setattr(cv_module, "_score_fold", broken)
         plan = overlapping_folds(400, 200, 50, 150)
         with pytest.raises(RuntimeError, match="bug inside a fold"):
             grid_search("ngrc", Grid(taus=[1], ps=[2], lam_regs=[1e-8]),
                         plan, "path-continuation",
-                        series=make_planted_series())
+                        (make_planted_series(),))
 
     def test_leaderboard_golden_text(self, tmp_path):
         table = [
@@ -235,9 +235,9 @@ class TestGridSearch:
         series = make_planted_series(seed=6)
         plan = overlapping_folds(400, 200, 50, 150)
         a = grid_search("ngrc", Grid(taus=[1, 2], ps=[2], lam_regs=[1e-8]),
-                        plan, "path-continuation", series=series)
+                        plan, "path-continuation", (series,))
         b = grid_search("ngrc", Grid(taus=[2, 1], ps=[2], lam_regs=[1e-8]),
-                        plan, "path-continuation", series=series)
+                        plan, "path-continuation", (series,))
         assert a.best == b.best
 
     def test_all_failures_raise(self):
@@ -248,7 +248,7 @@ class TestGridSearch:
         plan = overlapping_folds(400, 100, 30, 200)
         with pytest.raises(GridSearchError):
             grid_search("volterra", grid, plan, "path-continuation",
-                        series=series, fixed_hyper={"washout": 1000})
+                        (series,), fixed_hyper={"washout": 1000})
 
     def test_diverged_folds_record_their_cause(self):
         # a rising ramp: every rollout leaves the training norm ball at once,
@@ -257,7 +257,7 @@ class TestGridSearch:
         grid = Grid(lams=[0.5], thetas=[0.4], lam_regs=[1e-6])
         plan = overlapping_folds(400, 150, 40, 110)
         result = grid_search("volterra", grid, plan, "path-continuation",
-                             series=np.linspace(0.0, 1.0, 400),
+                             (np.linspace(0.0, 1.0, 400),),
                              fixed_hyper={"washout": 20},
                              fit_kw={"headroom": 1.0})
         [row] = result.table
@@ -273,8 +273,8 @@ class TestGridSearch:
         plan = expanding_folds(300, 3)
         result = grid_search("volterra",
                              Grid(lams=[0.5], thetas=[0.4], lam_regs=[1e-6]),
-                             plan, "open-loop", inputs=ramp,
-                             outputs=ramp ** 2, fixed_hyper={"washout": 20},
+                             plan, "open-loop", (ramp, ramp ** 2),
+                             fixed_hyper={"washout": 20},
                              fit_kw={"headroom": 1.0})
         [row] = result.table
         assert row.fold_projected == [100, 100]
@@ -283,8 +283,7 @@ class TestGridSearch:
         # on 100 training rows) counts nothing either
         result = grid_search("ngrc", Grid(taus=[1, 150], ps=[1],
                                           lam_regs=[1e-6]),
-                             plan, "open-loop", inputs=ramp,
-                             outputs=ramp ** 2)
+                             plan, "open-loop", (ramp, ramp ** 2))
         assert [row.fold_projected for row in result.table] == [[0, 0],
                                                                 [None, 0]]
 
@@ -335,10 +334,10 @@ class TestGridSearch:
         grid = Grid(taus=[2], ps=[1], lam_regs=[1e-8])
         plan = overlapping_folds(300, 150, 50, 300)  # single fold [0, 200)
         base = grid_search("polynomial", grid, plan, "path-continuation",
-                           series=series[:300])
+                           (series[:300],))
         shifted = series[:300].copy()
         shifted[250:] += 100.0  # outside the fold's train+val span
         moved = grid_search("polynomial", grid, plan, "path-continuation",
-                            series=shifted)
+                            (shifted,))
         assert base.table[0].mean_mse == pytest.approx(
             moved.table[0].mean_mse, rel=1e-12)
