@@ -83,9 +83,9 @@ def _time_sweep(fns: dict, repeats: int) -> dict:
 def run_bench(config: dict) -> list[dict]:
     """One row per timed primitive, as ``kernelcast bench`` writes them."""
     _get(config, "bench", conv=dict)  # required; its settings are not
-    n = _get(config, "bench.n", 2000, _int_in(1))
-    n2 = _get(config, "bench.n_doubled", 2 * n, _int_in(1))
     tau = _get(config, "bench.tau", 8, _int_in(1))
+    n = _get(config, "bench.n", 2000, _int_in(tau))
+    n2 = _get(config, "bench.n_doubled", 2 * n, _int_in(1))
     d = _get(config, "bench.d", 1, _int_in(1))
     gram_d = _get(config, "bench.gram_d", 3, _int_in(1))
     ps = _get(config, "bench.ps", [2, 3, 4, 5],

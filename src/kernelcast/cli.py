@@ -26,7 +26,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .cv import Grid, expanding_folds, grid_search, overlapping_folds
+from .cv import (
+    GRID_AXES,
+    Grid,
+    expanding_folds,
+    grid_search,
+    overlapping_folds,
+)
 from .datasets import (
     BekkParams,
     TimeSeries,
@@ -49,6 +55,7 @@ from .estimators import (
     INPUT_TRANSFORMS,
     OPTIONAL_HYPER,
     REQUIRED_HYPER,
+    check_hyper,
     estimator_from_dict,
     estimator_to_dict,
     fit_task,
@@ -341,17 +348,19 @@ def _estimator_kind(config: dict) -> str:
     return kind
 
 
-def _hyper(config: dict, path: str, readable, required=()) -> dict:
-    """The hyperparameters at ``path``, typed by ``hyper_value``; each name
-    in ``required`` must be present, and a name outside ``readable`` is a
-    :class:`ConfigError`."""
+def _hyper(config: dict, path: str, readable, required=(),
+           conv=hyper_value) -> dict:
+    """The entries at ``path``, each passed through ``conv(name, value)``;
+    each name in ``required`` must be present, and a name outside
+    ``readable`` is a :class:`ConfigError`."""
     names = dict.fromkeys((*required, *_get(config, path, {}, dict)))
     for name in names:
         if name not in readable:
-            raise ConfigError("not read by this estimator kind, which reads "
-                              + ", ".join(readable), field=f"{path}.{name}")
+            raise ConfigError("not read here for this estimator kind; this "
+                              "field takes " + ", ".join(readable),
+                              field=f"{path}.{name}")
     return {name: _get(config, f"{path}.{name}",
-                       conv=functools.partial(hyper_value, name))
+                       conv=functools.partial(conv, name))
             for name in names}
 
 
@@ -379,6 +388,10 @@ def _fit_from_config(config: dict, train: tuple):
     hyper = _hyper(config, "estimator.hyper",
                    (*REQUIRED_HYPER[kind], *OPTIONAL_HYPER[kind]),
                    REQUIRED_HYPER[kind])
+    try:
+        check_hyper(kind, hyper)
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc), field="estimator.hyper")
     return fit_task(kind, hyper, train, **_fit_kw(config, kind, train))
 
 
@@ -408,25 +421,29 @@ def cmd_fit(config: dict, out_dir: str) -> int:
     return 0
 
 
-def _grid_from_config(config: dict) -> Grid:
-    def values(name, conv):
-        return _get(config, f"estimator.grid.{name}", [],
-                    lambda value: [conv(v) for v in value])
+def _grid_from_config(config: dict, kind: str) -> Grid:
+    """The grid at ``estimator.grid``: a non-empty list for each name the
+    kind requires (its :data:`GRID_AXES` list), and ``M`` if it reads one.
+    Every value is checked by ``hyper_value``."""
+    axes = {GRID_AXES[name]: name for name in REQUIRED_HYPER[kind]}
 
-    _get(config, "estimator.grid", conv=dict)  # required; its lists are not
-    return Grid(
-        taus=values("taus", int), ps=values("ps", int),
-        lams=values("lams", float), thetas=values("thetas", float),
-        lam_regs=values("lam_regs", float),
-        M=_get(config, "estimator.grid.M", 1.0, float),
-    )
+    def values(key, value):
+        if key not in axes:  # M
+            return hyper_value(key, value)
+        if not isinstance(value, list) or not value:
+            raise ValueError("must be a non-empty list")
+        return [hyper_value(axes[key], v) for v in value]
+
+    readable = (*axes, "M") if "M" in OPTIONAL_HYPER[kind] else tuple(axes)
+    return Grid(**_hyper(config, "estimator.grid", readable, tuple(axes),
+                         values))
 
 
 def cmd_cv(config: dict, out_dir: str) -> int:
     train, _ = load_dataset_artifacts(config, out_dir)
     task_mode = _task_mode(config, train)
     kind = _estimator_kind(config)
-    grid = _grid_from_config(config)
+    grid = _grid_from_config(config, kind)
     n_train = train[0].shape[0]
     mode = _get(config, "cv.mode")
     try:
@@ -441,8 +458,9 @@ def cmd_cv(config: dict, out_dir: str) -> int:
             raise ConfigError(f"unknown cv mode {mode!r}", field="cv.mode")
     except InvalidInputError as exc:
         raise ConfigError(str(exc), field="cv")
-    # the grid sets every required name
-    fixed = _hyper(config, "cv.fixed_hyper", OPTIONAL_HYPER[kind])
+    # the grid sets every required name, and M
+    fixed = _hyper(config, "cv.fixed_hyper",
+                   [name for name in OPTIONAL_HYPER[kind] if name != "M"])
     result = grid_search(kind, grid, plan, task_mode, train,
                          fit_kw=_fit_kw(config, kind, train),
                          fixed_hyper=fixed)

@@ -25,9 +25,8 @@ import numpy as np
 
 from .datasets import write_csv
 from .errors import GridSearchError, InvalidInputError, KernelcastError
-from .estimators import REQUIRED_HYPER, fit_task
+from .estimators import REQUIRED_HYPER, check_hyper, fit_task
 from .forecast import check_task, forecast_task
-from .kernels import VolterraParams
 
 
 @dataclass(frozen=True)
@@ -76,15 +75,20 @@ def expanding_folds(n_train: int, k: int) -> FoldPlan:
     return FoldPlan(folds, "expanding")
 
 
+# The Grid list of each required hyperparameter.
+GRID_AXES = {"tau": "taus", "p": "ps", "lam": "lams", "theta": "thetas",
+             "lam_reg": "lam_regs"}
+
+
 @dataclass
 class Grid:
     """Per-hyperparameter value lists.
 
     A kind's candidates are the product of the lists its
-    ``REQUIRED_HYPER`` names, in that order: ``taus``, ``ps``, ``lam_regs``
-    for the lagged estimators, ``lams``, ``thetas``, ``lam_regs`` for
-    Volterra.  Volterra pairs that ``VolterraParams`` rejects for ``M`` are
-    pruned and reported, never evaluated.
+    ``REQUIRED_HYPER`` names (:data:`GRID_AXES`), in that order: ``taus``,
+    ``ps``, ``lam_regs`` for the lagged estimators, ``lams``, ``thetas``,
+    ``lam_regs`` for Volterra.  Volterra pairs that ``check_hyper`` rejects
+    for ``M`` are pruned and reported, never evaluated.
     """
 
     taus: list = field(default_factory=list)
@@ -99,25 +103,24 @@ class Grid:
         if estimator_kind not in REQUIRED_HYPER:
             raise InvalidInputError(
                 f"unknown estimator kind {estimator_kind!r}")
-        axes = {"tau": self.taus, "p": self.ps, "lam": self.lams,
-                "theta": self.thetas, "lam_reg": self.lam_regs}
         names = REQUIRED_HYPER[estimator_kind]
-        empty = [name for name in names if not axes[name]]
+        axes = [getattr(self, GRID_AXES[name]) for name in names]
+        empty = [name for name, values in zip(names, axes) if not values]
         if empty:
             raise InvalidInputError(
                 f"{estimator_kind} grids need non-empty values for "
                 + ", ".join(empty))
         feasible = []
         pruned = []
-        for values in itertools.product(*(axes[name] for name in names)):
+        for values in itertools.product(*axes):
             cand = dict(zip(names, values))
             if estimator_kind == "volterra":
                 cand["M"] = self.M
-                try:
-                    VolterraParams(cand["lam"], cand["theta"], self.M)
-                except InvalidInputError:
-                    pruned.append(cand)
-                    continue
+            try:
+                check_hyper(estimator_kind, cand)
+            except InvalidInputError:
+                pruned.append(cand)
+                continue
             feasible.append(cand)
         return feasible, pruned
 

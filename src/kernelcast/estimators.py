@@ -29,8 +29,8 @@ from .kernels import (
 )
 from .ngrc import NgrcModel, delay_vectors, fit_ngrc, predict_ngrc
 
-# Hyperparameters each kind requires, in grid order; all are numbers (see
-# hyper_value).
+# Hyperparameters each kind requires, in grid order; all are numbers within
+# bounds (see hyper_value and check_hyper).
 _LAGGED_HYPER = ("tau", "p", "lam_reg")
 REQUIRED_HYPER = {"ngrc": _LAGGED_HYPER, "polynomial": _LAGGED_HYPER,
                   "volterra": ("lam", "theta", "lam_reg"),
@@ -48,14 +48,33 @@ OPTIONAL_HYPER = {"ngrc": ("washout",), "polynomial": ("c", "washout"),
 # projected onto the norm ball).
 INPUT_TRANSFORMS = {"ngrc": [], "ngrc-kernel": [], "polynomial": ["minmax01"],
                     "volterra": ["demean", "max-norm-scale"]}
-_INT_HYPER = ("tau", "p", "washout")
+# The integer hyperparameters and their least values; every other one is a
+# positive finite float.
+_INT_HYPER = {"tau": 1, "p": 1, "washout": 0}
 
 
 def hyper_value(name: str, value):
-    """``value`` as hyperparameter ``name`` takes it: an int for ``tau``,
-    ``p`` and ``washout``, a float otherwise.  Raises ``TypeError`` or
-    ``ValueError`` for a value that is no number."""
-    return int(value) if name in _INT_HYPER else float(value)
+    """``value`` as hyperparameter ``name`` takes it: an int no less than
+    its :data:`_INT_HYPER` bound, or a positive finite float.  Raises
+    ``TypeError`` or ``ValueError`` for a value that is no number, and
+    :class:`InvalidInputError` (a ``ValueError``) for one out of range."""
+    if name in _INT_HYPER:
+        number, least = int(value), _INT_HYPER[name]
+        if number < least:
+            raise InvalidInputError(f"{name} must be >= {least}")
+        return number
+    number = float(value)
+    if not 0 < number < math.inf:
+        raise InvalidInputError(f"{name} must be positive and finite")
+    return number
+
+
+def check_hyper(kind: str, hyper: dict) -> None:
+    """Raise :class:`InvalidInputError` if ``hyper`` breaks a bound that
+    ties hyperparameters together: Volterra's on ``lam``, ``theta`` and
+    ``M``."""
+    if kind == "volterra":
+        VolterraParams(hyper["lam"], hyper["theta"], hyper.get("M", 1.0))
 
 
 @dataclass

@@ -321,15 +321,56 @@ class TestMalformedConfigValue:
         ("bekk-ngrc", "estimator.hyper.washuot", 50, "fit"),
         ("bekk-ngrc", "cv.fixed_hyper.washuot", 50, "cv"),
         ("bekk-ngrc", "cv.fixed_hyper.tau", 2, "cv"),  # the grid sets tau
+        # path continuation needs a series; BEKK data are input/output pairs
+        ("bekk-ngrc", "task.mode", "path-continuation", "fit"),
+        ("bekk-ngrc", "task.mode", "path-continuation", "cv"),
+        ("bekk-ngrc", "task.mode", "closed-loop", "cv"),
+        # a grid list the kind needs is missing (misspelt) or empty, or one
+        # it does not read is given
+        ("bekk-ngrc", "estimator.grid.taus", None, "cv"),
+        ("bekk-ngrc", "estimator.grid.tuas", [1, 2], "cv"),
+        ("bekk-ngrc", "estimator.grid.taus", [], "cv"),
+        ("bekk-ngrc", "estimator.grid.lams", [0.5], "cv"),
+        ("bekk-volterra", "cv.fixed_hyper.M", 2.0, "cv"),  # the grid sets M
+        # hyperparameter values below their bounds
+        ("bekk-ngrc", "estimator.grid.taus", [0], "cv"),
+        ("bekk-volterra", "estimator.grid.lam_regs", [1e-3, 0], "cv"),
+        ("bekk-ngrc", "cv.fixed_hyper.washout", -5, "cv"),
+        ("bekk-ngrc", "estimator.hyper.tau", 0, "fit"),
+        ("bekk-ngrc", "estimator.hyper.p", 0, "fit"),
+        ("bekk-ngrc", "estimator.hyper.lam_reg", -1, "fit"),
+        ("bekk-ngrc", "estimator.hyper.lam_reg", 0, "fit"),
+        ("bekk-ngrc", "estimator.hyper.washout", -5, "fit"),
+        ("bekk-polynomial", "estimator.hyper.tau", 0, "fit"),
+        ("bekk-polynomial", "estimator.hyper.p", 0, "fit"),
+        ("bekk-polynomial", "estimator.hyper.lam_reg", 0, "fit"),
+        ("bekk-polynomial", "estimator.hyper.washout", -5, "fit"),
+        ("bekk-polynomial", "estimator.hyper.c", -1, "fit"),
+        ("bekk-volterra", "estimator.hyper.lam_reg", -1, "fit"),
+        ("bekk-volterra", "estimator.hyper.lam_reg", 0, "fit"),
+        ("bekk-volterra", "estimator.hyper.washout", -5, "fit"),
+        ("bekk-volterra", "estimator.hyper.lam", 0, "fit"),
+        ("bekk-volterra", "estimator.hyper.M", -1, "fit"),
     ])
     def test_out_of_range_exits_two(self, tmp_path, capsys, preset, path,
                                     value, stage):
         self.check_exits_two(tmp_path, capsys, preset, path, value, stage)
 
+    @pytest.mark.parametrize("path, value", [
+        ("estimator.hyper.theta", 2.0),  # theta M < 1
+        ("estimator.hyper.lam", 0.99),  # lam < sqrt(1 - theta^2 M^2) = 0.8
+    ])
+    def test_volterra_joint_bound_names_the_hyper(self, tmp_path, capsys,
+                                                  path, value):
+        self.check_exits_two(tmp_path, capsys, "bekk-volterra", path, value,
+                             "fit", field="estimator.hyper")
+
     @staticmethod
-    def check_exits_two(tmp_path, capsys, preset, path, value, stage):
+    def check_exits_two(tmp_path, capsys, preset, path, value, stage,
+                        field=None):
         """``stage`` on ``preset`` with ``path`` set to ``value`` (None: the
-        key removed) exits 2 naming ``path``, after its upstream stages."""
+        key removed) exits 2 naming ``field`` (default ``path``), after its
+        upstream stages."""
         cfg = copy.deepcopy(PRESETS[preset])
         *parents, key = path.split(".")
         node = cfg
@@ -351,11 +392,12 @@ class TestMalformedConfigValue:
         capsys.readouterr()
         assert run_cli(stage, "--config", str(cfg_path),
                        "--out", str(out)) == 2
-        assert f"config error: {path}: " in capsys.readouterr().err
+        assert f"config error: {field or path}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("path, value", [
         ("n", "abc"), ("ps", 3), ("volterra.lam", "x"), ("repeats", 0),
-        ("prediction_steps", 0), ("ps", [2, 0])])
+        ("prediction_steps", 0), ("ps", [2, 0]),
+        ("n", 5)])  # shorter than tau (8)
     def test_bad_bench_setting(self, tmp_path, capsys, path, value):
         cfg = copy.deepcopy(PRESETS["bench-default"])
         *parents, key = path.split(".")
@@ -454,6 +496,44 @@ class TestMalformedConfigValue:
                            for name in ("train_inputs", "test_outputs")])
         for default, explicit in zip(*tables):
             assert np.array_equal(default, explicit)
+
+
+class TestTaskMode:
+    """``fit``, ``cv`` and ``forecast`` all run the configured ``task.mode``."""
+
+    def test_cv_ranks_candidates_in_the_configured_mode(self, tmp_path):
+        # shipped lorenz-ngrc: closed-loop rollouts rank (tau 3, lam_reg
+        # 1e-5) first, one-step predictions (tau 2, lam_reg 1e-7)
+        best = {}
+        for mode in ("path-continuation", "open-loop"):
+            cfg = copy.deepcopy(PRESETS["lorenz-ngrc"])
+            cfg["task"]["mode"] = mode
+            path = tmp_path / f"{mode}.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / mode
+            for cmd in ("simulate", "cv"):
+                assert run_cli(cmd, "--config", str(path),
+                               "--out", str(out)) == 0
+            best[mode] = json.loads((out / "cv_best.json").read_text())["best"]
+        assert best == {
+            "path-continuation": {"tau": 3, "p": 2, "lam_reg": 1e-5},
+            "open-loop": {"tau": 2, "p": 2, "lam_reg": 1e-7}}
+
+    def test_simulate_manifests_name_the_task_and_files(
+            self, lorenz_pipelines, mackey_glass_pipelines, bekk_pipelines):
+        series = {"train": "train.csv", "test": "test.csv"}
+        pairs = {name: f"{name}.csv" for name in (
+            "train_inputs", "train_outputs", "test_inputs", "test_outputs")}
+        for family, task, files in (
+                (lorenz_pipelines, "path-continuation", series),
+                (mackey_glass_pipelines, "path-continuation", series),
+                (bekk_pipelines, "open-loop", pairs)):
+            for preset, runs in family.items():
+                manifest = json.loads(
+                    (runs["a"]["dir"] / "simulate_manifest.json").read_text())
+                assert (manifest["task"], manifest["files"]) == (
+                    task, files), preset
+                assert manifest["sizes"].keys() == files.keys(), preset
 
 
 class TestNumericalFailureExit:

@@ -12,6 +12,8 @@ from kernelcast.cv import (
     overlapping_folds,
 )
 from kernelcast.errors import GridSearchError, InvalidInputError
+from kernelcast.estimators import fit_path_estimator
+from kernelcast.forecast import open_loop
 
 
 def enumerate_overlapping(n, fold_len, val_len, stride):
@@ -180,6 +182,38 @@ class TestGridSearch:
         result = grid_search("ngrc", grid, plan, "open-loop",
                              (inputs, outputs))
         assert result.best["p"] == 2
+
+    def test_open_loop_on_a_series_scores_one_step_predictions(self):
+        # each fold predicts its validation samples from the samples one
+        # step behind them, with no feedback, as forecast does on a test span
+        series = make_planted_series()[:, None]
+        grid = Grid(taus=[1, 2], ps=[2], lam_regs=[1e-6])
+        plan = overlapping_folds(400, 200, 50, 100)
+        result = grid_search("ngrc", grid, plan, "open-loop", (series,))
+        for row in result.table:
+            expected = []
+            for fold in plan.folds:
+                est, _ = fit_path_estimator(
+                    "ngrc", row.params,
+                    series[fold.train_start:fold.train_stop])
+                val = series[fold.val_start:fold.val_stop]
+                run = open_loop(
+                    est, series[fold.val_start - 1:fold.val_stop - 1])
+                expected.append(float(np.mean((run.predicted - val) ** 2)))
+            assert row.fold_mse == expected
+        closed = grid_search("ngrc", grid, plan, "path-continuation",
+                             (series,))
+        assert [row.fold_mse for row in closed.table] != [
+            row.fold_mse for row in result.table]
+
+    def test_task_mode_must_suit_the_span(self):
+        grid = Grid(taus=[1], ps=[1], lam_regs=[1e-6])
+        plan = expanding_folds(100, 2)
+        pairs = (np.ones((100, 1)), np.ones((100, 1)))
+        with pytest.raises(InvalidInputError, match="needs a series"):
+            grid_search("ngrc", grid, plan, "path-continuation", pairs)
+        with pytest.raises(InvalidInputError, match="unknown task mode"):
+            grid_search("ngrc", grid, plan, "closed-loop", pairs)
 
     def test_fixed_hyper_merged(self):
         rng = np.random.default_rng(5)

@@ -5,6 +5,7 @@ from kernelcast.errors import InvalidInputError, ParseError
 from kernelcast.estimators import fit_estimator, fit_path_estimator
 from kernelcast.forecast import (
     ForecastRun,
+    forecast_task,
     load_forecast_csv,
     open_loop,
     path_continue,
@@ -84,6 +85,57 @@ class TestOpenLoopAgreement:
             np.testing.assert_allclose(closed.predicted[0], opened[0],
                                        rtol=1e-10, atol=1e-12,
                                        err_msg=kind)
+
+
+class TestForecastTask:
+    """``forecast_task`` on train and test spans: ``(series,)`` or
+    ``(inputs, outputs)``."""
+
+    HYPER = {"tau": 2, "p": 2, "lam_reg": 1e-6}
+
+    @staticmethod
+    def series():
+        rng = np.random.default_rng(2)
+        return np.cumsum(rng.normal(size=(90, 2)), axis=0) * 0.05
+
+    def test_path_continuation_rolls_on_from_the_training_series(self):
+        values = self.series()
+        train, test = values[:60], values[60:]
+        est, seed = fit_path_estimator("ngrc", self.HYPER, train)
+        run = forecast_task(est, "path-continuation", (train,), (test,), 20)
+        expected = path_continue(est, seed, 20, reference=test[:20])
+        np.testing.assert_array_equal(run.predicted, expected.predicted)
+        np.testing.assert_array_equal(run.reference, test[:20])
+
+    def test_open_loop_on_a_series_lags_its_inputs_one_step(self):
+        values = self.series()
+        train, test = values[:60], values[60:]
+        est, _ = fit_path_estimator("ngrc", self.HYPER, train)
+        run = forecast_task(est, "open-loop", (train,), (test,), np.inf)
+        assert run.mode == "open-loop" and run.horizon == 30
+        np.testing.assert_array_equal(run.predicted,
+                                      est.open_loop(values[59:89]))
+        np.testing.assert_array_equal(run.reference, test)
+
+    def test_open_loop_on_pairs_predicts_each_test_input(self):
+        values = self.series()
+        inputs, outputs = values[:-1], values[1:] ** 2
+        est = fit_estimator("ngrc", self.HYPER, inputs[:60], outputs[:60])
+        run = forecast_task(est, "open-loop", (inputs[:60], outputs[:60]),
+                            (inputs[60:], outputs[60:]), 10)
+        np.testing.assert_array_equal(run.predicted,
+                                      est.open_loop(inputs[60:70]))
+        np.testing.assert_array_equal(run.reference, outputs[60:70])
+
+    @pytest.mark.parametrize("mode, match", [
+        ("path-continuation", "needs a series"),
+        ("closed-loop", "unknown task mode")])
+    def test_rejects_a_task_the_span_does_not_support(self, mode, match):
+        values = self.series()
+        est = fit_estimator("ngrc", self.HYPER, values[:60], values[1:61])
+        span = (values[:60], values[1:61])
+        with pytest.raises(InvalidInputError, match=match):
+            forecast_task(est, mode, span, span, 10)
 
 
 class TestVolterraRollout:
