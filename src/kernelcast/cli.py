@@ -60,6 +60,8 @@ from .estimators import (
     estimator_to_dict,
     fit_task,
     hyper_value,
+    int_in,
+    positive,
 )
 from .forecast import check_task, forecast_task, load_forecast_csv, valid_time
 from .metrics import (
@@ -111,23 +113,11 @@ def _get(config: dict, path: str, default=..., conv=None):
         raise ConfigError(f"invalid value {node!r}: {exc}", field=path)
 
 
-def _int_in(lo: int, hi: float = math.inf):
-    """Converter for ``_get``: an int in ``[lo, hi]``."""
-    def conv(value):
-        number = int(value)
-        if not lo <= number <= hi:
-            raise ValueError(f"must be >= {lo}" if hi == math.inf
-                             else f"must lie in [{lo}, {hi}]")
-        return number
-    return conv
-
-
-def _positive(value) -> float:
-    """Converter for ``_get``: a positive finite float."""
-    number = float(value)
-    if not 0 < number < math.inf:
-        raise ValueError("must be positive and finite")
-    return number
+def _fraction(value) -> float:
+    """Converter for ``_get``: a number in [0, 1), as a float."""
+    if isinstance(value, bool) or not 0 <= value < 1:
+        raise ValueError("must lie in [0, 1)")
+    return float(value)
 
 
 def load_config(args) -> dict:
@@ -154,7 +144,7 @@ def load_config(args) -> dict:
     if config.get("schema") != SCHEMA:
         raise ConfigError(f"expected schema {SCHEMA!r}", field="schema")
     if getattr(args, "seed", None) is not None:
-        config["seed"] = int(args.seed)
+        config["seed"] = args.seed
     return config
 
 
@@ -231,12 +221,11 @@ def generate_dataset(config: dict) -> tuple[tuple, tuple]:
     """Simulate or load the configured dataset, split into its train and
     test spans: ``(series,)`` each, or ``(inputs, outputs)`` each."""
     kind = _get(config, "dataset.kind")
-    seed = _get(config, "seed", 0, int)
-    n_train = _get(config, "dataset.n_train", conv=int)
+    seed = _get(config, "seed", 0, int_in(0))
 
     if kind == "lorenz":
-        n_points = _get(config, "dataset.n_points", 15001, _int_in(2))
-        dt = _get(config, "dataset.dt", 0.005, _positive)
+        n_points = _get(config, "dataset.n_points", 15001, int_in(2))
+        dt = _get(config, "dataset.dt", 0.005, positive)
         try:
             data = (simulate_lorenz(
                 _get(config, "dataset.initial", (0.0, 1.0, 1.05), np.float64),
@@ -245,18 +234,18 @@ def generate_dataset(config: dict) -> tuple[tuple, tuple]:
             raise ConfigError(str(exc), field="dataset.initial")
     elif kind == "mackey-glass":
         settings = {
-            "dt_fine": _get(config, "dataset.dt_fine", 0.02, _positive),
-            "delay": _get(config, "dataset.delay", 17.0, _positive),
-            "n_fine": _get(config, "dataset.n_fine", 382500, _int_in(1)),
-            "splice": _get(config, "dataset.splice", 50, _int_in(1))}
+            "dt_fine": _get(config, "dataset.dt_fine", 0.02, positive),
+            "delay": _get(config, "dataset.delay", 17.0, positive),
+            "n_fine": _get(config, "dataset.n_fine", 382500, int_in(1)),
+            "splice": _get(config, "dataset.splice", 50, int_in(1))}
         try:
             data = (simulate_mackey_glass(**settings),)
         except InvalidInputError as exc:  # each setting is checked above;
             # what is left is delay not being a multiple of dt_fine
             raise ConfigError(str(exc), field="dataset.delay")
     elif kind == "bekk":
-        n_points = _get(config, "dataset.n_points", 3761, _int_in(3))
-        d = _get(config, "dataset.d", conv=int)
+        n_points = _get(config, "dataset.n_points", 3761, int_in(3))
+        d = _get(config, "dataset.d", conv=int_in(1))
         # np.float64 of a list is a float64 array: a, b are scalars or lists
         a = _get(config, "dataset.a", 0.3, np.float64)
         b = _get(config, "dataset.b", 0.9, np.float64)
@@ -283,9 +272,7 @@ def generate_dataset(config: dict) -> tuple[tuple, tuple]:
     else:
         raise ConfigError(f"unknown dataset kind {kind!r}", field="dataset.kind")
 
-    if not 0 < n_train < data[0].n:
-        raise ConfigError(f"must lie strictly between 0 and {data[0].n}",
-                          field="dataset.n_train")
+    n_train = _get(config, "dataset.n_train", conv=int_in(1, data[0].n - 1))
     train, test = zip(*(split_train_test(series, n_train) for series in data))
     return train, test
 
@@ -371,7 +358,7 @@ def _fit_kw(config: dict, kind: str, train: tuple) -> dict:
     fit_kw = {}
     if len(train) > 1:
         fit_kw["output_kinds"] = bekk_output_pipeline()
-    headroom = _get(config, "estimator.headroom", None, float)
+    headroom = _get(config, "estimator.headroom", None, positive)
     if headroom is None:
         return fit_kw
     if "max-norm-scale" not in INPUT_TRANSFORMS[kind]:
@@ -424,7 +411,8 @@ def cmd_fit(config: dict, out_dir: str) -> int:
 def _grid_from_config(config: dict, kind: str) -> Grid:
     """The grid at ``estimator.grid``: a non-empty list for each name the
     kind requires (its :data:`GRID_AXES` list), and ``M`` if it reads one.
-    Every value is checked by ``hyper_value``."""
+    Every value is checked by ``hyper_value``, and a Volterra grid keeps at
+    least one pair that ``check_hyper`` accepts for its ``M``."""
     axes = {GRID_AXES[name]: name for name in REQUIRED_HYPER[kind]}
 
     def values(key, value):
@@ -435,8 +423,13 @@ def _grid_from_config(config: dict, kind: str) -> Grid:
         return [hyper_value(axes[key], v) for v in value]
 
     readable = (*axes, "M") if "M" in OPTIONAL_HYPER[kind] else tuple(axes)
-    return Grid(**_hyper(config, "estimator.grid", readable, tuple(axes),
+    grid = Grid(**_hyper(config, "estimator.grid", readable, tuple(axes),
                          values))
+    if not grid.candidates(kind)[0]:
+        raise ConfigError(f"every pair is pruned: none meets the Volterra "
+                          f"bound theta·M < 1, lam < sqrt(1 - theta²M²) for "
+                          f"M = {grid.M}", field="estimator.grid")
+    return grid
 
 
 def cmd_cv(config: dict, out_dir: str) -> int:
@@ -446,17 +439,17 @@ def cmd_cv(config: dict, out_dir: str) -> int:
     grid = _grid_from_config(config, kind)
     n_train = train[0].shape[0]
     mode = _get(config, "cv.mode")
+    if mode == "overlapping":
+        make = overlapping_folds
+        sizes = [_get(config, f"cv.{name}", conv=int_in(1))
+                 for name in ("fold_len", "val_len", "stride")]
+    elif mode == "expanding":
+        make, sizes = expanding_folds, [_get(config, "cv.k", conv=int_in(2))]
+    else:
+        raise ConfigError(f"unknown cv mode {mode!r}", field="cv.mode")
     try:
-        if mode == "overlapping":
-            plan = overlapping_folds(n_train,
-                                     _get(config, "cv.fold_len", conv=int),
-                                     _get(config, "cv.val_len", conv=int),
-                                     _get(config, "cv.stride", conv=int))
-        elif mode == "expanding":
-            plan = expanding_folds(n_train, _get(config, "cv.k", conv=int))
-        else:
-            raise ConfigError(f"unknown cv mode {mode!r}", field="cv.mode")
-    except InvalidInputError as exc:
+        plan = make(n_train, *sizes)
+    except InvalidInputError as exc:  # the fold sizes do not fit n_train
         raise ConfigError(str(exc), field="cv")
     # the grid sets every required name, and M
     fixed = _hyper(config, "cv.fixed_hyper",
@@ -494,7 +487,7 @@ def cmd_forecast(config: dict, out_dir: str) -> int:
                               model_path, "estimator")
     mode = _task_mode(config, train)
     run = forecast_task(est, mode, train, test,
-                        _get(config, "task.horizon", math.inf, _int_in(1)))
+                        _get(config, "task.horizon", math.inf, int_in(1)))
     path = os.path.join(out_dir, "forecast.csv")
     run.save_csv(path, extra_meta={"config_sha256": config_hash(config),
                                    "estimator": est.kind})
@@ -513,14 +506,14 @@ def evaluate_run(reference: np.ndarray, predicted: np.ndarray, config: dict,
     flags = {}
 
     t_valid_steps = None
-    lyap = _get(config, "task.lyapunov_exponent", None, _positive)
+    lyap = _get(config, "task.lyapunov_exponent", None, positive)
     if mode == "path-continuation" and lyap is not None:
         vt = valid_time(reference, predicted, lyap, dt,
-                        _get(config, "task.valid_threshold", 0.2, _positive))
+                        _get(config, "task.valid_threshold", 0.2, positive))
         report.t_valid = vt.value
         report.t_valid_censored = vt.censored
         t_valid_steps = _get(config, "metrics.pointwise_window", None,
-                             _int_in(1))
+                             int_in(1))
         if t_valid_steps is None:
             t_valid_steps = int(min(
                 math.ceil(vt.value) / lyap / dt, reference.shape[0]))
@@ -534,11 +527,11 @@ def evaluate_run(reference: np.ndarray, predicted: np.ndarray, config: dict,
     report.mae = mae(y, y_hat)
     report.mdae = mdae(y, y_hat)
     report.mape = mape(y, y_hat,
-                       _get(config, "metrics.mape_eps", 1e-8, _positive))
+                       _get(config, "metrics.mape_eps", 1e-8, positive))
 
-    nperseg = min(_get(config, "metrics.welch_nperseg", 1024, _int_in(1)),
+    nperseg = min(_get(config, "metrics.welch_nperseg", 1024, int_in(1)),
                   reference.shape[0])
-    overlap = _get(config, "metrics.welch_overlap", 0.5, float)
+    overlap = _get(config, "metrics.welch_overlap", 0.5, _fraction)
     fs = 1.0 / dt
     try:
         psd_true = welch_psd(reference, nperseg, overlap, fs)
@@ -548,13 +541,13 @@ def evaluate_run(reference: np.ndarray, predicted: np.ndarray, config: dict,
     # welch_psd's one-sided grid has nperseg // 2 + 1 bins
     report.psde, skipped = psde_detailed(
         psd_true, psd_est, _get(config, "metrics.psde_fcut_bins", None,
-                                _int_in(1, nperseg // 2 + 1)))
+                                int_in(1, nperseg // 2 + 1)))
     if skipped:
         flags["psde_skipped_bins"] = skipped
 
-    cap = _get(config, "metrics.w1_cap", 512, _int_in(1))
-    sub = _get(config, "metrics.w1_subsample", 512, _int_in(1))
-    w1_seed = _get(config, "metrics.w1_seed", 7, int)
+    cap = _get(config, "metrics.w1_cap", 512, int_in(1))
+    sub = _get(config, "metrics.w1_subsample", 512, int_in(1))
+    w1_seed = _get(config, "metrics.w1_seed", 7, int_in(0))
     try:
         if reference.shape[1] == 1:
             report.w1 = w1_1d(reference[:, 0], predicted[:, 0])

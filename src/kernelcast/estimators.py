@@ -53,20 +53,53 @@ INPUT_TRANSFORMS = {"ngrc": [], "ngrc-kernel": [], "polynomial": ["minmax01"],
 _INT_HYPER = {"tau": 1, "p": 1, "washout": 0}
 
 
+def int_in(lo: int, hi: float = math.inf):
+    """Converter: ``value`` as an int in ``[lo, hi]``.  A bool, a number
+    with a fractional part and one out of range raise
+    :class:`InvalidInputError` (a ``ValueError``); a value that is no
+    number raises the ``TypeError`` or ``ValueError`` of ``float``."""
+    def conv(value) -> int:
+        if isinstance(value, bool):
+            raise InvalidInputError("must be a whole number, not a bool")
+        if not isinstance(value, int):
+            number = float(value)
+            if not number.is_integer():
+                raise InvalidInputError("must be a whole number")
+            value = int(number)
+        if not lo <= value <= hi:
+            raise InvalidInputError(f"must be >= {lo}" if hi == math.inf
+                                    else f"must lie in [{lo}, {hi}]")
+        return value
+    return conv
+
+
+def positive(value) -> float:
+    """Converter: ``value`` as a positive finite float.  A bool and a value
+    out of range raise :class:`InvalidInputError` (a ``ValueError``); a
+    value that is no number raises the ``TypeError`` or ``ValueError`` of
+    ``float``."""
+    if isinstance(value, bool):
+        raise InvalidInputError("must be a number, not a bool")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not 0 < number < math.inf:
+        raise InvalidInputError("must be positive and finite")
+    return number
+
+
 def hyper_value(name: str, value):
     """``value`` as hyperparameter ``name`` takes it: an int no less than
-    its :data:`_INT_HYPER` bound, or a positive finite float.  Raises
-    ``TypeError`` or ``ValueError`` for a value that is no number, and
-    :class:`InvalidInputError` (a ``ValueError``) for one out of range."""
-    if name in _INT_HYPER:
-        number, least = int(value), _INT_HYPER[name]
-        if number < least:
-            raise InvalidInputError(f"{name} must be >= {least}")
-        return number
-    number = float(value)
-    if not 0 < number < math.inf:
-        raise InvalidInputError(f"{name} must be positive and finite")
-    return number
+    its :data:`_INT_HYPER` bound (:func:`int_in`), or a positive finite
+    float (:func:`positive`).  Raises :class:`InvalidInputError` (a
+    ``ValueError``) naming ``name``, or the ``TypeError`` or ``ValueError``
+    of a value that is no number."""
+    conv = int_in(_INT_HYPER[name]) if name in _INT_HYPER else positive
+    try:
+        return conv(value)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{name} {exc}") from None
 
 
 def check_hyper(kind: str, hyper: dict) -> None:

@@ -4,7 +4,6 @@ All statistics are computed from training rows only; applying a fitted
 transform to test data reuses those statistics, so no information leaks
 from the test span.  Kinds:
 
-* ``identity``            no-op,
 * ``minmax01``            per-dimension (x - min) / (max - min),
 * ``standardize``         per-dimension (x - mean) / std,
 * ``demean``              per-dimension x - mean,
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInputError, doc_field
 
-KINDS = ("identity", "minmax01", "standardize", "demean", "max-norm-scale",
+KINDS = ("minmax01", "standardize", "demean", "max-norm-scale",
          "constant-scale")
 
 _FLOOR = 1e-12
@@ -78,8 +77,6 @@ def fit(kind: str, train, *, constant: float = 1000.0,
         target_norm: float = 1.0) -> TransformSpec:
     """Fit one transform on training rows only."""
     V = _values(train)
-    if kind == "identity":
-        return TransformSpec("identity")
     if kind == "minmax01":
         lo = V.min(axis=0)
         hi = V.max(axis=0)
@@ -99,6 +96,8 @@ def fit(kind: str, train, *, constant: float = 1000.0,
     if kind == "demean":
         return TransformSpec("demean", shift=V.mean(axis=0))
     if kind == "max-norm-scale":
+        if not 0 < target_norm < np.inf:
+            raise InvalidInputError("target_norm must be positive and finite")
         max_norm = float(np.max(np.linalg.norm(V, axis=1)))
         degenerate = (0,) if max_norm < _FLOOR else ()
         divisor = max(max_norm, _FLOOR) / float(target_norm)

@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import math
@@ -365,6 +366,55 @@ class TestMalformedConfigValue:
         self.check_exits_two(tmp_path, capsys, "bekk-volterra", path, value,
                              "fit", field="estimator.hyper")
 
+    @pytest.mark.parametrize("preset, path, value, stage, field", [
+        # an integer field takes a whole number and no bool
+        ("bekk-ngrc", "estimator.hyper.tau", 2.7, "fit", None),
+        ("bekk-ngrc", "estimator.hyper.tau", True, "fit", None),
+        ("bekk-ngrc", "estimator.hyper.tau", math.inf, "fit", None),
+        ("bekk-ngrc", "estimator.hyper.p", True, "fit", None),
+        ("bekk-ngrc", "task.horizon", 2.5, "forecast", None),
+        ("bekk-ngrc", "cv.k", 2.9, "cv", None),
+        ("lorenz-ngrc", "cv.fold_len", 0, "cv", None),
+        ("bekk-ngrc", "metrics.w1_seed", 7.9, "eval", None),
+        ("bekk-ngrc", "metrics.w1_seed", -3, "eval", None),
+        ("bekk-ngrc", "seed", -1, "simulate", None),
+        ("bekk-ngrc", "dataset.n_train", 3000.9, "simulate", None),
+        # the Volterra rescale target is positive and finite
+        ("bekk-volterra", "estimator.headroom", 0, "fit", None),
+        ("bekk-volterra", "estimator.headroom", -0.5, "fit", None),
+        ("bekk-volterra", "estimator.headroom", math.nan, "fit", None),
+        # thetas [0.6]: theta·M = 1.2 prunes every pair
+        ("bekk-volterra", "estimator.grid.M", 2.0, "cv", "estimator.grid"),
+    ])
+    def test_malformed_number_exits_two(self, tmp_path, capsys, preset,
+                                        path, value, stage, field):
+        self.check_exits_two(tmp_path, capsys, preset, path, value, stage,
+                             field)
+
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
+        assert run_cli("simulate", "--preset", "bekk-ngrc", "--seed", "-1",
+                       "--out", str(tmp_path / "exp")) == 2
+        assert "config error: seed: " in capsys.readouterr().err
+
+    def test_whole_number_floats_read_as_ints(self, tmp_path):
+        """``estimator.hyper.tau: 1.0`` and ``cv.k: 4.0`` fit and rank as
+        the shipped ``1`` and ``4`` do."""
+        runs = []
+        for tau, k in ((1, 4), (1.0, 4.0)):
+            cfg = copy.deepcopy(PRESETS["bekk-ngrc"])
+            cfg["estimator"]["hyper"]["tau"] = tau
+            cfg["cv"]["k"] = k
+            cfg_path = tmp_path / f"cfg{len(runs)}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            out = tmp_path / f"exp{len(runs)}"
+            for cmd in ("simulate", "fit", "cv"):
+                assert run_cli(cmd, "--config", str(cfg_path),
+                               "--out", str(out)) == 0
+            runs.append(
+                (json.loads((out / "model.json").read_text())["estimator"],
+                 (out / "leaderboard.csv").read_text()))
+        assert runs[0] == runs[1]
+
     @staticmethod
     def check_exits_two(tmp_path, capsys, preset, path, value, stage,
                         field=None):
@@ -397,7 +447,8 @@ class TestMalformedConfigValue:
     @pytest.mark.parametrize("path, value", [
         ("n", "abc"), ("ps", 3), ("volterra.lam", "x"), ("repeats", 0),
         ("prediction_steps", 0), ("ps", [2, 0]),
-        ("n", 5)])  # shorter than tau (8)
+        ("n", 5),  # shorter than tau (8)
+        ("lam_reg", -1)])
     def test_bad_bench_setting(self, tmp_path, capsys, path, value):
         cfg = copy.deepcopy(PRESETS["bench-default"])
         *parents, key = path.split(".")
@@ -410,6 +461,24 @@ class TestMalformedConfigValue:
         assert run_cli("bench", "--config", str(cfg_path),
                        "--out", str(tmp_path / "b")) == 2
         assert f"config error: bench.{path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, field", [
+        ("bench.volterra.theta", 1.5, "bench.volterra"),  # theta·M < 1
+        ("seed", -1, "seed"),
+    ])
+    def test_bad_bench_value_names_its_field(self, tmp_path, capsys, path,
+                                             value, field):
+        cfg = copy.deepcopy(PRESETS["bench-default"])
+        *parents, key = path.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("bench", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "b")) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("key, value", [
@@ -841,6 +910,29 @@ class TestImportBoundary:
             f"preset, '--out', {str(tmp_path)!r} + '/' + preset]))\n"
             "print(json.dumps([codes, public_scipy_packages()]))")
         assert got == [[0] * 10, ["scipy.linalg"]]
+
+
+class TestConfigReaders:
+    """Every config number is read through a checked converter such as
+    ``int_in`` or ``positive``: a bare ``int`` or ``float`` would truncate
+    a fraction or pass a bool, a negative value or a NaN."""
+
+    @pytest.mark.parametrize("module", ["cli.py", "bench.py"])
+    def test_no_get_converts_with_bare_int_or_float(self, module):
+        path = Path(__file__).resolve().parents[1] / "src" / "kernelcast" \
+            / module
+        bare = []
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "_get"):
+                continue
+            convs = node.args[3:] + [kw.value for kw in node.keywords
+                                     if kw.arg == "conv"]
+            bare += [node.lineno for conv in convs
+                     if isinstance(conv, ast.Name)
+                     and conv.id in ("int", "float")]
+        assert bare == [], f"{module}: _get(..., int/float) at lines {bare}"
 
 
 class TestEntryPoint:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from kernelcast.estimators import (
     estimator_to_dict,
     fit_estimator,
     fit_path_estimator,
+    hyper_value,
+    int_in,
+    positive,
 )
 from kernelcast.forecast import path_continue
 from kernelcast.kernels import PolyKernelParams, fit_kernel_model, predict_kernel
@@ -88,6 +92,48 @@ class TestKinds:
         series = short_series()
         with pytest.raises(InvalidInputError, match="unknown estimator kind"):
             fit_estimator("esn", {"lam_reg": 1.0}, series[:-1], series[1:])
+
+
+class TestNumberReaders:
+    """``int_in`` and ``positive``, the one integer rule and the one
+    positive-number rule of every config reader and of ``hyper_value``."""
+
+    def test_int_in_takes_whole_numbers_as_ints(self):
+        for value in (3, 3.0, np.int64(3), np.float64(3.0)):
+            got = int_in(1)(value)
+            assert got == 3 and type(got) is int
+        assert int_in(0)(10**30) == 10**30
+
+    @pytest.mark.parametrize("value", [2.7, True, False, math.inf, math.nan,
+                                       0, -2, 6])
+    def test_int_in_rejects(self, value):
+        with pytest.raises(InvalidInputError):
+            int_in(1, 5)(value)
+
+    def test_positive_takes_positive_finite_numbers(self):
+        got = positive(2)
+        assert got == 2.0 and type(got) is float
+
+    @pytest.mark.parametrize("value", [True, 0, -0.5, math.nan, math.inf,
+                                       10**400])
+    def test_positive_rejects(self, value):
+        with pytest.raises(InvalidInputError):
+            positive(value)
+
+    def test_hyper_value_names_the_hyperparameter(self):
+        assert hyper_value("tau", 2.0) == 2
+        assert hyper_value("lam_reg", 1) == 1.0
+        for name, value in (("tau", 2.7), ("p", True), ("washout", -1),
+                            ("lam_reg", 0)):
+            with pytest.raises(InvalidInputError, match=f"^{name} must"):
+                hyper_value(name, value)
+
+    @pytest.mark.parametrize("headroom", [0, -0.5, math.nan])
+    def test_volterra_headroom_must_be_positive(self, headroom):
+        series = short_series()
+        with pytest.raises(InvalidInputError, match="target_norm"):
+            fit_estimator("volterra", HYPER["volterra"], series[:-1],
+                          series[1:], headroom=headroom)
 
 
 class TestModelDocuments:

@@ -97,6 +97,12 @@ class TestPipelines:
         out = preprocess.apply_pipeline(specs, data)
         assert np.linalg.norm(out, axis=1).max() == pytest.approx(0.95)
 
+    @pytest.mark.parametrize("target_norm", [0, -1.0, np.nan, np.inf])
+    def test_headroom_target_must_be_positive_and_finite(self, target_norm):
+        with pytest.raises(InvalidInputError, match="target_norm"):
+            preprocess.fit("max-norm-scale", np.ones((3, 2)),
+                           target_norm=target_norm)
+
     def test_bekk_output_pipeline_standardizes(self):
         rng = np.random.default_rng(4)
         data = rng.normal(0.002, 0.0005, size=(200, 4))
