@@ -31,8 +31,8 @@ from .errors import (
     ParseError,
     SimulationError,
 )
-from .estimators import Estimator, fit_estimator, fit_path_estimator
-from .forecast import ForecastRun, ValidTime, open_loop, path_continue, valid_time
+from .estimators import Estimator, fit_estimator, fit_task
+from .forecast import ForecastRun, ValidTime, forecast_task, open_loop, path_continue, valid_time
 from .kernels import (
     GramMatrix,
     KernelModel,

@@ -113,6 +113,19 @@ def _get(config: dict, path: str, default=..., conv=None):
         raise ConfigError(f"invalid value {node!r}: {exc}", field=path)
 
 
+def _numbers(value) -> np.ndarray:
+    """Converter for ``_get``: a number or a nested list of numbers, as a
+    float64 array; a bool, a string or a null in it is no number."""
+    items = [value]
+    while items:
+        item = items.pop()
+        if isinstance(item, list):
+            items.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError(f"{item!r} is not a number")
+    return np.float64(value)
+
+
 def _fraction(value) -> float:
     """Converter for ``_get``: a number in [0, 1), as a float."""
     if isinstance(value, bool) or not 0 <= value < 1:
@@ -154,15 +167,28 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _read_json(path: str, what: str) -> dict:
+def _read_upstream(path: str, read, what: str | None = None):
+    """``read(path)`` of an upstream artifact: a file that is missing,
+    unreadable or malformed is a :class:`DependencyError` naming it (and
+    ``what``, when given)."""
     if not os.path.exists(path):
         raise DependencyError(f"missing upstream artifact: {path}", field=what)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # not UTF-8, or not JSON
+        return read(path)
+    except DependencyError:  # a missing key, named with the file
+        raise
+    except (OSError, ValueError) as exc:  # not UTF-8, not JSON, ParseError
         raise DependencyError(f"corrupt upstream artifact {path}: {exc}",
                               field=what)
+
+
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _read_json(path: str, what: str) -> dict:
+    doc = _read_upstream(path, _load_json, what)
     if not isinstance(doc, dict):
         raise DependencyError(
             f"corrupt upstream artifact {path}: top level is not an object",
@@ -228,7 +254,7 @@ def generate_dataset(config: dict) -> tuple[tuple, tuple]:
         dt = _get(config, "dataset.dt", 0.005, positive)
         try:
             data = (simulate_lorenz(
-                _get(config, "dataset.initial", (0.0, 1.0, 1.05), np.float64),
+                _get(config, "dataset.initial", (0.0, 1.0, 1.05), _numbers),
                 dt, n_points),)
         except InvalidInputError as exc:  # dt and n_points are checked above
             raise ConfigError(str(exc), field="dataset.initial")
@@ -246,12 +272,12 @@ def generate_dataset(config: dict) -> tuple[tuple, tuple]:
     elif kind == "bekk":
         n_points = _get(config, "dataset.n_points", 3761, int_in(3))
         d = _get(config, "dataset.d", conv=int_in(1))
-        # np.float64 of a list is a float64 array: a, b are scalars or lists
-        a = _get(config, "dataset.a", 0.3, np.float64)
-        b = _get(config, "dataset.b", 0.9, np.float64)
+        C = _get(config, "dataset.C", conv=_numbers)
+        # a, b are scalars or lists
+        a = _get(config, "dataset.a", 0.3, _numbers)
+        b = _get(config, "dataset.b", 0.9, _numbers)
         try:
-            params = BekkParams(_get(config, "dataset.C", conv=np.float64),
-                                np.full(d, a) if np.ndim(a) == 0 else a,
+            params = BekkParams(C, np.full(d, a) if np.ndim(a) == 0 else a,
                                 np.full(d, b) if np.ndim(b) == 0 else b,
                                 seed=seed)
         except KernelcastError as exc:
@@ -277,11 +303,11 @@ def generate_dataset(config: dict) -> tuple[tuple, tuple]:
     return train, test
 
 
-# The task a dataset's spans serve, and the CSV names of the spans: a series
-# is continued, input/output pairs are predicted open loop.
-_SPAN_FILES = {"path-continuation": (("train",), ("test",)),
-               "open-loop": (("train_inputs", "train_outputs"),
-                             ("test_inputs", "test_outputs"))}
+# The task a dataset's spans serve, and the CSV names of each span: a
+# series is continued, input/output pairs are predicted open loop.
+_SPAN_FILES = {"path-continuation": {"train": ("train",), "test": ("test",)},
+               "open-loop": {"train": ("train_inputs", "train_outputs"),
+                             "test": ("test_inputs", "test_outputs")}}
 
 
 def cmd_simulate(config: dict, out_dir: str) -> int:
@@ -292,7 +318,7 @@ def cmd_simulate(config: dict, out_dir: str) -> int:
             "generator": "philox-boxmuller"}
     task = "path-continuation" if len(spans[0]) == 1 else "open-loop"
     files, sizes = {}, {}
-    for names, span in zip(_SPAN_FILES[task], spans):
+    for names, span in zip(_SPAN_FILES[task].values(), spans):
         for name, series in zip(names, span):
             save_csv(series, os.path.join(out_dir, f"{name}.csv"),
                      extra_meta=meta)
@@ -305,22 +331,18 @@ def cmd_simulate(config: dict, out_dir: str) -> int:
     return 0
 
 
-def load_dataset_artifacts(config: dict, out_dir: str) -> tuple[tuple, tuple]:
-    """The train and test spans ``simulate`` wrote, as arrays."""
+def load_span(config: dict, out_dir: str, span: str) -> tuple:
+    """The arrays of the ``span`` (``"train"`` or ``"test"``) that
+    ``simulate`` wrote: ``(series,)`` or ``(inputs, outputs)``."""
     manifest = _check_manifest(out_dir, "simulate", config)
     source = os.path.join(out_dir, "simulate_manifest.json")
-
-    def load(name):
-        path = os.path.join(out_dir,
-                            doc_field(manifest, f"files.{name}", source))
-        if not os.path.exists(path):
-            raise DependencyError(f"missing upstream artifact: {path}")
-        return load_csv(path)[0].values
-
     task = doc_field(manifest, "task", source)
     if task not in _SPAN_FILES:
         raise DependencyError(f"{source}: unknown task {task!r}")
-    return tuple(tuple(map(load, names)) for names in _SPAN_FILES[task])
+    paths = [os.path.join(out_dir, doc_field(manifest, f"files.{name}", source))
+             for name in _SPAN_FILES[task][span]]
+    return tuple(_read_upstream(path, load_csv)[0].values
+                 for path in paths)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +405,7 @@ def _fit_from_config(config: dict, train: tuple):
 
 
 def cmd_fit(config: dict, out_dir: str) -> int:
-    train, _ = load_dataset_artifacts(config, out_dir)
+    train = load_span(config, out_dir, "train")
     started = time.perf_counter()
     est = _fit_from_config(config, train)
     elapsed = time.perf_counter() - started
@@ -433,7 +455,7 @@ def _grid_from_config(config: dict, kind: str) -> Grid:
 
 
 def cmd_cv(config: dict, out_dir: str) -> int:
-    train, _ = load_dataset_artifacts(config, out_dir)
+    train = load_span(config, out_dir, "train")
     task_mode = _task_mode(config, train)
     kind = _estimator_kind(config)
     grid = _grid_from_config(config, kind)
@@ -477,7 +499,8 @@ def cmd_cv(config: dict, out_dir: str) -> int:
 
 
 def cmd_forecast(config: dict, out_dir: str) -> int:
-    train, test = load_dataset_artifacts(config, out_dir)
+    train = load_span(config, out_dir, "train")
+    test = load_span(config, out_dir, "test")
     _check_manifest(out_dir, "fit", config)
     model_path = os.path.join(out_dir, "model.json")
     model_doc = _read_json(model_path, "model")
@@ -569,7 +592,7 @@ def evaluate_run(reference: np.ndarray, predicted: np.ndarray, config: dict,
 def cmd_eval(config: dict, out_dir: str) -> int:
     _check_manifest(out_dir, "forecast", config)
     forecast_path = os.path.join(out_dir, "forecast.csv")
-    run, meta = load_forecast_csv(forecast_path)
+    run, meta = _read_upstream(forecast_path, load_forecast_csv)
     if doc_field(meta, "config_sha256", forecast_path) != config_hash(config):
         raise DependencyError("forecast.csv was produced under a different config")
     if run.reference is None:

@@ -163,17 +163,14 @@ class GridSearchResult:
                    for row in self.table))
 
 
-def _mse(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.mean((a - b) ** 2))
-
-
-def _rollout_score(run, reference) -> tuple[float, str | None]:
-    """(validation MSE, None), or (inf, why the rollout has no score)."""
+def _rollout_score(run) -> tuple[float, str | None]:
+    """(validation MSE against the run's reference, None), or (inf, why
+    the rollout has no score)."""
     if run.truncated:
         return float("inf"), f"truncated at step {run.error_step}: {run.error}"
     if not np.all(np.isfinite(run.predicted)):
         return float("inf"), "non-finite prediction"
-    return _mse(run.predicted, reference), None
+    return float(np.mean((run.predicted - run.reference) ** 2)), None
 
 
 def _score_fold(kind, params, task_mode, span, fold: Fold, fit_kw):
@@ -185,7 +182,7 @@ def _score_fold(kind, params, task_mode, span, fold: Fold, fit_kw):
     est = fit_task(kind, params, train, **fit_kw)
     run = forecast_task(est, task_mode, train, val,
                         fold.val_stop - fold.val_start)
-    return (*_rollout_score(run, val[-1]), run.projected)
+    return (*_rollout_score(run), run.projected)
 
 
 def _tie_break_key(item):

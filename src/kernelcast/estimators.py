@@ -8,6 +8,12 @@ lives here, and so does the one declaration of each estimator kind: its
 hyperparameters (:data:`REQUIRED_HYPER`, :data:`OPTIONAL_HYPER`) and input
 transforms (:data:`INPUT_TRANSFORMS`).  Training rows come from
 :func:`kernelcast.ngrc.lagged_pairs`.
+
+:func:`fit_task` fits a task's training span, a series or input/output
+pairs, and is the one fit that ``fit`` and ``cv`` run;
+:func:`fit_estimator` fits raw inputs and targets with any transform
+chains.  :func:`int_in`, :func:`positive` and :func:`hyper_value` read
+config numbers: a bool or a string is never one.
 """
 
 from __future__ import annotations
@@ -54,13 +60,14 @@ _INT_HYPER = {"tau": 1, "p": 1, "washout": 0}
 
 
 def int_in(lo: int, hi: float = math.inf):
-    """Converter: ``value`` as an int in ``[lo, hi]``.  A bool, a number
-    with a fractional part and one out of range raise
-    :class:`InvalidInputError` (a ``ValueError``); a value that is no
-    number raises the ``TypeError`` or ``ValueError`` of ``float``."""
+    """Converter: ``value`` as an int in ``[lo, hi]``.  A bool, a string,
+    a number with a fractional part and one out of range raise
+    :class:`InvalidInputError` (a ``ValueError``); any other value that is
+    no number raises the ``TypeError`` of ``float``."""
     def conv(value) -> int:
-        if isinstance(value, bool):
-            raise InvalidInputError("must be a whole number, not a bool")
+        if isinstance(value, (bool, str)):
+            raise InvalidInputError("must be a whole number, not a "
+                                    + type(value).__name__)
         if not isinstance(value, int):
             number = float(value)
             if not number.is_integer():
@@ -74,12 +81,13 @@ def int_in(lo: int, hi: float = math.inf):
 
 
 def positive(value) -> float:
-    """Converter: ``value`` as a positive finite float.  A bool and a value
-    out of range raise :class:`InvalidInputError` (a ``ValueError``); a
-    value that is no number raises the ``TypeError`` or ``ValueError`` of
-    ``float``."""
-    if isinstance(value, bool):
-        raise InvalidInputError("must be a number, not a bool")
+    """Converter: ``value`` as a positive finite float.  A bool, a string
+    and a value out of range raise :class:`InvalidInputError` (a
+    ``ValueError``); any other value that is no number raises the
+    ``TypeError`` of ``float``."""
+    if isinstance(value, (bool, str)):
+        raise InvalidInputError("must be a number, not a "
+                                + type(value).__name__)
     try:
         number = float(value)
     except OverflowError:  # an int beyond the float range
@@ -93,8 +101,8 @@ def hyper_value(name: str, value):
     """``value`` as hyperparameter ``name`` takes it: an int no less than
     its :data:`_INT_HYPER` bound (:func:`int_in`), or a positive finite
     float (:func:`positive`).  Raises :class:`InvalidInputError` (a
-    ``ValueError``) naming ``name``, or the ``TypeError`` or ``ValueError``
-    of a value that is no number."""
+    ``ValueError``) naming ``name``, or the ``TypeError`` of a value that
+    is no number, no bool and no string."""
     conv = int_in(_INT_HYPER[name]) if name in _INT_HYPER else positive
     try:
         return conv(value)
@@ -387,29 +395,18 @@ def estimator_from_dict(doc: dict, source: str = "estimator document",
 
 
 def fit_task(kind: str, hyper: dict, train: tuple, **kw) -> Estimator:
-    """Fit on a task's training span: a series ``(values,)`` on its
-    one-step-ahead pairs (:func:`fit_path_estimator`), ``(inputs,
-    outputs)`` as paired (:func:`fit_estimator`)."""
-    if len(train) == 1:
-        return fit_path_estimator(kind, hyper, train[0], **kw)[0]
-    return fit_estimator(kind, hyper, *train, **kw)
+    """Fit :func:`fit_estimator` on a task's training span.
 
-
-def fit_path_estimator(kind: str, hyper: dict, series_values, **kw) -> tuple[
-        Estimator, np.ndarray]:
-    """Fit on one-step-ahead pairs of a series; return (estimator, seed).
-
-    The seed is the raw history a closed-loop rollout starting right after
-    the series needs: the last ``tau`` samples for lagged estimators, the
-    final sample (the one input the fitted Volterra sequence has not seen)
-    for Volterra.
+    A series ``(values,)`` is fitted on its one-step-ahead pairs, with its
+    input transforms shared by the targets (``share_output_pipeline``);
+    ``(inputs, outputs)`` are fitted as paired.  A closed-loop rollout
+    after the series starts from it: :meth:`Estimator.start` reads its last
+    ``tau`` rows.
     """
-    V = np.asarray(series_values, dtype=np.float64)
-    if V.ndim == 1:
-        V = V[:, None]
-    if V.shape[0] < 3:
+    if len(train) > 1:
+        return fit_estimator(kind, hyper, *train, **kw)
+    values = np.asarray(train[0], dtype=np.float64)
+    if values.shape[0] < 3:
         raise InvalidInputError("series too short to form training pairs")
-    est = fit_estimator(kind, hyper, V[:-1], V[1:],
-                        share_output_pipeline=True, **kw)
-    seed = V[-est.tau:]
-    return est, seed
+    return fit_estimator(kind, hyper, values[:-1], values[1:],
+                         share_output_pipeline=True, **kw)

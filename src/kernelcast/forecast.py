@@ -1,10 +1,13 @@
 """Closed-loop path continuation, open-loop forecasting, and valid time.
 
-A closed-loop rollout feeds each prediction back as the next input; it is
-deterministic given the fitted estimator and the seed history.  A run
-whose prediction turns non-finite is returned truncated at that step
-instead of being padded; Volterra inputs outside the kernel's norm ball
-are projected onto it and counted in ``projected``.
+:func:`forecast_task` runs a task on a test span and pairs the run with
+the test outputs it predicts; :func:`path_continue` and :func:`open_loop`
+are its two rollouts.  A closed-loop rollout feeds each prediction back as
+the next input; it is deterministic given the fitted estimator and the
+seed history.  A run whose prediction turns non-finite is returned
+truncated at that step instead of being padded; Volterra inputs outside
+the kernel's norm ball are projected onto it and counted in
+``projected``.
 
 The valid prediction time converts the first threshold crossing of the
 normalized instantaneous error
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import read_csv, write_csv
-from .errors import InvalidInputError, ParseError
+from .errors import InvalidInputError, ParseError, doc_field
 
 
 @dataclass
@@ -61,18 +64,23 @@ class ForecastRun:
 
 
 def load_forecast_csv(path) -> tuple[ForecastRun, dict]:
-    """Read back a run written by :meth:`ForecastRun.save_csv`."""
+    """Read back a run written by :meth:`ForecastRun.save_csv`.  A missing
+    ``mode`` or ``horizon`` comment raises
+    :class:`~kernelcast.errors.MissingKeyError` naming ``path``; an unknown
+    mode raises :class:`InvalidInputError`."""
     meta, header, data = read_csv(path, "step")
+    mode = check_task(doc_field(meta, "mode", str(path)))
+    horizon = doc_field(meta, "horizon", str(path))
     columns = header[1:]
     predicted = data[:, [i for i, c in enumerate(columns) if c.startswith("pred")]]
     ref_cols = [i for i, c in enumerate(columns) if c.startswith("ref")]
     try:
-        horizon = int(meta.get("horizon", predicted.shape[0]))
+        horizon = int(horizon)
         error_step = int(meta["error_step"]) if "error_step" in meta else None
     except ValueError as exc:
         raise ParseError(f"bad horizon or error_step metadata: {exc}") from exc
     run = ForecastRun(
-        meta.get("mode", "open-loop"),
+        mode,
         horizon,
         predicted,
         data[:, ref_cols] if ref_cols else None,
@@ -82,13 +90,13 @@ def load_forecast_csv(path) -> tuple[ForecastRun, dict]:
     return run, meta
 
 
-def path_continue(estimator, seed_history, horizon: int,
-                  reference=None) -> ForecastRun:
-    """Autoregressive rollout of ``horizon`` steps.
+def path_continue(estimator, seed_history, horizon: int) -> ForecastRun:
+    """Autoregressive rollout of ``horizon`` steps from ``seed_history``.
 
     ``estimator`` must provide ``start(seed) -> stepper`` with
     ``stepper.step() -> next raw prediction`` and, optionally,
-    ``stepper.projected`` (see :mod:`kernelcast.estimators`).
+    ``stepper.projected`` (see :mod:`kernelcast.estimators`).  The run has
+    no reference; :func:`forecast_task` attaches one.
     """
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
@@ -106,28 +114,16 @@ def path_continue(estimator, seed_history, horizon: int,
                 break
             rows.append(y)
     predicted = np.asarray(rows) if rows else np.empty((0, 1))
-    ref = None
-    if reference is not None:
-        ref = np.atleast_2d(np.asarray(reference, dtype=np.float64))
-        if error is not None:
-            ref = ref[: predicted.shape[0]]
-        elif ref.shape[0] != horizon:
-            raise InvalidInputError("reference length must equal the horizon")
-    return ForecastRun("path-continuation", horizon, predicted, ref, error,
+    return ForecastRun("path-continuation", horizon, predicted, None, error,
                        error_step, getattr(stepper, "projected", 0))
 
 
-def open_loop(estimator, test_inputs, reference=None) -> ForecastRun:
-    """One prediction per test input, no feedback."""
+def open_loop(estimator, test_inputs) -> ForecastRun:
+    """One prediction per test input, no feedback; the run has no
+    reference."""
     ext = estimator.model.extension() if estimator.kind == "volterra" else None
     predicted = np.atleast_2d(estimator.open_loop(test_inputs, ext))
-    horizon = predicted.shape[0]
-    ref = None
-    if reference is not None:
-        ref = np.atleast_2d(np.asarray(reference, dtype=np.float64))
-        if ref.shape[0] != horizon:
-            raise InvalidInputError("reference length must equal the horizon")
-    return ForecastRun("open-loop", horizon, predicted, ref,
+    return ForecastRun("open-loop", predicted.shape[0], predicted,
                        projected=0 if ext is None else ext.projected)
 
 
@@ -149,18 +145,21 @@ def forecast_task(estimator, mode: str, train: tuple, test: tuple,
     A span is ``(series,)`` or ``(inputs, outputs)`` of raw sample rows, and
     ``test`` continues ``train``.  Path continuation rolls out from the end
     of the training series; open loop predicts once per test input, and a
-    series' inputs are its samples one step behind its outputs.
+    series' inputs are its samples one step behind its outputs.  The run's
+    ``reference`` is the test outputs it predicts, one row per predicted
+    row (a truncated rollout keeps the rows before its failure).
     """
     check_task(mode, train)
     reference = test[-1][:min(horizon, len(test[-1]))]
     if mode == "path-continuation":
-        return path_continue(estimator, train[0][-estimator.tau:],
-                             reference.shape[0], reference=reference)
-    if len(test) == 1:
-        inputs = np.concatenate([train[0][-1:], reference[:-1]])
+        run = path_continue(estimator, train[0], reference.shape[0])
+    elif len(test) == 1:
+        run = open_loop(estimator,
+                        np.concatenate([train[0][-1:], reference[:-1]]))
     else:
-        inputs = test[0][:reference.shape[0]]
-    return open_loop(estimator, inputs, reference=reference)
+        run = open_loop(estimator, test[0][:reference.shape[0]])
+    run.reference = reference[:run.predicted.shape[0]]
+    return run
 
 
 @dataclass(frozen=True)

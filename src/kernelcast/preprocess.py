@@ -50,10 +50,12 @@ class TransformSpec:
     def from_dict(cls, doc: dict, source: str = "transform document",
                   path: str = "") -> "TransformSpec":
         """Load one transform.  ``source`` and ``path`` (the dotted location
-        of ``doc`` in it) name a missing ``kind``."""
-        kind = doc_field(doc, "kind", source, path)
-        shift = doc.get("shift")
-        scale = doc.get("scale", 1.0)
+        of ``doc`` in it) name a missing ``kind``, ``shift`` or ``scale``;
+        a transform without a shift stores ``shift: null``."""
+        def get(key):
+            return doc_field(doc, key, source, path)
+
+        kind, shift, scale = get("kind"), get("shift"), get("scale")
         return cls(
             kind,
             None if shift is None else np.asarray(shift, dtype=np.float64),

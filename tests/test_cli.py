@@ -246,7 +246,7 @@ class TestExitCodes:
         assert err.value.line == row + 1
         assert "pred1" in str(err.value)
         assert run_cli("eval", "--config", str(cfg_path),
-                       "--out", str(out)) == 3
+                       "--out", str(out)) == 2
 
     def test_config_not_an_object_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "list.json"
@@ -281,6 +281,11 @@ class TestExitCodes:
         assert run_cli("forecast", "--preset", "bekk-polynomial",
                        "--out", str(out)) == 2
         assert f"corrupt upstream artifact {model}" in capsys.readouterr().err
+
+
+# The shipped BEKK intercept with its last entry written as ``true``.
+_C = PRESETS["bekk-ngrc"]["dataset"]["C"]
+BEKK_C_WITH_A_BOOL = [*_C[:-1], [*_C[-1][:-1], True]]
 
 
 class TestMalformedConfigValue:
@@ -385,6 +390,18 @@ class TestMalformedConfigValue:
         ("bekk-volterra", "estimator.headroom", math.nan, "fit", None),
         # thetas [0.6]: theta·M = 1.2 prunes every pair
         ("bekk-volterra", "estimator.grid.M", 2.0, "cv", "estimator.grid"),
+        # a string or a bool is no number, also inside a list
+        ("bekk-ngrc", "estimator.hyper.tau", "2", "fit", None),
+        ("bekk-ngrc", "estimator.hyper.lam_reg", "0.1", "fit", None),
+        ("bekk-ngrc", "cv.k", "4", "cv", None),
+        ("lorenz-ngrc", "dataset.dt", "0.005", "simulate", None),
+        ("lorenz-ngrc", "dataset.initial", [True, 1.0, 1.05], "simulate",
+         None),
+        ("lorenz-ngrc", "dataset.initial", [0.0, "1.0", 1.05], "simulate",
+         None),
+        ("bekk-ngrc", "dataset.a", True, "simulate", None),
+        ("bekk-ngrc", "dataset.b", "0.92", "simulate", None),
+        ("bekk-ngrc", "dataset.C", BEKK_C_WITH_A_BOOL, "simulate", None),
     ])
     def test_malformed_number_exits_two(self, tmp_path, capsys, preset,
                                         path, value, stage, field):
@@ -720,6 +737,15 @@ class TestMissingArtifactKey:
          "estimator.input_specs.0.kind", "forecast"),
         ("bekk-polynomial", "bekk", "model.json",
          "estimator.output_specs.0.kind", "forecast"),
+        # a transform carries its shift (null for none) and its scale
+        ("bekk-ngrc", "bekk", "model.json", "estimator.output_specs.1.scale",
+         "forecast"),
+        ("bekk-ngrc", "bekk", "model.json", "estimator.output_specs.0.shift",
+         "forecast"),
+        ("bekk-polynomial", "bekk", "model.json",
+         "estimator.input_specs.0.shift", "forecast"),
+        ("bekk-polynomial", "bekk", "model.json",
+         "estimator.input_specs.0.scale", "forecast"),
     ])
     def test_missing_key_is_dependency_error(self, request, tmp_path, capsys,
                                              preset, family, name, path,
@@ -750,6 +776,71 @@ class TestMissingArtifactKey:
         assert run_cli("forecast", "--preset", "lorenz-volterra",
                        "--out", str(out)) == 2
         assert "refit" in capsys.readouterr().err
+
+
+class TestUpstreamCsv:
+    """A shipped run whose upstream CSV is missing or malformed exits 2 at
+    the stage that reads it, naming the file."""
+
+    @staticmethod
+    def run_on_copy(shipped, tmp_path, capsys, preset, name, stage, edit):
+        """``stage`` of ``preset`` on a copy of the ``shipped`` run whose
+        ``name`` went through ``edit(lines)`` (None: the file removed);
+        returns the exit code and stderr."""
+        out = tmp_path / "exp"
+        shutil.copytree(shipped[preset]["a"]["dir"], out)
+        path = out / name
+        if edit is None:
+            path.unlink()
+        else:
+            path.write_text("".join(edit(path.read_text().splitlines(
+                keepends=True))))
+        capsys.readouterr()
+        code = run_cli(stage, "--preset", preset, "--out", str(out))
+        return code, capsys.readouterr().err, path
+
+    @staticmethod
+    def corrupt_cell(lines):
+        header = next(i for i, line in enumerate(lines)
+                      if not line.startswith("#"))
+        cells = lines[header + 3].split(",")
+        cells[1] = "1.2.3"
+        lines[header + 3] = ",".join(cells)
+        return lines
+
+    @pytest.mark.parametrize("name, stage, corrupt", [
+        ("train_inputs.csv", "fit", True),
+        ("train_outputs.csv", "cv", True),
+        ("test_outputs.csv", "forecast", True),
+        ("forecast.csv", "eval", True),
+        ("forecast.csv", "eval", False),  # removed
+        ("test_inputs.csv", "forecast", False),
+    ])
+    def test_exits_two_naming_the_file(self, bekk_pipelines, tmp_path,
+                                       capsys, name, stage, corrupt):
+        code, err, path = self.run_on_copy(
+            bekk_pipelines, tmp_path, capsys, "bekk-ngrc", name, stage,
+            self.corrupt_cell if corrupt else None)
+        assert code == 2
+        assert (f"corrupt upstream artifact {path}: line " if corrupt
+                else f"missing upstream artifact: {path}") in err
+
+    @pytest.mark.parametrize("comment, replacement, text", [
+        ("# mode=", "", "has no key 'mode'"),
+        ("# horizon=", "", "has no key 'horizon'"),
+        ("# mode=", "# mode=closed-loop\n", "unknown task mode 'closed-loop'"),
+    ])
+    def test_forecast_mode_and_horizon_are_read_from_the_file(
+            self, lorenz_pipelines, tmp_path, capsys, comment, replacement,
+            text):
+        def edit(lines):
+            return [replacement if line.startswith(comment) else line
+                    for line in lines]
+
+        code, err, path = self.run_on_copy(
+            lorenz_pipelines, tmp_path, capsys, "lorenz-ngrc", "forecast.csv",
+            "eval", edit)
+        assert code == 2 and str(path) in err and text in err
 
 
 def test_forecast_manifest_counts_projected_inputs(lorenz_pipelines):

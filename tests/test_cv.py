@@ -12,7 +12,7 @@ from kernelcast.cv import (
     overlapping_folds,
 )
 from kernelcast.errors import GridSearchError, InvalidInputError
-from kernelcast.estimators import fit_path_estimator
+from kernelcast.estimators import fit_task
 from kernelcast.forecast import open_loop
 
 
@@ -193,9 +193,9 @@ class TestGridSearch:
         for row in result.table:
             expected = []
             for fold in plan.folds:
-                est, _ = fit_path_estimator(
+                est = fit_task(
                     "ngrc", row.params,
-                    series[fold.train_start:fold.train_stop])
+                    (series[fold.train_start:fold.train_stop],))
                 val = series[fold.val_start:fold.val_stop]
                 run = open_loop(
                     est, series[fold.val_start - 1:fold.val_stop - 1])
@@ -328,9 +328,9 @@ class TestGridSearch:
         ref = np.zeros((3, 1))
         run = ForecastRun("open-loop", 3, np.array([[0.0], [np.nan], [1.0]]),
                           ref)
-        assert _rollout_score(run, ref) == (math.inf, "non-finite prediction")
+        assert _rollout_score(run) == (math.inf, "non-finite prediction")
         run = ForecastRun("open-loop", 3, np.ones((3, 1)), ref)
-        assert _rollout_score(run, ref) == (1.0, None)
+        assert _rollout_score(run) == (1.0, None)
 
     def test_candidate_document_nulls_missing_scores(self):
         row = CandidateResult({"tau": 1}, [0.5, math.inf], math.inf,

@@ -14,7 +14,7 @@ from kernelcast.estimators import (
     estimator_from_dict,
     estimator_to_dict,
     fit_estimator,
-    fit_path_estimator,
+    fit_task,
     hyper_value,
     int_in,
     positive,
@@ -45,17 +45,32 @@ class TestKinds:
 
     @pytest.mark.parametrize("kind", sorted(HYPER))
     def test_every_kind_fits_and_rolls_out(self, kind):
-        est, seed = fit_path_estimator(kind, HYPER[kind], short_series())
-        assert est.kind == kind and seed.shape[0] == est.tau
-        run = path_continue(est, seed, 5)
+        series = short_series()
+        est = fit_task(kind, HYPER[kind], (series,))
+        assert est.kind == kind
+        run = path_continue(est, series, 5)
         assert not run.truncated and run.predicted.shape == (5, 2)
         assert np.all(np.isfinite(run.predicted))
 
     @pytest.mark.parametrize("kind", sorted(HYPER))
+    def test_a_series_is_fitted_on_its_one_step_pairs(self, kind):
+        series = short_series()
+        est = fit_task(kind, HYPER[kind], (series,))
+        pairs = fit_estimator(kind, HYPER[kind], series[:-1], series[1:],
+                              share_output_pipeline=True)
+        assert est.output_specs is est.input_specs
+        assert estimator_to_dict(est) == estimator_to_dict(pairs)
+
+    def test_a_series_needs_three_samples(self):
+        with pytest.raises(InvalidInputError, match="series too short"):
+            fit_task("ngrc", HYPER["ngrc"], (short_series(2),))
+
+    @pytest.mark.parametrize("kind", sorted(HYPER))
     def test_rollout_reads_only_the_last_tau_seed_rows(self, kind):
         series = short_series()
-        est, seed = fit_path_estimator(kind, HYPER[kind], series)
-        runs = [path_continue(est, s, 8).predicted for s in (seed, series[-4:])]
+        est = fit_task(kind, HYPER[kind], (series,))
+        runs = [path_continue(est, s, 8).predicted
+                for s in (series[-est.tau:], series[-4:])]
         assert np.array_equal(runs[0], runs[1])
 
     @pytest.mark.parametrize("washout", [3, 10])
@@ -105,7 +120,7 @@ class TestNumberReaders:
         assert int_in(0)(10**30) == 10**30
 
     @pytest.mark.parametrize("value", [2.7, True, False, math.inf, math.nan,
-                                       0, -2, 6])
+                                       0, -2, 6, "2", "3.0"])
     def test_int_in_rejects(self, value):
         with pytest.raises(InvalidInputError):
             int_in(1, 5)(value)
@@ -115,7 +130,7 @@ class TestNumberReaders:
         assert got == 2.0 and type(got) is float
 
     @pytest.mark.parametrize("value", [True, 0, -0.5, math.nan, math.inf,
-                                       10**400])
+                                       10**400, "0.1"])
     def test_positive_rejects(self, value):
         with pytest.raises(InvalidInputError):
             positive(value)
@@ -124,7 +139,7 @@ class TestNumberReaders:
         assert hyper_value("tau", 2.0) == 2
         assert hyper_value("lam_reg", 1) == 1.0
         for name, value in (("tau", 2.7), ("p", True), ("washout", -1),
-                            ("lam_reg", 0)):
+                            ("lam_reg", 0), ("tau", "2"), ("lam_reg", "0.1")):
             with pytest.raises(InvalidInputError, match=f"^{name} must"):
                 hyper_value(name, value)
 
@@ -141,16 +156,17 @@ class TestModelDocuments:
     def test_preprocessing_echo_of_older_documents_is_ignored(self, kind):
         """Documents written while models echoed their preprocessing carry
         ``model.preprocessing``; they load and forecast bit for bit."""
-        est, seed = fit_path_estimator(kind, HYPER[kind], short_series())
+        series = short_series()
+        est = fit_task(kind, HYPER[kind], (series,))
         doc = json.loads(json.dumps(estimator_to_dict(est)))
         assert "preprocessing" not in doc["model"]
         older = json.loads(json.dumps(doc))
         older["model"]["preprocessing"] = {
             "inputs": doc["input_specs"], "outputs": doc["output_specs"]}
-        runs = [path_continue(estimator_from_dict(d), seed, 8).predicted
+        runs = [path_continue(estimator_from_dict(d), series, 8).predicted
                 for d in (doc, older)]
         assert np.array_equal(runs[0], runs[1])
-        assert np.array_equal(runs[0], path_continue(est, seed, 8).predicted)
+        assert np.array_equal(runs[0], path_continue(est, series, 8).predicted)
 
 
 class TestPolynomialRoute:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from kernelcast.errors import InvalidInputError, ParseError
-from kernelcast.estimators import fit_estimator, fit_path_estimator
+from kernelcast.errors import InvalidInputError, MissingKeyError, ParseError
+from kernelcast.estimators import fit_estimator, fit_task
 from kernelcast.forecast import (
     ForecastRun,
     forecast_task,
@@ -40,6 +40,7 @@ class TestPathContinue:
         run = path_continue(est, np.array([[1.0]]), 50)
         expected = 0.5 ** np.arange(1, 51)
         np.testing.assert_allclose(run.predicted[:, 0], expected, rtol=1e-10)
+        assert run.reference is None  # forecast_task attaches one
 
     def test_identity_map_is_constant(self):
         est = _ScalarMapEstimator(1.0)
@@ -49,10 +50,9 @@ class TestPathContinue:
     def test_learned_linear_system(self):
         # fit NG-RC on data from x_{t+1} = 0.5 x_t and roll it out
         series = 0.9 * 0.5 ** np.arange(40.0)
-        est, seed = fit_path_estimator("ngrc",
-                                       {"tau": 1, "p": 1, "lam_reg": 1e-12},
-                                       series)
-        run = path_continue(est, seed, 30)
+        est = fit_task("ngrc", {"tau": 1, "p": 1, "lam_reg": 1e-12},
+                       (series,))
+        run = path_continue(est, series, 30)
         expected = series[-1] * 0.5 ** np.arange(1, 31)
         np.testing.assert_allclose(run.predicted[:, 0], expected, atol=1e-10)
 
@@ -62,11 +62,6 @@ class TestPathContinue:
         assert run.truncated
         assert run.error == "non-finite prediction"
         assert run.predicted.shape[0] == run.error_step - 1
-
-    def test_reference_length_enforced(self):
-        est = _ScalarMapEstimator(0.5)
-        with pytest.raises(InvalidInputError):
-            path_continue(est, np.array([[1.0]]), 5, reference=np.ones((3, 1)))
 
 
 class TestOpenLoopAgreement:
@@ -79,8 +74,8 @@ class TestOpenLoopAgreement:
             ("volterra", {"lam": 0.5, "theta": 0.4, "lam_reg": 1e-6,
                           "washout": 5}),
         ]:
-            est, seed = fit_path_estimator(kind, hyper, series)
-            closed = path_continue(est, seed, 1)
+            est = fit_task(kind, hyper, (series,))
+            closed = path_continue(est, series, 1)
             opened = est.open_loop(series[-1:])
             np.testing.assert_allclose(closed.predicted[0], opened[0],
                                        rtol=1e-10, atol=1e-12,
@@ -101,16 +96,16 @@ class TestForecastTask:
     def test_path_continuation_rolls_on_from_the_training_series(self):
         values = self.series()
         train, test = values[:60], values[60:]
-        est, seed = fit_path_estimator("ngrc", self.HYPER, train)
+        est = fit_task("ngrc", self.HYPER, (train,))
         run = forecast_task(est, "path-continuation", (train,), (test,), 20)
-        expected = path_continue(est, seed, 20, reference=test[:20])
+        expected = path_continue(est, train[-est.tau:], 20)
         np.testing.assert_array_equal(run.predicted, expected.predicted)
         np.testing.assert_array_equal(run.reference, test[:20])
 
     def test_open_loop_on_a_series_lags_its_inputs_one_step(self):
         values = self.series()
         train, test = values[:60], values[60:]
-        est, _ = fit_path_estimator("ngrc", self.HYPER, train)
+        est = fit_task("ngrc", self.HYPER, (train,))
         run = forecast_task(est, "open-loop", (train,), (test,), np.inf)
         assert run.mode == "open-loop" and run.horizon == 30
         np.testing.assert_array_equal(run.predicted,
@@ -120,12 +115,19 @@ class TestForecastTask:
     def test_open_loop_on_pairs_predicts_each_test_input(self):
         values = self.series()
         inputs, outputs = values[:-1], values[1:] ** 2
-        est = fit_estimator("ngrc", self.HYPER, inputs[:60], outputs[:60])
+        est = fit_task("ngrc", self.HYPER, (inputs[:60], outputs[:60]))
         run = forecast_task(est, "open-loop", (inputs[:60], outputs[:60]),
                             (inputs[60:], outputs[60:]), 10)
         np.testing.assert_array_equal(run.predicted,
                                       est.open_loop(inputs[60:70]))
         np.testing.assert_array_equal(run.reference, outputs[60:70])
+
+    def test_truncated_rollout_keeps_the_reference_rows_it_predicted(self):
+        est = _ScalarMapEstimator(1e200)  # overflows at step 2
+        train, test = np.ones((5, 1)), np.arange(10.0)[:, None]
+        run = forecast_task(est, "path-continuation", (train,), (test,), 10)
+        assert run.truncated and run.error_step == 2
+        np.testing.assert_array_equal(run.reference, test[:1])
 
     @pytest.mark.parametrize("mode, match", [
         ("path-continuation", "needs a series"),
@@ -143,10 +145,10 @@ class TestVolterraRollout:
         rng = np.random.default_rng(1)
         # diverging series: the fed-back prediction leaves the unit ball
         series = rng.normal(size=(60, 1)) * 0.1
-        est, seed = fit_path_estimator(
+        est = fit_task(
             "volterra",
             {"lam": 0.5, "theta": 0.5, "lam_reg": 1e-8, "washout": 4},
-            series, input_kinds=[])  # no rescaling: raw feedback can escape
+            (series,), input_kinds=[])  # no rescaling: raw feedback can escape
         # force escape by seeding outside the training envelope; inputs that
         # leave the ball are projected onto it, so the run keeps its length
         run = path_continue(est, np.array([[0.999]]), 200)
@@ -162,7 +164,7 @@ class TestVolterraRollout:
                                          "lam_reg": 1e-8, "washout": 4},
                             inputs[:-1], inputs[1:], input_kinds=[])
         test = np.array([[0.5], [3.0], [-2.0], [0.1]])
-        run = open_loop(est, test, reference=np.zeros((4, 1)))
+        run = open_loop(est, test)
         assert run.projected == 2 and not run.truncated
         # the projected inputs score as their images on the ball
         onto = open_loop(est, np.array([[0.5], [1.0], [-1.0], [0.1]]))
@@ -287,6 +289,19 @@ class TestForecastCsv:
         with pytest.raises(ParseError, match="horizon"):
             load_forecast_csv(path)
 
+    @pytest.mark.parametrize("comments, error, match", [
+        ("# horizon=1\n", MissingKeyError, "has no key 'mode'"),
+        ("# mode=open-loop\n", MissingKeyError, "has no key 'horizon'"),
+        ("# mode=closed-loop\n# horizon=1\n", InvalidInputError,
+         "unknown task mode 'closed-loop'"),
+    ])
+    def test_mode_and_horizon_are_required(self, tmp_path, comments, error,
+                                           match):
+        path = tmp_path / "forecast.csv"
+        path.write_text(comments + "step,pred0\n1,0.5\n")
+        with pytest.raises(error, match=match):
+            load_forecast_csv(path)
+
     def test_non_finite_cells_round_trip(self, tmp_path):
         # open-loop predictions are written without a finiteness check
         pred = np.array([[np.nan], [np.inf], [-np.inf]])
@@ -306,15 +321,7 @@ class TestOpenLoopRuns:
         outputs = np.cumsum(inputs, axis=0) * 0.1
         est = fit_estimator("ngrc", {"tau": 2, "p": 1, "lam_reg": 1e-6},
                             inputs[:50], outputs[:50])
-        run = open_loop(est, inputs[50:], reference=outputs[50:])
+        run = open_loop(est, inputs[50:])
         assert run.predicted.shape == (10, 2)
         assert run.mode == "open-loop"
-        assert not run.truncated
-
-    def test_open_loop_reference_must_match_the_inputs(self):
-        rng = np.random.default_rng(7)
-        inputs = rng.normal(size=(60, 2)) * 0.2
-        est = fit_estimator("ngrc", {"tau": 2, "p": 1, "lam_reg": 1e-6},
-                            inputs[:50], inputs[1:51])
-        with pytest.raises(InvalidInputError, match="reference length"):
-            open_loop(est, inputs[50:], reference=inputs[51:])
+        assert not run.truncated and run.reference is None
