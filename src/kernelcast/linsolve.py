@@ -34,6 +34,10 @@ caller's full ``K``, and :meth:`GramRows.full`, which the analysis Grams
 ``ngrc_gram``) return.  The finiteness, scale and symmetry checks on a full
 ``K`` allocate no n x n temporary.  The primal normal matrices stay in full
 storage (``dpotrf``).
+
+``scipy.linalg`` is imported inside the functions that call it, ahead of
+their timers: every stage imports this module, but only ``fit``, ``cv`` and
+the BEKK ``simulate`` solve, so the others start without loading it.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConditioningError, InvalidInputError
 
@@ -256,6 +259,7 @@ def solve_ridge_primal(X, Y, lam_reg: float) -> RidgeSolution:
     RidgeSolution
         ``coefficients`` has shape (N,) or (N, m) matching ``Y``.
     """
+    import scipy.linalg
     started = time.perf_counter()
     if not (np.isscalar(lam_reg) and lam_reg > 0):
         raise InvalidInputError("lam_reg must be a positive scalar")
@@ -319,6 +323,7 @@ def solve_ridge_gram(K, Y, lam_reg: float) -> RidgeSolution:
     lam_reg : float
         Ridge strength, must be positive.
     """
+    import scipy.linalg
     started = time.perf_counter()
     if not (np.isscalar(lam_reg) and lam_reg > 0):
         raise InvalidInputError("lam_reg must be a positive scalar")
@@ -409,6 +414,7 @@ def _max_asymmetry(A: np.ndarray) -> float:
 def _gram_eigh_solve(K: np.ndarray, Y: np.ndarray,
                      lam: float) -> tuple[np.ndarray, float, int]:
     """Spectral ridge solve; returns (alpha, smallest eigenvalue, modes cut)."""
+    import scipy.linalg
     try:
         evals, vecs = scipy.linalg.eigh(K, check_finite=False)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
@@ -429,6 +435,7 @@ def psd_sqrt(S, rel_tol: float = 1e-10) -> np.ndarray:
     :class:`~kernelcast.errors.InvalidInputError`; small negative values
     within the tolerance are clipped to zero.
     """
+    import scipy.linalg
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InvalidInputError("S must be a square matrix")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, doc_field
+from .errors import DependencyError, InvalidInputError, doc_field
 
 KINDS = ("minmax01", "standardize", "demean", "max-norm-scale",
          "constant-scale")
@@ -50,20 +50,50 @@ class TransformSpec:
     def from_dict(cls, doc: dict, source: str = "transform document",
                   path: str = "") -> "TransformSpec":
         """Load one transform.  ``source`` and ``path`` (the dotted location
-        of ``doc`` in it) name a missing ``kind``, ``shift`` or ``scale``;
-        a transform without a shift stores ``shift: null``."""
+        of ``doc`` in it) name a missing ``kind``, ``shift`` or ``scale``,
+        and a bad one, which raises
+        :class:`~kernelcast.errors.DependencyError`: ``kind`` is one of
+        :data:`KINDS`, ``shift`` null (no shift) or finite numbers, and
+        ``scale`` a finite non-zero number or a list of them."""
         def get(key):
             return doc_field(doc, key, source, path)
 
+        def bad(key, what):
+            where = f"{path}.{key}" if path else key
+            return DependencyError(
+                f"{source}: {where!r} must be {what}, not {doc[key]!r}")
+
         kind, shift, scale = get("kind"), get("shift"), get("scale")
+        if kind not in KINDS:
+            raise bad("kind", "one of " + ", ".join(KINDS))
+        if shift is not None:
+            shift = _finite_floats(shift)
+            if shift is None:
+                raise bad("shift", "null or finite numbers")
+        scale = _finite_floats(scale)
+        if scale is None or not np.all(scale):
+            raise bad("scale", "a finite non-zero number or a list of them")
         return cls(
             kind,
-            None if shift is None else np.asarray(shift, dtype=np.float64),
-            float(scale) if np.isscalar(scale)
-            else np.asarray(scale, dtype=np.float64),
+            shift,
+            float(scale) if scale.ndim == 0 else scale,
             tuple(doc.get("degenerate_dims", ())),
             dict(doc.get("meta", {})),
         )
+
+
+def _finite_floats(value) -> np.ndarray | None:
+    """``value`` as float64 if it is a finite number or a non-empty list of
+    them, else ``None``; a bool is not a number."""
+    items = value if isinstance(value, list) else [value]
+    if not items or any(isinstance(v, bool) or not isinstance(v, (int, float))
+                        for v in items):
+        return None
+    try:
+        values = np.asarray(value, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return values if np.all(np.isfinite(values)) else None
 
 
 def _values(x) -> np.ndarray:

@@ -720,8 +720,8 @@ class TestShippedBekkArtifacts:
 
 
 class TestMissingArtifactKey:
-    """A shipped run whose upstream document lacks a key exits 2, naming
-    the file and the dotted key."""
+    """A shipped run whose upstream document lacks a key, or holds a bad
+    transform value, exits 2, naming the file and the dotted key."""
 
     @pytest.mark.parametrize("preset, family, name, path, stage", [
         ("bekk-polynomial", "bekk", "model.json", "estimator", "forecast"),
@@ -764,6 +764,35 @@ class TestMissingArtifactKey:
         assert run_cli(stage, "--preset", preset, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert str(out / name) in err and repr(path) in err
+
+    @pytest.mark.parametrize("key, value, text", [
+        ("1.scale", None, "a finite non-zero number or a list of them"),
+        ("1.scale.3", None, "a finite non-zero number or a list of them"),
+        ("1.scale", "abc", "a finite non-zero number or a list of them"),
+        ("1.scale.0", 0.0, "a finite non-zero number or a list of them"),
+        ("0.scale", True, "a finite non-zero number or a list of them"),
+        ("1.shift", "abc", "null or finite numbers"),
+        ("1.shift", {"a": 1}, "null or finite numbers"),
+        ("0.kind", "log", "one of minmax01, standardize"),
+    ])
+    def test_bad_transform_value_is_dependency_error(
+            self, bekk_pipelines, tmp_path, capsys, key, value, text):
+        out = tmp_path / "exp"
+        shutil.copytree(bekk_pipelines["bekk-ngrc"]["a"]["dir"], out)
+        doc = json.loads((out / "model.json").read_text())
+        *parents, last = key.split(".")
+        node = doc["estimator"]["output_specs"]
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        node[int(last) if isinstance(node, list) else last] = value
+        (out / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("forecast", "--preset", "bekk-ngrc",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        field = "estimator.output_specs." + ".".join(key.split(".")[:2])
+        assert str(out / "model.json") in err and repr(field) in err
+        assert text in err
 
     def test_schema_1_model_asks_for_refit(self, lorenz_pipelines, tmp_path,
                                            capsys):
@@ -946,15 +975,16 @@ def _run_fresh(body: str) -> dict:
 
 
 class TestImportBoundary:
-    """``import kernelcast.cli`` loads numpy and scipy.linalg, and no stage
-    loads another scipy subpackage: the package has its own ODE, spectral
-    and matching code."""
+    """``import kernelcast.cli`` loads numpy and no scipy; only the stages
+    that solve (``fit``, ``cv``, the BEKK ``simulate``) load scipy.linalg,
+    and no stage loads another scipy subpackage: the package has its own
+    ODE, spectral and matching code."""
 
     def test_cli_import_loads_no_deferred_scipy(self):
         loaded = _run_fresh(
             "print(json.dumps(sorted(m for m in sys.modules "
             "if m.startswith('scipy.'))))")
-        assert "scipy.linalg" in loaded
+        assert "scipy.linalg" not in loaded
         assert [m for m in loaded
                 if ".".join(m.split(".")[:2]) in DEFERRED_SCIPY] == []
 
@@ -1001,6 +1031,54 @@ class TestImportBoundary:
             f"preset, '--out', {str(tmp_path)!r} + '/' + preset]))\n"
             "print(json.dumps([codes, public_scipy_packages()]))")
         assert got == [[0] * 10, ["scipy.linalg"]]
+
+    @pytest.mark.parametrize("preset, family, stage, loads", [
+        ("lorenz-ngrc", "lorenz", "forecast", False),
+        ("lorenz-ngrc", "lorenz", "eval", False),
+        ("bekk-polynomial", "bekk", "forecast", False),
+        ("bekk-polynomial", "bekk", "eval", False),
+        ("lorenz-ngrc", None, "simulate", False),
+        ("mackey-glass-ngrc", None, "simulate", False),
+        ("bekk-polynomial", None, "simulate", True),  # psd_sqrt
+        ("lorenz-ngrc", "lorenz", "fit", True),
+    ])
+    def test_only_solving_stages_load_scipy_linalg(self, request, tmp_path,
+                                                   preset, family, stage,
+                                                   loads):
+        # shipped presets at their shipped sizes, one stage per process
+        out = tmp_path / "exp"
+        if family is not None:
+            shipped = request.getfixturevalue(f"{family}_pipelines")
+            shutil.copytree(shipped[preset]["a"]["dir"], out)
+        got = _run_fresh(
+            "import contextlib, io\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = kernelcast.cli.main([{stage!r}, '--preset', "
+            f"{preset!r}, '--out', {str(out)!r}])\n"
+            "print(json.dumps([code, 'scipy.linalg' in sys.modules]))")
+        assert got == [0, loads]
+
+    @pytest.mark.parametrize("module", sorted(
+        p.name for p in (SRC / "kernelcast").glob("*.py")))
+    def test_no_module_imports_scipy_at_module_level(self, module):
+        # scipy.linalg alone costs about 0.3 s of every stage's start-up
+        path = SRC / "kernelcast" / module
+        nodes = list(ast.parse(path.read_text(), str(path)).body)
+        found = []
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue  # runs at a call, not at import
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                names = []
+            found += [node.lineno for name in names
+                      if name == "scipy" or name.startswith("scipy.")]
+            nodes.extend(ast.iter_child_nodes(node))
+        assert found == [], f"{module}: scipy imported at lines {found}"
 
 
 class TestConfigReaders:
