@@ -52,7 +52,6 @@ from .errors import (
     doc_field,
 )
 from .estimators import (
-    INPUT_TRANSFORMS,
     OPTIONAL_HYPER,
     REQUIRED_HYPER,
     check_hyper,
@@ -65,6 +64,9 @@ from .estimators import (
 )
 from .forecast import check_task, forecast_task, load_forecast_csv, valid_time
 from .metrics import (
+    W1_DEFAULT_CAP,
+    W1_SEED,
+    WELCH_NPERSEG,
     MetricReport,
     mae,
     mape,
@@ -126,11 +128,16 @@ def _numbers(value) -> np.ndarray:
     return np.float64(value)
 
 
-def _fraction(value) -> float:
-    """Converter for ``_get``: a number in [0, 1), as a float."""
-    if isinstance(value, bool) or not 0 <= value < 1:
-        raise ValueError("must lie in [0, 1)")
-    return float(value)
+def _reject_fixed_fields(config: dict) -> None:
+    """Reject a field that the fixed scoring protocol replaced (README,
+    "Outputs"), so that no run is scored other than its config states."""
+    metrics = _get(config, "metrics", {})
+    paths = [f"metrics.{key}" for key in metrics] if isinstance(
+        metrics, dict) else ["metrics"]
+    for path in (*paths, "task.valid_threshold", "estimator.headroom"):
+        if _get(config, path, None) is not None:
+            raise ConfigError("is no longer read; every run is scored by "
+                              "the fixed protocol", field=path)
 
 
 def load_config(args) -> dict:
@@ -156,6 +163,7 @@ def load_config(args) -> dict:
         raise ConfigError("either --config or --preset is required")
     if config.get("schema") != SCHEMA:
         raise ConfigError(f"expected schema {SCHEMA!r}", field="schema")
+    _reject_fixed_fields(config)
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
     return config
@@ -373,22 +381,10 @@ def _hyper(config: dict, path: str, readable, required=(),
             for name in names}
 
 
-def _fit_kw(config: dict, kind: str, train: tuple) -> dict:
+def _fit_kw(train: tuple) -> dict:
     """Fit keywords: the covariance output transforms for input/output
-    pairs, and ``headroom``, which only a kind with ``max-norm-scale``
-    inputs reads (the target training norm)."""
-    fit_kw = {}
-    if len(train) > 1:
-        fit_kw["output_kinds"] = bekk_output_pipeline()
-    headroom = _get(config, "estimator.headroom", None, positive)
-    if headroom is None:
-        return fit_kw
-    if "max-norm-scale" not in INPUT_TRANSFORMS[kind]:
-        raise ConfigError(f"has no effect on {kind!r} estimators, whose "
-                          "inputs are not max-norm scaled",
-                          field="estimator.headroom")
-    fit_kw["headroom"] = headroom
-    return fit_kw
+    pairs."""
+    return {"output_kinds": bekk_output_pipeline()} if len(train) > 1 else {}
 
 
 def _fit_from_config(config: dict, train: tuple):
@@ -401,7 +397,7 @@ def _fit_from_config(config: dict, train: tuple):
         check_hyper(kind, hyper)
     except InvalidInputError as exc:
         raise ConfigError(str(exc), field="estimator.hyper")
-    return fit_task(kind, hyper, train, **_fit_kw(config, kind, train))
+    return fit_task(kind, hyper, train, **_fit_kw(train))
 
 
 def cmd_fit(config: dict, out_dir: str) -> int:
@@ -477,7 +473,7 @@ def cmd_cv(config: dict, out_dir: str) -> int:
     fixed = _hyper(config, "cv.fixed_hyper",
                    [name for name in OPTIONAL_HYPER[kind] if name != "M"])
     result = grid_search(kind, grid, plan, task_mode, train,
-                         fit_kw=_fit_kw(config, kind, train),
+                         fit_kw=_fit_kw(train),
                          fixed_hyper=fixed)
     lb_path = os.path.join(out_dir, "leaderboard.csv")
     result.leaderboard_csv(lb_path)
@@ -524,23 +520,19 @@ def cmd_forecast(config: dict, out_dir: str) -> int:
 
 def evaluate_run(reference: np.ndarray, predicted: np.ndarray, config: dict,
                  dt: float, mode: str) -> MetricReport:
-    """Score one forecast against its reference per the configured metrics."""
+    """Score one forecast against its reference by the fixed protocol
+    (README, "Outputs"); ``task.lyapunov_exponent`` is its one setting."""
     report = MetricReport(config={"mode": mode, "dt": dt})
     flags = {}
 
     t_valid_steps = None
     lyap = _get(config, "task.lyapunov_exponent", None, positive)
     if mode == "path-continuation" and lyap is not None:
-        vt = valid_time(reference, predicted, lyap, dt,
-                        _get(config, "task.valid_threshold", 0.2, positive))
+        vt = valid_time(reference, predicted, lyap, dt)
         report.t_valid = vt.value
         report.t_valid_censored = vt.censored
-        t_valid_steps = _get(config, "metrics.pointwise_window", None,
-                             int_in(1))
-        if t_valid_steps is None:
-            t_valid_steps = int(min(
-                math.ceil(vt.value) / lyap / dt, reference.shape[0]))
-            t_valid_steps = max(t_valid_steps, 1)
+        t_valid_steps = max(int(min(math.ceil(vt.value) / lyap / dt,
+                                    reference.shape[0])), 1)
     y = reference if t_valid_steps is None else reference[:t_valid_steps]
     y_hat = predicted if t_valid_steps is None else predicted[:t_valid_steps]
 
@@ -549,36 +541,23 @@ def evaluate_run(reference: np.ndarray, predicted: np.ndarray, config: dict,
         flags["nmse_degenerate_dims"] = list(degenerate)
     report.mae = mae(y, y_hat)
     report.mdae = mdae(y, y_hat)
-    report.mape = mape(y, y_hat,
-                       _get(config, "metrics.mape_eps", 1e-8, positive))
+    report.mape = mape(y, y_hat)
 
-    nperseg = min(_get(config, "metrics.welch_nperseg", 1024, int_in(1)),
-                  reference.shape[0])
-    overlap = _get(config, "metrics.welch_overlap", 0.5, _fraction)
-    fs = 1.0 / dt
-    try:
-        psd_true = welch_psd(reference, nperseg, overlap, fs)
-    except InvalidInputError as exc:  # fs = 1/dt > 0: the overlap is at fault
-        raise ConfigError(str(exc), field="metrics.welch_overlap")
-    psd_est = welch_psd(predicted, nperseg, overlap, fs)
-    # welch_psd's one-sided grid has nperseg // 2 + 1 bins
+    nperseg = min(WELCH_NPERSEG, reference.shape[0])
     report.psde, skipped = psde_detailed(
-        psd_true, psd_est, _get(config, "metrics.psde_fcut_bins", None,
-                                int_in(1, nperseg // 2 + 1)))
+        welch_psd(reference, nperseg, fs=1.0 / dt),
+        welch_psd(predicted, nperseg, fs=1.0 / dt))
     if skipped:
         flags["psde_skipped_bins"] = skipped
 
-    cap = _get(config, "metrics.w1_cap", 512, int_in(1))
-    sub = _get(config, "metrics.w1_subsample", 512, int_in(1))
-    w1_seed = _get(config, "metrics.w1_seed", 7, int_in(0))
     try:
         if reference.shape[1] == 1:
             report.w1 = w1_1d(reference[:, 0], predicted[:, 0])
         else:
-            k = min(sub, cap, reference.shape[0])
-            a = subsample_rows(reference, k, w1_seed)
-            b = subsample_rows(predicted, k, w1_seed)
-            report.w1 = w1_nd(a, b, cap=cap)
+            k = min(W1_DEFAULT_CAP, reference.shape[0])
+            a = subsample_rows(reference, k, W1_SEED)
+            b = subsample_rows(predicted, k, W1_SEED)
+            report.w1 = w1_nd(a, b)
             flags["w1_subsampled_to"] = int(a.shape[0])
     except InvalidInputError as exc:
         report.w1 = float("nan")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import preprocess
-from .errors import InvalidInputError, doc_field
+from .errors import DependencyError, InvalidInputError, doc_field
 from .kernels import (
     KernelModel,
     NgrcKernelParams,
@@ -54,6 +54,10 @@ OPTIONAL_HYPER = {"ngrc": ("washout",), "polynomial": ("c", "washout"),
 # projected onto the norm ball).
 INPUT_TRANSFORMS = {"ngrc": [], "ngrc-kernel": [], "polynomial": ["minmax01"],
                     "volterra": ["demean", "max-norm-scale"]}
+# The models each kind fits: ngrc-model/1, or a kernel-model/2 kernel kind.
+_KIND_MODELS = {"ngrc": ("ngrc-model/1",),
+                "polynomial": ("ngrc-model/1", "polynomial"),
+                "volterra": ("volterra",), "ngrc-kernel": ("ngrc",)}
 # The integer hyperparameters and their least values; every other one is a
 # positive finite float.
 _INT_HYPER = {"tau": 1, "p": 1, "washout": 0}
@@ -130,13 +134,19 @@ class Estimator:
     input_tail: np.ndarray | None = None  # raw samples ending the fit inputs
 
     @property
+    def _lags(self):
+        """What holds a lagged model's ``tau`` and ``p``: its NG-RC feature
+        table or its kernel; ``None`` for Volterra."""
+        if isinstance(self.model, NgrcModel):
+            return self.model.table
+        return None if self.model.is_volterra else self.model.kernel
+
+    @property
     def tau(self) -> int:
         """Samples in one input window, and of raw history needed to start a
         closed-loop rollout: 1 for Volterra, whose seed is the sample that
         immediately follows the sequence stored at fit time."""
-        if self.kind == "volterra":
-            return 1
-        return int(self.hyper["tau"])
+        return 1 if self._lags is None else self._lags.tau
 
     @property
     def route(self) -> str:
@@ -149,10 +159,9 @@ class Estimator:
     def features(self) -> int | None:
         """N, the monomials spanned by a lagged kind's regression (scaled
         ones for the polynomial kernel); ``None`` for Volterra."""
-        if self.kind == "volterra":
-            return None
-        return _n_features(self.tau, self.input_tail.shape[1],
-                           int(self.hyper["p"]))
+        lags = self._lags
+        return None if lags is None else _n_features(
+            lags.tau, self.input_tail.shape[1], lags.p)
 
     # -- raw-space prediction paths -------------------------------------
 
@@ -249,7 +258,7 @@ class _VolterraStepper:
 
 
 def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
-                  input_kinds=None, output_kinds=(), headroom: float = 1.0,
+                  input_kinds=None, output_kinds=(), headroom: float = 0.95,
                   share_output_pipeline: bool = False) -> Estimator:
     """Fit one estimator with train-fitted preprocessing.
 
@@ -366,32 +375,56 @@ def estimator_to_dict(est: Estimator) -> dict:
 def estimator_from_dict(doc: dict, source: str = "estimator document",
                         path: str = "") -> Estimator:
     """Load an ``estimator/1`` document.  ``source`` and ``path`` (the
-    dotted location of ``doc`` in it) name a missing key."""
+    dotted location of ``doc`` in it) name a missing key, and a key that
+    disagrees with the model (a :class:`DependencyError`)."""
+    def where(key):
+        return f"{path}.{key}" if path else key
+
     def get(key):
         return doc_field(doc, key, source, path)
+
+    def bad(key, what):
+        return DependencyError(f"{source}: {where(key)!r} {what}")
 
     schema = get("schema")
     if schema != "estimator/1":
         raise InvalidInputError(f"unknown estimator schema {schema!r}")
-    model_doc = get("model")
-    model_path = f"{path}.model" if path else "model"
     if get("model.schema") == "ngrc-model/1":
-        model = NgrcModel.from_dict(model_doc, source, model_path)
+        model = NgrcModel.from_dict(get("model"), source, where("model"))
+        fitted, widths = "ngrc-model/1", (model.table.d, model.n_targets)
     else:
-        model = KernelModel.from_dict(model_doc, source, model_path)
+        model = KernelModel.from_dict(get("model"), source, where("model"))
+        fitted = model.kernel.describe()["kind"]
+        widths = (model.train_inputs.shape[1], model.n_targets)
+    kind = get("kind")
+    if not isinstance(kind, str) or fitted not in _KIND_MODELS.get(kind, ()):
+        raise bad("kind", f"must be a kind that fits the model ({fitted}), "
+                          f"not {kind!r}")
+    est = Estimator(kind, dict(get("hyper")), model)
+    for name in ("tau", "p") if est._lags is not None else ():
+        value = getattr(est._lags, name)
+        if est.hyper.get(name) != value:
+            raise bad(f"hyper.{name}", f"must be the model's {value}, not "
+                      f"{est.hyper.get(name)!r}")
 
-    def specs(key):
-        return preprocess.pipeline_from_dicts(
-            get(key), source, f"{path}.{key}" if path else key)
+    def specs(key, width):
+        loaded = preprocess.pipeline_from_dicts(get(key), source, where(key))
+        for i, spec in enumerate(loaded):
+            for name in ("shift", "scale"):
+                if np.shape(getattr(spec, name)) not in ((), (width,)):
+                    raise bad(f"{key}.{i}.{name}", "must hold one value or "
+                              f"one per dimension ({width})")
+        return loaded
 
-    input_specs = specs("input_specs")
-    output_specs = input_specs if get("shared_pipeline") else specs(
-        "output_specs")
+    est.input_specs = specs("input_specs", widths[0])
+    est.output_specs = est.input_specs if get("shared_pipeline") else specs(
+        "output_specs", widths[1])
     tail = get("input_tail")
-    return Estimator(
-        get("kind"), dict(get("hyper")), model, input_specs, output_specs,
-        input_tail=None if tail is None else np.asarray(tail, dtype=np.float64),
-    )
+    if tail is not None:
+        est.input_tail = np.asarray(tail, dtype=np.float64)
+        if est.input_tail.shape[1:] != (widths[0],):
+            raise bad("input_tail", f"must hold rows of {widths[0]} values")
+    return est
 
 
 def fit_task(kind: str, hyper: dict, train: tuple, **kw) -> Estimator:

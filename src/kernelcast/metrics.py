@@ -31,6 +31,10 @@ import numpy as np
 from .errors import InvalidInputError
 
 W1_DEFAULT_CAP = 512
+# The scoring protocol's Welch segment length (capped at the series
+# length) and the seed of its W1 row subsample.
+WELCH_NPERSEG = 1024
+W1_SEED = 7
 
 
 def _pair(y, y_hat) -> tuple[np.ndarray, np.ndarray]:

@@ -55,28 +55,14 @@ _BEKK_DATASET = {
 _LORENZ_TASK = {
     "mode": "path-continuation",
     "lyapunov_exponent": 0.9056,  # literature value, configuration not ground truth
-    "valid_threshold": 0.2,
 }
 
 _MG_TASK = {
     "mode": "path-continuation",
     "lyapunov_exponent": 0.006,   # literature value for delay 17
-    "valid_threshold": 0.2,
 }
 
 _BEKK_TASK = {"mode": "open-loop"}
-
-_METRICS = {
-    "welch_nperseg": 1024,
-    "welch_overlap": 0.5,
-    "psde_fcut_bins": None,
-    "w1_cap": 512,
-    "w1_subsample": 512,
-    "w1_seed": 7,
-    "mape_eps": 1e-8,
-    "pointwise_window": None,  # null: ceil(T_valid) for path tasks, full otherwise
-}
-
 
 # Fold geometry defaults; the replication experiments fix hyperparameters,
 # so these only matter for the cv subcommand.
@@ -92,7 +78,6 @@ def _experiment(dataset, estimator, task, seed, cv):
         "dataset": dict(dataset),
         "estimator": estimator,
         "task": dict(task),
-        "metrics": dict(_METRICS),
         "cv": dict(cv),
     }
 
@@ -113,7 +98,6 @@ PRESETS = {
         {"kind": "volterra",
          "hyper": {"lam": _LORENZ_VOLT_LAM, "theta": 0.3, "lam_reg": 1e-10,
                    "washout": 100},
-         "headroom": 0.95,
          "grid": {"lams": [_LORENZ_VOLT_LAM, 0.7], "thetas": [0.3, 0.6],
                   "lam_regs": [1e-10, 1e-7]}},
         _LORENZ_TASK, 1,
@@ -133,7 +117,6 @@ PRESETS = {
         {"kind": "volterra",
          "hyper": {"lam": _MG_VOLT_LAM, "theta": 0.3, "lam_reg": 1e-9,
                    "washout": 100},
-         "headroom": 0.95,
          "grid": {"lams": [_MG_VOLT_LAM, 0.4], "thetas": [0.3],
                   "lam_regs": [1e-9, 1e-6]}},
         _MG_TASK, 1,
@@ -153,7 +136,6 @@ PRESETS = {
         {"kind": "volterra",
          "hyper": {"lam": _BEKK_VOLT_LAM, "theta": 0.6, "lam_reg": 1e-3,
                    "washout": 100},
-         "headroom": 0.95,
          "grid": {"lams": [_BEKK_VOLT_LAM, 0.95], "thetas": [0.6],
                   "lam_regs": [1e-3, 1e-1]}},
         _BEKK_TASK, 20240809,

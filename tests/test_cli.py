@@ -294,17 +294,12 @@ class TestMalformedConfigValue:
 
     @pytest.mark.parametrize("path, value, stage", [
         ("dataset.n_points", "abc", "simulate"),
-        ("metrics.welch_nperseg", "x", "eval"),
         ("estimator.hyper.tau", "x", "fit"),
         ("estimator.hyper.lam_reg", None, "fit"),  # None: the key removed
         ("estimator.grid.taus", 3, "cv"),
-        ("metrics.welch_overlap", 1.5, "eval"),
-        ("metrics.welch_nperseg", 0, "eval"),
         ("estimator.kind", "foo", "fit"),
         ("estimator.kind", "foo", "cv"),
         ("cv.fixed_hyper.washout", "x", "cv"),
-        ("estimator.headroom", 0.9, "fit"),  # only Volterra reads it
-        ("estimator.headroom", 0.9, "cv"),
     ])
     def test_exits_two_naming_the_field(self, tmp_path, capsys, path, value,
                                         stage):
@@ -314,14 +309,7 @@ class TestMalformedConfigValue:
         ("bekk-ngrc", "task.horizon", -5, "forecast"),
         ("lorenz-ngrc", "task.horizon", -5, "forecast"),
         ("bekk-ngrc", "task.horizon", 0, "forecast"),
-        ("lorenz-ngrc", "metrics.pointwise_window", -3, "eval"),
-        ("bekk-ngrc", "metrics.w1_subsample", -1, "eval"),
-        ("bekk-ngrc", "metrics.w1_cap", -1, "eval"),
-        ("bekk-ngrc", "metrics.mape_eps", 0, "eval"),
         ("lorenz-ngrc", "task.lyapunov_exponent", -0.9, "eval"),
-        ("bekk-ngrc", "metrics.psde_fcut_bins", 100000, "eval"),
-        ("bekk-ngrc", "metrics.psde_fcut_bins", 0, "eval"),
-        ("lorenz-ngrc", "task.valid_threshold", -1, "eval"),
         ("lorenz-ngrc", "dataset.n_points", 1, "simulate"),
         ("bekk-ngrc", "dataset.n_points", 2, "simulate"),
         ("bekk-ngrc", "estimator.hyper.washuot", 50, "fit"),
@@ -380,14 +368,8 @@ class TestMalformedConfigValue:
         ("bekk-ngrc", "task.horizon", 2.5, "forecast", None),
         ("bekk-ngrc", "cv.k", 2.9, "cv", None),
         ("lorenz-ngrc", "cv.fold_len", 0, "cv", None),
-        ("bekk-ngrc", "metrics.w1_seed", 7.9, "eval", None),
-        ("bekk-ngrc", "metrics.w1_seed", -3, "eval", None),
         ("bekk-ngrc", "seed", -1, "simulate", None),
         ("bekk-ngrc", "dataset.n_train", 3000.9, "simulate", None),
-        # the Volterra rescale target is positive and finite
-        ("bekk-volterra", "estimator.headroom", 0, "fit", None),
-        ("bekk-volterra", "estimator.headroom", -0.5, "fit", None),
-        ("bekk-volterra", "estimator.headroom", math.nan, "fit", None),
         # thetas [0.6]: theta·M = 1.2 prunes every pair
         ("bekk-volterra", "estimator.grid.M", 2.0, "cv", "estimator.grid"),
         # a string or a bool is no number, also inside a list
@@ -407,6 +389,32 @@ class TestMalformedConfigValue:
                                         path, value, stage, field):
         self.check_exits_two(tmp_path, capsys, preset, path, value, stage,
                              field)
+
+    # Each field the fixed scoring protocol replaced, at its last shipped
+    # value (a number for the two that shipped null).
+    @pytest.mark.parametrize("preset, path, value", [
+        ("lorenz-ngrc", "metrics.welch_nperseg", 1024),
+        ("bekk-ngrc", "metrics.welch_overlap", 0.5),
+        ("bekk-ngrc", "metrics.psde_fcut_bins", 513),
+        ("bekk-ngrc", "metrics.w1_cap", 512),
+        ("bekk-ngrc", "metrics.w1_subsample", 512),
+        ("bekk-polynomial", "metrics.w1_seed", 7),
+        ("mackey-glass-ngrc", "metrics.mape_eps", 1e-8),
+        ("lorenz-ngrc", "metrics.pointwise_window", 1000),
+        ("lorenz-ngrc", "task.valid_threshold", 0.2),
+        ("lorenz-volterra", "estimator.headroom", 0.95),
+    ])
+    def test_deleted_field_exits_two(self, tmp_path, capsys, preset, path,
+                                     value):
+        cfg = copy.deepcopy(PRESETS[preset])
+        section, key = path.split(".")
+        cfg.setdefault(section, {})[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "exp")) == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
 
     def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
         assert run_cli("simulate", "--preset", "bekk-ngrc", "--seed", "-1",
@@ -794,6 +802,45 @@ class TestMissingArtifactKey:
         assert str(out / "model.json") in err and repr(field) in err
         assert text in err
 
+    @pytest.mark.parametrize("family, preset, key, value", [
+        # a per-dimension transform list or input tail whose width is not
+        # the model's
+        ("bekk", "bekk-ngrc", "output_specs.1.shift", [1.0, 2.0]),
+        ("bekk", "bekk-ngrc", "output_specs.1.scale", [1.0, 2.0]),
+        ("bekk", "bekk-ngrc", "input_tail", [[1.0, 2.0]]),
+        ("lorenz", "lorenz-volterra", "input_specs.0.shift", [0.0]),
+        ("lorenz", "lorenz-volterra", "input_tail", [[0.0, 1.0]]),
+        # a kind that does not fit the model, or a lag count that is not
+        # the model's (None: set to null; ...: removed)
+        ("bekk", "bekk-ngrc", "kind", "volterra"),
+        ("lorenz", "lorenz-volterra", "kind", "ngrc"),
+        ("lorenz", "lorenz-ngrc", "kind", "foo"),
+        ("lorenz", "lorenz-ngrc", "hyper.tau", "x"),
+        ("lorenz", "lorenz-ngrc", "hyper.tau", None),
+        ("lorenz", "lorenz-ngrc", "hyper.tau", ...),
+        ("lorenz", "lorenz-ngrc", "hyper.tau", 5),
+    ])
+    def test_estimator_that_disagrees_with_its_model(
+            self, request, tmp_path, capsys, family, preset, key, value):
+        shipped = request.getfixturevalue(f"{family}_pipelines")
+        out = tmp_path / "exp"
+        shutil.copytree(shipped[preset]["a"]["dir"], out)
+        doc = json.loads((out / "model.json").read_text())
+        *parents, last = key.split(".")
+        node = doc["estimator"]
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        if value is ...:
+            del node[last]
+        else:
+            node[last] = value
+        (out / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("forecast", "--preset", preset, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert str(out / "model.json") in err
+        assert repr(f"estimator.{key}") in err
+
     def test_schema_1_model_asks_for_refit(self, lorenz_pipelines, tmp_path,
                                            capsys):
         out = tmp_path / "exp"
@@ -1102,6 +1149,19 @@ class TestConfigReaders:
                      if isinstance(conv, ast.Name)
                      and conv.id in ("int", "float")]
         assert bare == [], f"{module}: _get(..., int/float) at lines {bare}"
+
+
+class TestReadme:
+    def test_configuration_sketch_simulates(self, tmp_path):
+        """The JSON under README's "Configuration sketch" is a config that
+        ``simulate`` accepts."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration sketch", 1)[1]
+        sketch = section.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(sketch)
+        assert run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "exp")) == 0
 
 
 class TestEntryPoint:
