@@ -14,8 +14,7 @@ import time
 import numpy as np
 
 from .cli import _get
-from .errors import ConfigError, InvalidInputError
-from .estimators import int_in, positive
+from .errors import ConfigError, InvalidInputError, int_in, positive
 from .kernels import (
     PolyKernelParams,
     VolterraParams,

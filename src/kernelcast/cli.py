@@ -50,6 +50,8 @@ from .errors import (
     InvalidInputError,
     KernelcastError,
     doc_field,
+    int_in,
+    positive,
 )
 from .estimators import (
     OPTIONAL_HYPER,
@@ -59,8 +61,6 @@ from .estimators import (
     estimator_to_dict,
     fit_task,
     hyper_value,
-    int_in,
-    positive,
 )
 from .forecast import check_task, forecast_task, load_forecast_csv, valid_time
 from .metrics import (

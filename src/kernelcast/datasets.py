@@ -18,6 +18,7 @@ required ``dt`` comment.
 
 from __future__ import annotations
 
+import array
 import math
 import re
 from bisect import bisect_left
@@ -493,10 +494,13 @@ def read_csv(path, first_column: str) -> tuple[dict, list, np.ndarray]:
     plain decimal number or one of ``nan``, ``inf``, ``-inf``.  Returns the
     metadata, the header and a (rows, columns - 1) array of the value
     columns; malformed input raises :class:`ParseError` naming the line.
+    Each row's values go straight into one buffer of doubles, which the
+    returned array wraps, so no Python float outlives its cell.
     """
     meta: dict[str, str] = {}
     columns: list[str] | None = None
-    rows: list[list[float]] = []
+    values = array.array("d")
+    n_rows = 0
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -523,14 +527,15 @@ def read_csv(path, first_column: str) -> tuple[dict, list, np.ndarray]:
                     f"expected {len(columns)} cells, found {len(cells)}",
                     line=line_no)
             if _ROW_RE.fullmatch(line):
-                rows.append(list(map(float, cells[1:])))
+                values.extend(map(float, cells[1:]))
             else:  # the per-cell rule names the bad cell
-                rows.append([_parse_cell(cell, line_no, col)
-                             for col, cell in zip(columns[1:], cells[1:])])
+                values.extend([_parse_cell(cell, line_no, col)
+                               for col, cell in zip(columns[1:], cells[1:])])
+            n_rows += 1
     if columns is None:
         raise ParseError("file contains no header line", line=None)
-    values = np.asarray(rows) if rows else np.empty((0, len(columns) - 1))
-    return meta, columns, values
+    return meta, columns, np.frombuffer(values).reshape(n_rows,
+                                                        len(columns) - 1)
 
 
 def save_csv(series: TimeSeries, path, extra_meta: dict | None = None) -> None:

@@ -1,5 +1,11 @@
-"""Exception types shared across the package, and the accessor that reads
-upstream artifact documents."""
+"""Exception types shared across the package, the accessors that read
+upstream artifact documents, and the converters that check a value:
+:func:`int_in` and :func:`positive` for a number, :func:`finite_array`
+for an array."""
+
+import math
+
+import numpy as np
 
 
 class KernelcastError(Exception):
@@ -91,3 +97,86 @@ def doc_field(doc: dict, key: str, source: str, path: str = ""):
             raise MissingKeyError(f"{source} has no key {'.'.join(parts)!r}")
         node = node[part]
     return node
+
+
+def doc_error(source: str, path: str, key: str, what: str) -> DependencyError:
+    """The error for a bad value at the dotted ``key`` of the document at
+    the dotted ``path`` of ``source``: ``what`` says what it must be."""
+    where = f"{path}.{key}" if path else key
+    return DependencyError(f"{source}: {where!r} {what}")
+
+
+def doc_value(doc: dict, key: str, source: str, path: str, conv):
+    """``conv`` of the value at the dotted ``key`` (see :func:`doc_field`).
+
+    A value ``conv`` rejects, with an :class:`InvalidInputError` or the
+    ``TypeError`` of a value that is no number, raises
+    :class:`DependencyError` naming ``source`` and the dotted key.
+    """
+    value = doc_field(doc, key, source, path)
+    try:
+        return conv(value)
+    except InvalidInputError as exc:
+        what = str(exc)
+    except TypeError:
+        what = f"must be a number, not a {type(value).__name__}"
+    raise doc_error(source, path, key, what)
+
+
+def int_in(lo: int, hi: float = math.inf):
+    """Converter: ``value`` as an int in ``[lo, hi]``.  A bool, a string,
+    a number with a fractional part and one out of range raise
+    :class:`InvalidInputError` (a ``ValueError``); any other value that is
+    no number raises the ``TypeError`` of ``float``."""
+    def conv(value) -> int:
+        if isinstance(value, (bool, str)):
+            raise InvalidInputError("must be a whole number, not a "
+                                    + type(value).__name__)
+        if not isinstance(value, int):
+            number = float(value)
+            if not number.is_integer():
+                raise InvalidInputError("must be a whole number")
+            value = int(number)
+        if not lo <= value <= hi:
+            raise InvalidInputError(f"must be >= {lo}" if hi == math.inf
+                                    else f"must lie in [{lo}, {hi}]")
+        return value
+    return conv
+
+
+def positive(value) -> float:
+    """Converter: ``value`` as a positive finite float.  A bool, a string
+    and a value out of range raise :class:`InvalidInputError` (a
+    ``ValueError``); any other value that is no number raises the
+    ``TypeError`` of ``float``."""
+    if isinstance(value, (bool, str)):
+        raise InvalidInputError("must be a number, not a "
+                                + type(value).__name__)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not 0 < number < math.inf:
+        raise InvalidInputError("must be positive and finite")
+    return number
+
+
+def finite_array(*shape):
+    """Converter: ``value`` as a float64 array of finite numbers of
+    ``shape``, in which ``None`` stands for any length >= 1.  Anything else
+    raises :class:`InvalidInputError`."""
+    text = ", ".join("any" if n is None else str(n) for n in shape)
+
+    def conv(value) -> np.ndarray:
+        try:
+            array = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):  # ragged, text, huge
+            array = np.empty(0)
+        if array.ndim != len(shape) or not all(
+                m >= 1 if n is None else m == n
+                for n, m in zip(shape, array.shape)) or not np.all(
+                np.isfinite(array)):
+            raise InvalidInputError(
+                f"must be an array of finite numbers of shape ({text})")
+        return array
+    return conv

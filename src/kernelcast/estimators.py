@@ -12,8 +12,9 @@ transforms (:data:`INPUT_TRANSFORMS`).  Training rows come from
 :func:`fit_task` fits a task's training span, a series or input/output
 pairs, and is the one fit that ``fit`` and ``cv`` run;
 :func:`fit_estimator` fits raw inputs and targets with any transform
-chains.  :func:`int_in`, :func:`positive` and :func:`hyper_value` read
-config numbers: a bool or a string is never one.
+chains.  :func:`hyper_value` reads a hyperparameter through
+:func:`~kernelcast.errors.int_in` or :func:`~kernelcast.errors.positive`:
+a bool or a string is never a number.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import preprocess
-from .errors import DependencyError, InvalidInputError, doc_field
+from .errors import (InvalidInputError, doc_error, doc_field, int_in,
+                     positive)
 from .kernels import (
     KernelModel,
     NgrcKernelParams,
@@ -61,44 +63,6 @@ _KIND_MODELS = {"ngrc": ("ngrc-model/1",),
 # The integer hyperparameters and their least values; every other one is a
 # positive finite float.
 _INT_HYPER = {"tau": 1, "p": 1, "washout": 0}
-
-
-def int_in(lo: int, hi: float = math.inf):
-    """Converter: ``value`` as an int in ``[lo, hi]``.  A bool, a string,
-    a number with a fractional part and one out of range raise
-    :class:`InvalidInputError` (a ``ValueError``); any other value that is
-    no number raises the ``TypeError`` of ``float``."""
-    def conv(value) -> int:
-        if isinstance(value, (bool, str)):
-            raise InvalidInputError("must be a whole number, not a "
-                                    + type(value).__name__)
-        if not isinstance(value, int):
-            number = float(value)
-            if not number.is_integer():
-                raise InvalidInputError("must be a whole number")
-            value = int(number)
-        if not lo <= value <= hi:
-            raise InvalidInputError(f"must be >= {lo}" if hi == math.inf
-                                    else f"must lie in [{lo}, {hi}]")
-        return value
-    return conv
-
-
-def positive(value) -> float:
-    """Converter: ``value`` as a positive finite float.  A bool, a string
-    and a value out of range raise :class:`InvalidInputError` (a
-    ``ValueError``); any other value that is no number raises the
-    ``TypeError`` of ``float``."""
-    if isinstance(value, (bool, str)):
-        raise InvalidInputError("must be a number, not a "
-                                + type(value).__name__)
-    try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
-    if not 0 < number < math.inf:
-        raise InvalidInputError("must be positive and finite")
-    return number
 
 
 def hyper_value(name: str, value):
@@ -376,7 +340,8 @@ def estimator_from_dict(doc: dict, source: str = "estimator document",
                         path: str = "") -> Estimator:
     """Load an ``estimator/1`` document.  ``source`` and ``path`` (the
     dotted location of ``doc`` in it) name a missing key, and a key that
-    disagrees with the model (a :class:`DependencyError`)."""
+    disagrees with the model (a
+    :class:`~kernelcast.errors.DependencyError`)."""
     def where(key):
         return f"{path}.{key}" if path else key
 
@@ -384,12 +349,17 @@ def estimator_from_dict(doc: dict, source: str = "estimator document",
         return doc_field(doc, key, source, path)
 
     def bad(key, what):
-        return DependencyError(f"{source}: {where(key)!r} {what}")
+        return doc_error(source, path, key, what)
 
     schema = get("schema")
     if schema != "estimator/1":
-        raise InvalidInputError(f"unknown estimator schema {schema!r}")
-    if get("model.schema") == "ngrc-model/1":
+        raise bad("schema", f"must be estimator/1, not {schema!r}")
+    model_schema = get("model.schema")
+    if model_schema not in ("ngrc-model/1", "kernel-model/1",
+                            "kernel-model/2"):
+        raise bad("model.schema", "must be ngrc-model/1 or kernel-model/2, "
+                                  f"not {model_schema!r}")
+    if model_schema == "ngrc-model/1":
         model = NgrcModel.from_dict(get("model"), source, where("model"))
         fitted, widths = "ngrc-model/1", (model.table.d, model.n_targets)
     else:
@@ -400,7 +370,10 @@ def estimator_from_dict(doc: dict, source: str = "estimator document",
     if not isinstance(kind, str) or fitted not in _KIND_MODELS.get(kind, ()):
         raise bad("kind", f"must be a kind that fits the model ({fitted}), "
                           f"not {kind!r}")
-    est = Estimator(kind, dict(get("hyper")), model)
+    hyper = get("hyper")
+    if not isinstance(hyper, dict):
+        raise bad("hyper", f"must be an object, not {hyper!r}")
+    est = Estimator(kind, dict(hyper), model)
     for name in ("tau", "p") if est._lags is not None else ():
         value = getattr(est._lags, name)
         if est.hyper.get(name) != value:

@@ -101,7 +101,8 @@ def path_continue(estimator, seed_history, horizon: int) -> ForecastRun:
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
     stepper = estimator.start(seed_history)
-    rows = []
+    predicted = np.empty((0, 1))
+    steps = 0
     error = None
     error_step = None
     # divergence shows up as overflow before the finiteness check catches it
@@ -112,8 +113,11 @@ def path_continue(estimator, seed_history, horizon: int) -> ForecastRun:
                 error = "non-finite prediction"
                 error_step = k
                 break
-            rows.append(y)
-    predicted = np.asarray(rows) if rows else np.empty((0, 1))
+            if k == 1:
+                predicted = np.empty((horizon, y.shape[0]))
+            predicted[k - 1] = y
+            steps = k
+    predicted = predicted[:steps]
     return ForecastRun("path-continuation", horizon, predicted, None, error,
                        error_step, getattr(stepper, "projected", 0))
 

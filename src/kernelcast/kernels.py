@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DependencyError, InvalidInputError, NormBoundError, doc_field
+from .errors import (DependencyError, InvalidInputError, NormBoundError,
+                     doc_error, doc_field, doc_value, finite_array, int_in,
+                     positive)
 from .linsolve import GramRows, RidgeSolution, solve_ridge_gram
 from .ngrc import (ExponentTable, build_exponent_table, delay_vectors,
                    lagged_pairs, ngrc_features)
@@ -450,32 +452,54 @@ class KernelModel:
     def from_dict(cls, doc: dict, source: str = "model document",
                   path: str = "") -> "KernelModel":
         """Load a ``kernel-model/2`` document.  ``source`` and ``path`` (the
-        dotted location of ``doc`` in it) name a missing key."""
-        def get(key):
-            return doc_field(doc, key, source, path)
+        dotted location of ``doc`` in it) name a missing key, and a bad
+        value (a :class:`~kernelcast.errors.DependencyError`): kernel
+        parameters as :data:`_KERNEL_PARAMS` takes them, a whole ``washout``
+        that leaves training rows, a positive ``lam_reg`` and arrays whose
+        shapes fit the model."""
+        def get(key, conv):
+            return doc_value(doc, key, source, path, conv)
 
-        schema = get("schema")
+        schema = doc_field(doc, "schema", source, path)
         if schema == "kernel-model/1":
             raise DependencyError(
                 f"{source}: schema kernel-model/1 is no longer read; refit "
                 "the model")
         if schema != "kernel-model/2":
             raise InvalidInputError(f"unknown model schema {schema!r}")
-        kind = get("kernel.kind")
+        kind = doc_field(doc, "kernel.kind", source, path)
         if kind not in _KERNEL_PARAMS:
-            raise InvalidInputError(f"unknown kernel kind {kind!r}")
-        kernel = _KERNEL_PARAMS[kind](
-            **{k: v for k, v in get("kernel").items() if k != "kind"})
-        train_inputs = np.asarray(get("train_inputs"), dtype=np.float64)
-        washout = int(get("washout"))
+            raise doc_error(source, path, "kernel.kind", "must be one of "
+                            f"{', '.join(_KERNEL_PARAMS)}, not {kind!r}")
+        params = {}
+        for name in doc["kernel"]:
+            if name != "kind":
+                if name not in _KERNEL_PARAMS[kind].__dataclass_fields__:
+                    raise doc_error(source, path, f"kernel.{name}",
+                                    f"is no {kind} parameter")
+                params[name] = get(f"kernel.{name}", int_in(1) if name in (
+                    "p", "tau", "d") else positive)
+        try:
+            kernel = _KERNEL_PARAMS[kind](**params)
+        except InvalidInputError as exc:  # a bound that ties values together
+            raise doc_error(source, path, "kernel", str(exc)) from None
+        lagged = not isinstance(kernel, VolterraParams)
+        train_inputs = get("train_inputs", finite_array(
+            None, kernel.d if isinstance(kernel, NgrcKernelParams) else None))
+        # training rows: one per window, or per sample for Volterra
+        rows = train_inputs.shape[0] - (kernel.tau - 1 if lagged else 0)
+        if rows < 1:
+            raise doc_error(source, path, "train_inputs",
+                            f"must hold at least {kernel.tau} rows")
+        washout = get("washout", int_in(0, rows - 1))
         model = KernelModel(kernel, train_inputs,
-                            np.asarray(get("alpha"), dtype=np.float64),
-                            washout, float(get("lam_reg")))
-        if model.is_volterra:
-            model._last_col = np.asarray(get("last_column"), dtype=np.float64)
-        else:
+                            get("alpha", finite_array(rows - washout, None)),
+                            washout, get("lam_reg", positive))
+        if lagged:
             windows = delay_vectors(train_inputs, kernel.tau)
             model.train_windows = windows[washout:]
+        else:
+            model._last_col = get("last_column", finite_array(rows + 1))
         return model
 
 

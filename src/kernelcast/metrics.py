@@ -18,7 +18,7 @@ and several dimensions.  Conventions:
   dimension via the sorted-CDF formula, in d dimensions via a minimum-cost
   perfect matching on the Euclidean cost matrix.  Cost matrix and matching
   are SciPy's ``cdist`` and ``linear_sum_assignment``, bit for bit, done
-  on numpy.
+  on numpy; the cost is built in row panels, so it is the one k×k array.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ import numpy as np
 from .errors import InvalidInputError
 
 W1_DEFAULT_CAP = 512
+# Rows of the W1 cost matrix filled per panel (see euclidean_cost).
+_COST_PANEL = 64
 # The scoring protocol's Welch segment length (capped at the series
 # length) and the seed of its W1 row subsample.
 WELCH_NPERSEG = 1024
@@ -223,12 +225,19 @@ def w1_nd(samples_a, samples_b, cap: int = W1_DEFAULT_CAP) -> float:
 def euclidean_cost(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Distances between the rows of ``A`` and of ``B`` as SciPy's ``cdist``
     forms them: squared differences added over the dimensions in order,
-    then the square root."""
+    then the square root.  The cost is filled in panels of
+    :data:`_COST_PANEL` rows, so one panel of differences is the only
+    temporary."""
     cost = np.zeros((A.shape[0], B.shape[0]))
-    for j in range(A.shape[1]):
-        delta = np.subtract.outer(A[:, j], B[:, j])
-        delta *= delta
-        cost += delta
+    delta = np.empty((min(_COST_PANEL, A.shape[0]), B.shape[0]))
+    for start in range(0, A.shape[0], _COST_PANEL):
+        panel = cost[start:start + _COST_PANEL]
+        work = delta[:panel.shape[0]]
+        for j in range(A.shape[1]):
+            np.subtract.outer(A[start:start + _COST_PANEL, j], B[:, j],
+                              out=work)
+            work *= work
+            panel += work
     return np.sqrt(cost, out=cost)
 
 

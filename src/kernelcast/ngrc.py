@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, doc_field
+from .errors import (CapacityError, InvalidInputError, doc_field, doc_value,
+                     finite_array, int_in, positive)
 from .linsolve import RidgeSolution, solve_ridge_primal
 
 # Hard cap on materialized exponent-table rows; anything bigger is a config
@@ -195,17 +196,20 @@ class NgrcModel:
     def from_dict(cls, doc: dict, source: str = "model document",
                   path: str = "") -> "NgrcModel":
         """Load an ``ngrc-model/1`` document.  ``source`` and ``path`` (the
-        dotted location of ``doc`` in it) name a missing key."""
-        def get(key):
-            return doc_field(doc, key, source, path)
+        dotted location of ``doc`` in it) name a missing key, and a bad
+        value (a :class:`~kernelcast.errors.DependencyError`): ``tau``,
+        ``d`` and ``p`` are whole numbers >= 1, ``lam_reg`` is positive
+        and ``weights`` holds one row per monomial of the table."""
+        def get(key, conv):
+            return doc_value(doc, key, source, path, conv)
 
-        schema = get("schema")
+        schema = doc_field(doc, "schema", source, path)
         if schema != "ngrc-model/1":
             raise InvalidInputError(f"unknown model schema {schema!r}")
-        table = build_exponent_table(int(get("tau")), int(get("d")),
-                                     int(get("p")))
-        weights = np.asarray(get("weights"), dtype=np.float64)
-        return cls(table, weights, float(get("lam_reg")))
+        table = build_exponent_table(*(get(key, int_in(1))
+                                       for key in ("tau", "d", "p")))
+        weights = get("weights", finite_array(table.n_features, None))
+        return cls(table, weights, get("lam_reg", positive))
 
 
 def lagged_pairs(inputs, targets, tau: int, washout: int = 0) -> tuple[

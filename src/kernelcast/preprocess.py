@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DependencyError, InvalidInputError, doc_field
+from .errors import InvalidInputError, doc_error, doc_field
 
 KINDS = ("minmax01", "standardize", "demean", "max-norm-scale",
          "constant-scale")
@@ -59,9 +59,8 @@ class TransformSpec:
             return doc_field(doc, key, source, path)
 
         def bad(key, what):
-            where = f"{path}.{key}" if path else key
-            return DependencyError(
-                f"{source}: {where!r} must be {what}, not {doc[key]!r}")
+            return doc_error(source, path, key,
+                             f"must be {what}, not {doc[key]!r}")
 
         kind, shift, scale = get("kind"), get("shift"), get("scale")
         if kind not in KINDS:
@@ -201,7 +200,12 @@ def pipeline_to_dicts(specs) -> list[dict]:
 
 def pipeline_from_dicts(docs, source: str = "transform document",
                         path: str = "") -> list[TransformSpec]:
-    """Load a transform chain; entry ``i`` sits at ``path.i`` of ``source``."""
+    """Load a transform chain, a list whose entry ``i`` sits at ``path.i``
+    of ``source``; anything else raises
+    :class:`~kernelcast.errors.DependencyError` naming ``path``."""
+    if not isinstance(docs, list):
+        raise doc_error(source, "", path, "must be a list of transforms, "
+                                          f"not {docs!r}")
     prefix = f"{path}." if path else ""
     return [TransformSpec.from_dict(d, source, f"{prefix}{i}")
             for i, d in enumerate(docs)]

@@ -819,6 +819,29 @@ class TestMissingArtifactKey:
         ("lorenz", "lorenz-ngrc", "hyper.tau", None),
         ("lorenz", "lorenz-ngrc", "hyper.tau", ...),
         ("lorenz", "lorenz-ngrc", "hyper.tau", 5),
+        ("lorenz", "lorenz-ngrc", "hyper", [1, 2]),
+        # a model value that is not what the model reads, or whose shape
+        # does not fit the model
+        ("lorenz", "lorenz-ngrc", "model.tau", "x"),
+        ("lorenz", "lorenz-ngrc", "model.d", True),
+        ("lorenz", "lorenz-ngrc", "model.p", 2.5),
+        ("lorenz", "lorenz-ngrc", "model.lam_reg", -1.0),
+        ("lorenz", "lorenz-ngrc", "model.weights", [1.0, 2.0]),
+        ("lorenz", "lorenz-ngrc", "model.weights", [["x"]]),
+        ("lorenz", "lorenz-volterra", "model.washout", "x"),
+        ("lorenz", "lorenz-volterra", "model.washout", 10**6),
+        ("lorenz", "lorenz-volterra", "model.alpha", [[1.0]]),
+        ("lorenz", "lorenz-volterra", "model.train_inputs", [[0.0, None]]),
+        ("lorenz", "lorenz-volterra", "model.last_column", [1.0]),
+        ("lorenz", "lorenz-volterra", "model.kernel.theta", "x"),
+        ("lorenz", "lorenz-volterra", "model.kernel.tau", 2),
+        ("lorenz", "lorenz-volterra", "model.kernel", {"kind": "volterra",
+                                                       "lam": 0.99,
+                                                       "theta": 0.9}),
+        ("lorenz", "lorenz-volterra", "model.kernel.kind", "foo"),
+        ("lorenz", "lorenz-ngrc", "model.schema", "foo"),
+        ("lorenz", "lorenz-ngrc", "schema", "estimator/9"),
+        ("lorenz", "lorenz-ngrc", "input_specs", 3),
     ])
     def test_estimator_that_disagrees_with_its_model(
             self, request, tmp_path, capsys, family, preset, key, value):

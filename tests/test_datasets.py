@@ -341,6 +341,39 @@ class TestCsv:
             read_csv(path, "t")
         assert err.value.line == 2
 
+    def test_bad_last_cell_of_last_row_named(self, tmp_path):
+        path = tmp_path / "last.csv"
+        path.write_text("# dt=1.0\nt,c0,c1\n0,1.0,2.0\n1,3.0,4.0\n2,5.0,x\n")
+        with pytest.raises(ParseError, match="column c1: cannot parse 'x'") \
+                as err:
+            read_csv(path, "t")
+        assert err.value.line == 5
+
+    def test_key_only_file_has_rows_of_no_values(self, tmp_path):
+        path = tmp_path / "keys.csv"
+        path.write_text("t\n0\n1\n2\n")
+        _, header, values = read_csv(path, "t")
+        assert header == ["t"]
+        assert values.shape == (3, 0)
+
+    def test_header_only_file_has_no_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# dt=1.0\nt,c0,c1,c2\n")
+        _, _, values = read_csv(path, "t")
+        assert values.shape == (0, 3) and values.dtype == np.float64
+
+    def test_values_are_the_one_array(self, tmp_path, peak_bytes):
+        # 10001 x 7 values take 0.53 MiB; a list of Python floats per row
+        # traced 3.7 MiB
+        rng = np.random.default_rng(7)
+        ts = TimeSeries(rng.normal(size=(10001, 7)), dt=0.01)
+        path = tmp_path / "wide.csv"
+        save_csv(ts, path)
+        loaded = []
+        assert peak_bytes(lambda: loaded.append(read_csv(path, "t"))) < 2**20
+        np.testing.assert_array_equal(loaded[0][2], ts.values)
+        assert loaded[0][2].flags.c_contiguous
+
     def test_lf_line_endings(self, tmp_path):
         ts = TimeSeries(np.ones((3, 1)), dt=1.0)
         path = tmp_path / "lf.csv"

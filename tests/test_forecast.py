@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,13 @@ class TestPathContinue:
         assert run.truncated
         assert run.error == "non-finite prediction"
         assert run.predicted.shape[0] == run.error_step - 1
+        assert run.predicted.tolist() == [[1e200]]
+
+    def test_divergence_on_first_step_keeps_no_rows(self):
+        est = _ScalarMapEstimator(math.inf)
+        run = path_continue(est, np.array([[1.0, 2.0]]), 10)
+        assert run.error_step == 1
+        assert run.predicted.shape == (0, 1)
 
 
 class TestOpenLoopAgreement:

@@ -325,6 +325,14 @@ class TestW1MatchesScipy:
         assert np.array_equal(min_cost_matching(cost), cols)
         assert w1_nd(A, B) == cost[rows, cols].mean()
 
+    def test_cost_is_the_one_square_array(self, peak_bytes):
+        # the 512 x 512 cost takes 2 MiB; a whole difference matrix per
+        # dimension on top of it traced 6.1 MiB
+        rng = np.random.default_rng(512)
+        A = rng.normal(size=(512, 3))
+        B = rng.normal(size=(512, 3))
+        assert peak_bytes(lambda: w1_nd(A, B)) < 3 * 2**20
+
     @pytest.mark.parametrize("k, levels", [(2, 1), (7, 2), (30, 3), (64, 5)])
     def test_tie_heavy_integer_costs(self, k, levels):
         from scipy.optimize import linear_sum_assignment
