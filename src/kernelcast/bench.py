@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from .cli import _get
-from .errors import ConfigError, InvalidInputError, int_in, positive
+from .errors import ConfigError, InvalidInputError, int_in
 from .kernels import (
     PolyKernelParams,
     VolterraParams,
@@ -83,24 +83,18 @@ def _time_sweep(fns: dict, repeats: int) -> dict:
 
 def run_bench(config: dict) -> list[dict]:
     """One row per timed primitive, as ``kernelcast bench`` writes them."""
-    _get(config, "bench", conv=dict)  # required; its settings are not
-    tau = _get(config, "bench.tau", 8, int_in(1))
-    n = _get(config, "bench.n", 2000, int_in(tau))
-    n2 = _get(config, "bench.n_doubled", 2 * n, int_in(1))
-    d = _get(config, "bench.d", 1, int_in(1))
-    gram_d = _get(config, "bench.gram_d", 3, int_in(1))
-    ps = _get(config, "bench.ps", [2, 3, 4, 5],
-              lambda value: [int_in(1)(p) for p in value])
-    lam_reg = _get(config, "bench.lam_reg", 1e-6, positive)
-    repeats = _get(config, "bench.repeats", 5, int_in(1))
-    steps = _get(config, "bench.prediction_steps", 50, int_in(1))
-    lam = _get(config, "bench.volterra.lam", 0.6, positive)
-    theta = _get(config, "bench.volterra.theta", 0.5, positive)
+    tau = _get(config, "bench.tau")
+    n = _get(config, "bench.n", int_in(tau))
+    n2 = _get(config, "bench.n_doubled") or 2 * n
+    d, gram_d, ps, lam_reg, repeats, steps = (
+        _get(config, f"bench.{name}") for name in (
+            "d", "gram_d", "ps", "lam_reg", "repeats", "prediction_steps"))
     try:
-        vp = VolterraParams(lam, theta)
+        vp = VolterraParams(_get(config, "bench.volterra.lam"),
+                            _get(config, "bench.volterra.theta"))
     except InvalidInputError as exc:  # each is positive: the joint bound
         raise ConfigError(str(exc), field="bench.volterra")
-    seed = _get(config, "seed", 0, int_in(0))
+    seed = _get(config, "seed")
     rng = np.random.Generator(np.random.Philox(seed))
 
     series = rng.uniform(-1.0, 1.0, (n + steps, d))

@@ -51,6 +51,7 @@ from .errors import (
     KernelcastError,
     doc_field,
     int_in,
+    numbers,
     positive,
 )
 from .estimators import (
@@ -93,51 +94,132 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _get(config: dict, path: str, default=..., conv=None):
-    """Value at the dotted ``path`` of ``config``, passed through ``conv``.
+def _one_of(*names):
+    """Converter for ``_get``: ``value`` if it is one of ``names``."""
+    def conv(value):
+        if value not in names:
+            raise ValueError("must be one of " + ", ".join(names))
+        return value
+    return conv
 
-    A missing or null value gives ``default``; without one (``...``) it is a
-    :class:`ConfigError`, as is a value ``conv`` rejects with a
-    ``TypeError`` or ``ValueError``.  Both name ``path``.
-    """
+
+# The fields of ``dataset`` and ``cv`` that depend on ``dataset.kind`` and
+# ``cv.mode``: one table per value, read as :data:`FIELDS` is.
+FIELDS_BY = {
+    "dataset.kind": {
+        "lorenz": {"dataset.n_points": (int_in(2), 15001),
+                   "dataset.dt": (positive, 0.005),
+                   "dataset.initial": (numbers, (0.0, 1.0, 1.05))},
+        "mackey-glass": {"dataset.dt_fine": (positive, 0.02),
+                         "dataset.delay": (positive, 17.0),
+                         "dataset.n_fine": (int_in(1), 382500),
+                         "dataset.splice": (int_in(1), 50)},
+        "bekk": {"dataset.n_points": (int_in(3), 3761),
+                 "dataset.d": (int_in(1), ...),
+                 "dataset.C": (numbers, ...),
+                 # a and b: a scalar or one value per dimension
+                 "dataset.a": (numbers, 0.3),
+                 "dataset.b": (numbers, 0.9)},
+        # a series for path continuation, input/output pairs for open loop
+        "csv": {"dataset.path": (str, ...),
+                "dataset.inputs_path": (str, ...),
+                "dataset.outputs_path": (str, ...)}},
+    # fold sizes, in the order of the fold function's arguments
+    "cv.mode": {
+        "overlapping": {"cv.fold_len": (int_in(1), ...),
+                        "cv.val_len": (int_in(1), ...),
+                        "cv.stride": (int_in(1), ...)},
+        "expanding": {"cv.k": (int_in(2), ...)}},
+}
+
+# Every config field that a stage reads, by dotted path: its converter and
+# its default, ``...`` for a required one.  ``load_config`` rejects every
+# other key; ``_hyper`` checks the names inside the three hyperparameter
+# sections.
+FIELDS = {
+    "schema": (_one_of(SCHEMA), ...),
+    "seed": (int_in(0), 0),
+    "dataset.kind": (_one_of(*FIELDS_BY["dataset.kind"]), ...),
+    "dataset.n_train": (int_in(1), ...),
+    "estimator.kind": (_one_of(*REQUIRED_HYPER), ...),
+    "estimator.hyper": (dict, {}),
+    "estimator.grid": (dict, {}),
+    "task.mode": (check_task, ...),
+    "task.horizon": (int_in(1), math.inf),
+    "task.lyapunov_exponent": (positive, None),
+    "cv.mode": (_one_of(*FIELDS_BY["cv.mode"]), ...),
+    "cv.fixed_hyper": (dict, {}),
+    "bench.n": (int_in(1), 2000),
+    "bench.n_doubled": (int_in(1), None),  # None: twice bench.n
+    "bench.tau": (int_in(1), 8),
+    "bench.d": (int_in(1), 1),
+    "bench.gram_d": (int_in(1), 3),
+    "bench.ps": (lambda ps: [int_in(1)(p) for p in ps], (2, 3, 4, 5)),
+    "bench.lam_reg": (positive, 1e-6),
+    "bench.repeats": (int_in(1), 5),
+    "bench.prediction_steps": (int_in(1), 50),
+    "bench.volterra.lam": (positive, 0.6),
+    "bench.volterra.theta": (positive, 0.5),
+}
+
+
+def _at(config: dict, path: str):
+    """The value at the dotted ``path`` of ``config``; None if missing."""
     node = config
     for part in path.split("."):
         node = node.get(part) if isinstance(node, dict) else None
-        if node is None:
-            if default is ...:
-                raise ConfigError("missing required field", field=path)
-            return default
-    if conv is None:
-        return node
+    return node
+
+
+def _fields(config: dict) -> dict:
+    """:data:`FIELDS` and the fields of each kind ``config`` names."""
+    fields = dict(FIELDS)
+    for selector, tables in FIELDS_BY.items():
+        if _at(config, selector) is not None:
+            fields.update(tables[_get(config, selector)])
+    return fields
+
+
+def _get(config: dict, path: str, conv=None):
+    """Value at the dotted ``path`` of ``config``, through the field's
+    converter, or ``conv`` where the rule depends on the data.  A missing or
+    null value gives the field's default; without one, and for a value the
+    converter rejects, it is a :class:`ConfigError` naming ``path``."""
+    rule, default = FIELDS.get(path) or _fields(config).get(path, (None, ...))
+    value = _at(config, path)
+    if value is None:
+        if default is ...:
+            raise ConfigError("missing required field", field=path)
+        return default
     try:
-        return conv(node)
+        return (conv or rule)(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value {node!r}: {exc}", field=path)
+        raise ConfigError(f"invalid value {value!r}: {exc}", field=path)
 
 
-def _numbers(value) -> np.ndarray:
-    """Converter for ``_get``: a number or a nested list of numbers, as a
-    float64 array; a bool, a string or a null in it is no number."""
-    items = [value]
-    while items:
-        item = items.pop()
-        if isinstance(item, list):
-            items.extend(item)
-        elif isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ValueError(f"{item!r} is not a number")
-    return np.float64(value)
-
-
-def _reject_fixed_fields(config: dict) -> None:
-    """Reject a field that the fixed scoring protocol replaced (README,
-    "Outputs"), so that no run is scored other than its config states."""
-    metrics = _get(config, "metrics", {})
-    paths = [f"metrics.{key}" for key in metrics] if isinstance(
-        metrics, dict) else ["metrics"]
-    for path in (*paths, "task.valid_threshold", "estimator.headroom"):
-        if _get(config, path, None) is not None:
-            raise ConfigError("is no longer read; every run is scored by "
-                              "the fixed protocol", field=path)
+def _check_keys(node: dict, fields: dict, prefix: str = "") -> None:
+    """Reject a non-null key of ``node``, the section at ``prefix``, that
+    ``fields`` does not declare.  An undeclared block is named by its first
+    key that holds a value; a null sets nothing."""
+    takes = sorted({path[len(prefix):].split(".")[0] for path in fields
+                    if path.startswith(prefix)})
+    for key, value in node.items():
+        path = prefix + key
+        if value is None or path in fields:
+            continue
+        if key in takes:  # a section
+            if not isinstance(value, dict):
+                raise ConfigError(f"must be an object, not {value!r}",
+                                  field=path)
+            _check_keys(value, fields, path + ".")
+            continue
+        if isinstance(value, dict):  # an undeclared block
+            path = next((f"{path}.{name}" for name, item in value.items()
+                         if item is not None), "")
+        if path:
+            raise ConfigError(f"is not read for this config; "
+                              f"{prefix[:-1] or 'the top level'} takes "
+                              + ", ".join(takes), field=path)
 
 
 def load_config(args) -> dict:
@@ -161,9 +243,8 @@ def load_config(args) -> dict:
             raise ConfigError("top level must be a JSON object", field="config")
     else:
         raise ConfigError("either --config or --preset is required")
-    if config.get("schema") != SCHEMA:
-        raise ConfigError(f"expected schema {SCHEMA!r}", field="schema")
-    _reject_fixed_fields(config)
+    _get(config, "schema")
+    _check_keys(config, _fields(config))
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
     return config
@@ -239,51 +320,35 @@ def _dataset_csv(config: dict, path: str) -> TimeSeries:
     """The series in the CSV file named at ``path``; a file that cannot be
     read or parsed is a :class:`ConfigError` naming ``path``."""
     try:
-        return load_csv(_get(config, path, conv=str))[0]
+        return load_csv(_get(config, path))[0]
     except (OSError, ValueError) as exc:  # ParseError is a ValueError
         raise ConfigError(f"cannot load: {exc}", field=path)
-
-
-def _task_mode(config: dict, train: tuple | None = None) -> str:
-    """``task.mode``, checked against the training span ``train`` when
-    given: ``fit``, ``cv`` and ``forecast`` run that task."""
-    return _get(config, "task.mode",
-                conv=functools.partial(check_task, train=train))
 
 
 def generate_dataset(config: dict) -> tuple[tuple, tuple]:
     """Simulate or load the configured dataset, split into its train and
     test spans: ``(series,)`` each, or ``(inputs, outputs)`` each."""
     kind = _get(config, "dataset.kind")
-    seed = _get(config, "seed", 0, int_in(0))
+    seed = _get(config, "seed")
 
     if kind == "lorenz":
-        n_points = _get(config, "dataset.n_points", 15001, int_in(2))
-        dt = _get(config, "dataset.dt", 0.005, positive)
+        n_points, dt, initial = (_get(config, f"dataset.{name}")
+                                 for name in ("n_points", "dt", "initial"))
         try:
-            data = (simulate_lorenz(
-                _get(config, "dataset.initial", (0.0, 1.0, 1.05), _numbers),
-                dt, n_points),)
+            data = (simulate_lorenz(initial, dt, n_points),)
         except InvalidInputError as exc:  # dt and n_points are checked above
             raise ConfigError(str(exc), field="dataset.initial")
     elif kind == "mackey-glass":
-        settings = {
-            "dt_fine": _get(config, "dataset.dt_fine", 0.02, positive),
-            "delay": _get(config, "dataset.delay", 17.0, positive),
-            "n_fine": _get(config, "dataset.n_fine", 382500, int_in(1)),
-            "splice": _get(config, "dataset.splice", 50, int_in(1))}
+        settings = {name: _get(config, f"dataset.{name}")
+                    for name in ("dt_fine", "delay", "n_fine", "splice")}
         try:
             data = (simulate_mackey_glass(**settings),)
         except InvalidInputError as exc:  # each setting is checked above;
             # what is left is delay not being a multiple of dt_fine
             raise ConfigError(str(exc), field="dataset.delay")
     elif kind == "bekk":
-        n_points = _get(config, "dataset.n_points", 3761, int_in(3))
-        d = _get(config, "dataset.d", conv=int_in(1))
-        C = _get(config, "dataset.C", conv=_numbers)
-        # a, b are scalars or lists
-        a = _get(config, "dataset.a", 0.3, _numbers)
-        b = _get(config, "dataset.b", 0.9, _numbers)
+        n_points, d, C, a, b = (_get(config, f"dataset.{name}")
+                                for name in ("n_points", "d", "C", "a", "b"))
         try:
             params = BekkParams(C, np.full(d, a) if np.ndim(a) == 0 else a,
                                 np.full(d, b) if np.ndim(b) == 0 else b,
@@ -294,8 +359,8 @@ def generate_dataset(config: dict) -> tuple[tuple, tuple]:
         # Pair input z_t with next-step vech covariance.
         data = (TimeSeries(innovations.values[:-1], 1.0, "bekk-inputs"),
                 TimeSeries(covariances.values[1:], 1.0, "bekk-outputs"))
-    elif kind == "csv":
-        if _task_mode(config) == "path-continuation":
+    else:  # csv
+        if _get(config, "task.mode") == "path-continuation":
             data = (_dataset_csv(config, "dataset.path"),)
         else:
             data = (_dataset_csv(config, "dataset.inputs_path"),
@@ -303,10 +368,8 @@ def generate_dataset(config: dict) -> tuple[tuple, tuple]:
             if data[0].n != data[1].n:
                 raise ConfigError("input/output CSV lengths differ",
                                   field="dataset")
-    else:
-        raise ConfigError(f"unknown dataset kind {kind!r}", field="dataset.kind")
 
-    n_train = _get(config, "dataset.n_train", conv=int_in(1, data[0].n - 1))
+    n_train = _get(config, "dataset.n_train", int_in(1, data[0].n - 1))
     train, test = zip(*(split_train_test(series, n_train) for series in data))
     return train, test
 
@@ -357,28 +420,19 @@ def load_span(config: dict, out_dir: str, span: str) -> tuple:
 # fit / cv
 
 
-def _estimator_kind(config: dict) -> str:
-    kind = _get(config, "estimator.kind")
-    if kind not in REQUIRED_HYPER:
-        raise ConfigError(f"unknown estimator kind {kind!r}",
-                          field="estimator.kind")
-    return kind
-
-
 def _hyper(config: dict, path: str, readable, required=(),
            conv=hyper_value) -> dict:
     """The entries at ``path``, each passed through ``conv(name, value)``;
     each name in ``required`` must be present, and a name outside
     ``readable`` is a :class:`ConfigError`."""
-    names = dict.fromkeys((*required, *_get(config, path, {}, dict)))
+    names = dict.fromkeys((*required, *_get(config, path)))
     for name in names:
         if name not in readable:
             raise ConfigError("not read here for this estimator kind; this "
                               "field takes " + ", ".join(readable),
                               field=f"{path}.{name}")
     return {name: _get(config, f"{path}.{name}",
-                       conv=functools.partial(conv, name))
-            for name in names}
+                       functools.partial(conv, name)) for name in names}
 
 
 def _fit_kw(train: tuple) -> dict:
@@ -388,8 +442,8 @@ def _fit_kw(train: tuple) -> dict:
 
 
 def _fit_from_config(config: dict, train: tuple):
-    _task_mode(config, train)
-    kind = _estimator_kind(config)
+    _get(config, "task.mode", lambda mode: check_task(mode, train))
+    kind = _get(config, "estimator.kind")
     hyper = _hyper(config, "estimator.hyper",
                    (*REQUIRED_HYPER[kind], *OPTIONAL_HYPER[kind]),
                    REQUIRED_HYPER[kind])
@@ -452,19 +506,13 @@ def _grid_from_config(config: dict, kind: str) -> Grid:
 
 def cmd_cv(config: dict, out_dir: str) -> int:
     train = load_span(config, out_dir, "train")
-    task_mode = _task_mode(config, train)
-    kind = _estimator_kind(config)
+    task_mode = _get(config, "task.mode", lambda mode: check_task(mode, train))
+    kind = _get(config, "estimator.kind")
     grid = _grid_from_config(config, kind)
     n_train = train[0].shape[0]
     mode = _get(config, "cv.mode")
-    if mode == "overlapping":
-        make = overlapping_folds
-        sizes = [_get(config, f"cv.{name}", conv=int_in(1))
-                 for name in ("fold_len", "val_len", "stride")]
-    elif mode == "expanding":
-        make, sizes = expanding_folds, [_get(config, "cv.k", conv=int_in(2))]
-    else:
-        raise ConfigError(f"unknown cv mode {mode!r}", field="cv.mode")
+    make = overlapping_folds if mode == "overlapping" else expanding_folds
+    sizes = [_get(config, path) for path in FIELDS_BY["cv.mode"][mode]]
     try:
         plan = make(n_train, *sizes)
     except InvalidInputError as exc:  # the fold sizes do not fit n_train
@@ -504,9 +552,9 @@ def cmd_forecast(config: dict, out_dir: str) -> int:
         raise DependencyError("model.json was fitted under a different config")
     est = estimator_from_dict(doc_field(model_doc, "estimator", model_path),
                               model_path, "estimator")
-    mode = _task_mode(config, train)
+    mode = _get(config, "task.mode", lambda mode: check_task(mode, train))
     run = forecast_task(est, mode, train, test,
-                        _get(config, "task.horizon", math.inf, int_in(1)))
+                        _get(config, "task.horizon"))
     path = os.path.join(out_dir, "forecast.csv")
     run.save_csv(path, extra_meta={"config_sha256": config_hash(config),
                                    "estimator": est.kind})
@@ -526,7 +574,7 @@ def evaluate_run(reference: np.ndarray, predicted: np.ndarray, config: dict,
     flags = {}
 
     t_valid_steps = None
-    lyap = _get(config, "task.lyapunov_exponent", None, positive)
+    lyap = _get(config, "task.lyapunov_exponent")
     if mode == "path-continuation" and lyap is not None:
         vt = valid_time(reference, predicted, lyap, dt)
         report.t_valid = vt.value

@@ -1,7 +1,7 @@
 """Exception types shared across the package, the accessors that read
 upstream artifact documents, and the converters that check a value:
-:func:`int_in` and :func:`positive` for a number, :func:`finite_array`
-for an array."""
+:func:`int_in` and :func:`positive` for a number, :func:`numbers` and
+:func:`finite_array` for an array."""
 
 import math
 
@@ -161,6 +161,19 @@ def positive(value) -> float:
     return number
 
 
+def numbers(value) -> np.ndarray:
+    """Converter: a number or a nested list of numbers, as float64; a bool,
+    a string or a null is no number (:class:`InvalidInputError`)."""
+    items = [value]
+    while items:
+        item = items.pop()
+        if isinstance(item, list):
+            items.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise InvalidInputError(f"{item!r} is not a number")
+    return np.float64(value)
+
+
 def finite_array(*shape):
     """Converter: ``value`` as a float64 array of finite numbers of
     ``shape``, in which ``None`` stands for any length >= 1.  Anything else
@@ -169,8 +182,8 @@ def finite_array(*shape):
 
     def conv(value) -> np.ndarray:
         try:
-            array = np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):  # ragged, text, huge
+            array = numbers(value)
+        except (ValueError, OverflowError):  # no number, ragged, huge
             array = np.empty(0)
         if array.ndim != len(shape) or not all(
                 m >= 1 if n is None else m == n

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import preprocess
-from .errors import (InvalidInputError, doc_error, doc_field, int_in,
-                     positive)
+from .errors import (InvalidInputError, doc_error, doc_field, doc_value,
+                     finite_array, int_in, positive)
 from .kernels import (
     KernelModel,
     NgrcKernelParams,
@@ -392,11 +392,9 @@ def estimator_from_dict(doc: dict, source: str = "estimator document",
     est.input_specs = specs("input_specs", widths[0])
     est.output_specs = est.input_specs if get("shared_pipeline") else specs(
         "output_specs", widths[1])
-    tail = get("input_tail")
-    if tail is not None:
-        est.input_tail = np.asarray(tail, dtype=np.float64)
-        if est.input_tail.shape[1:] != (widths[0],):
-            raise bad("input_tail", f"must hold rows of {widths[0]} values")
+    if get("input_tail") is not None:
+        est.input_tail = doc_value(doc, "input_tail", source, path,
+                                   finite_array(None, widths[0]))
     return est
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CapacityError, InvalidInputError, doc_field, doc_value,
-                     finite_array, int_in, positive)
+from .errors import (CapacityError, InvalidInputError, doc_error, doc_field,
+                     doc_value, finite_array, int_in, positive)
 from .linsolve import RidgeSolution, solve_ridge_primal
 
 # Hard cap on materialized exponent-table rows; anything bigger is a config
@@ -198,16 +198,19 @@ class NgrcModel:
         """Load an ``ngrc-model/1`` document.  ``source`` and ``path`` (the
         dotted location of ``doc`` in it) name a missing key, and a bad
         value (a :class:`~kernelcast.errors.DependencyError`): ``tau``,
-        ``d`` and ``p`` are whole numbers >= 1, ``lam_reg`` is positive
-        and ``weights`` holds one row per monomial of the table."""
+        ``d`` and ``p`` whole numbers >= 1 whose table fits the cap,
+        ``lam_reg`` positive and ``weights`` one row per monomial."""
         def get(key, conv):
             return doc_value(doc, key, source, path, conv)
 
         schema = doc_field(doc, "schema", source, path)
         if schema != "ngrc-model/1":
             raise InvalidInputError(f"unknown model schema {schema!r}")
-        table = build_exponent_table(*(get(key, int_in(1))
-                                       for key in ("tau", "d", "p")))
+        try:
+            table = build_exponent_table(*(get(key, int_in(1))
+                                           for key in ("tau", "d", "p")))
+        except CapacityError as exc:  # sizes that no table can hold
+            raise doc_error(source, "", path, f"cannot be loaded: {exc}")
         weights = get("weights", finite_array(table.n_features, None))
         return cls(table, weights, get("lam_reg", positive))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, doc_error, doc_field
+from .errors import InvalidInputError, doc_error, doc_field, numbers
 
 KINDS = ("minmax01", "standardize", "demean", "max-norm-scale",
          "constant-scale")
@@ -53,8 +53,9 @@ class TransformSpec:
         of ``doc`` in it) name a missing ``kind``, ``shift`` or ``scale``,
         and a bad one, which raises
         :class:`~kernelcast.errors.DependencyError`: ``kind`` is one of
-        :data:`KINDS`, ``shift`` null (no shift) or finite numbers, and
-        ``scale`` a finite non-zero number or a list of them."""
+        :data:`KINDS`, ``shift`` null (no shift) or finite numbers, ``scale``
+        a finite non-zero number or a list of them, the optional
+        ``degenerate_dims`` whole numbers >= 0 and ``meta`` an object."""
         def get(key):
             return doc_field(doc, key, source, path)
 
@@ -72,27 +73,25 @@ class TransformSpec:
         scale = _finite_floats(scale)
         if scale is None or not np.all(scale):
             raise bad("scale", "a finite non-zero number or a list of them")
-        return cls(
-            kind,
-            shift,
-            float(scale) if scale.ndim == 0 else scale,
-            tuple(doc.get("degenerate_dims", ())),
-            dict(doc.get("meta", {})),
-        )
+        dims, meta = doc.get("degenerate_dims", []), doc.get("meta", {})
+        if not isinstance(dims, list) or not all(
+                type(j) is int and j >= 0 for j in dims):
+            raise bad("degenerate_dims", "a list of whole numbers >= 0")
+        if not isinstance(meta, dict):
+            raise bad("meta", "an object")
+        return cls(kind, shift, float(scale) if scale.ndim == 0 else scale,
+                   tuple(dims), dict(meta))
 
 
 def _finite_floats(value) -> np.ndarray | None:
     """``value`` as float64 if it is a finite number or a non-empty list of
     them, else ``None``; a bool is not a number."""
-    items = value if isinstance(value, list) else [value]
-    if not items or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                        for v in items):
-        return None
     try:
-        values = np.asarray(value, dtype=np.float64)
-    except OverflowError:  # an int beyond the float range
+        values = numbers(value)
+    except (ValueError, OverflowError):  # no number, ragged, huge
         return None
-    return values if np.all(np.isfinite(values)) else None
+    return values if values.ndim <= 1 and values.size and np.all(
+        np.isfinite(values)) else None
 
 
 def _values(x) -> np.ndarray:

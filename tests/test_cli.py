@@ -592,6 +592,75 @@ class TestMalformedConfigValue:
             assert np.array_equal(default, explicit)
 
 
+class TestUndeclaredField:
+    """A non-null key that no stage reads for the config's kinds exits 2
+    as the config loads, naming the dotted key, so no stage writes."""
+
+    @pytest.mark.parametrize("preset, path, value, stage, field", [
+        ("lorenz-ngrc", "task.horizn", 50, "simulate", None),
+        # a block is named by its first key that holds a value
+        ("lorenz-ngrc", "datset", {"name": None, "kind": "lorenz"},
+         "simulate", "datset.kind"),
+        # a field of another dataset kind or cv mode
+        ("lorenz-ngrc", "dataset.delay", 17.0, "simulate", None),
+        ("lorenz-ngrc", "cv.k", 4, "simulate", None),
+        ("bekk-ngrc", "cv.fold_len", 400, "simulate", None),
+        ("bekk-ngrc", "dataset.initial", [0.0, 1.0], "simulate", None),
+        ("bench-default", "bench.nn", 2000, "bench", None),
+        ("bench-default", "bench.volterra.M", 1.0, "bench", None),
+    ])
+    def test_exits_two_naming_the_key(self, tmp_path, capsys, preset, path,
+                                      value, stage, field):
+        cfg = copy.deepcopy(PRESETS[preset])
+        *parents, key = path.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(stage, "--config", str(cfg_path),
+                       "--out", str(tmp_path / "exp")) == 2
+        assert f"config error: {field or path}: is not read" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "exp").exists()
+
+    def test_error_lists_what_the_section_takes(self, tmp_path, capsys):
+        cfg = copy.deepcopy(PRESETS["lorenz-ngrc"])
+        cfg["task"]["horizn"] = 50
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "exp")) == 2
+        assert capsys.readouterr().err.endswith(
+            "task takes horizon, lyapunov_exponent, mode\n")
+
+    @pytest.mark.parametrize("path, value, text", [
+        ("cv.mode", "rolling", "cv.mode: invalid value 'rolling'"),
+        ("dataset.kind", "henon", "dataset.kind: invalid value 'henon'"),
+        ("task", 5, "task: must be an object"),
+    ])
+    def test_bad_kind_or_section_exits_two(self, tmp_path, capsys, path,
+                                           value, text):
+        cfg = copy.deepcopy(PRESETS["lorenz-ngrc"])
+        *parents, key = path.split(".")
+        (cfg[parents[0]] if parents else cfg)[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "exp")) == 2
+        assert f"config error: {text}" in capsys.readouterr().err
+
+    def test_null_sets_nothing(self, tmp_path):
+        cfg = copy.deepcopy(PRESETS["bekk-ngrc"])
+        cfg["dataset"].update(n_points=401, n_train=300, initial=None)
+        cfg["metrics"] = {"w1_cap": None}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "exp")) == 0
+
+
 class TestTaskMode:
     """``fit``, ``cv`` and ``forecast`` all run the configured ``task.mode``."""
 
@@ -782,6 +851,9 @@ class TestMissingArtifactKey:
         ("1.shift", "abc", "null or finite numbers"),
         ("1.shift", {"a": 1}, "null or finite numbers"),
         ("0.kind", "log", "one of minmax01, standardize"),
+        ("1.degenerate_dims", 5, "a list of whole numbers"),
+        ("1.degenerate_dims", [0, True], "a list of whole numbers"),
+        ("1.meta", 5, "an object"),
     ])
     def test_bad_transform_value_is_dependency_error(
             self, bekk_pipelines, tmp_path, capsys, key, value, text):
@@ -810,6 +882,10 @@ class TestMissingArtifactKey:
         ("bekk", "bekk-ngrc", "input_tail", [[1.0, 2.0]]),
         ("lorenz", "lorenz-volterra", "input_specs.0.shift", [0.0]),
         ("lorenz", "lorenz-volterra", "input_tail", [[0.0, 1.0]]),
+        # an input tail that is no array of finite numbers
+        ("lorenz", "lorenz-volterra", "input_tail", "abc"),
+        ("lorenz", "lorenz-volterra", "input_tail", [[0.0, 1.0, 2.0], [0.0]]),
+        ("lorenz", "lorenz-volterra", "input_tail", [[math.nan, 1.0, 2.0]]),
         # a kind that does not fit the model, or a lag count that is not
         # the model's (None: set to null; ...: removed)
         ("bekk", "bekk-ngrc", "kind", "volterra"),
@@ -863,6 +939,29 @@ class TestMissingArtifactKey:
         err = capsys.readouterr().err
         assert str(out / "model.json") in err
         assert repr(f"estimator.{key}") in err
+
+    @pytest.mark.parametrize("key, value, field", [
+        # a bool inside the weights is no number
+        ("model.weights.0.0", True, "estimator.model.weights"),
+        # lag counts whose exponent table no model can hold
+        ("model.tau", 1000000, "estimator.model"),
+    ])
+    def test_model_value_named_by_its_key(self, lorenz_pipelines, tmp_path,
+                                          capsys, key, value, field):
+        out = tmp_path / "exp"
+        shutil.copytree(lorenz_pipelines["lorenz-ngrc"]["a"]["dir"], out)
+        doc = json.loads((out / "model.json").read_text())
+        *parents, last = key.split(".")
+        node = doc["estimator"]
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        node[int(last) if isinstance(node, list) else last] = value
+        (out / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("forecast", "--preset", "lorenz-ngrc",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert str(out / "model.json") in err and repr(field) in err
 
     def test_schema_1_model_asks_for_refit(self, lorenz_pipelines, tmp_path,
                                            capsys):
@@ -1166,12 +1265,22 @@ class TestConfigReaders:
                     and isinstance(node.func, ast.Name)
                     and node.func.id == "_get"):
                 continue
-            convs = node.args[3:] + [kw.value for kw in node.keywords
+            convs = node.args[2:] + [kw.value for kw in node.keywords
                                      if kw.arg == "conv"]
             bare += [node.lineno for conv in convs
                      if isinstance(conv, ast.Name)
                      and conv.id in ("int", "float")]
         assert bare == [], f"{module}: _get(..., int/float) at lines {bare}"
+
+    def test_no_field_converts_with_bare_int_or_float(self):
+        from kernelcast.cli import FIELDS, FIELDS_BY
+
+        tables = [FIELDS, *(table for by_kind in FIELDS_BY.values()
+                            for table in by_kind.values())]
+        bare = [path for table in tables
+                for path, (conv, _default) in table.items()
+                if conv in (int, float)]
+        assert bare == [], f"fields read with a bare int or float: {bare}"
 
 
 class TestReadme:

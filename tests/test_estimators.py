@@ -6,7 +6,7 @@ import pytest
 
 from kernelcast import preprocess
 from kernelcast.datasets import load_csv
-from kernelcast.errors import InvalidInputError
+from kernelcast.errors import InvalidInputError, finite_array, numbers
 from kernelcast.estimators import (
     INPUT_TRANSFORMS,
     OPTIONAL_HYPER,
@@ -134,6 +134,17 @@ class TestNumberReaders:
     def test_positive_rejects(self, value):
         with pytest.raises(InvalidInputError):
             positive(value)
+
+    def test_a_bool_or_a_string_is_no_number_at_any_depth(self):
+        """``numbers`` and ``finite_array``, the readers of config arrays
+        and ``model.json`` arrays, share one rule."""
+        for value in (True, [1.0, True], [[1.0, 2.0], [3.0, "4"]], [None]):
+            with pytest.raises(InvalidInputError, match="is not a number"):
+                numbers(value)
+        with pytest.raises(InvalidInputError, match="finite numbers"):
+            finite_array(2, 2)([[1.0, 2.0], [3.0, True]])
+        got = finite_array(2, 2)([[1, 2.0], [3, 4]])
+        assert got.dtype == np.float64 and got.tolist() == [[1, 2], [3, 4]]
 
     def test_hyper_value_names_the_hyperparameter(self):
         assert hyper_value("tau", 2.0) == 2
