@@ -79,7 +79,6 @@ from .metrics import (
     w1_nd,
     welch_psd,
 )
-from .preprocess import bekk_output_pipeline
 from .presets import PRESETS
 
 SCHEMA = "kernelcast-experiment/1"
@@ -92,6 +91,13 @@ SCHEMA = "kernelcast-experiment/1"
 def config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _section(value) -> dict:
+    """Converter for ``_get``: ``value`` if it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError("must be an object of named values")
+    return value
 
 
 def _one_of(*names):
@@ -142,13 +148,13 @@ FIELDS = {
     "dataset.kind": (_one_of(*FIELDS_BY["dataset.kind"]), ...),
     "dataset.n_train": (int_in(1), ...),
     "estimator.kind": (_one_of(*REQUIRED_HYPER), ...),
-    "estimator.hyper": (dict, {}),
-    "estimator.grid": (dict, {}),
+    "estimator.hyper": (_section, {}),
+    "estimator.grid": (_section, {}),
     "task.mode": (check_task, ...),
     "task.horizon": (int_in(1), math.inf),
     "task.lyapunov_exponent": (positive, None),
     "cv.mode": (_one_of(*FIELDS_BY["cv.mode"]), ...),
-    "cv.fixed_hyper": (dict, {}),
+    "cv.fixed_hyper": (_section, {}),
     "bench.n": (int_in(1), 2000),
     "bench.n_doubled": (int_in(1), None),  # None: twice bench.n
     "bench.tau": (int_in(1), 8),
@@ -435,12 +441,6 @@ def _hyper(config: dict, path: str, readable, required=(),
                        functools.partial(conv, name)) for name in names}
 
 
-def _fit_kw(train: tuple) -> dict:
-    """Fit keywords: the covariance output transforms for input/output
-    pairs."""
-    return {"output_kinds": bekk_output_pipeline()} if len(train) > 1 else {}
-
-
 def _fit_from_config(config: dict, train: tuple):
     _get(config, "task.mode", lambda mode: check_task(mode, train))
     kind = _get(config, "estimator.kind")
@@ -451,7 +451,7 @@ def _fit_from_config(config: dict, train: tuple):
         check_hyper(kind, hyper)
     except InvalidInputError as exc:
         raise ConfigError(str(exc), field="estimator.hyper")
-    return fit_task(kind, hyper, train, **_fit_kw(train))
+    return fit_task(kind, hyper, train)
 
 
 def cmd_fit(config: dict, out_dir: str) -> int:
@@ -521,7 +521,6 @@ def cmd_cv(config: dict, out_dir: str) -> int:
     fixed = _hyper(config, "cv.fixed_hyper",
                    [name for name in OPTIONAL_HYPER[kind] if name != "M"])
     result = grid_search(kind, grid, plan, task_mode, train,
-                         fit_kw=_fit_kw(train),
                          fixed_hyper=fixed)
     lb_path = os.path.join(out_dir, "leaderboard.csv")
     result.leaderboard_csv(lb_path)

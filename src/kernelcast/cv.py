@@ -211,7 +211,7 @@ def grid_search(estimator_kind: str, grid: Grid, plan: FoldPlan,
     fixed_hyper = dict(fixed_hyper or {})
     feasible, pruned = grid.candidates(estimator_kind)
     if not feasible:
-        raise GridSearchError("no feasible candidates in the grid", pruned)
+        raise GridSearchError("no feasible candidates in the grid")
     span = [np.asarray(a, dtype=np.float64).reshape(len(a), -1)
             for a in train]
 
@@ -241,8 +241,6 @@ def grid_search(estimator_kind: str, grid: Grid, plan: FoldPlan,
         cause = "; ".join(first.failures) or first.fold_mse
         raise GridSearchError(
             "every candidate failed or diverged on at least one fold; "
-            f"first: {first.params}: {cause}",
-            [f"{c.params}: {c.failures}" for c in table],
-        )
+            f"first: {first.params}: {cause}")
     best_idx, best = min(enumerate(table), key=_tie_break_key)
     return GridSearchResult(dict(best.params), table, pruned)

@@ -46,10 +46,6 @@ class NormBoundError(InvalidInputError):
 class GridSearchError(KernelcastError):
     """Every hyperparameter candidate failed during cross-validation."""
 
-    def __init__(self, message: str, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or []
-
 
 class ConfigError(KernelcastError):
     """An experiment configuration is malformed.

@@ -6,7 +6,8 @@ ridge, and Volterra kernel ridge uniformly.  All raw-data plumbing
 (transform application, prediction windows, Volterra sequence extension)
 lives here, and so does the one declaration of each estimator kind: its
 hyperparameters (:data:`REQUIRED_HYPER`, :data:`OPTIONAL_HYPER`) and input
-transforms (:data:`INPUT_TRANSFORMS`).  Training rows come from
+transforms (:data:`INPUT_TRANSFORMS`); input/output pairs share one output
+chain (:data:`PAIR_OUTPUT_TRANSFORMS`).  Training rows come from
 :func:`kernelcast.ngrc.lagged_pairs`.
 
 :func:`fit_task` fits a task's training span, a series or input/output
@@ -56,6 +57,9 @@ OPTIONAL_HYPER = {"ngrc": ("washout",), "polynomial": ("c", "washout"),
 # projected onto the norm ball).
 INPUT_TRANSFORMS = {"ngrc": [], "ngrc-kernel": [], "polynomial": ["minmax01"],
                     "volterra": ["demean", "max-norm-scale"]}
+# Output transform chain of input/output pairs, whose outputs are BEKK
+# covariances: x1000, then standardize.
+PAIR_OUTPUT_TRANSFORMS = ("constant-scale", "standardize")
 # The models each kind fits: ngrc-model/1, or a kernel-model/2 kernel kind.
 _KIND_MODELS = {"ngrc": ("ngrc-model/1",),
                 "polynomial": ("ngrc-model/1", "polynomial"),
@@ -403,12 +407,13 @@ def fit_task(kind: str, hyper: dict, train: tuple, **kw) -> Estimator:
 
     A series ``(values,)`` is fitted on its one-step-ahead pairs, with its
     input transforms shared by the targets (``share_output_pipeline``);
-    ``(inputs, outputs)`` are fitted as paired.  A closed-loop rollout
-    after the series starts from it: :meth:`Estimator.start` reads its last
-    ``tau`` rows.
+    ``(inputs, outputs)`` are fitted as paired, with the outputs through
+    :data:`PAIR_OUTPUT_TRANSFORMS`.  A closed-loop rollout after the series
+    starts from it: :meth:`Estimator.start` reads its last ``tau`` rows.
     """
     if len(train) > 1:
-        return fit_estimator(kind, hyper, *train, **kw)
+        return fit_estimator(kind, hyper, *train,
+                             output_kinds=PAIR_OUTPUT_TRANSFORMS, **kw)
     values = np.asarray(train[0], dtype=np.float64)
     if values.shape[0] < 3:
         raise InvalidInputError("series too short to form training pairs")

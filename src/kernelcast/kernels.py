@@ -241,45 +241,6 @@ def _as_samples(inputs) -> np.ndarray:
     return Z
 
 
-def _volterra_rows(Z: np.ndarray, params: VolterraParams, washout: int = 0,
-                   last: np.ndarray | None = None):
-    """Rows ``i >= washout`` of the Volterra Gram's lower triangle, from
-    column ``washout`` on.
-
-    Row sweep of the diagonal recursion over ``j <= i``: row i is produced
-    from row i-1 shifted by one column, with the border pinned at
-    ``1 / (1 - theta^2)``.  Rows before the washout live only in the rolling
-    bordered row.  ``last``, when given, receives the bordered final row
-    ``[border, K[n-1, 0], ..., K[n-1, n-1]]``.  Each row is a view that the
-    next one overwrites.
-    """
-    n = Z.shape[0]
-    lam2 = params.lam**2
-    theta2 = params.theta**2
-    floor = params.denominator_floor * (1.0 - 1e-9)
-    prev = np.full(n + 1, params.border)  # bordered row i - 1
-    row = np.empty(n)
-    denom = np.empty(n)
-    for i in range(n):
-        d = denom[:i + 1]
-        np.dot(Z[:i + 1], Z[i], out=d)
-        d *= theta2
-        np.subtract(1.0, d, out=d)
-        # Cauchy-Schwarz keeps denominators >= 1 - theta^2 M^2 > 0; a
-        # violation means the norm check was bypassed.
-        if d.min() < floor:
-            raise InvalidInputError("Volterra denominator fell below its floor")
-        r = row[:i + 1]
-        np.multiply(lam2, prev[:i + 1], out=r)
-        r /= d
-        r += 1.0
-        prev[1:i + 2] = r
-        if last is not None and i == n - 1:
-            last[...] = prev
-        if i >= washout:
-            yield r[washout:]
-
-
 def volterra_gram(inputs, params: VolterraParams) -> GramMatrix:
     """Square Volterra Gram matrix over one input sequence.
 
@@ -287,33 +248,73 @@ def volterra_gram(inputs, params: VolterraParams) -> GramMatrix:
     it is exactly symmetric, and its lower triangle carries the fit's bits.
     """
     Z = _as_samples(inputs)
-    _check_sample_norms(Z, params)
     return GramMatrix(GramRows(Z.shape[0],
-                               lambda: _volterra_rows(Z, params)).full())
+                               VolterraExtension(Z, params).sweep).full())
 
 
 class VolterraExtension:
-    """Incremental rectangular extension of a Volterra Gram matrix.
+    """The Volterra Gram recursion over training samples ``Z``, and its
+    incremental rectangular extension.
 
-    Holds the training samples and the most recent full column (border
-    entry included); each ``step`` appends one sample that continues the
-    sequence and returns the kernel values against every training index.
-    A sample outside the ball ``||z|| <= M``, where the kernel is defined,
-    becomes ``z * M / ||z||`` and is counted in ``projected``.
-    Single-writer: not safe for concurrent stepping.
+    ``column`` holds the bordered row ``[border, K[t, 0], ..., K[t, n-1]]``
+    of the latest sample ``t``.  :meth:`sweep` runs the recursion over ``Z``
+    and each :meth:`step` appends a sample that continues the sequence,
+    both through one in-place update: a row they return is a view that the
+    next overwrites.  Every training sample must lie in the ball
+    ``||z|| <= M`` where the kernel is defined (:class:`NormBoundError`); a
+    stepped sample outside it becomes ``z * M / ||z||`` and is counted in
+    ``projected``.  Single-writer: not safe for concurrent stepping.
     """
 
     def __init__(self, Z_train: np.ndarray, params: VolterraParams,
-                 last_col_with_border: np.ndarray):
+                 last_col_with_border: np.ndarray | None = None):
+        _check_sample_norms(Z_train, params)
+        n = Z_train.shape[0]
         self._Z = Z_train
         self._params = params
-        self._col = np.asarray(last_col_with_border, dtype=np.float64).copy()
+        self.column = np.full(n + 1, params.border)
+        if last_col_with_border is not None:
+            if np.shape(last_col_with_border) != (n + 1,):
+                raise InvalidInputError(
+                    "last column must include the border entry")
+            self.column[1:] = last_col_with_border[1:]
+        self._row = np.empty(n)
+        self._denom = np.empty(n)
         self.projected = 0
-        if self._col.shape != (Z_train.shape[0] + 1,):
-            raise InvalidInputError("last column must include the border entry")
+
+    def _update(self, z: np.ndarray, k: int) -> np.ndarray:
+        """Row of sample ``z`` against ``Z[:k]`` from the row before it,
+        ``1 + lam^2 column[:k] / (1 - theta^2 Z[:k] z)``, stored back after
+        the border."""
+        p = self._params
+        d = self._denom[:k]
+        np.dot(self._Z[:k], z, out=d)
+        d *= p.theta**2
+        np.subtract(1.0, d, out=d)
+        # Cauchy-Schwarz keeps denominators >= 1 - theta^2 M^2 > 0; a
+        # violation means the norm check was bypassed.
+        if d.min() < p.denominator_floor * (1.0 - 1e-9):
+            raise InvalidInputError("Volterra denominator fell below its floor")
+        r = self._row[:k]
+        np.multiply(p.lam**2, self.column[:k], out=r)
+        r /= d
+        r += 1.0
+        self.column[1:k + 1] = r
+        return r
+
+    def sweep(self, washout: int = 0):
+        """Rows ``i >= washout`` of the Gram's lower triangle over ``Z``,
+        from column ``washout`` on, for a :class:`GramRows`.  Row i reads
+        only the border and what row i-1 wrote, so every run restarts from
+        the border, and a finished run leaves the last row in ``column``."""
+        for i in range(self._Z.shape[0]):
+            r = self._update(self._Z[i], i + 1)
+            if i >= washout:
+                yield r[washout:]
 
     def step(self, z_new) -> np.ndarray:
-        """Append one sample; return kernel values against training samples."""
+        """Append one sample; return its kernel values against every
+        training sample."""
         z = np.asarray(z_new, dtype=np.float64).reshape(-1)
         if z.shape[0] != self._Z.shape[1]:
             raise InvalidInputError("appended sample has wrong dimension")
@@ -324,12 +325,7 @@ class VolterraExtension:
         if norm > p.M * (1.0 + _NORM_SLACK):
             z = z * (p.M / norm)
             self.projected += 1
-        denom = 1.0 - p.theta**2 * (self._Z @ z)
-        new = np.empty_like(self._col)
-        new[0] = p.border
-        new[1:] = 1.0 + p.lam**2 * self._col[:-1] / denom
-        self._col = new
-        return new[1:]
+        return self._update(z, self._Z.shape[0])
 
 
 def volterra_gram_extend(train_inputs, test_inputs,
@@ -344,11 +340,9 @@ def volterra_gram_extend(train_inputs, test_inputs,
     T = _as_samples(test_inputs)
     if T.shape[1] != Z.shape[1]:
         raise InvalidInputError("train and test sample dimensions differ")
-    _check_sample_norms(Z, params)
-    last = np.full(Z.shape[0] + 1, params.border)
-    for _ in _volterra_rows(Z, params, last=last):
+    ext = VolterraExtension(Z, params)
+    for _ in ext.sweep():
         pass
-    ext = VolterraExtension(Z, params, last)
     cols = np.empty((Z.shape[0], T.shape[0]))
     for j in range(T.shape[0]):
         cols[:, j] = ext.step(T[j])
@@ -455,8 +449,8 @@ class KernelModel:
         dotted location of ``doc`` in it) name a missing key, and a bad
         value (a :class:`~kernelcast.errors.DependencyError`): kernel
         parameters as :data:`_KERNEL_PARAMS` takes them, a whole ``washout``
-        that leaves training rows, a positive ``lam_reg`` and arrays whose
-        shapes fit the model."""
+        that leaves training rows, a positive ``lam_reg``, arrays whose
+        shapes fit the model and Volterra samples within ``M``."""
         def get(key, conv):
             return doc_value(doc, key, source, path, conv)
 
@@ -500,6 +494,11 @@ class KernelModel:
             model.train_windows = windows[washout:]
         else:
             model._last_col = get("last_column", finite_array(rows + 1))
+            try:
+                model.extension()  # checks the samples against M
+            except NormBoundError as exc:
+                raise doc_error(source, path, "train_inputs",
+                                str(exc)) from None
         return model
 
 
@@ -526,14 +525,13 @@ def fit_kernel_model(inputs, targets, kernel, lam_reg: float,
     if isinstance(kernel, VolterraParams):
         # the targets of a tau = 1 lagged fit: one per sample, less washout
         _, Y = lagged_pairs(Z, targets, 1, washout)
-        _check_sample_norms(Z, kernel)
-        last_col = np.empty(Z.shape[0] + 1)
-        rows = GramRows(Z.shape[0] - washout, lambda: _volterra_rows(
-            Z, kernel, washout, last_col))
-        sol = solve_ridge_gram(rows, Y, lam_reg)
+        ext = VolterraExtension(Z, kernel)
+        sol = solve_ridge_gram(GramRows(Z.shape[0] - washout,
+                                        lambda: ext.sweep(washout)),
+                               Y, lam_reg)
         model = KernelModel(kernel, Z, sol.coefficients, washout,
                             float(lam_reg), sol)
-        model._last_col = last_col
+        model._last_col = ext.column  # the sweep's bordered last row
         return model
 
     if isinstance(kernel, NgrcKernelParams) and kernel.d != Z.shape[1]:

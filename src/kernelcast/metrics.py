@@ -99,9 +99,6 @@ class Periodogram:
 
     frequencies: np.ndarray
     power: np.ndarray  # (n_bins, d)
-    nperseg: int
-    overlap: float
-    window: str = "hann"
 
 
 def welch_psd(values, nperseg: int, overlap: float = 0.5,
@@ -147,7 +144,7 @@ def welch_psd(values, nperseg: int, overlap: float = 0.5,
     power[..., 1:-1 if nperseg % 2 == 0 else None] *= 2
     # average with the segment axis contiguous (pairwise summation)
     power = np.ascontiguousarray(power.transpose(2, 0, 1)).mean(axis=-1)
-    return Periodogram(np.fft.rfftfreq(nperseg, T), power, nperseg, overlap)
+    return Periodogram(np.fft.rfftfreq(nperseg, T), power)
 
 
 def psde_detailed(psd_true: Periodogram, psd_est: Periodogram,

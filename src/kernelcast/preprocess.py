@@ -145,12 +145,10 @@ def fit(kind: str, train, *, constant: float = 1000.0,
 
 def apply(spec: TransformSpec, x) -> np.ndarray:
     """Apply a fitted transform (shape preserved; 1-d in, 1-d out)."""
-    arr = np.asarray(x, dtype=np.float64)
-    out = arr.copy()
+    out = np.asarray(x, dtype=np.float64)
     if spec.shift is not None:
         out = out - spec.shift
-    out = out / spec.scale
-    return out
+    return out / spec.scale
 
 
 def invert(spec: TransformSpec, x) -> np.ndarray:
@@ -186,11 +184,6 @@ def invert_pipeline(specs, x) -> np.ndarray:
     for spec in reversed(specs):
         out = invert(spec, out)
     return out
-
-
-def bekk_output_pipeline() -> list[str]:
-    """Output transform chain for covariance targets: x1000, then standardize."""
-    return ["constant-scale", "standardize"]
 
 
 def pipeline_to_dicts(specs) -> list[dict]:

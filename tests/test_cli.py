@@ -421,6 +421,19 @@ class TestMalformedConfigValue:
                        "--out", str(tmp_path / "exp")) == 2
         assert "config error: seed: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("preset, path, stage", [
+        ("bekk-ngrc", "estimator.hyper", "fit"),
+        ("bekk-ngrc", "estimator.grid", "cv"),
+        ("bekk-volterra", "cv.fixed_hyper", "cv"),
+    ])
+    def test_hyper_section_as_pairs_names_the_section(self, tmp_path, capsys,
+                                                      preset, path, stage):
+        """A hyperparameter section is an object: its entries given as a
+        list of pairs exit 2 naming the section, not a name inside it."""
+        section, key = path.split(".")
+        pairs = [list(item) for item in PRESETS[preset][section][key].items()]
+        self.check_exits_two(tmp_path, capsys, preset, path, pairs, stage)
+
     def test_whole_number_floats_read_as_ints(self, tmp_path):
         """``estimator.hyper.tau: 1.0`` and ``cv.k: 4.0`` fit and rank as
         the shipped ``1`` and ``4`` do."""
@@ -909,6 +922,10 @@ class TestMissingArtifactKey:
         ("lorenz", "lorenz-volterra", "model.alpha", [[1.0]]),
         ("lorenz", "lorenz-volterra", "model.train_inputs", [[0.0, None]]),
         ("lorenz", "lorenz-volterra", "model.last_column", [1.0]),
+        # a sample outside the Volterra kernel's domain ||z|| <= M (a
+        # callable value edits the stored one)
+        ("lorenz", "lorenz-volterra", "model.train_inputs",
+         lambda rows: rows[:-1] + [[30.0, 30.0, 30.0]]),
         ("lorenz", "lorenz-volterra", "model.kernel.theta", "x"),
         ("lorenz", "lorenz-volterra", "model.kernel.tau", 2),
         ("lorenz", "lorenz-volterra", "model.kernel", {"kind": "volterra",
@@ -932,7 +949,7 @@ class TestMissingArtifactKey:
         if value is ...:
             del node[last]
         else:
-            node[last] = value
+            node[last] = value(node[last]) if callable(value) else value
         (out / "model.json").write_text(json.dumps(doc))
         capsys.readouterr()
         assert run_cli("forecast", "--preset", preset, "--out", str(out)) == 2

@@ -235,6 +235,42 @@ class TestVolterraExtension:
                 assert abs(ext[i - 1, j - 1] - val) <= tail + EPS_FLOOR
 
 
+    @staticmethod
+    def samples(n, seed):
+        Z = np.random.default_rng(seed).normal(size=(n, 3))
+        return Z / np.linalg.norm(Z, axis=1).max()
+
+    def test_step_continues_a_sweep(self):
+        # the row of Z[k] after a sweep over Z[:k] is the last row of a
+        # sweep over Z[:k+1], bit for bit
+        p = VolterraParams(*LORENZ_VOLT)
+        Z = self.samples(40, 23)
+        ext = kernels.VolterraExtension(Z[:-1], p)
+        for _ in ext.sweep():
+            pass
+        *_, last = kernels.VolterraExtension(Z, p).sweep()
+        np.testing.assert_array_equal(ext.step(Z[-1]), last[:-1])
+
+    def test_sweep_reruns_from_the_border(self):
+        p = VolterraParams(*MG_VOLT)
+        Z = self.samples(30, 24)
+        ext = kernels.VolterraExtension(Z, p)
+        rows = linsolve.GramRows(25, lambda: ext.sweep(5))
+        first = rows.full()
+        np.testing.assert_array_equal(rows.full(), first)
+        np.testing.assert_array_equal(
+            first, volterra_gram(Z, p).values[5:, 5:])
+
+    def test_step_allocates_no_row(self, peak_bytes):
+        n = 4900
+        p = VolterraParams(*LORENZ_VOLT)
+        Z = self.samples(n, 25)
+        ext = kernels.VolterraExtension(Z, p, np.full(n + 1, p.border))
+        ext.step(Z[0])
+        z = Z[1].copy()
+        assert peak_bytes(lambda: ext.step(z)) < 8 * n
+
+
 class TestTruncatedSeries:
     def test_zero_sequences_geometric(self):
         p = VolterraParams(lam=0.5, theta=0.5)

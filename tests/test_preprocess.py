@@ -5,7 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from kernelcast import preprocess
 from kernelcast.errors import InvalidInputError
-from kernelcast.estimators import INPUT_TRANSFORMS
+from kernelcast.estimators import INPUT_TRANSFORMS, PAIR_OUTPUT_TRANSFORMS
 
 
 class TestFit:
@@ -106,7 +106,7 @@ class TestPipelines:
     def test_bekk_output_pipeline_standardizes(self):
         rng = np.random.default_rng(4)
         data = rng.normal(0.002, 0.0005, size=(200, 4))
-        specs = preprocess.fit_pipeline(preprocess.bekk_output_pipeline(),
+        specs = preprocess.fit_pipeline(PAIR_OUTPUT_TRANSFORMS,
                                         data, constant=1000.0)
         out = preprocess.apply_pipeline(specs, data)
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
