@@ -225,7 +225,7 @@ def grid_search(estimator_kind: str, grid: Grid, plan: FoldPlan,
             try:
                 score, reason, count = _score_fold(
                     estimator_kind, full, task_mode, span, fold, fit_kw)
-            except (KernelcastError, np.linalg.LinAlgError) as exc:
+            except KernelcastError as exc:
                 # candidate-level failure, not fatal
                 score, reason, count = float("inf"), str(exc), None
             if reason is not None:

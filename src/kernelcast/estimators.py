@@ -410,7 +410,11 @@ def fit_task(kind: str, hyper: dict, train: tuple, **kw) -> Estimator:
     ``(inputs, outputs)`` are fitted as paired, with the outputs through
     :data:`PAIR_OUTPUT_TRANSFORMS`.  A closed-loop rollout after the series
     starts from it: :meth:`Estimator.start` reads its last ``tau`` rows.
+    The output transforms are the task's: ``kw`` sets neither.
     """
+    for name in ("output_kinds", "share_output_pipeline"):
+        if name in kw:
+            raise InvalidInputError(f"fit_task sets {name} itself")
     if len(train) > 1:
         return fit_estimator(kind, hyper, *train,
                              output_kinds=PAIR_OUTPUT_TRANSFORMS, **kw)

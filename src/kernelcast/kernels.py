@@ -494,6 +494,9 @@ class KernelModel:
             model.train_windows = windows[washout:]
         else:
             model._last_col = get("last_column", finite_array(rows + 1))
+            if model._last_col[0] != kernel.border:
+                raise doc_error(source, path, "last_column", "must start "
+                                f"with the border {kernel.border!r}")
             try:
                 model.extension()  # checks the samples against M
             except NormBoundError as exc:

@@ -35,17 +35,23 @@ caller's full ``K``, and :meth:`GramRows.full`, which the analysis Grams
 ``K`` allocate no n x n temporary.  The primal normal matrices stay in full
 storage (``dpotrf``).
 
-``scipy.linalg`` is imported inside the functions that call it, ahead of
-their timers: every stage imports this module, but only ``fit``, ``cv`` and
-the BEKK ``simulate`` solve, so the others start without loading it.
+LAPACK is SciPy's extension module ``scipy/linalg/_flapack``.  :func:`_lapack`
+loads that one file at the first solve, ahead of the solve's timer, and not
+the ``scipy.linalg`` package, which imports some 320 modules (about 22 MB)
+for the seven routines called here.  Only ``fit``, ``cv`` and the BEKK
+``simulate`` solve.  The calls are those ``scipy.linalg`` makes: same bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import sys
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from importlib import machinery, util
 
 import numpy as np
 
@@ -69,10 +75,35 @@ SYMMETRY_RTOL = 1e-8
 # Rows per panel of the Gram symmetry check and of the triangle mirror.
 _SYM_PANEL_ROWS = 64
 
+_FLAPACK = "scipy.linalg._flapack"
+
 # RFP layout of the Cholesky route: TRANSR='N', UPLO='U'.  The upper
 # triangle of a symmetric matrix is its lower triangle transposed, so
 # column i of the stored upper triangle is row i of the lower one.
 _RFP = {"transr": "N", "uplo": "U"}
+
+
+@functools.cache
+def _lapack():
+    """SciPy's LAPACK extension module: the one ``scipy.linalg`` loaded,
+    or else the file run after the package root ``scipy`` (which sets up
+    SciPy's libraries).  Running it enters it in ``sys.modules``; a later
+    ``import scipy.linalg`` that found it there would lack ``_flapack``."""
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    import scipy
+    base = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+    path = next((base + suffix for suffix in machinery.EXTENSION_SUFFIXES
+                 if os.path.isfile(base + suffix)), None)
+    if path is None:
+        raise ImportError(f"no SciPy LAPACK extension {base}"
+                          f"{{{','.join(machinery.EXTENSION_SUFFIXES)}}}")
+    spec = util.spec_from_file_location(_FLAPACK, path)
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(_FLAPACK, None)
+    return module
 
 
 @dataclass(frozen=True)
@@ -259,7 +290,7 @@ def solve_ridge_primal(X, Y, lam_reg: float) -> RidgeSolution:
     RidgeSolution
         ``coefficients`` has shape (N,) or (N, m) matching ``Y``.
     """
-    import scipy.linalg
+    lapack = _lapack()
     started = time.perf_counter()
     if not (np.isscalar(lam_reg) and lam_reg > 0):
         raise InvalidInputError("lam_reg must be a positive scalar")
@@ -285,14 +316,20 @@ def solve_ridge_primal(X, Y, lam_reg: float) -> RidgeSolution:
         B = X.T @ Y2
     L, pivot, jitter = _factor_jittered(
         lambda: np.array(A, order="F"), np.diag_indices(N),
-        lambda work: scipy.linalg.lapack.dpotrf(work, lower=1, clean=0,
-                                                overwrite_a=1))
-    w = scipy.linalg.cho_solve((L, True), B, check_finite=False)
+        lambda work: lapack.dpotrf(work, lower=1, clean=0, overwrite_a=1))
+
+    def cho_solve(rhs: np.ndarray) -> np.ndarray:
+        x, info = lapack.dpotrs(L, rhs, lower=True, overwrite_b=False)
+        if info:
+            raise ConditioningError(f"dpotrs failed (info {info})")
+        return x
+
+    w = cho_solve(B)
     method = "cholesky"
     if precise and jitter == 0.0:
         for _ in range(_REFINE_STEPS):
             resid = (Bl - Al @ w.astype(np.longdouble)).astype(np.float64)
-            w = w + scipy.linalg.cho_solve((L, True), resid, check_finite=False)
+            w = w + cho_solve(resid)
         method = "cholesky-refined"
     w = np.ascontiguousarray(w)
     coef = w[:, 0] if squeeze else w
@@ -323,7 +360,7 @@ def solve_ridge_gram(K, Y, lam_reg: float) -> RidgeSolution:
     lam_reg : float
         Ridge strength, must be positive.
     """
-    import scipy.linalg
+    lapack = _lapack()
     started = time.perf_counter()
     if not (np.isscalar(lam_reg) and lam_reg > 0):
         raise InvalidInputError("lam_reg must be a positive scalar")
@@ -347,7 +384,7 @@ def solve_ridge_gram(K, Y, lam_reg: float) -> RidgeSolution:
     def fill() -> np.ndarray:
         """``K + lam I`` in RFP storage, packed afresh."""
         if rows is None:  # K's lower triangle is the upper one of K.T
-            arf = scipy.linalg.lapack.dtrttf(K.T, **_RFP)[0]
+            arf = lapack.dtrttf(K.T, **_RFP)[0]
         else:
             arf = rows.packed()
             _finite_scale("K", arf)
@@ -360,12 +397,12 @@ def solve_ridge_gram(K, Y, lam_reg: float) -> RidgeSolution:
         diag = _rfp_diagonal(n)
         try:
             factored, pivot, jitter = _factor_jittered(
-                fill, diag, lambda work: scipy.linalg.lapack.dpftrf(
+                fill, diag, lambda work: lapack.dpftrf(
                     n, work, overwrite_a=1, **_RFP))
         except ConditioningError:
             pass  # every packed attempt is released before the fallback
     if factored is not None:
-        alpha, _ = scipy.linalg.lapack.dpftrs(n, factored, Y2, **_RFP)
+        alpha, _ = lapack.dpftrs(n, factored, Y2, **_RFP)
         method, storage, gram_bytes = "cholesky", "rfp", factored.nbytes
     else:
         if rows is not None:
@@ -411,14 +448,27 @@ def _max_asymmetry(A: np.ndarray) -> float:
     return asym
 
 
+def _eigh(lapack, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.linalg.eigh(A)``: ``dsyevr`` on the lower triangle, with the
+    queried workspace sizes (f2py's default ``lwork`` gives other bits)."""
+    n = A.shape[0]
+    if n == 0:
+        return np.empty(0), np.empty((0, 0))
+    lwork, liwork, info = lapack.dsyevr_lwork(n=n, lower=True)
+    if not info:
+        evals, vecs, _, _, info = lapack.dsyevr(
+            a=A, overwrite_a=False, lower=True, compute_v=1,
+            lwork=int(lwork.real), liwork=int(liwork))
+    if info:
+        raise ConditioningError(f"eigendecomposition failed (info {info})")
+    return evals, vecs
+
+
 def _gram_eigh_solve(K: np.ndarray, Y: np.ndarray,
                      lam: float) -> tuple[np.ndarray, float, int]:
     """Spectral ridge solve; returns (alpha, smallest eigenvalue, modes cut)."""
-    import scipy.linalg
-    try:
-        evals, vecs = scipy.linalg.eigh(K, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConditioningError(f"eigendecomposition failed: {exc}") from exc
+    lapack = _lapack()
+    evals, vecs = _eigh(lapack, K)
     d_max = float(evals[-1]) if evals.size else 0.0
     cutoff = K.shape[0] * np.finfo(np.float64).eps * max(d_max, 0.0)
     kept = evals > cutoff
@@ -433,16 +483,17 @@ def psd_sqrt(S, rel_tol: float = 1e-10) -> np.ndarray:
 
     Eigenvalues below ``-rel_tol * ||S||`` raise
     :class:`~kernelcast.errors.InvalidInputError`; small negative values
-    within the tolerance are clipped to zero.
+    within the tolerance are clipped to zero; a failed eigendecomposition
+    raises :class:`~kernelcast.errors.ConditioningError`.
     """
-    import scipy.linalg
+    lapack = _lapack()
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InvalidInputError("S must be a square matrix")
     scale = _finite_scale("S", S)
     if _max_asymmetry(S) > SYMMETRY_RTOL * max(scale, 1e-300):
         raise InvalidInputError("S must be symmetric")
-    evals, vecs = scipy.linalg.eigh(S, check_finite=False)
+    evals, vecs = _eigh(lapack, S)
     norm = float(np.max(np.abs(evals))) if evals.size else 0.0
     if evals.size and float(np.min(evals)) < -rel_tol * max(norm, 1e-300):
         raise InvalidInputError(

@@ -922,6 +922,9 @@ class TestMissingArtifactKey:
         ("lorenz", "lorenz-volterra", "model.alpha", [[1.0]]),
         ("lorenz", "lorenz-volterra", "model.train_inputs", [[0.0, None]]),
         ("lorenz", "lorenz-volterra", "model.last_column", [1.0]),
+        # the column's first entry is the border 1 / (1 - theta^2)
+        ("lorenz", "lorenz-volterra", "model.last_column",
+         lambda column: [12345.0] + column[1:]),
         # a sample outside the Volterra kernel's domain ||z|| <= M (a
         # callable value edits the stored one)
         ("lorenz", "lorenz-volterra", "model.train_inputs",
@@ -1121,7 +1124,7 @@ class TestBench:
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # scipy subpackages that no stage loads: the package integrates, matches
-# and transforms on numpy, and factors on scipy.linalg
+# and transforms on numpy, and factors on SciPy's LAPACK extension alone
 DEFERRED_SCIPY = ("scipy.integrate", "scipy.signal", "scipy.optimize",
                   "scipy.spatial", "scipy.stats")
 # a first call of each function that once loaded a deferred subpackage
@@ -1162,9 +1165,10 @@ def _run_fresh(body: str) -> dict:
 
 class TestImportBoundary:
     """``import kernelcast.cli`` loads numpy and no scipy; only the stages
-    that solve (``fit``, ``cv``, the BEKK ``simulate``) load scipy.linalg,
-    and no stage loads another scipy subpackage: the package has its own
-    ODE, spectral and matching code."""
+    that solve (``fit``, ``cv``, the BEKK ``simulate``) load SciPy's LAPACK
+    extension, ``scipy/linalg/_flapack``, and no stage loads a scipy
+    subpackage, ``scipy.linalg`` included: the package has its own ODE,
+    spectral and matching code and calls LAPACK through that one module."""
 
     def test_cli_import_loads_no_deferred_scipy(self):
         loaded = _run_fresh(
@@ -1201,7 +1205,7 @@ class TestImportBoundary:
             f"print(json.dumps([code, loaded({heavy!r})]))")
         assert got == [0, []]
 
-    def test_every_stage_loads_only_scipy_linalg(self, tmp_path):
+    def test_no_stage_loads_a_scipy_package(self, tmp_path):
         # shipped presets at their shipped sizes, every stage in one process
         runs = [("lorenz-ngrc", ("simulate", "fit", "forecast", "eval")),
                 ("bekk-polynomial",
@@ -1215,8 +1219,9 @@ class TestImportBoundary:
             "        with contextlib.redirect_stdout(io.StringIO()):\n"
             "            codes.append(kernelcast.cli.main([stage, '--preset', "
             f"preset, '--out', {str(tmp_path)!r} + '/' + preset]))\n"
-            "print(json.dumps([codes, public_scipy_packages()]))")
-        assert got == [[0] * 10, ["scipy.linalg"]]
+            "print(json.dumps([codes, public_scipy_packages(), "
+            "'scipy.linalg' in sys.modules]))")
+        assert got == [[0] * 10, [], False]
 
     @pytest.mark.parametrize("preset, family, stage, loads", [
         ("lorenz-ngrc", "lorenz", "forecast", False),
@@ -1231,7 +1236,10 @@ class TestImportBoundary:
     def test_only_solving_stages_load_scipy_linalg(self, request, tmp_path,
                                                    preset, family, stage,
                                                    loads):
-        # shipped presets at their shipped sizes, one stage per process
+        # shipped presets at their shipped sizes, one stage per process;
+        # ``loads``: the stage loads SciPy's LAPACK extension, not the
+        # scipy.linalg package, and stays under 300 modules (a fit that
+        # imported scipy.linalg loaded 557)
         out = tmp_path / "exp"
         if family is not None:
             shipped = request.getfixturevalue(f"{family}_pipelines")
@@ -1241,13 +1249,17 @@ class TestImportBoundary:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = kernelcast.cli.main([{stage!r}, '--preset', "
             f"{preset!r}, '--out', {str(out)!r}])\n"
-            "print(json.dumps([code, 'scipy.linalg' in sys.modules]))")
-        assert got == [0, loads]
+            "print(json.dumps([code, 'scipy.linalg' in sys.modules, "
+            "kernelcast.linsolve._lapack.cache_info().currsize == 1, "
+            "len(sys.modules)]))")
+        assert got[:3] == [0, False, loads]
+        assert got[3] < 300
 
     @pytest.mark.parametrize("module", sorted(
         p.name for p in (SRC / "kernelcast").glob("*.py")))
     def test_no_module_imports_scipy_at_module_level(self, module):
-        # scipy.linalg alone costs about 0.3 s of every stage's start-up
+        # a module-level import would load SciPy in every stage; only the
+        # solving stages load it, and then only its LAPACK extension
         path = SRC / "kernelcast" / module
         nodes = list(ast.parse(path.read_text(), str(path)).body)
         found = []

@@ -65,6 +65,18 @@ class TestKinds:
         with pytest.raises(InvalidInputError, match="series too short"):
             fit_task("ngrc", HYPER["ngrc"], (short_series(2),))
 
+    @pytest.mark.parametrize("name, value", [
+        ("output_kinds", ["standardize"]),
+        ("share_output_pipeline", True),
+    ])
+    @pytest.mark.parametrize("train", ["series", "pairs"])
+    def test_the_task_picks_its_output_transforms(self, name, value, train):
+        X = short_series(50)
+        span = (X,) if train == "series" else (X, X)
+        with pytest.raises(InvalidInputError, match=name):
+            fit_task("ngrc", {"tau": 1, "p": 2, "lam_reg": 0.1}, span,
+                     **{name: value})
+
     @pytest.mark.parametrize("kind", sorted(HYPER))
     def test_rollout_reads_only_the_last_tau_seed_rows(self, kind):
         series = short_series()

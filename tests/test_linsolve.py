@@ -1,3 +1,11 @@
+import json
+import os
+import re
+import subprocess
+import sys
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import lapack
 
 from kernelcast import linsolve
-from kernelcast.errors import InvalidInputError
+from kernelcast.errors import ConditioningError, InvalidInputError
 from kernelcast.linsolve import (
     GramRows,
     psd_sqrt,
@@ -291,3 +299,143 @@ class TestModesCut:
         sol = solve_ridge_gram(u @ u.T, np.ones(40), 1e-6)
         assert sol.method == "eigh"
         assert sol.modes_cut == 37  # rank 3
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Each case at the size of a shipped solve, on the route it names.  The
+# reference runs the same solve with every LAPACK call made through
+# scipy.linalg: its lapack functions, cho_solve and eigh.
+_LOADER_CASES = """
+import json, sys, types
+import numpy as np
+from kernelcast import linsolve
+
+rng = np.random.default_rng(23)
+
+
+def primal(n):
+    X, Y = rng.standard_normal((n, 28)), rng.standard_normal((n, 3))
+    return lambda: linsolve.solve_ridge_primal(X, Y, 1e-6)
+
+
+def gram_jittered(n):  # K + lam I indefinite by 5e-11 max|K|
+    B = rng.standard_normal((n, 40))
+    K = B @ B.T
+    K[np.diag_indices(n)] -= 5e-11 * np.abs(K).max()
+    Y = rng.standard_normal((n, 3))
+    return lambda: linsolve.solve_ridge_gram(K, Y, 1e-16)
+
+
+def gram_eigh(n):
+    Z = rng.uniform(-1.0, 1.0, (n, 3))
+    K, Y = (1.0 + Z @ Z.T) ** 2, rng.standard_normal((n, 3))
+    return lambda: linsolve.solve_ridge_gram(K, Y, 1e-6)
+
+
+def sqrt(n):
+    A = rng.standard_normal((n, n))
+    S = A @ A.T
+    return lambda: linsolve.psd_sqrt(S)
+
+
+CASES = {"primal-refined": lambda: primal(400),
+         "primal-plain": lambda: primal(5000),
+         "gram-rfp-jittered": lambda: gram_jittered(1100),
+         "gram-eigh": lambda: gram_eigh(800),
+         "psd-sqrt": lambda: sqrt(15)}
+
+
+def results(solve):
+    out = solve()
+    if isinstance(out, np.ndarray):
+        return out, None
+    return out.coefficients, [out.method, out.jitter, out.smallest_pivot,
+                              out.modes_cut]
+
+
+def through_scipy_linalg(solve):
+    import scipy.linalg
+    lapack = types.SimpleNamespace(
+        dpotrf=scipy.linalg.lapack.dpotrf, dtrttf=scipy.linalg.lapack.dtrttf,
+        dpftrf=scipy.linalg.lapack.dpftrf, dpftrs=scipy.linalg.lapack.dpftrs,
+        dpotrs=lambda L, B, lower, overwrite_b: (scipy.linalg.cho_solve(
+            (L, lower), B, check_finite=False), 0))
+    linsolve._lapack = lambda: lapack
+    linsolve._eigh = lambda _, A: scipy.linalg.eigh(A, check_finite=False)
+    return results(solve)
+"""
+
+
+def _run_fresh(body: str):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _LOADER_CASES + body],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestLapackLoader:
+    """``linsolve`` reaches LAPACK through SciPy's extension module alone,
+    with the bits ``scipy.linalg`` gives, whichever of the two is loaded
+    first."""
+
+    @pytest.mark.parametrize("case", ["primal-refined", "primal-plain",
+                                      "gram-rfp-jittered", "gram-eigh",
+                                      "psd-sqrt"])
+    @pytest.mark.parametrize("first", ["loader", "scipy.linalg"])
+    def test_same_bits_as_scipy_linalg(self, case, first):
+        got = _run_fresh(
+            f"solve = CASES[{case!r}]()\n"
+            f"if {first!r} == 'loader':\n"
+            "    value, route = results(solve)\n"
+            "    hidden = 'scipy.linalg' not in sys.modules\n"
+            "    import scipy.linalg\n"
+            "    hidden = hidden and hasattr(scipy.linalg, '_flapack')\n"
+            "else:\n"
+            "    import scipy.linalg\n"
+            "    hidden = linsolve._lapack() is sys.modules["
+            "'scipy.linalg._flapack']\n"
+            "    value, route = results(solve)\n"
+            "ref_value, ref_route = through_scipy_linalg(solve)\n"
+            "print(json.dumps([hidden, bool(np.array_equal(value, ref_value)),"
+            " route == ref_route, route]))")
+        hidden, same_bits, same_route, route = got
+        assert hidden and same_bits and same_route
+        if route is not None:
+            method, jitter = route[:2]
+            assert method == {"primal-refined": "cholesky-refined",
+                              "gram-eigh": "eigh"}.get(case, "cholesky")
+            assert (jitter > 0.0) == (case == "gram-rfp-jittered")
+
+    def test_failed_eigendecomposition_is_a_conditioning_error(
+            self, monkeypatch):
+        real = linsolve._lapack()
+        failing = types.SimpleNamespace(
+            dsyevr_lwork=real.dsyevr_lwork,
+            dsyevr=lambda **kw: (*real.dsyevr(**kw)[:4], 1))
+        monkeypatch.setattr(linsolve, "_lapack", lambda: failing)
+        S = np.array([[2.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(ConditioningError, match="eigendecomposition"):
+            solve_ridge_gram(S, np.ones(2), 1e-3)
+        with pytest.raises(ConditioningError, match="eigendecomposition"):
+            psd_sqrt(S)
+
+    def test_empty_matrix_has_no_modes(self):
+        # dsyevr itself rejects n = 0; scipy.linalg.eigh returns empty arrays
+        assert psd_sqrt(np.empty((0, 0))).shape == (0, 0)
+        sol = solve_ridge_gram(np.empty((0, 0)), np.empty(0), 1.0)
+        assert sol.coefficients.shape == (0,) and sol.method == "eigh"
+
+    def test_missing_extension_names_its_path(self, monkeypatch, tmp_path):
+        import scipy
+
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(scipy, "__file__",
+                            str(tmp_path / "scipy" / "__init__.py"))
+        linsolve._lapack.cache_clear()
+        try:
+            with pytest.raises(ImportError, match=re.escape(
+                    str(tmp_path / "scipy" / "linalg" / "_flapack"))):
+                linsolve._lapack()
+        finally:
+            linsolve._lapack.cache_clear()
