@@ -173,13 +173,13 @@ def _rollout_score(run) -> tuple[float, str | None]:
     return float(np.mean((run.predicted - run.reference) ** 2)), None
 
 
-def _score_fold(kind, params, task_mode, span, fold: Fold, fit_kw):
+def _score_fold(kind, params, task_mode, span, fold: Fold):
     """(score, why it is infinite, inputs projected) of one fold: the task
     run on the fold's validation rows of every array in ``span`` by an
     estimator fitted on its training rows."""
     train = tuple(a[fold.train_start:fold.train_stop] for a in span)
     val = tuple(a[fold.val_start:fold.val_stop] for a in span)
-    est = fit_task(kind, params, train, **fit_kw)
+    est = fit_task(kind, params, train)
     run = forecast_task(est, task_mode, train, val,
                         fold.val_stop - fold.val_start)
     return (*_rollout_score(run), run.projected)
@@ -195,7 +195,7 @@ def _tie_break_key(item):
 
 
 def grid_search(estimator_kind: str, grid: Grid, plan: FoldPlan,
-                task_mode: str, train: tuple, fit_kw: dict | None = None,
+                task_mode: str, train: tuple,
                 fixed_hyper: dict | None = None) -> GridSearchResult:
     """Exhaustive search over the feasible grid.
 
@@ -207,8 +207,6 @@ def grid_search(estimator_kind: str, grid: Grid, plan: FoldPlan,
     inside every fold, so validation slices never contribute statistics.
     """
     check_task(task_mode, train)
-    fit_kw = dict(fit_kw or {})
-    fixed_hyper = dict(fixed_hyper or {})
     feasible, pruned = grid.candidates(estimator_kind)
     if not feasible:
         raise GridSearchError("no feasible candidates in the grid")
@@ -217,14 +215,14 @@ def grid_search(estimator_kind: str, grid: Grid, plan: FoldPlan,
 
     table = []
     for params in feasible:
-        full = {**fixed_hyper, **params}
+        full = {**(fixed_hyper or {}), **params}
         fold_scores = []
         failures = []
         projected = []
         for k, fold in enumerate(plan.folds, 1):
             try:
                 score, reason, count = _score_fold(
-                    estimator_kind, full, task_mode, span, fold, fit_kw)
+                    estimator_kind, full, task_mode, span, fold)
             except KernelcastError as exc:
                 # candidate-level failure, not fatal
                 score, reason, count = float("inf"), str(exc), None

@@ -12,8 +12,8 @@ chain (:data:`PAIR_OUTPUT_TRANSFORMS`).  Training rows come from
 
 :func:`fit_task` fits a task's training span, a series or input/output
 pairs, and is the one fit that ``fit`` and ``cv`` run;
-:func:`fit_estimator` fits raw inputs and targets with any transform
-chains.  :func:`hyper_value` reads a hyperparameter through
+:func:`fit_estimator` fits raw inputs, through the kind's chain, and
+targets.  :func:`hyper_value` reads a hyperparameter through
 :func:`~kernelcast.errors.int_in` or :func:`~kernelcast.errors.positive`:
 a bool or a string is never a number.
 """
@@ -52,9 +52,8 @@ OPTIONAL_HYPER = {"ngrc": ("washout",), "polynomial": ("c", "washout"),
 # Input transform chain of each kind.  NG-RC runs on raw data, and its
 # dot-product dual must see exactly the NG-RC inputs; the polynomial kernel
 # rescales inputs into [0, 1] per dimension; the Volterra kernel demeans and
-# then rescales so the largest training row norm equals the fit's
-# ``headroom`` (0.95 leaves room for test excursions before they are
-# projected onto the norm ball).
+# then rescales so the largest training row norm is
+# :data:`kernelcast.preprocess.MAX_NORM`.
 INPUT_TRANSFORMS = {"ngrc": [], "ngrc-kernel": [], "polynomial": ["minmax01"],
                     "volterra": ["demean", "max-norm-scale"]}
 # Output transform chain of input/output pairs, whose outputs are BEKK
@@ -67,6 +66,12 @@ _KIND_MODELS = {"ngrc": ("ngrc-model/1",),
 # The integer hyperparameters and their least values; every other one is a
 # positive finite float.
 _INT_HYPER = {"tau": 1, "p": 1, "washout": 0}
+
+
+def _rows(values) -> np.ndarray:
+    """``values`` as float64 sample rows; a 1-d array is one column."""
+    v = np.asarray(values, dtype=np.float64)
+    return v[:, None] if v.ndim == 1 else v
 
 
 def hyper_value(name: str, value):
@@ -145,11 +150,12 @@ class Estimator:
 
         Lagged estimators embed the test inputs as a continuation of the
         training inputs, reusing the stored raw tail for the first windows.
-        A Volterra estimator steps ``ext`` (see ``predict_kernel``).
+        A Volterra estimator steps ``ext`` (see ``predict_kernel``).  An
+        empty ``test_inputs`` raises :class:`InvalidInputError`.
         """
-        raw = np.asarray(test_inputs, dtype=np.float64)
-        if raw.ndim == 1:
-            raw = raw[:, None]
+        raw = _rows(test_inputs)
+        if raw.shape[0] < 1:
+            raise InvalidInputError("open loop needs at least one test input")
         transformed = preprocess.apply_pipeline(self.input_specs, raw)
         if self.kind == "volterra":
             preds = predict_kernel(self.model, transformed, ext)
@@ -172,9 +178,7 @@ class Estimator:
     def start(self, seed_history) -> "_Stepper":
         """Closed-loop stepper primed with the last ``tau`` raw seed samples;
         earlier rows are ignored."""
-        seed = np.asarray(seed_history, dtype=np.float64)
-        if seed.ndim == 1:
-            seed = seed[:, None]
+        seed = _rows(seed_history)
         if seed.shape[0] < self.tau:
             raise InvalidInputError(
                 f"seed of length {seed.shape[0]} is shorter than {self.tau}"
@@ -185,11 +189,10 @@ class Estimator:
             return _VolterraStepper(self, self.model.extension(), seed_t[0])
         return _LaggedStepper(self, list(seed_t))
 
-    def _finish(self, model_output: np.ndarray) -> np.ndarray:
-        return preprocess.invert_pipeline(self.output_specs, model_output)
-
 
 class _LaggedStepper:
+    projected = 0  # lagged inputs are never projected
+
     def __init__(self, est: Estimator, window: list):
         self._est = est
         self._window = window
@@ -197,7 +200,7 @@ class _LaggedStepper:
     def step(self) -> np.ndarray:
         v = np.concatenate(self._window)
         y_model = self._est._predict_windows(v[None, :])[0]
-        y_raw = self._est._finish(y_model)
+        y_raw = preprocess.invert_pipeline(self._est.output_specs, y_model)
         nxt = preprocess.apply_pipeline(self._est.input_specs,
                                         y_raw[None, :])[0]
         self._window.pop(0)
@@ -219,15 +222,14 @@ class _VolterraStepper:
         col = self._ext.step(self._pending)
         model = self._est.model
         y_model = col[model.washout:] @ model.alpha
-        y_raw = self._est._finish(y_model)
+        y_raw = preprocess.invert_pipeline(self._est.output_specs, y_model)
         self._pending = preprocess.apply_pipeline(self._est.input_specs,
                                                   y_raw[None, :])[0]
         return y_raw
 
 
 def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
-                  input_kinds=None, output_kinds=(), headroom: float = 0.95,
-                  share_output_pipeline: bool = False) -> Estimator:
+                  outputs=()) -> Estimator:
     """Fit one estimator with train-fitted preprocessing.
 
     Parameters
@@ -245,47 +247,39 @@ def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
         ``M`` for Volterra; each value is typed by ``hyper_value``.  Every
         kind reads an optional ``washout`` (default 0): the training rows
         dropped after the first full window (Volterra: after the first
-        sample).
+        sample).  A missing required name, or a name that the kind does not
+        read (:data:`OPTIONAL_HYPER`), raises :class:`InvalidInputError`.
     inputs, targets : arrays
         Raw aligned samples; targets may be the shifted inputs for
-        path-continuation tasks.
-    input_kinds, output_kinds
-        Transform chains; ``None`` selects the kind's
+        path-continuation tasks.  The inputs go through the kind's
         :data:`INPUT_TRANSFORMS`.
-    headroom : float
-        Target training norm for the Volterra max-norm rescale.
-    share_output_pipeline : bool
-        Reuse the fitted input transforms on the target side.  This is the
-        path-continuation convention: inputs and targets are one series, so
-        the regression runs entirely in the normalized space and closed-loop
-        feedback needs no round trip.
+    outputs : sequence of str or None
+        The targets' transform chain, or ``None`` to reuse the fitted input
+        transforms.  Sharing is the path-continuation convention: inputs and
+        targets are one series, so the regression runs entirely in the
+        normalized space and closed-loop feedback needs no round trip.
     """
     if kind not in REQUIRED_HYPER:
         raise InvalidInputError(f"unknown estimator kind {kind!r}")
+    readable = (*REQUIRED_HYPER[kind], *OPTIONAL_HYPER[kind])
+    for what, names in (
+            ("needs", [n for n in REQUIRED_HYPER[kind] if n not in hyper]),
+            ("reads no", [str(n) for n in hyper if n not in readable])):
+        if names:
+            raise InvalidInputError(f"{kind} {what} hyperparameter "
+                                    + ", ".join(names))
     hyper = {name: hyper_value(name, value) for name, value in hyper.items()}
-    X_raw = np.asarray(inputs, dtype=np.float64)
-    if X_raw.ndim == 1:
-        X_raw = X_raw[:, None]
-    Y_raw = np.asarray(targets, dtype=np.float64)
-    if Y_raw.ndim == 1:
-        Y_raw = Y_raw[:, None]
+    X_raw, Y_raw = _rows(inputs), _rows(targets)
 
-    if input_kinds is None:
-        input_kinds = INPUT_TRANSFORMS[kind]
-    input_specs = preprocess.fit_pipeline(input_kinds, X_raw,
-                                          target_norm=headroom)
-    if share_output_pipeline:
-        if output_kinds:
-            raise InvalidInputError(
-                "output_kinds and share_output_pipeline are exclusive"
-            )
+    input_specs = preprocess.fit_pipeline(INPUT_TRANSFORMS[kind], X_raw)
+    if outputs is None:
         if Y_raw.shape[1] != X_raw.shape[1]:
             raise InvalidInputError(
                 "shared pipelines need matching input/output dimensions"
             )
         output_specs = input_specs
     else:
-        output_specs = preprocess.fit_pipeline(output_kinds, Y_raw)
+        output_specs = preprocess.fit_pipeline(outputs, Y_raw)
     X = preprocess.apply_pipeline(input_specs, X_raw)
     Y = preprocess.apply_pipeline(output_specs, Y_raw)
 
@@ -313,9 +307,9 @@ def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
         model = fit_kernel_model(X, Y, kernel, hyper["lam_reg"],
                                  washout=washout)
 
-    tail_len = max(hyper.get("tau", 1), 1)
-    return Estimator(kind, hyper, model, input_specs, output_specs,
-                     input_tail=X_raw[-tail_len:].copy())
+    est = Estimator(kind, hyper, model, input_specs, output_specs)
+    est.input_tail = X_raw[-est.tau:].copy()
+    return est
 
 
 def _n_features(tau: int, d: int, p: int) -> int:
@@ -402,24 +396,19 @@ def estimator_from_dict(doc: dict, source: str = "estimator document",
     return est
 
 
-def fit_task(kind: str, hyper: dict, train: tuple, **kw) -> Estimator:
+def fit_task(kind: str, hyper: dict, train: tuple) -> Estimator:
     """Fit :func:`fit_estimator` on a task's training span.
 
     A series ``(values,)`` is fitted on its one-step-ahead pairs, with its
-    input transforms shared by the targets (``share_output_pipeline``);
+    input transforms shared by the targets (``outputs=None``);
     ``(inputs, outputs)`` are fitted as paired, with the outputs through
     :data:`PAIR_OUTPUT_TRANSFORMS`.  A closed-loop rollout after the series
     starts from it: :meth:`Estimator.start` reads its last ``tau`` rows.
-    The output transforms are the task's: ``kw`` sets neither.
     """
-    for name in ("output_kinds", "share_output_pipeline"):
-        if name in kw:
-            raise InvalidInputError(f"fit_task sets {name} itself")
     if len(train) > 1:
         return fit_estimator(kind, hyper, *train,
-                             output_kinds=PAIR_OUTPUT_TRANSFORMS, **kw)
+                             outputs=PAIR_OUTPUT_TRANSFORMS)
     values = np.asarray(train[0], dtype=np.float64)
     if values.shape[0] < 3:
         raise InvalidInputError("series too short to form training pairs")
-    return fit_estimator(kind, hyper, values[:-1], values[1:],
-                         share_output_pipeline=True, **kw)
+    return fit_estimator(kind, hyper, values[:-1], values[1:], outputs=None)

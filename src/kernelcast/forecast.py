@@ -94,9 +94,9 @@ def path_continue(estimator, seed_history, horizon: int) -> ForecastRun:
     """Autoregressive rollout of ``horizon`` steps from ``seed_history``.
 
     ``estimator`` must provide ``start(seed) -> stepper`` with
-    ``stepper.step() -> next raw prediction`` and, optionally,
-    ``stepper.projected`` (see :mod:`kernelcast.estimators`).  The run has
-    no reference; :func:`forecast_task` attaches one.
+    ``stepper.step() -> next raw prediction`` and ``stepper.projected``
+    (see :mod:`kernelcast.estimators`).  The run has no reference;
+    :func:`forecast_task` attaches one.
     """
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
@@ -119,7 +119,7 @@ def path_continue(estimator, seed_history, horizon: int) -> ForecastRun:
             steps = k
     predicted = predicted[:steps]
     return ForecastRun("path-continuation", horizon, predicted, None, error,
-                       error_step, getattr(stepper, "projected", 0))
+                       error_step, stepper.projected)
 
 
 def open_loop(estimator, test_inputs) -> ForecastRun:
@@ -151,15 +151,18 @@ def forecast_task(estimator, mode: str, train: tuple, test: tuple,
     of the training series; open loop predicts once per test input, and a
     series' inputs are its samples one step behind its outputs.  The run's
     ``reference`` is the test outputs it predicts, one row per predicted
-    row (a truncated rollout keeps the rows before its failure).
+    row (a truncated rollout keeps the rows before its failure).  A
+    ``horizon`` below 1 raises :class:`InvalidInputError`.
     """
     check_task(mode, train)
+    if horizon < 1:
+        raise InvalidInputError("horizon must be >= 1")
     reference = test[-1][:min(horizon, len(test[-1]))]
     if mode == "path-continuation":
         run = path_continue(estimator, train[0], reference.shape[0])
     elif len(test) == 1:
-        run = open_loop(estimator,
-                        np.concatenate([train[0][-1:], reference[:-1]]))
+        run = open_loop(estimator, np.concatenate(
+            [train[0][-1:], reference])[:reference.shape[0]])
     else:
         run = open_loop(estimator, test[0][:reference.shape[0]])
     run.reference = reference[:run.predicted.shape[0]]

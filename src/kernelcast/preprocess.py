@@ -8,8 +8,8 @@ from the test span.  Kinds:
 * ``standardize``         per-dimension (x - mean) / std,
 * ``demean``              per-dimension x - mean,
 * ``max-norm-scale``      global rescale so the largest training row norm
-                          equals ``target_norm``,
-* ``constant-scale``      multiply by a fixed constant.
+                          equals :data:`MAX_NORM`,
+* ``constant-scale``      multiply by :data:`CONSTANT`.
 """
 
 from __future__ import annotations
@@ -24,6 +24,10 @@ KINDS = ("minmax01", "standardize", "demean", "max-norm-scale",
          "constant-scale")
 
 _FLOOR = 1e-12
+# The largest training row norm after ``max-norm-scale``: 0.95 leaves room
+# for test excursions before they are projected onto the norm ball.
+MAX_NORM = 0.95
+CONSTANT = 1000.0
 
 
 @dataclass
@@ -103,8 +107,7 @@ def _values(x) -> np.ndarray:
     return v
 
 
-def fit(kind: str, train, *, constant: float = 1000.0,
-        target_norm: float = 1.0) -> TransformSpec:
+def fit(kind: str, train) -> TransformSpec:
     """Fit one transform on training rows only."""
     V = _values(train)
     if kind == "minmax01":
@@ -126,20 +129,16 @@ def fit(kind: str, train, *, constant: float = 1000.0,
     if kind == "demean":
         return TransformSpec("demean", shift=V.mean(axis=0))
     if kind == "max-norm-scale":
-        if not 0 < target_norm < np.inf:
-            raise InvalidInputError("target_norm must be positive and finite")
         max_norm = float(np.max(np.linalg.norm(V, axis=1)))
         degenerate = (0,) if max_norm < _FLOOR else ()
-        divisor = max(max_norm, _FLOOR) / float(target_norm)
-        return TransformSpec("max-norm-scale", scale=divisor,
+        return TransformSpec("max-norm-scale",
+                             scale=max(max_norm, _FLOOR) / MAX_NORM,
                              degenerate_dims=degenerate,
                              meta={"max_norm": max_norm,
-                                   "target_norm": float(target_norm)})
+                                   "target_norm": MAX_NORM})
     if kind == "constant-scale":
-        if not constant != 0:
-            raise InvalidInputError("constant must be nonzero")
-        return TransformSpec("constant-scale", scale=1.0 / float(constant),
-                             meta={"constant": float(constant)})
+        return TransformSpec("constant-scale", scale=1.0 / CONSTANT,
+                             meta={"constant": CONSTANT})
     raise InvalidInputError(f"unknown transform kind {kind!r}")
 
 
@@ -160,13 +159,12 @@ def invert(spec: TransformSpec, x) -> np.ndarray:
     return out
 
 
-def fit_pipeline(kinds, train, *, constant: float = 1000.0,
-                 target_norm: float = 1.0) -> list[TransformSpec]:
+def fit_pipeline(kinds, train) -> list[TransformSpec]:
     """Fit a transform chain; each stage sees the previous stage's output."""
     specs: list[TransformSpec] = []
     current = _values(train)
     for kind in kinds:
-        spec = fit(kind, current, constant=constant, target_norm=target_norm)
+        spec = fit(kind, current)
         specs.append(spec)
         current = apply(spec, current)
     return specs

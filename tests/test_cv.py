@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kernelcast import preprocess
 from kernelcast.cv import (
     CandidateResult,
     Grid,
@@ -221,8 +222,7 @@ class TestGridSearch:
         grid = Grid(lams=[0.5], thetas=[0.4], lam_regs=[1e-6])
         plan = overlapping_folds(300, 150, 40, 110)
         result = grid_search("volterra", grid, plan, "path-continuation",
-                             (series,), fixed_hyper={"washout": 20},
-                             fit_kw={"headroom": 0.9})
+                             (series,), fixed_hyper={"washout": 20})
         assert "lam" in result.best
 
     def test_leaderboard_csv(self, tmp_path):
@@ -292,8 +292,7 @@ class TestGridSearch:
         plan = overlapping_folds(400, 150, 40, 110)
         result = grid_search("volterra", grid, plan, "path-continuation",
                              (np.linspace(0.0, 1.0, 400),),
-                             fixed_hyper={"washout": 20},
-                             fit_kw={"headroom": 1.0})
+                             fixed_hyper={"washout": 20})
         [row] = result.table
         assert len(row.fold_mse) == 2
         assert all(math.isfinite(s) for s in row.fold_mse)
@@ -302,17 +301,27 @@ class TestGridSearch:
     @pytest.mark.filterwarnings("ignore:only .* the fit is underdetermined")
     def test_folds_record_projected_inputs(self):
         # on a rising ramp every validation input lies beyond the training
-        # inputs, outside their norm ball
+        # inputs; those that the fold's input transforms put outside the
+        # norm ball (M = 1) are projected
         ramp = np.linspace(0.0, 1.0, 300)[:, None]
         plan = expanding_folds(300, 3)
+        hyper = {"lam": 0.5, "theta": 0.4, "lam_reg": 1e-6}
         result = grid_search("volterra",
                              Grid(lams=[0.5], thetas=[0.4], lam_regs=[1e-6]),
                              plan, "open-loop", (ramp, ramp ** 2),
-                             fixed_hyper={"washout": 20},
-                             fit_kw={"headroom": 1.0})
+                             fixed_hyper={"washout": 20})
+        expected = []
+        for fold in plan.folds:
+            train = ramp[fold.train_start:fold.train_stop]
+            est = fit_task("volterra", {**hyper, "washout": 20},
+                           (train, train ** 2))
+            z = preprocess.apply_pipeline(
+                est.input_specs, ramp[fold.val_start:fold.val_stop])
+            expected.append(int(np.sum(np.linalg.norm(z, axis=1) > 1.0)))
+        assert all(count > 0 for count in expected)
         [row] = result.table
-        assert row.fold_projected == [100, 100]
-        assert row.describe()["fold_projected"] == [100, 100]
+        assert row.fold_projected == expected
+        assert row.describe()["fold_projected"] == expected
         # a lagged kind projects nothing; a fold whose fit raised (tau 150
         # on 100 training rows) counts nothing either
         result = grid_search("ngrc", Grid(taus=[1, 150], ps=[1],

@@ -57,7 +57,7 @@ class TestKinds:
         series = short_series()
         est = fit_task(kind, HYPER[kind], (series,))
         pairs = fit_estimator(kind, HYPER[kind], series[:-1], series[1:],
-                              share_output_pipeline=True)
+                              outputs=None)
         assert est.output_specs is est.input_specs
         assert estimator_to_dict(est) == estimator_to_dict(pairs)
 
@@ -65,17 +65,21 @@ class TestKinds:
         with pytest.raises(InvalidInputError, match="series too short"):
             fit_task("ngrc", HYPER["ngrc"], (short_series(2),))
 
-    @pytest.mark.parametrize("name, value", [
-        ("output_kinds", ["standardize"]),
-        ("share_output_pipeline", True),
+    @pytest.mark.parametrize("kind, hyper, name", [
+        ("ngrc", {"tau": 1, "p": 2}, "needs hyperparameter lam_reg"),
+        ("ngrc", {"tau": 1, "p": 2, "lam_reg": 0.1, "washot": 3},
+         "reads no hyperparameter washot"),
+        ("volterra", {"lam": 0.5, "theta": 0.3, "lam_reg": 1e-6, "tau": 4},
+         "reads no hyperparameter tau"),
     ])
-    @pytest.mark.parametrize("train", ["series", "pairs"])
-    def test_the_task_picks_its_output_transforms(self, name, value, train):
-        X = short_series(50)
-        span = (X,) if train == "series" else (X, X)
-        with pytest.raises(InvalidInputError, match=name):
-            fit_task("ngrc", {"tau": 1, "p": 2, "lam_reg": 0.1}, span,
-                     **{name: value})
+    def test_hyperparameter_names_are_the_kinds(self, kind, hyper, name):
+        with pytest.raises(InvalidInputError, match=f"^{kind} {name}$"):
+            fit_task(kind, hyper, (short_series(50),))
+
+    @pytest.mark.parametrize("kind", sorted(HYPER))
+    def test_the_input_tail_is_one_window_of_the_model(self, kind):
+        est = fit_task(kind, HYPER[kind], (short_series(),))
+        assert est.input_tail.shape[0] == est.tau
 
     @pytest.mark.parametrize("kind", sorted(HYPER))
     def test_rollout_reads_only_the_last_tau_seed_rows(self, kind):
@@ -166,13 +170,6 @@ class TestNumberReaders:
             with pytest.raises(InvalidInputError, match=f"^{name} must"):
                 hyper_value(name, value)
 
-    @pytest.mark.parametrize("headroom", [0, -0.5, math.nan])
-    def test_volterra_headroom_must_be_positive(self, headroom):
-        series = short_series()
-        with pytest.raises(InvalidInputError, match="target_norm"):
-            fit_estimator("volterra", HYPER["volterra"], series[:-1],
-                          series[1:], headroom=headroom)
-
 
 class TestModelDocuments:
     @pytest.mark.parametrize("kind", ["ngrc", "polynomial", "volterra"])
@@ -201,7 +198,7 @@ class TestPolynomialRoute:
     def fit(self, n):
         series = short_series(n + 1)
         return fit_estimator("polynomial", self.HYPER, series[:-1],
-                             series[1:], share_output_pipeline=True)
+                             series[1:], outputs=None)
 
     def test_n_equal_to_features_is_primal(self):
         est = self.fit(6)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kernelcast import preprocess
 from kernelcast.errors import InvalidInputError, MissingKeyError, ParseError
 from kernelcast.estimators import fit_estimator, fit_task
 from kernelcast.forecast import (
@@ -13,10 +14,12 @@ from kernelcast.forecast import (
     path_continue,
     valid_time,
 )
+from kernelcast.kernels import predict_kernel
 
 
 class _ScalarMapEstimator:
-    """Minimal closed-loop protocol: next = factor * current."""
+    """Minimal closed-loop protocol: next = factor * current, nothing
+    projected."""
 
     def __init__(self, factor):
         self.factor = factor
@@ -26,6 +29,8 @@ class _ScalarMapEstimator:
         est = self
 
         class Stepper:
+            projected = 0
+
             def __init__(self):
                 self.state = seed[-1].copy()
 
@@ -148,6 +153,25 @@ class TestForecastTask:
         with pytest.raises(InvalidInputError, match=match):
             forecast_task(est, mode, span, span, 10)
 
+    KINDS = {"ngrc": HYPER, "polynomial": HYPER,
+             "volterra": {"lam": 0.5, "theta": 0.4, "lam_reg": 1e-6}}
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_no_step_to_predict_is_rejected(self, kind):
+        values = self.series()
+        series, pairs = (values[:60],), (values[:60], values[1:61])
+        runs = [(series, "path-continuation"), (series, "open-loop"),
+                (pairs, "open-loop")]
+        for train, mode in runs:
+            est = fit_task(kind, self.KINDS[kind], train)
+            with pytest.raises(InvalidInputError, match="horizon must be"):
+                forecast_task(est, mode, train, train, 0)
+            empty = tuple(a[:0] for a in train)
+            with pytest.raises(InvalidInputError, match="at least one test"):
+                forecast_task(est, "open-loop", train, empty, 10)
+            with pytest.raises(InvalidInputError, match="at least one test"):
+                open_loop(est, train[0][:0])
+
 
 class TestVolterraRollout:
     def test_norm_violation_truncates(self):
@@ -157,10 +181,11 @@ class TestVolterraRollout:
         est = fit_task(
             "volterra",
             {"lam": 0.5, "theta": 0.5, "lam_reg": 1e-8, "washout": 4},
-            (series,), input_kinds=[])  # no rescaling: raw feedback can escape
-        # force escape by seeding outside the training envelope; inputs that
-        # leave the ball are projected onto it, so the run keeps its length
-        run = path_continue(est, np.array([[0.999]]), 200)
+            (series,))
+        # force escape by seeding far outside the training envelope; inputs
+        # that leave the ball are projected onto it, so the run keeps its
+        # length
+        run = path_continue(est, np.array([[100.0]]), 200)
         assert not run.truncated and run.error_step is None
         assert run.predicted.shape == (200, 1)
         assert np.all(np.isfinite(run.predicted))
@@ -171,14 +196,19 @@ class TestVolterraRollout:
         inputs = rng.normal(size=(60, 1)) * 0.1
         est = fit_estimator("volterra", {"lam": 0.5, "theta": 0.5,
                                          "lam_reg": 1e-8, "washout": 4},
-                            inputs[:-1], inputs[1:], input_kinds=[])
-        test = np.array([[0.5], [3.0], [-2.0], [0.1]])
+                            inputs[:-1], inputs[1:])
+        # two training inputs, inside the ball, and two far outside it
+        test = np.array([inputs[0], [100.0], [-100.0], inputs[5]])
         run = open_loop(est, test)
         assert run.projected == 2 and not run.truncated
-        # the projected inputs score as their images on the ball
-        onto = open_loop(est, np.array([[0.5], [1.0], [-1.0], [0.1]]))
-        assert onto.projected == 0
-        np.testing.assert_array_equal(run.predicted, onto.predicted)
+        # the projected inputs score as their images on the ball (M = 1),
+        # scaled as the extension scales them
+        z = preprocess.apply_pipeline(est.input_specs, test)
+        onto = np.array([v * (1.0 / math.sqrt(v @ v)) if v @ v > 1.0 else v
+                         for v in z])
+        assert np.sum(np.any(onto != z, axis=1)) == 2
+        np.testing.assert_array_equal(predict_kernel(est.model, z),
+                                      predict_kernel(est.model, onto))
 
 
 class TestValidTime:

@@ -21,9 +21,10 @@ class TestFit:
     def test_max_norm_scale(self):
         spec = preprocess.fit("max-norm-scale",
                               np.array([[3.0, 4.0], [0.0, 1.0]]))
-        assert spec.scale == pytest.approx(5.0)
+        assert spec.scale == pytest.approx(5.0 / 0.95)
         out = preprocess.apply(spec, np.array([[3.0, 4.0]]))
-        assert np.linalg.norm(out) == pytest.approx(1.0)
+        assert np.linalg.norm(out) == pytest.approx(preprocess.MAX_NORM)
+        assert preprocess.MAX_NORM == 0.95
 
     def test_degenerate_range_flagged(self):
         spec = preprocess.fit("minmax01", np.array([[1.0, 2.0], [1.0, 5.0]]))
@@ -48,7 +49,7 @@ class TestApplyInvert:
         np.testing.assert_allclose(back, data, rtol=1e-12, atol=1e-12)
 
     def test_constant_scale_factor_1000(self):
-        spec = preprocess.fit("constant-scale", np.ones((2, 1)), constant=1000.0)
+        spec = preprocess.fit("constant-scale", np.ones((2, 1)))
         out = preprocess.apply(spec, np.array([[0.004]]))
         assert out[0, 0] == pytest.approx(4.0)
 
@@ -92,22 +93,14 @@ class TestPipelines:
     def test_headroom_target(self):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(50, 2))
-        specs = preprocess.fit_pipeline(["demean", "max-norm-scale"], data,
-                                        target_norm=0.95)
+        specs = preprocess.fit_pipeline(["demean", "max-norm-scale"], data)
         out = preprocess.apply_pipeline(specs, data)
         assert np.linalg.norm(out, axis=1).max() == pytest.approx(0.95)
-
-    @pytest.mark.parametrize("target_norm", [0, -1.0, np.nan, np.inf])
-    def test_headroom_target_must_be_positive_and_finite(self, target_norm):
-        with pytest.raises(InvalidInputError, match="target_norm"):
-            preprocess.fit("max-norm-scale", np.ones((3, 2)),
-                           target_norm=target_norm)
 
     def test_bekk_output_pipeline_standardizes(self):
         rng = np.random.default_rng(4)
         data = rng.normal(0.002, 0.0005, size=(200, 4))
-        specs = preprocess.fit_pipeline(PAIR_OUTPUT_TRANSFORMS,
-                                        data, constant=1000.0)
+        specs = preprocess.fit_pipeline(PAIR_OUTPUT_TRANSFORMS, data)
         out = preprocess.apply_pipeline(specs, data)
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=0), 1.0, rtol=1e-10)

@@ -1,0 +1,26 @@
+"""The scripts under ``tools/`` run against the package in ``src/``."""
+
+import importlib.util
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_artifact_digests_of_one_preset(tmp_path, capsys):
+    tool = load_tool("artifact_digests")
+    doc = tool.digests(tmp_path, ["bekk-ngrc"])
+    assert doc["exit_codes"] == {f"bekk-ngrc/{stage}": 0
+                                 for stage in tool.STAGES}
+    assert len(doc["sha256"]) == 10
+    assert not any(name.endswith("_manifest.json") for name in doc["sha256"])
+    assert all(len(digest) == 64 for digest in doc["sha256"].values())
+    assert set(doc["threads"]) == set(tool.THREAD_VARS)
+    assert capsys.readouterr().out == ""  # stage output goes to stderr
+    assert len(tool.REPLICATION_PRESETS) == 9

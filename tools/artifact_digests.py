@@ -1,0 +1,59 @@
+"""Run every pipeline stage of kernelcast presets and digest the artifacts.
+
+Usage (from the repository root):
+
+    PYTHONPATH=src python tools/artifact_digests.py > digests.json
+
+runs simulate, fit, forecast, eval and cv on each replication preset
+through ``kernelcast.cli.main`` in this one process, in a temporary
+directory, and prints one JSON document: the exit code of every stage, the
+sha256 of every file the stages wrote except the ``*_manifest.json`` files
+(which record times), and the BLAS thread settings.  Digests depend on the
+thread count, so compare two documents only when their ``threads`` agree.
+The stages' own output and one status line per stage go to standard error.
+Point ``PYTHONPATH`` at another checkout's ``src`` to digest that code.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+from kernelcast.cli import main
+from kernelcast.presets import PRESETS
+
+STAGES = ("simulate", "fit", "forecast", "eval", "cv")
+REPLICATION_PRESETS = sorted(name for name in PRESETS
+                             if "task" in PRESETS[name])
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+
+
+def digests(out_dir, presets) -> dict:
+    """Run :data:`STAGES` on each of ``presets``, each in its own directory
+    under ``out_dir``: ``{"threads", "exit_codes", "sha256"}``, keyed
+    ``preset/stage`` and ``preset/file``."""
+    exit_codes, sha256 = {}, {}
+    for preset in presets:
+        run_dir = os.path.join(out_dir, preset)
+        for stage in STAGES:
+            with contextlib.redirect_stdout(sys.stderr):
+                code = main([stage, "--preset", preset, "--out", run_dir])
+            exit_codes[f"{preset}/{stage}"] = code
+            print(f"{preset} {stage}: exit {code}", file=sys.stderr)
+        for name in sorted(os.listdir(run_dir)):
+            if not name.endswith("_manifest.json"):
+                with open(os.path.join(run_dir, name), "rb") as fh:
+                    sha256[f"{preset}/{name}"] = hashlib.sha256(
+                        fh.read()).hexdigest()
+    return {"threads": {var: os.environ.get(var) for var in THREAD_VARS},
+            "exit_codes": exit_codes, "sha256": sha256}
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = digests(tmp, REPLICATION_PRESETS)
+    print(json.dumps(doc, indent=1, sort_keys=True))
