@@ -32,7 +32,7 @@ from .errors import (
     SimulationError,
 )
 from .estimators import Estimator, fit_estimator, fit_task
-from .forecast import ForecastRun, ValidTime, forecast_task, open_loop, path_continue, valid_time
+from .forecast import ForecastRun, forecast_task, open_loop, path_continue
 from .kernels import (
     GramMatrix,
     KernelModel,
@@ -51,11 +51,13 @@ from .linsolve import RidgeSolution, psd_sqrt, solve_ridge_gram, solve_ridge_pri
 from .metrics import (
     MetricReport,
     Periodogram,
+    ValidTime,
     mae,
     mape,
     mdae,
     nmse,
     psde,
+    valid_time,
     w1_1d,
     w1_nd,
     welch_psd,

@@ -63,22 +63,8 @@ from .estimators import (
     fit_task,
     hyper_value,
 )
-from .forecast import check_task, forecast_task, load_forecast_csv, valid_time
-from .metrics import (
-    W1_DEFAULT_CAP,
-    W1_SEED,
-    WELCH_NPERSEG,
-    MetricReport,
-    mae,
-    mape,
-    mdae,
-    nmse_detailed,
-    psde_detailed,
-    subsample_rows,
-    w1_1d,
-    w1_nd,
-    welch_psd,
-)
+from .forecast import check_task, forecast_task, load_forecast_csv
+from .metrics import evaluate_run
 from .presets import PRESETS
 
 SCHEMA = "kernelcast-experiment/1"
@@ -565,56 +551,6 @@ def cmd_forecast(config: dict, out_dir: str) -> int:
     return 0
 
 
-def evaluate_run(reference: np.ndarray, predicted: np.ndarray, config: dict,
-                 dt: float, mode: str) -> MetricReport:
-    """Score one forecast against its reference by the fixed protocol
-    (README, "Outputs"); ``task.lyapunov_exponent`` is its one setting."""
-    report = MetricReport(config={"mode": mode, "dt": dt})
-    flags = {}
-
-    t_valid_steps = None
-    lyap = _get(config, "task.lyapunov_exponent")
-    if mode == "path-continuation" and lyap is not None:
-        vt = valid_time(reference, predicted, lyap, dt)
-        report.t_valid = vt.value
-        report.t_valid_censored = vt.censored
-        t_valid_steps = max(int(min(math.ceil(vt.value) / lyap / dt,
-                                    reference.shape[0])), 1)
-    y = reference if t_valid_steps is None else reference[:t_valid_steps]
-    y_hat = predicted if t_valid_steps is None else predicted[:t_valid_steps]
-
-    report.nmse, degenerate = nmse_detailed(y, y_hat)
-    if degenerate:
-        flags["nmse_degenerate_dims"] = list(degenerate)
-    report.mae = mae(y, y_hat)
-    report.mdae = mdae(y, y_hat)
-    report.mape = mape(y, y_hat)
-
-    nperseg = min(WELCH_NPERSEG, reference.shape[0])
-    report.psde, skipped = psde_detailed(
-        welch_psd(reference, nperseg, fs=1.0 / dt),
-        welch_psd(predicted, nperseg, fs=1.0 / dt))
-    if skipped:
-        flags["psde_skipped_bins"] = skipped
-
-    try:
-        if reference.shape[1] == 1:
-            report.w1 = w1_1d(reference[:, 0], predicted[:, 0])
-        else:
-            k = min(W1_DEFAULT_CAP, reference.shape[0])
-            a = subsample_rows(reference, k, W1_SEED)
-            b = subsample_rows(predicted, k, W1_SEED)
-            report.w1 = w1_nd(a, b)
-            flags["w1_subsampled_to"] = int(a.shape[0])
-    except InvalidInputError as exc:
-        report.w1 = float("nan")
-        flags["w1_degenerate"] = str(exc)
-    report.flags = flags
-    report.config.update({"t_valid_steps": t_valid_steps,
-                          "welch_nperseg": nperseg})
-    return report
-
-
 def cmd_eval(config: dict, out_dir: str) -> int:
     _check_manifest(out_dir, "forecast", config)
     forecast_path = os.path.join(out_dir, "forecast.csv")
@@ -631,7 +567,8 @@ def cmd_eval(config: dict, out_dir: str) -> int:
     if run.truncated and run.predicted.shape[0] == 0:
         raise KernelcastError("forecast is empty; nothing to evaluate")
     # forecast.csv holds one reference row per predicted row
-    report = evaluate_run(run.reference, run.predicted, config, dt, run.mode)
+    report = evaluate_run(run.reference, run.predicted, dt, run.mode,
+                          _get(config, "task.lyapunov_exponent"))
     if run.truncated:
         report.flags["truncated_at"] = run.error_step
     report.config["config_sha256"] = config_hash(config)

@@ -87,6 +87,25 @@ def hyper_value(name: str, value):
         raise InvalidInputError(f"{name} {exc}") from None
 
 
+def _read_hyper(kind: str, hyper: dict, fail) -> dict:
+    """``hyper`` as ``kind`` reads it, each value through
+    :func:`hyper_value`.  A name that the kind requires and ``hyper`` lacks,
+    one that it does not read, and a value that is no such number raise
+    ``fail(name, what)``."""
+    readable = (*REQUIRED_HYPER[kind], *OPTIONAL_HYPER[kind])
+    for name in (*REQUIRED_HYPER[kind], *hyper):
+        if name not in hyper or name not in readable:
+            verb = "needs" if name not in hyper else "reads no"
+            raise fail(name, f"{kind} {verb} hyperparameter {name}")
+    read = {}
+    for name, value in hyper.items():
+        try:
+            read[name] = hyper_value(name, value)
+        except (InvalidInputError, TypeError) as exc:
+            raise fail(name, str(exc)) from None
+    return read
+
+
 def check_hyper(kind: str, hyper: dict) -> None:
     """Raise :class:`InvalidInputError` if ``hyper`` breaks a bound that
     ties hyperparameters together: Volterra's on ``lam``, ``theta`` and
@@ -261,14 +280,8 @@ def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
     """
     if kind not in REQUIRED_HYPER:
         raise InvalidInputError(f"unknown estimator kind {kind!r}")
-    readable = (*REQUIRED_HYPER[kind], *OPTIONAL_HYPER[kind])
-    for what, names in (
-            ("needs", [n for n in REQUIRED_HYPER[kind] if n not in hyper]),
-            ("reads no", [str(n) for n in hyper if n not in readable])):
-        if names:
-            raise InvalidInputError(f"{kind} {what} hyperparameter "
-                                    + ", ".join(names))
-    hyper = {name: hyper_value(name, value) for name, value in hyper.items()}
+    hyper = _read_hyper(kind, hyper,
+                        lambda name, what: InvalidInputError(what))
     X_raw, Y_raw = _rows(inputs), _rows(targets)
 
     input_specs = preprocess.fit_pipeline(INPUT_TRANSFORMS[kind], X_raw)
@@ -371,7 +384,8 @@ def estimator_from_dict(doc: dict, source: str = "estimator document",
     hyper = get("hyper")
     if not isinstance(hyper, dict):
         raise bad("hyper", f"must be an object, not {hyper!r}")
-    est = Estimator(kind, dict(hyper), model)
+    est = Estimator(kind, _read_hyper(
+        kind, hyper, lambda name, what: bad(f"hyper.{name}", what)), model)
     for name in ("tau", "p") if est._lags is not None else ():
         value = getattr(est._lags, name)
         if est.hyper.get(name) != value:

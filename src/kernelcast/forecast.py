@@ -1,4 +1,4 @@
-"""Closed-loop path continuation, open-loop forecasting, and valid time.
+"""Closed-loop path continuation, open-loop forecasting, and ``forecast.csv``.
 
 :func:`forecast_task` runs a task on a test span and pairs the run with
 the test outputs it predicts; :func:`path_continue` and :func:`open_loop`
@@ -7,16 +7,8 @@ the next input; it is deterministic given the fitted estimator and the
 seed history.  A run whose prediction turns non-finite is returned
 truncated at that step instead of being padded; Volterra inputs outside
 the kernel's norm ball are projected onto it and counted in
-``projected``.
-
-The valid prediction time converts the first threshold crossing of the
-normalized instantaneous error
-
-    e(t) = ||y_hat_t - y_t||_2 / sqrt(mean_s ||y_s - y_bar||_2^2)
-
-into Lyapunov times: ``T_valid = k * dt * lyapunov_exponent`` where ``k``
-is the 1-based step of the first crossing (the full horizon, flagged
-censored, when the threshold is never exceeded).
+``projected``.  :meth:`ForecastRun.save_csv` and :func:`load_forecast_csv`
+write and read a run; :mod:`kernelcast.metrics` scores it.
 """
 
 from __future__ import annotations
@@ -168,34 +160,3 @@ def forecast_task(estimator, mode: str, train: tuple, test: tuple,
     run.reference = reference[:run.predicted.shape[0]]
     return run
 
-
-@dataclass(frozen=True)
-class ValidTime:
-    """Valid prediction time in Lyapunov times."""
-
-    value: float
-    first_exceed_step: int | None  # 1-based; None when censored
-    censored: bool
-
-
-def valid_time(reference, predicted, lyapunov_exponent: float, dt: float,
-               threshold: float = 0.2) -> ValidTime:
-    """Lyapunov times until the normalized error first exceeds ``threshold``."""
-    if not lyapunov_exponent > 0:
-        raise InvalidInputError("lyapunov_exponent must be positive")
-    if not dt > 0:
-        raise InvalidInputError("dt must be positive")
-    y = np.atleast_2d(np.asarray(reference, dtype=np.float64))
-    y_hat = np.atleast_2d(np.asarray(predicted, dtype=np.float64))
-    if y.shape != y_hat.shape:
-        raise InvalidInputError(f"shape mismatch: {y.shape} vs {y_hat.shape}")
-    centered = y - y.mean(axis=0)
-    rms = float(np.sqrt(np.mean(np.sum(centered**2, axis=1))))
-    if rms <= 0:
-        raise InvalidInputError("reference series has no variation")
-    err = np.linalg.norm(y_hat - y, axis=1) / rms
-    exceeded = np.nonzero(err > threshold)[0]
-    if exceeded.size == 0:
-        return ValidTime(y.shape[0] * dt * lyapunov_exponent, None, True)
-    step = int(exceeded[0]) + 1
-    return ValidTime(step * dt * lyapunov_exponent, step, False)

@@ -25,10 +25,10 @@ eigendecomposition route (n up to :data:`GRAM_EIGH_LIMIT`) works on a full
 array.  The Cholesky route keeps one triangle in LAPACK's rectangular full
 packed (RFP) storage, n(n+1)/2 doubles (about 96 MB at n = 4899), and
 factors and solves it where it lies (``dpftrf``/``dpftrs``).  A full ``K``
-is packed with ``dtrttf``; a :class:`GramRows` writes its rows straight into
-the packed array.  A jitter retry repacks from the source, and the
-eigendecomposition fallback builds a full array from it after the packed one
-is released, so no second copy is kept.  Still n x n: that route, a
+is read as the rows of its lower triangle, so every Gram is packed one way:
+its rows are written straight into the packed array.  A jitter retry
+repacks from the source, and the eigendecomposition fallback builds a full
+array from it after the packed one is released, so no second copy is kept.  Still n x n: that route, a
 caller's full ``K``, and :meth:`GramRows.full`, which the analysis Grams
 (``kernels.volterra_gram`` and the self-Grams of ``poly_gram`` and
 ``ngrc_gram``) return.  The finiteness, scale and symmetry checks on a full
@@ -38,7 +38,7 @@ storage (``dpotrf``).
 LAPACK is SciPy's extension module ``scipy/linalg/_flapack``.  :func:`_lapack`
 loads that one file at the first solve, ahead of the solve's timer, and not
 the ``scipy.linalg`` package, which imports some 320 modules (about 22 MB)
-for the seven routines called here.  Only ``fit``, ``cv`` and the BEKK
+for the six routines called here.  Only ``fit``, ``cv`` and the BEKK
 ``simulate`` solve.  The calls are those ``scipy.linalg`` makes: same bits.
 """
 
@@ -375,6 +375,8 @@ def solve_ridge_gram(K, Y, lam_reg: float) -> RidgeSolution:
             raise InvalidInputError(
                 f"K is asymmetric beyond tolerance (|K-K'| = {asym:.3e})"
             )
+        rows = GramRows(K.shape[0],
+                        lambda: (K[i, :i + 1] for i in range(K.shape[0])))
     n = K.shape[0]
     Y2, squeeze = _as_targets(_check_finite("Y", Y))
     if Y2.shape[0] != n:
@@ -383,11 +385,8 @@ def solve_ridge_gram(K, Y, lam_reg: float) -> RidgeSolution:
 
     def fill() -> np.ndarray:
         """``K + lam I`` in RFP storage, packed afresh."""
-        if rows is None:  # K's lower triangle is the upper one of K.T
-            arf = lapack.dtrttf(K.T, **_RFP)[0]
-        else:
-            arf = rows.packed()
-            _finite_scale("K", arf)
+        arf = rows.packed()
+        _finite_scale("K", arf)
         arf[diag] += lam
         return arf
 
@@ -405,17 +404,16 @@ def solve_ridge_gram(K, Y, lam_reg: float) -> RidgeSolution:
         alpha, _ = lapack.dpftrs(n, factored, Y2, **_RFP)
         method, storage, gram_bytes = "cholesky", "rfp", factored.nbytes
     else:
-        if rows is not None:
+        if isinstance(K, GramRows):  # a caller's full K is read in place
             K = rows.full()
             _finite_scale("K", K)
         alpha, pivot, cut = _gram_eigh_solve(K, Y2, lam)
         jitter, method, storage, gram_bytes = 0.0, "eigh", "full", K.nbytes
     alpha = np.ascontiguousarray(alpha)
     coef = alpha[:, 0] if squeeze else alpha
-    gram_s = rows.seconds if rows is not None else 0.0
     return RidgeSolution(coef, pivot, jitter, method, cut, storage,
-                         gram_bytes, gram_s,
-                         time.perf_counter() - started - gram_s)
+                         gram_bytes, rows.seconds,
+                         time.perf_counter() - started - rows.seconds)
 
 
 def _finite_scale(name: str, A: np.ndarray) -> float:

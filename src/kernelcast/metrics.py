@@ -1,42 +1,51 @@
-"""Forecast performance metrics.
+"""Forecast metrics, and :func:`evaluate_run`, which scores every run.
 
+Its protocol's settings are this module's constants (README, "Outputs").
 Pointwise errors (NMSE, MAE, MdAE, MAPE), the Welch-periodogram power
-spectral density error (PSDE), and empirical Wasserstein-1 distances in one
-and several dimensions.  Conventions:
+spectral density error (PSDE), empirical Wasserstein-1 distances in one
+and several dimensions, and the valid prediction time.  Conventions:
 
 * NMSE averages per-dimension SSE / TSS ratios; dimensions with zero
   variance are excluded and flagged.
 * MAE is the mean 1-norm of the error vector per step (no division by the
   dimension count); MdAE uses the lower median for even step counts.
-* MAPE divides by ``max(eps, |y|)`` per dimension and step.
-* PSDE sums ``|PSD - PSD_hat| / PSD`` over dimensions and bins up to a
-  cutoff; zero-power bins below the cutoff are skipped and counted.  The
-  Welch PSD is computed on ``numpy.fft`` and matches SciPy's ``welch``
-  (Hann window, constant detrend, density scaling) bit for bit, without
-  loading SciPy's signal package.
+* MAPE divides by ``max(MAPE_EPS, |y|)`` per dimension and step.
+* PSDE sums ``|PSD - PSD_hat| / PSD`` over dimensions and every bin;
+  zero-power bins are skipped and counted.  The Welch PSD is computed on
+  ``numpy.fft`` and matches SciPy's ``welch`` (Hann window, constant
+  detrend, density scaling) bit for bit, without loading SciPy's signal
+  package.
 * W1 for equal-size samples is the exact optimal transport cost; in one
   dimension via the sorted-CDF formula, in d dimensions via a minimum-cost
   perfect matching on the Euclidean cost matrix.  Cost matrix and matching
   are SciPy's ``cdist`` and ``linear_sum_assignment``, bit for bit, done
   on numpy; the cost is built in row panels, so it is the one k×k array.
+* The valid time is ``k * dt * lyapunov_exponent`` for the first step
+  ``k`` (1-based; else the horizon, censored) at which the error norm over
+  the reference's RMS deviation exceeds :data:`VALID_THRESHOLD`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInputError
 
-W1_DEFAULT_CAP = 512
+# The scoring protocol: the Welch segment length (capped at the series
+# length) and overlap, the largest W1 sample and the seed that subsamples
+# to it, the MAPE denominator floor and the valid-time error threshold.
+WELCH_NPERSEG = 1024
+WELCH_OVERLAP = 0.5
+W1_CAP = 512
+W1_SEED = 7
+MAPE_EPS = 1e-8
+VALID_THRESHOLD = 0.2
 # Rows of the W1 cost matrix filled per panel (see euclidean_cost).
 _COST_PANEL = 64
-# The scoring protocol's Welch segment length (capped at the series
-# length) and the seed of its W1 row subsample.
-WELCH_NPERSEG = 1024
-W1_SEED = 7
 
 
 def _pair(y, y_hat) -> tuple[np.ndarray, np.ndarray]:
@@ -85,11 +94,9 @@ def mdae(y, y_hat) -> float:
     return float(np.mean(lower_median))
 
 
-def mape(y, y_hat, eps: float = 1e-8) -> float:
-    if not eps > 0:
-        raise InvalidInputError("eps must be positive")
+def mape(y, y_hat) -> float:
     a, b = _pair(y, y_hat)
-    denom = np.maximum(eps, np.abs(a))
+    denom = np.maximum(MAPE_EPS, np.abs(a))
     return float(np.mean(np.abs(a - b) / denom))
 
 
@@ -101,14 +108,13 @@ class Periodogram:
     power: np.ndarray  # (n_bins, d)
 
 
-def welch_psd(values, nperseg: int, overlap: float = 0.5,
-              fs: float = 1.0) -> Periodogram:
+def welch_psd(values, nperseg: int, *, fs: float = 1.0) -> Periodogram:
     """Welch power spectral density, Hann window, mean-detrended segments.
 
     ``values`` is (n,) or (n, d); densities are returned per dimension on a
     shared one-sided frequency grid.  The steps are those of SciPy's
-    ``welch`` with ``noverlap = round(overlap * nperseg)``, in its order, so
-    the bits agree.
+    ``welch`` with ``noverlap = round(WELCH_OVERLAP * nperseg)``, in its
+    order, so the bits agree.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim == 1:
@@ -116,15 +122,10 @@ def welch_psd(values, nperseg: int, overlap: float = 0.5,
     n = x.shape[0]
     if not 1 <= nperseg <= n:
         raise InvalidInputError(f"nperseg must lie in [1, {n}]")
-    if not 0.0 <= overlap < 1.0:
-        raise InvalidInputError("overlap must lie in [0, 1)")
     if not 0.0 < fs < np.inf:
         raise InvalidInputError("fs must be positive and finite")
-    noverlap = int(round(overlap * nperseg))
+    noverlap = int(round(WELCH_OVERLAP * nperseg))
     hop = nperseg - noverlap
-    if hop < 1:
-        raise InvalidInputError(
-            f"overlap {overlap} rounds to a full overlap of {nperseg} samples")
     T = 1 / fs
     # periodic Hann window, scaled to a density the way SciPy scales it
     # (builtin sum, divided by T = 1/fs) so that the bits agree
@@ -147,30 +148,24 @@ def welch_psd(values, nperseg: int, overlap: float = 0.5,
     return Periodogram(np.fft.rfftfreq(nperseg, T), power)
 
 
-def psde_detailed(psd_true: Periodogram, psd_est: Periodogram,
-                  f_cut_bins: int | None = None) -> tuple[float, int]:
-    """Summed relative PSD difference up to a bin cutoff, plus skipped bins."""
+def psde_detailed(psd_true: Periodogram,
+                  psd_est: Periodogram) -> tuple[float, int]:
+    """Summed relative PSD difference over every bin, plus skipped bins."""
     if psd_true.frequencies.shape != psd_est.frequencies.shape or not np.allclose(
         psd_true.frequencies, psd_est.frequencies
     ):
         raise InvalidInputError("periodograms live on different frequency grids")
     if psd_true.power.shape != psd_est.power.shape:
         raise InvalidInputError("periodogram dimensions differ")
-    n_bins = psd_true.power.shape[0]
-    cut = n_bins if f_cut_bins is None else int(f_cut_bins)
-    if not 1 <= cut <= n_bins:
-        raise InvalidInputError(f"f_cut_bins must lie in [1, {n_bins}]")
-    p = psd_true.power[:cut]
-    q = psd_est.power[:cut]
+    p, q = psd_true.power, psd_est.power
     nonzero = p > 0.0
     skipped = int(np.sum(~nonzero))
     total = float(np.sum(np.abs(p[nonzero] - q[nonzero]) / p[nonzero]))
     return total, skipped
 
 
-def psde(psd_true: Periodogram, psd_est: Periodogram,
-         f_cut_bins: int | None = None) -> float:
-    return psde_detailed(psd_true, psd_est, f_cut_bins)[0]
+def psde(psd_true: Periodogram, psd_est: Periodogram) -> float:
+    return psde_detailed(psd_true, psd_est)[0]
 
 
 def w1_1d(samples_a, samples_b) -> float:
@@ -190,12 +185,13 @@ def w1_1d(samples_a, samples_b) -> float:
     return float(np.sum(np.abs(cdf_a - cdf_b) * deltas))
 
 
-def w1_nd(samples_a, samples_b, cap: int = W1_DEFAULT_CAP) -> float:
+def w1_nd(samples_a, samples_b) -> float:
     """Exact W1 between equal-size d-dimensional samples.
 
     Equal-weight empirical measures reduce optimal transport to a minimum
-    cost perfect matching on the pairwise Euclidean cost matrix.  Sample
-    counts above ``cap`` are rejected; subsample first (seeded) if needed.
+    cost perfect matching on the pairwise Euclidean cost matrix, whose
+    cost grows as k³.  Sample counts above :data:`W1_CAP` are rejected;
+    subsample first (seeded) if needed.
     """
     A = np.atleast_2d(np.asarray(samples_a, dtype=np.float64))
     B = np.atleast_2d(np.asarray(samples_b, dtype=np.float64))
@@ -207,9 +203,9 @@ def w1_nd(samples_a, samples_b, cap: int = W1_DEFAULT_CAP) -> float:
         )
     if not A.size:
         raise InvalidInputError("samples must be non-empty")
-    if A.shape[0] > cap:
+    if A.shape[0] > W1_CAP:
         raise InvalidInputError(
-            f"{A.shape[0]} samples exceed the cap of {cap}"
+            f"{A.shape[0]} samples exceed the cap of {W1_CAP}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
         cost = euclidean_cost(A, B)
@@ -350,3 +346,79 @@ class MetricReport:
         doc["flags"] = self.flags
         doc["config"] = self.config
         return json.dumps(doc, sort_keys=True)
+
+
+@dataclass(frozen=True)
+class ValidTime:
+    """Valid prediction time in Lyapunov times."""
+
+    value: float
+    first_exceed_step: int | None  # 1-based; None when censored
+    censored: bool
+
+
+def valid_time(reference, predicted, lyapunov_exponent: float,
+               dt: float) -> ValidTime:
+    """Lyapunov times until the error first exceeds :data:`VALID_THRESHOLD`."""
+    if not lyapunov_exponent > 0:
+        raise InvalidInputError("lyapunov_exponent must be positive")
+    if not dt > 0:
+        raise InvalidInputError("dt must be positive")
+    y, y_hat = _pair(reference, predicted)
+    centered = y - y.mean(axis=0)
+    rms = float(np.sqrt(np.mean(np.sum(centered**2, axis=1))))
+    if rms <= 0:
+        raise InvalidInputError("reference series has no variation")
+    err = np.linalg.norm(y_hat - y, axis=1) / rms
+    exceeded = np.nonzero(err > VALID_THRESHOLD)[0]
+    if exceeded.size == 0:
+        return ValidTime(y.shape[0] * dt * lyapunov_exponent, None, True)
+    step = int(exceeded[0]) + 1
+    return ValidTime(step * dt * lyapunov_exponent, step, False)
+
+
+def evaluate_run(reference: np.ndarray, predicted: np.ndarray, dt: float,
+                 mode: str, lyap: float | None) -> MetricReport:
+    """Score ``predicted`` against ``reference``, (h, d) rows ``dt``
+    apart, by the fixed protocol.  A path continuation with a Lyapunov
+    exponent ``lyap`` gets a valid time, which bounds its pointwise window."""
+    report = MetricReport(config={"mode": mode, "dt": dt})
+
+    t_valid_steps = None
+    if mode == "path-continuation" and lyap is not None:
+        vt = valid_time(reference, predicted, lyap, dt)
+        report.t_valid = vt.value
+        report.t_valid_censored = vt.censored
+        t_valid_steps = max(int(min(math.ceil(vt.value) / lyap / dt,
+                                    reference.shape[0])), 1)
+    y, y_hat = reference[:t_valid_steps], predicted[:t_valid_steps]
+
+    report.nmse, degenerate = nmse_detailed(y, y_hat)
+    if degenerate:
+        report.flags["nmse_degenerate_dims"] = list(degenerate)
+    report.mae = mae(y, y_hat)
+    report.mdae = mdae(y, y_hat)
+    report.mape = mape(y, y_hat)
+
+    nperseg = min(WELCH_NPERSEG, reference.shape[0])
+    report.psde, skipped = psde_detailed(
+        welch_psd(reference, nperseg, fs=1.0 / dt),
+        welch_psd(predicted, nperseg, fs=1.0 / dt))
+    if skipped:
+        report.flags["psde_skipped_bins"] = skipped
+
+    try:
+        if reference.shape[1] == 1:
+            report.w1 = w1_1d(reference[:, 0], predicted[:, 0])
+        else:
+            k = min(W1_CAP, reference.shape[0])
+            a = subsample_rows(reference, k, W1_SEED)
+            b = subsample_rows(predicted, k, W1_SEED)
+            report.w1 = w1_nd(a, b)
+            report.flags["w1_subsampled_to"] = int(a.shape[0])
+    except InvalidInputError as exc:
+        report.w1 = float("nan")
+        report.flags["w1_degenerate"] = str(exc)
+    report.config.update({"t_valid_steps": t_valid_steps,
+                          "welch_nperseg": nperseg})
+    return report

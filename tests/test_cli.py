@@ -151,6 +151,54 @@ class TestMetricsCsv:
             "0.10000000000000001,0.25,0,0.125,0.54471788715486202,0.25,nan,0\n"
         ).encode()
 
+    def test_golden_protocol_text(self, tmp_path):
+        # 1500 steps of d = 2: the Welch segment is capped at 1024 and W1
+        # scores a seeded 512-row subsample; the prediction leaves the
+        # reference at step 601, so the 0.2 threshold sets the valid time,
+        # which cuts the pointwise window to 666 steps; inside it, a zero
+        # reference cell divides its error by the MAPE floor
+        t = np.arange(1500.0)
+        reference = np.column_stack([np.sin(0.05 * t), 2.0 * np.cos(0.031 * t)])
+        reference[100, 0] = 0.0
+        predicted = reference + 1e-3 * np.column_stack([np.cos(0.7 * t),
+                                                        np.sin(0.3 * t)])
+        predicted[600:, 0] = np.sin(0.05 * t[600:] + 1.0)
+        series = tmp_path / "series.csv"
+        series.write_text("# dt=0.01\nt,c0,c1\n" + "".join(
+            f"{i},{i % 3},{i % 2}\n" for i in range(8)))
+        cfg = {"schema": "kernelcast-experiment/1", "seed": 0,
+               "dataset": {"kind": "csv", "path": str(series), "n_train": 4},
+               "estimator": {"kind": "ngrc",
+                             "hyper": {"tau": 1, "p": 1, "lam_reg": 1e-6}},
+               "task": {"mode": "path-continuation",
+                        "lyapunov_exponent": 0.9}}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "exp"
+        assert run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(out)) == 0
+        sha = config_hash(cfg)
+        ForecastRun("path-continuation", 1500, predicted, reference).save_csv(
+            out / "forecast.csv", extra_meta={"config_sha256": sha})
+        (out / "forecast_manifest.json").write_text(
+            json.dumps({"config_sha256": sha}))
+        assert run_cli("eval", "--config", str(cfg_path),
+                       "--out", str(out)) == 0
+        assert (out / "metrics.csv").read_bytes() == (
+            f"# config_sha256={sha}\n"
+            "nmse,mae,mdae,mape,psde,w1,t_valid,t_valid_censored\n"
+            "0.045158277412900766,0.061767925087030301,0.0007358201095161894,"
+            "122.76494838872203,3870223.1828442481,0.097041337106293771,"
+            "5.4089999999999998,0\n").encode()
+        assert (out / "metrics.json").read_bytes() == (
+            '{"config": {"config_sha256": "' + sha + '", "dt": 0.01, '
+            '"mode": "path-continuation", "t_valid_steps": 666, '
+            '"welch_nperseg": 1024}, "flags": {"w1_subsampled_to": 512}, '
+            '"mae": 0.0617679250870303, "mape": 122.76494838872203, '
+            '"mdae": 0.0007358201095161894, "nmse": 0.045158277412900766, '
+            '"psde": 3870223.182844248, "t_valid": 5.409, '
+            '"t_valid_censored": false, "w1": 0.09704133710629377}\n').encode()
+
 
 class TestOpenLoopOnSeries:
     def test_horizon_beyond_test_span_is_clamped(self, tmp_path,
@@ -909,6 +957,12 @@ class TestMissingArtifactKey:
         ("lorenz", "lorenz-ngrc", "hyper.tau", ...),
         ("lorenz", "lorenz-ngrc", "hyper.tau", 5),
         ("lorenz", "lorenz-ngrc", "hyper", [1, 2]),
+        # a hyperparameter that the kind requires, does not read, or reads
+        # as another number
+        ("lorenz", "lorenz-ngrc", "hyper.lam_reg", ...),
+        ("lorenz", "lorenz-ngrc", "hyper.washot", 3),
+        ("lorenz", "lorenz-ngrc", "hyper.lam_reg", -5),
+        ("lorenz", "lorenz-volterra", "hyper.theta", [0.5]),
         # a model value that is not what the model reads, or whose shape
         # does not fit the model
         ("lorenz", "lorenz-ngrc", "model.tau", "x"),
@@ -1177,6 +1231,26 @@ class TestImportBoundary:
         assert "scipy.linalg" not in loaded
         assert [m for m in loaded
                 if ".".join(m.split(".")[:2]) in DEFERRED_SCIPY] == []
+
+    def test_cli_import_adds_only_known_modules(self):
+        # set-up time is the import: beyond numpy, ``import kernelcast.cli``
+        # loads the package and these standard-library modules (236 modules
+        # in all), so a new start-up import has to be added here on purpose
+        known = {"__future__", "_blake2", "_hashlib", "_json", "argparse",
+                 "array", "copy", "dataclasses", "gettext", "hashlib",
+                 "json", "json.decoder", "json.encoder", "json.scanner"}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\nimport numpy\nbefore = set(sys.modules)\n"
+             "import kernelcast.cli\n"
+             "print('\\n'.join(sorted(set(sys.modules) - before)))"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 0, proc.stderr
+        added = set(proc.stdout.split())
+        assert "kernelcast.cli" in added
+        assert {m for m in added if m != "kernelcast"
+                and not m.startswith("kernelcast.")} <= known
 
     @pytest.mark.parametrize("name", sorted(FIRST_CALLS))
     def test_first_call_in_fresh_process(self, name):

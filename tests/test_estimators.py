@@ -6,7 +6,12 @@ import pytest
 
 from kernelcast import preprocess
 from kernelcast.datasets import load_csv
-from kernelcast.errors import InvalidInputError, finite_array, numbers
+from kernelcast.errors import (
+    DependencyError,
+    InvalidInputError,
+    finite_array,
+    numbers,
+)
 from kernelcast.estimators import (
     INPUT_TRANSFORMS,
     OPTIONAL_HYPER,
@@ -187,6 +192,44 @@ class TestModelDocuments:
                 for d in (doc, older)]
         assert np.array_equal(runs[0], runs[1])
         assert np.array_equal(runs[0], path_continue(est, series, 8).predicted)
+
+
+class TestHyperEcho:
+    """A model document's ``hyper`` echo is read as the kind reads it: a
+    missing name, an unread name or a bad value names
+    ``hyper.<name>``."""
+
+    @staticmethod
+    def load(kind, edit):
+        doc = json.loads(json.dumps(estimator_to_dict(
+            fit_task(kind, HYPER[kind], (short_series(),)))))
+        edit(doc["hyper"])
+        return estimator_from_dict(doc)
+
+    @pytest.mark.parametrize("kind, name", [
+        (kind, name) for kind in sorted(HYPER) for name in REQUIRED_HYPER[kind]
+    ])
+    def test_a_required_name_missing(self, kind, name):
+        with pytest.raises(DependencyError, match=(
+                rf"'hyper\.{name}' {kind} needs hyperparameter {name}$")):
+            self.load(kind, lambda hyper: hyper.pop(name))
+
+    @pytest.mark.parametrize("kind", sorted(HYPER))
+    def test_a_name_the_kind_does_not_read(self, kind):
+        with pytest.raises(DependencyError, match=(
+                rf"'hyper\.washot' {kind} reads no hyperparameter washot$")):
+            self.load(kind, lambda hyper: hyper.update(washot=3))
+
+    @pytest.mark.parametrize("kind", sorted(HYPER))
+    def test_a_value_the_kind_does_not_take(self, kind):
+        with pytest.raises(DependencyError,
+                           match=r"'hyper\.lam_reg' lam_reg must"):
+            self.load(kind, lambda hyper: hyper.update(lam_reg=-5))
+
+    @pytest.mark.parametrize("kind", sorted(HYPER))
+    def test_the_echo_loads_as_fitted(self, kind):
+        est = self.load(kind, lambda hyper: None)
+        assert est.hyper == HYPER[kind]
 
 
 class TestPolynomialRoute:

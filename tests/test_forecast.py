@@ -12,9 +12,9 @@ from kernelcast.forecast import (
     load_forecast_csv,
     open_loop,
     path_continue,
-    valid_time,
 )
 from kernelcast.kernels import predict_kernel
+from kernelcast.metrics import valid_time
 
 
 class _ScalarMapEstimator:
@@ -249,6 +249,13 @@ class TestValidTime:
         small = valid_time(y, y + base_err, 1.0, 1.0)
         large = valid_time(y, y + 2.0 * base_err, 1.0, 1.0)
         assert large.value <= small.value
+
+    def test_one_dimensional_series_is_one_column(self):
+        # a 1-d series is h steps of one dimension, as the metrics read it
+        y = np.sin(np.arange(100.0))
+        vt = valid_time(y, y + 0.01, lyapunov_exponent=1.0, dt=0.1)
+        assert vt == valid_time(y[:, None], y[:, None] + 0.01, 1.0, 0.1)
+        assert vt.censored and vt.value == pytest.approx(10.0)
 
     def test_validation(self):
         y = np.random.default_rng(5).normal(size=(10, 1))

@@ -10,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 from kernelcast.datasets import format_cell
 from kernelcast.errors import InvalidInputError
 from kernelcast.metrics import (
+    MAPE_EPS,
+    WELCH_OVERLAP,
     MetricReport,
     euclidean_cost,
     mae,
@@ -87,7 +89,7 @@ class TestPointwise:
     def test_mape_epsilon_floor(self):
         y = np.array([[0.0]])
         y_hat = np.array([[1e-4]])
-        assert mape(y, y_hat, eps=1e-2) == pytest.approx(1e-2)
+        assert mape(y, y_hat) == pytest.approx(1e-4 / MAPE_EPS)
 
     def test_zero_variance_dimension_flagged(self):
         y = np.column_stack([np.ones(10), np.arange(10.0)])
@@ -135,6 +137,11 @@ class TestWelch:
         integral = np.sum(pg.power[:, 0]) * df
         assert integral == pytest.approx(np.var(x), rel=0.05)
 
+    def test_overlap_is_no_positional_argument(self):
+        # a call written for the settable overlap must not read it as fs
+        with pytest.raises(TypeError):
+            welch_psd(np.ones(10), 4, 0.5, 100.0)
+
     def test_nperseg_validation(self):
         with pytest.raises(InvalidInputError):
             welch_psd(np.ones(10), nperseg=11)
@@ -144,36 +151,29 @@ class TestWelch:
         with pytest.raises(InvalidInputError, match="fs"):
             welch_psd(np.ones(10), nperseg=4, fs=fs)
 
-    def test_overlap_rounding_to_full_is_rejected(self):
-        # round(0.75 * 1) = 1 sample of overlap leaves no hop
-        with pytest.raises(InvalidInputError, match="overlap"):
-            welch_psd(np.ones(10), nperseg=1, overlap=0.75)
-
 
 class TestWelchMatchesScipy:
     """``welch_psd`` reproduces ``scipy.signal.welch`` bit for bit; SciPy is
     imported here only, as the reference."""
 
     @staticmethod
-    def reference(x, nperseg, overlap, fs):
+    def reference(x, nperseg, fs):
         import scipy.signal
 
         return scipy.signal.welch(
             x, fs=fs, window="hann", nperseg=nperseg,
-            noverlap=round(overlap * nperseg), detrend="constant",
+            noverlap=round(WELCH_OVERLAP * nperseg), detrend="constant",
             scaling="density", axis=0)
 
     @pytest.mark.parametrize("shape", [(301,), (301, 3)])
-    @pytest.mark.parametrize("nperseg, overlap", [
-        (nperseg, overlap) for nperseg, overlap in itertools.product(
-            [1, 2, 64, 75, 301], [0.0, 0.5, 0.75])
-        if round(overlap * nperseg) < nperseg  # 0.75 of 1 or 2 leaves no hop
-    ])
+    # odd segments put the 0.5 overlap on a half sample, which ``round``
+    # takes to the even neighbour: 0 of 1, 2 of 3, 2 of 5 and 38 of 75
+    @pytest.mark.parametrize("nperseg", [1, 2, 3, 5, 64, 75, 301])
     @pytest.mark.parametrize("fs", [1.0, 200.0])
-    def test_bit_for_bit(self, shape, nperseg, overlap, fs):
+    def test_bit_for_bit(self, shape, nperseg, fs):
         x = 2.0 + 3.0 * np.random.default_rng(11).normal(size=shape)
-        freqs, power = self.reference(x, nperseg, overlap, fs)
-        pg = welch_psd(x, nperseg, overlap, fs)
+        freqs, power = self.reference(x, nperseg, fs)
+        pg = welch_psd(x, nperseg, fs=fs)
         assert np.array_equal(pg.frequencies, freqs)
         assert np.array_equal(pg.power, power.reshape(pg.power.shape))
 
@@ -184,8 +184,8 @@ class TestWelchMatchesScipy:
         x = {"fortran": np.asfortranarray(base[:, :3]),
              "column-stride": base[:, ::2],
              "row-stride": base[::2, :3]}[layout]
-        freqs, power = self.reference(x, 256, 0.5, 100.0)
-        pg = welch_psd(x, 256, 0.5, 100.0)
+        freqs, power = self.reference(x, 256, 100.0)
+        pg = welch_psd(x, 256, fs=100.0)
         assert np.array_equal(pg.frequencies, freqs)
         assert np.array_equal(pg.power, power)
 
@@ -209,16 +209,15 @@ class TestPsde:
         k = 10
         b.power = a.power.copy()
         b.power[:k, 0] *= 2.0
-        assert psde(a, b, f_cut_bins=k) == pytest.approx(k, rel=1e-12)
+        assert psde(a, b) == pytest.approx(k, rel=1e-12)
 
     def test_bruteforce_oracle(self):
         a, b = self.make_pair()
-        cut = 40
         expected = 0.0
         for u in range(a.power.shape[1]):
-            for f in range(cut):
+            for f in range(a.power.shape[0]):
                 expected += abs(a.power[f, u] - b.power[f, u]) / a.power[f, u]
-        assert psde(a, b, f_cut_bins=cut) == pytest.approx(expected, rel=1e-12)
+        assert psde(a, b) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_power_bins_skipped(self):
         a, b = self.make_pair(d=1)
@@ -288,7 +287,7 @@ class TestWasserstein:
 
     def test_nd_cap(self):
         with pytest.raises(InvalidInputError):
-            w1_nd(np.ones((600, 2)), np.ones((600, 2)), cap=512)
+            w1_nd(np.ones((600, 2)), np.ones((600, 2)))
 
     def test_1d_nd_agreement(self):
         rng = np.random.default_rng(10)
