@@ -95,19 +95,23 @@ def _one_of(*names):
     return conv
 
 
+# The most float64 values that one numpy array can address: a dataset
+# size above it is a config mistake, not an allocation to try.
+_MAX_SIZE = np.iinfo(np.intp).max // 8
+
 # The fields of ``dataset`` and ``cv`` that depend on ``dataset.kind`` and
 # ``cv.mode``: one table per value, read as :data:`FIELDS` is.
 FIELDS_BY = {
     "dataset.kind": {
-        "lorenz": {"dataset.n_points": (int_in(2), 15001),
+        "lorenz": {"dataset.n_points": (int_in(2, _MAX_SIZE), 15001),
                    "dataset.dt": (positive, 0.005),
                    "dataset.initial": (numbers, (0.0, 1.0, 1.05))},
         "mackey-glass": {"dataset.dt_fine": (positive, 0.02),
                          "dataset.delay": (positive, 17.0),
-                         "dataset.n_fine": (int_in(1), 382500),
+                         "dataset.n_fine": (int_in(1, _MAX_SIZE), 382500),
                          "dataset.splice": (int_in(1), 50)},
-        "bekk": {"dataset.n_points": (int_in(3), 3761),
-                 "dataset.d": (int_in(1), ...),
+        "bekk": {"dataset.n_points": (int_in(3, _MAX_SIZE), 3761),
+                 "dataset.d": (int_in(1, _MAX_SIZE), ...),
                  "dataset.C": (numbers, ...),
                  # a and b: a scalar or one value per dimension
                  "dataset.a": (numbers, 0.3),
@@ -428,6 +432,7 @@ def _hyper(config: dict, path: str, readable, required=(),
 
 
 def _fit_from_config(config: dict, train: tuple):
+    """The typed ``estimator.hyper`` and the estimator fitted with it."""
     _get(config, "task.mode", lambda mode: check_task(mode, train))
     kind = _get(config, "estimator.kind")
     hyper = _hyper(config, "estimator.hyper",
@@ -437,21 +442,26 @@ def _fit_from_config(config: dict, train: tuple):
         check_hyper(kind, hyper)
     except InvalidInputError as exc:
         raise ConfigError(str(exc), field="estimator.hyper")
-    return fit_task(kind, hyper, train)
+    return hyper, fit_task(kind, hyper, train)
 
 
 def cmd_fit(config: dict, out_dir: str) -> int:
     train = load_span(config, out_dir, "train")
     started = time.perf_counter()
-    est = _fit_from_config(config, train)
+    hyper, est = _fit_from_config(config, train)
     elapsed = time.perf_counter() - started
     written = time.perf_counter()
     doc = {"config_sha256": config_hash(config),
            "estimator": estimator_to_dict(est)}
     _write_json(os.path.join(out_dir, "model.json"), doc)
     sol = est.model.solution
+    floored = [[list(spec.degenerate_dims) for spec in specs]
+               for specs in (est.input_specs, est.output_specs)]
     _write_manifest(out_dir, "fit", config, {"model": "model.json"},
-                    {"fit_seconds": elapsed, "gram_s": sol.gram_s,
+                    {"hyper": hyper, "transforms": {
+                        "input": floored[0], "output": None if
+                        est.output_specs is est.input_specs else floored[1]},
+                     "fit_seconds": elapsed, "gram_s": sol.gram_s,
                      "solve_s": sol.solve_s,
                      "write_s": time.perf_counter() - written,
                      "solver": {"route": est.route,

@@ -16,6 +16,10 @@ pairs, and is the one fit that ``fit`` and ``cv`` run;
 targets.  :func:`hyper_value` reads a hyperparameter through
 :func:`~kernelcast.errors.int_in` or :func:`~kernelcast.errors.positive`:
 a bool or a string is never a number.
+
+:func:`estimator_to_dict` writes an ``estimator/2`` document that holds
+only what a forecast reads (``output_specs: null`` when the targets share
+the input transforms); the fit's provenance is ``fit_manifest.json``'s.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ INPUT_TRANSFORMS = {"ngrc": [], "ngrc-kernel": [], "polynomial": ["minmax01"],
 # Output transform chain of input/output pairs, whose outputs are BEKK
 # covariances: x1000, then standardize.
 PAIR_OUTPUT_TRANSFORMS = ("constant-scale", "standardize")
-# The models each kind fits: ngrc-model/1, or a kernel-model/2 kernel kind.
+# The models each kind fits: ngrc-model/1, or a kernel-model/3 kernel kind.
 _KIND_MODELS = {"ngrc": ("ngrc-model/1",),
                 "polynomial": ("ngrc-model/1", "polynomial"),
                 "volterra": ("volterra",), "ngrc-kernel": ("ngrc",)}
@@ -87,22 +91,22 @@ def hyper_value(name: str, value):
         raise InvalidInputError(f"{name} {exc}") from None
 
 
-def _read_hyper(kind: str, hyper: dict, fail) -> dict:
+def _read_hyper(kind: str, hyper: dict) -> dict:
     """``hyper`` as ``kind`` reads it, each value through
     :func:`hyper_value`.  A name that the kind requires and ``hyper`` lacks,
     one that it does not read, and a value that is no such number raise
-    ``fail(name, what)``."""
+    :class:`InvalidInputError`."""
     readable = (*REQUIRED_HYPER[kind], *OPTIONAL_HYPER[kind])
     for name in (*REQUIRED_HYPER[kind], *hyper):
         if name not in hyper or name not in readable:
             verb = "needs" if name not in hyper else "reads no"
-            raise fail(name, f"{kind} {verb} hyperparameter {name}")
+            raise InvalidInputError(f"{kind} {verb} hyperparameter {name}")
     read = {}
     for name, value in hyper.items():
         try:
             read[name] = hyper_value(name, value)
-        except (InvalidInputError, TypeError) as exc:
-            raise fail(name, str(exc)) from None
+        except TypeError as exc:
+            raise InvalidInputError(str(exc)) from None
     return read
 
 
@@ -119,7 +123,6 @@ class Estimator:
     """A fitted estimator plus its preprocessing state."""
 
     kind: str
-    hyper: dict
     model: NgrcModel | KernelModel
     input_specs: list = field(default_factory=list)
     output_specs: list = field(default_factory=list)
@@ -280,8 +283,7 @@ def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
     """
     if kind not in REQUIRED_HYPER:
         raise InvalidInputError(f"unknown estimator kind {kind!r}")
-    hyper = _read_hyper(kind, hyper,
-                        lambda name, what: InvalidInputError(what))
+    hyper = _read_hyper(kind, hyper)
     X_raw, Y_raw = _rows(inputs), _rows(targets)
 
     input_specs = preprocess.fit_pipeline(INPUT_TRANSFORMS[kind], X_raw)
@@ -320,7 +322,7 @@ def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
         model = fit_kernel_model(X, Y, kernel, hyper["lam_reg"],
                                  washout=washout)
 
-    est = Estimator(kind, hyper, model, input_specs, output_specs)
+    est = Estimator(kind, model, input_specs, output_specs)
     est.input_tail = X_raw[-est.tau:].copy()
     return est
 
@@ -332,14 +334,12 @@ def _n_features(tau: int, d: int, p: int) -> int:
 
 
 def estimator_to_dict(est: Estimator) -> dict:
-    """Serializable document for a fitted estimator (versioned schema)."""
+    """Serializable ``estimator/2`` document for a fitted estimator."""
     return {
-        "schema": "estimator/1",
+        "schema": "estimator/2",
         "kind": est.kind,
-        "hyper": dict(est.hyper),
         "model": est.model.to_dict(),
         "input_specs": preprocess.pipeline_to_dicts(est.input_specs),
-        "shared_pipeline": est.output_specs is est.input_specs,
         "output_specs": None if est.output_specs is est.input_specs
         else preprocess.pipeline_to_dicts(est.output_specs),
         "input_tail": None if est.input_tail is None
@@ -349,10 +349,11 @@ def estimator_to_dict(est: Estimator) -> dict:
 
 def estimator_from_dict(doc: dict, source: str = "estimator document",
                         path: str = "") -> Estimator:
-    """Load an ``estimator/1`` document.  ``source`` and ``path`` (the
+    """Load an ``estimator/2`` document.  ``source`` and ``path`` (the
     dotted location of ``doc`` in it) name a missing key, and a key that
     disagrees with the model (a
-    :class:`~kernelcast.errors.DependencyError`)."""
+    :class:`~kernelcast.errors.DependencyError`).  Any other schema, such
+    as the ``estimator/1`` of older versions, asks for a refit."""
     def where(key):
         return f"{path}.{key}" if path else key
 
@@ -363,12 +364,13 @@ def estimator_from_dict(doc: dict, source: str = "estimator document",
         return doc_error(source, path, key, what)
 
     schema = get("schema")
-    if schema != "estimator/1":
-        raise bad("schema", f"must be estimator/1, not {schema!r}")
+    if schema != "estimator/2":
+        raise bad("schema", f"must be estimator/2, not {schema!r}; refit "
+                            "the model")
     model_schema = get("model.schema")
     if model_schema not in ("ngrc-model/1", "kernel-model/1",
-                            "kernel-model/2"):
-        raise bad("model.schema", "must be ngrc-model/1 or kernel-model/2, "
+                            "kernel-model/2", "kernel-model/3"):
+        raise bad("model.schema", "must be ngrc-model/1 or kernel-model/3, "
                                   f"not {model_schema!r}")
     if model_schema == "ngrc-model/1":
         model = NgrcModel.from_dict(get("model"), source, where("model"))
@@ -381,16 +383,7 @@ def estimator_from_dict(doc: dict, source: str = "estimator document",
     if not isinstance(kind, str) or fitted not in _KIND_MODELS.get(kind, ()):
         raise bad("kind", f"must be a kind that fits the model ({fitted}), "
                           f"not {kind!r}")
-    hyper = get("hyper")
-    if not isinstance(hyper, dict):
-        raise bad("hyper", f"must be an object, not {hyper!r}")
-    est = Estimator(kind, _read_hyper(
-        kind, hyper, lambda name, what: bad(f"hyper.{name}", what)), model)
-    for name in ("tau", "p") if est._lags is not None else ():
-        value = getattr(est._lags, name)
-        if est.hyper.get(name) != value:
-            raise bad(f"hyper.{name}", f"must be the model's {value}, not "
-                      f"{est.hyper.get(name)!r}")
+    est = Estimator(kind, model)
 
     def specs(key, width):
         loaded = preprocess.pipeline_from_dicts(get(key), source, where(key))
@@ -402,7 +395,9 @@ def estimator_from_dict(doc: dict, source: str = "estimator document",
         return loaded
 
     est.input_specs = specs("input_specs", widths[0])
-    est.output_specs = est.input_specs if get("shared_pipeline") else specs(
+    # only a model whose outputs are its inputs can share their transforms
+    shared = get("output_specs") is None and widths[1] == widths[0]
+    est.output_specs = est.input_specs if shared else specs(
         "output_specs", widths[1])
     if get("input_tail") is not None:
         est.input_tail = doc_value(doc, "input_tail", source, path,

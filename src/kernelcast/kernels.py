@@ -23,6 +23,9 @@ oracle) is
 Parameters must satisfy ``theta^2 M^2 < 1`` and ``0 < lam < sqrt(1 - theta^2 M^2)``
 where ``M`` bounds the Euclidean norm of every training sample; later
 samples outside that ball are projected onto it (:class:`VolterraExtension`).
+
+A fitted :class:`KernelModel` is stored as a ``kernel-model/3`` document;
+the older schemas ask for a refit.
 """
 
 from __future__ import annotations
@@ -105,9 +108,13 @@ class VolterraParams:
     def __post_init__(self):
         if not self.M > 0:
             raise InvalidInputError("M must be positive")
-        if not (self.theta > 0 and self.theta**2 * self.M**2 < 1.0):
+        try:
+            bound = self.theta**2 * self.M**2
+        except OverflowError:  # theta or M beyond about 1e154
+            bound = math.inf
+        if not (self.theta > 0 and bound < 1.0):
             raise InvalidInputError("theta must satisfy theta^2 M^2 < 1")
-        if not (0.0 < self.lam < math.sqrt(1.0 - self.theta**2 * self.M**2)):
+        if not (0.0 < self.lam < math.sqrt(1.0 - bound)):
             raise InvalidInputError(
                 "lam must satisfy 0 < lam < sqrt(1 - theta^2 M^2)"
             )
@@ -257,27 +264,29 @@ class VolterraExtension:
     incremental rectangular extension.
 
     ``column`` holds the bordered row ``[border, K[t, 0], ..., K[t, n-1]]``
-    of the latest sample ``t``.  :meth:`sweep` runs the recursion over ``Z``
-    and each :meth:`step` appends a sample that continues the sequence,
-    both through one in-place update: a row they return is a view that the
-    next overwrites.  Every training sample must lie in the ball
-    ``||z|| <= M`` where the kernel is defined (:class:`NormBoundError`); a
-    stepped sample outside it becomes ``z * M / ||z||`` and is counted in
-    ``projected``.  Single-writer: not safe for concurrent stepping.
+    of the latest sample ``t``; ``last_col``, when given, is that row of
+    the last training sample without its border.  :meth:`sweep` runs the
+    recursion over ``Z`` and each :meth:`step` appends a sample that
+    continues the sequence, both through one in-place update: a row they
+    return is a view that the next overwrites.  Every training sample must
+    lie in the ball ``||z|| <= M`` where the kernel is defined
+    (:class:`NormBoundError`); a stepped sample outside it becomes
+    ``z * M / ||z||`` and is counted in ``projected``.  Single-writer: not
+    safe for concurrent stepping.
     """
 
     def __init__(self, Z_train: np.ndarray, params: VolterraParams,
-                 last_col_with_border: np.ndarray | None = None):
+                 last_col: np.ndarray | None = None):
         _check_sample_norms(Z_train, params)
         n = Z_train.shape[0]
         self._Z = Z_train
         self._params = params
         self.column = np.full(n + 1, params.border)
-        if last_col_with_border is not None:
-            if np.shape(last_col_with_border) != (n + 1,):
+        if last_col is not None:
+            if np.shape(last_col) != (n,):
                 raise InvalidInputError(
-                    "last column must include the border entry")
-            self.column[1:] = last_col_with_border[1:]
+                    "last column must hold one value per training sample")
+            self.column[1:] = last_col
         self._row = np.empty(n)
         self._denom = np.empty(n)
         self.projected = 0
@@ -402,7 +411,6 @@ class KernelModel:
     train_inputs: np.ndarray
     alpha: np.ndarray
     washout: int
-    lam_reg: float
     solution: RidgeSolution | None = None
     train_windows: np.ndarray | None = field(default=None, repr=False)
     _last_col: np.ndarray | None = field(default=None, repr=False)
@@ -428,15 +436,14 @@ class KernelModel:
         return VolterraExtension(self.train_inputs, self.kernel, self._last_col)
 
     def to_dict(self) -> dict:
-        """Schema ``kernel-model/2``: Volterra models also store the bordered
-        last Gram column, so loading them builds no Gram."""
+        """Schema ``kernel-model/3``: Volterra models also store the last
+        Gram column (n values, no border), so loading them builds no Gram."""
         doc = {
-            "schema": "kernel-model/2",
+            "schema": "kernel-model/3",
             "kernel": self.kernel.describe(),
             "train_inputs": self.train_inputs.tolist(),
             "alpha": self.alpha.tolist(),
             "washout": self.washout,
-            "lam_reg": self.lam_reg,
         }
         if self.is_volterra:
             doc["last_column"] = self._last_col.tolist()
@@ -445,24 +452,25 @@ class KernelModel:
     @classmethod
     def from_dict(cls, doc: dict, source: str = "model document",
                   path: str = "") -> "KernelModel":
-        """Load a ``kernel-model/2`` document.  ``source`` and ``path`` (the
+        """Load a ``kernel-model/3`` document.  ``source`` and ``path`` (the
         dotted location of ``doc`` in it) name a missing key, and a bad
-        value (a :class:`~kernelcast.errors.DependencyError`): kernel
-        parameters as :data:`_KERNEL_PARAMS` takes them, a whole ``washout``
-        that leaves training rows, a positive ``lam_reg``, arrays whose
-        shapes fit the model and Volterra samples within ``M``."""
+        value (a :class:`~kernelcast.errors.DependencyError`): a kernel
+        ``kind`` and parameters as :data:`_KERNEL_PARAMS` takes them, a
+        whole ``washout`` that leaves training rows, arrays whose shapes fit
+        the model and Volterra samples within ``M``.  A ``kernel-model/1``
+        or ``/2`` document asks for a refit."""
         def get(key, conv):
             return doc_value(doc, key, source, path, conv)
 
         schema = doc_field(doc, "schema", source, path)
-        if schema == "kernel-model/1":
+        if schema in ("kernel-model/1", "kernel-model/2"):
             raise DependencyError(
-                f"{source}: schema kernel-model/1 is no longer read; refit "
-                "the model")
-        if schema != "kernel-model/2":
+                f"{source}: schema {schema} is no longer read; refit the "
+                "model")
+        if schema != "kernel-model/3":
             raise InvalidInputError(f"unknown model schema {schema!r}")
         kind = doc_field(doc, "kernel.kind", source, path)
-        if kind not in _KERNEL_PARAMS:
+        if not isinstance(kind, str) or kind not in _KERNEL_PARAMS:
             raise doc_error(source, path, "kernel.kind", "must be one of "
                             f"{', '.join(_KERNEL_PARAMS)}, not {kind!r}")
         params = {}
@@ -488,15 +496,12 @@ class KernelModel:
         washout = get("washout", int_in(0, rows - 1))
         model = KernelModel(kernel, train_inputs,
                             get("alpha", finite_array(rows - washout, None)),
-                            washout, get("lam_reg", positive))
+                            washout)
         if lagged:
             windows = delay_vectors(train_inputs, kernel.tau)
             model.train_windows = windows[washout:]
         else:
-            model._last_col = get("last_column", finite_array(rows + 1))
-            if model._last_col[0] != kernel.border:
-                raise doc_error(source, path, "last_column", "must start "
-                                f"with the border {kernel.border!r}")
+            model._last_col = get("last_column", finite_array(rows))
             try:
                 model.extension()  # checks the samples against M
             except NormBoundError as exc:
@@ -532,17 +537,15 @@ def fit_kernel_model(inputs, targets, kernel, lam_reg: float,
         sol = solve_ridge_gram(GramRows(Z.shape[0] - washout,
                                         lambda: ext.sweep(washout)),
                                Y, lam_reg)
-        model = KernelModel(kernel, Z, sol.coefficients, washout,
-                            float(lam_reg), sol)
-        model._last_col = ext.column  # the sweep's bordered last row
+        model = KernelModel(kernel, Z, sol.coefficients, washout, sol)
+        model._last_col = ext.column[1:]  # the sweep's last row
         return model
 
     if isinstance(kernel, NgrcKernelParams) and kernel.d != Z.shape[1]:
         raise InvalidInputError("kernel d does not match the input dimension")
     windows, Y = lagged_pairs(Z, targets, kernel.tau, washout)
     sol = solve_ridge_gram(_lagged_rows(kernel, windows), Y, lam_reg)
-    model = KernelModel(kernel, Z, sol.coefficients, washout,
-                        float(lam_reg), sol)
+    model = KernelModel(kernel, Z, sol.coefficients, washout, sol)
     model.train_windows = windows
     return model
 

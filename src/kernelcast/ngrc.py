@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (CapacityError, InvalidInputError, doc_error, doc_field,
-                     doc_value, finite_array, int_in, positive)
+                     doc_value, finite_array, int_in)
 from .linsolve import RidgeSolution, solve_ridge_primal
 
 # Hard cap on materialized exponent-table rows; anything bigger is a config
@@ -37,10 +37,9 @@ def feature_dim(tau: int, d: int, p: int) -> int:
     if tau < 1 or d < 1 or p < 1:
         raise InvalidInputError("tau, d and p must be >= 1")
     n = math.comb(tau * d + p, p)
-    if n > _INT64_MAX:
+    if n > _INT64_MAX:  # n may have more digits than int() will print
         raise CapacityError(
-            f"feature dimension {n} exceeds the representable integer range"
-        )
+            f"feature dimension exceeds the int64 cap of {_INT64_MAX}")
     return n
 
 
@@ -175,7 +174,6 @@ class NgrcModel:
 
     table: ExponentTable
     weights: np.ndarray
-    lam_reg: float
     solution: RidgeSolution | None = None
 
     @property
@@ -188,7 +186,6 @@ class NgrcModel:
             "tau": self.table.tau,
             "d": self.table.d,
             "p": self.table.p,
-            "lam_reg": self.lam_reg,
             "weights": self.weights.tolist(),
         }
 
@@ -198,8 +195,8 @@ class NgrcModel:
         """Load an ``ngrc-model/1`` document.  ``source`` and ``path`` (the
         dotted location of ``doc`` in it) name a missing key, and a bad
         value (a :class:`~kernelcast.errors.DependencyError`): ``tau``,
-        ``d`` and ``p`` whole numbers >= 1 whose table fits the cap,
-        ``lam_reg`` positive and ``weights`` one row per monomial."""
+        ``d`` and ``p`` whole numbers >= 1 whose table fits the cap and
+        ``weights`` one row per monomial."""
         def get(key, conv):
             return doc_value(doc, key, source, path, conv)
 
@@ -211,8 +208,8 @@ class NgrcModel:
                                            for key in ("tau", "d", "p")))
         except CapacityError as exc:  # sizes that no table can hold
             raise doc_error(source, "", path, f"cannot be loaded: {exc}")
-        weights = get("weights", finite_array(table.n_features, None))
-        return cls(table, weights, get("lam_reg", positive))
+        return cls(table, get("weights", finite_array(table.n_features,
+                                                      None)))
 
 
 def lagged_pairs(inputs, targets, tau: int, washout: int = 0) -> tuple[
@@ -269,7 +266,7 @@ def fit_ngrc(inputs, targets, tau: int, p: int, lam_reg: float,
         X *= s
     sol = solve_ridge_primal(X, Y, lam_reg)
     weights = sol.coefficients if s is None else s[:, None] * sol.coefficients
-    return NgrcModel(table, weights, float(lam_reg), sol)
+    return NgrcModel(table, weights, sol)
 
 
 def predict_ngrc(model: NgrcModel, v) -> np.ndarray:

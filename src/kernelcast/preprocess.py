@@ -10,11 +10,14 @@ from the test span.  Kinds:
 * ``max-norm-scale``      global rescale so the largest training row norm
                           equals :data:`MAX_NORM`,
 * ``constant-scale``      multiply by :data:`CONSTANT`.
+
+A transform's document holds its ``kind``, ``shift`` and ``scale``; its
+floored dimensions (``degenerate_dims``) go to ``fit_manifest.json``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +41,6 @@ class TransformSpec:
     shift: np.ndarray | None = None   # subtracted before scaling
     scale: np.ndarray | float = 1.0   # divisor (per-dim array or global float)
     degenerate_dims: tuple = ()
-    meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -46,8 +48,6 @@ class TransformSpec:
             "shift": None if self.shift is None else self.shift.tolist(),
             "scale": self.scale if np.isscalar(self.scale)
             else np.asarray(self.scale).tolist(),
-            "degenerate_dims": list(self.degenerate_dims),
-            "meta": self.meta,
         }
 
     @classmethod
@@ -57,9 +57,8 @@ class TransformSpec:
         of ``doc`` in it) name a missing ``kind``, ``shift`` or ``scale``,
         and a bad one, which raises
         :class:`~kernelcast.errors.DependencyError`: ``kind`` is one of
-        :data:`KINDS`, ``shift`` null (no shift) or finite numbers, ``scale``
-        a finite non-zero number or a list of them, the optional
-        ``degenerate_dims`` whole numbers >= 0 and ``meta`` an object."""
+        :data:`KINDS`, ``shift`` null (no shift) or finite numbers and
+        ``scale`` a finite non-zero number or a list of them."""
         def get(key):
             return doc_field(doc, key, source, path)
 
@@ -77,14 +76,7 @@ class TransformSpec:
         scale = _finite_floats(scale)
         if scale is None or not np.all(scale):
             raise bad("scale", "a finite non-zero number or a list of them")
-        dims, meta = doc.get("degenerate_dims", []), doc.get("meta", {})
-        if not isinstance(dims, list) or not all(
-                type(j) is int and j >= 0 for j in dims):
-            raise bad("degenerate_dims", "a list of whole numbers >= 0")
-        if not isinstance(meta, dict):
-            raise bad("meta", "an object")
-        return cls(kind, shift, float(scale) if scale.ndim == 0 else scale,
-                   tuple(dims), dict(meta))
+        return cls(kind, shift, float(scale) if scale.ndim == 0 else scale)
 
 
 def _finite_floats(value) -> np.ndarray | None:
@@ -117,8 +109,7 @@ def fit(kind: str, train) -> TransformSpec:
         degenerate = tuple(int(j) for j in np.nonzero(rng < _FLOOR)[0])
         rng = np.maximum(rng, _FLOOR)
         return TransformSpec("minmax01", shift=lo, scale=rng,
-                             degenerate_dims=degenerate,
-                             meta={"min": lo.tolist(), "max": hi.tolist()})
+                             degenerate_dims=degenerate)
     if kind == "standardize":
         mean = V.mean(axis=0)
         std = V.std(axis=0)
@@ -133,12 +124,9 @@ def fit(kind: str, train) -> TransformSpec:
         degenerate = (0,) if max_norm < _FLOOR else ()
         return TransformSpec("max-norm-scale",
                              scale=max(max_norm, _FLOOR) / MAX_NORM,
-                             degenerate_dims=degenerate,
-                             meta={"max_norm": max_norm,
-                                   "target_norm": MAX_NORM})
+                             degenerate_dims=degenerate)
     if kind == "constant-scale":
-        return TransformSpec("constant-scale", scale=1.0 / CONSTANT,
-                             meta={"constant": CONSTANT})
+        return TransformSpec("constant-scale", scale=1.0 / CONSTANT)
     raise InvalidInputError(f"unknown transform kind {kind!r}")
 
 

@@ -360,6 +360,9 @@ class TestMalformedConfigValue:
         ("lorenz-ngrc", "task.lyapunov_exponent", -0.9, "eval"),
         ("lorenz-ngrc", "dataset.n_points", 1, "simulate"),
         ("bekk-ngrc", "dataset.n_points", 2, "simulate"),
+        # sizes beyond the float64 values one array can address
+        ("bekk-ngrc", "dataset.n_points", 1e308, "simulate"),
+        ("bekk-ngrc", "dataset.d", 1e308, "simulate"),
         ("bekk-ngrc", "estimator.hyper.washuot", 50, "fit"),
         ("bekk-ngrc", "cv.fixed_hyper.washuot", 50, "cv"),
         ("bekk-ngrc", "cv.fixed_hyper.tau", 2, "cv"),  # the grid sets tau
@@ -401,6 +404,7 @@ class TestMalformedConfigValue:
     @pytest.mark.parametrize("path, value", [
         ("estimator.hyper.theta", 2.0),  # theta M < 1
         ("estimator.hyper.lam", 0.99),  # lam < sqrt(1 - theta^2 M^2) = 0.8
+        ("estimator.hyper.theta", 1e308),  # theta^2 overflows a float
     ])
     def test_volterra_joint_bound_names_the_hyper(self, tmp_path, capsys,
                                                   path, value):
@@ -420,6 +424,8 @@ class TestMalformedConfigValue:
         ("bekk-ngrc", "dataset.n_train", 3000.9, "simulate", None),
         # thetas [0.6]: theta·M = 1.2 prunes every pair
         ("bekk-volterra", "estimator.grid.M", 2.0, "cv", "estimator.grid"),
+        ("bekk-volterra", "estimator.grid.thetas", [1e308], "cv",
+         "estimator.grid"),
         # a string or a bool is no number, also inside a list
         ("bekk-ngrc", "estimator.hyper.tau", "2", "fit", None),
         ("bekk-ngrc", "estimator.hyper.lam_reg", "0.1", "fit", None),
@@ -857,6 +863,33 @@ class TestShippedBekkArtifacts:
         assert np.isfinite(values[0, header.index("w1") - 1])
 
 
+class TestFitProvenance:
+    """``fit_manifest.json`` records the fit's provenance; ``model.json``
+    holds only what ``forecast`` reads."""
+
+    @pytest.mark.parametrize("preset", sorted(
+        name for name in PRESETS if "task" in PRESETS[name]))
+    def test_provenance_is_in_the_manifest_only(self, request, preset):
+        family = preset.rsplit("-", 1)[0].replace("-", "_")
+        out = request.getfixturevalue(f"{family}_pipelines")[preset]["a"]["dir"]
+        manifest = json.loads((out / "fit_manifest.json").read_text())
+        assert manifest["hyper"] == PRESETS[preset]["estimator"]["hyper"]
+        text = (out / "model.json").read_text()
+        est = json.loads(text)["estimator"]
+        assert est["schema"] == "estimator/2"
+        for chain, specs in (("input", est["input_specs"]),
+                             ("output", est["output_specs"])):
+            flags = manifest["transforms"][chain]
+            assert flags is None if specs is None else len(flags) == len(
+                specs)
+        for key in ("hyper", "shared_pipeline", "meta", "degenerate_dims",
+                    "lam_reg"):
+            assert f'"{key}"' not in text
+        if est["kind"] == "volterra":
+            model = est["model"]
+            assert len(model["last_column"]) == len(model["train_inputs"])
+
+
 class TestMissingArtifactKey:
     """A shipped run whose upstream document lacks a key, or holds a bad
     transform value, exits 2, naming the file and the dotted key."""
@@ -912,9 +945,6 @@ class TestMissingArtifactKey:
         ("1.shift", "abc", "null or finite numbers"),
         ("1.shift", {"a": 1}, "null or finite numbers"),
         ("0.kind", "log", "one of minmax01, standardize"),
-        ("1.degenerate_dims", 5, "a list of whole numbers"),
-        ("1.degenerate_dims", [0, True], "a list of whole numbers"),
-        ("1.meta", 5, "an object"),
     ])
     def test_bad_transform_value_is_dependency_error(
             self, bekk_pipelines, tmp_path, capsys, key, value, text):
@@ -947,28 +977,21 @@ class TestMissingArtifactKey:
         ("lorenz", "lorenz-volterra", "input_tail", "abc"),
         ("lorenz", "lorenz-volterra", "input_tail", [[0.0, 1.0, 2.0], [0.0]]),
         ("lorenz", "lorenz-volterra", "input_tail", [[math.nan, 1.0, 2.0]]),
-        # a kind that does not fit the model, or a lag count that is not
-        # the model's (None: set to null; ...: removed)
+        # a kind that does not fit the model
         ("bekk", "bekk-ngrc", "kind", "volterra"),
         ("lorenz", "lorenz-volterra", "kind", "ngrc"),
         ("lorenz", "lorenz-ngrc", "kind", "foo"),
-        ("lorenz", "lorenz-ngrc", "hyper.tau", "x"),
-        ("lorenz", "lorenz-ngrc", "hyper.tau", None),
-        ("lorenz", "lorenz-ngrc", "hyper.tau", ...),
-        ("lorenz", "lorenz-ngrc", "hyper.tau", 5),
-        ("lorenz", "lorenz-ngrc", "hyper", [1, 2]),
-        # a hyperparameter that the kind requires, does not read, or reads
-        # as another number
-        ("lorenz", "lorenz-ngrc", "hyper.lam_reg", ...),
-        ("lorenz", "lorenz-ngrc", "hyper.washot", 3),
-        ("lorenz", "lorenz-ngrc", "hyper.lam_reg", -5),
-        ("lorenz", "lorenz-volterra", "hyper.theta", [0.5]),
+        # null output transforms share the input transforms, which a model
+        # whose 15 outputs are not its 5 inputs cannot do
+        ("bekk", "bekk-volterra", "output_specs", None),
         # a model value that is not what the model reads, or whose shape
-        # does not fit the model
+        # does not fit the model (a callable value edits the stored one)
         ("lorenz", "lorenz-ngrc", "model.tau", "x"),
         ("lorenz", "lorenz-ngrc", "model.d", True),
         ("lorenz", "lorenz-ngrc", "model.p", 2.5),
-        ("lorenz", "lorenz-ngrc", "model.lam_reg", -1.0),
+        # a degree whose feature count has too many digits to print
+        ("lorenz", "lorenz-polynomial", "model",
+         lambda model: dict(model, p=1e308)),
         ("lorenz", "lorenz-ngrc", "model.weights", [1.0, 2.0]),
         ("lorenz", "lorenz-ngrc", "model.weights", [["x"]]),
         ("lorenz", "lorenz-volterra", "model.washout", "x"),
@@ -976,11 +999,7 @@ class TestMissingArtifactKey:
         ("lorenz", "lorenz-volterra", "model.alpha", [[1.0]]),
         ("lorenz", "lorenz-volterra", "model.train_inputs", [[0.0, None]]),
         ("lorenz", "lorenz-volterra", "model.last_column", [1.0]),
-        # the column's first entry is the border 1 / (1 - theta^2)
-        ("lorenz", "lorenz-volterra", "model.last_column",
-         lambda column: [12345.0] + column[1:]),
-        # a sample outside the Volterra kernel's domain ||z|| <= M (a
-        # callable value edits the stored one)
+        # a sample outside the Volterra kernel's domain ||z|| <= M
         ("lorenz", "lorenz-volterra", "model.train_inputs",
          lambda rows: rows[:-1] + [[30.0, 30.0, 30.0]]),
         ("lorenz", "lorenz-volterra", "model.kernel.theta", "x"),
@@ -989,6 +1008,13 @@ class TestMissingArtifactKey:
                                                        "lam": 0.99,
                                                        "theta": 0.9}),
         ("lorenz", "lorenz-volterra", "model.kernel.kind", "foo"),
+        ("bekk", "bekk-volterra", "model.kernel.kind", ["volterra"]),
+        ("bekk", "bekk-volterra", "model.kernel.kind", {"kind": "volterra"}),
+        # theta^2 M^2 beyond the float range is outside the joint bound
+        ("lorenz", "lorenz-volterra", "model.kernel",
+         lambda kernel: dict(kernel, theta=1e308)),
+        ("bekk", "bekk-volterra", "model.kernel",
+         lambda kernel: dict(kernel, M=1e308)),
         ("lorenz", "lorenz-ngrc", "model.schema", "foo"),
         ("lorenz", "lorenz-ngrc", "schema", "estimator/9"),
         ("lorenz", "lorenz-ngrc", "input_specs", 3),
@@ -1047,6 +1073,28 @@ class TestMissingArtifactKey:
         capsys.readouterr()
         assert run_cli("forecast", "--preset", "lorenz-volterra",
                        "--out", str(out)) == 2
+        assert "refit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, preset, key, schema", [
+        # documents that still carry the hyperparameter echo, the transform
+        # flags, lam_reg and the Volterra border
+        ("lorenz", "lorenz-volterra", "model.schema", "kernel-model/2"),
+        ("bekk", "bekk-ngrc", "schema", "estimator/1"),
+    ])
+    def test_older_schema_asks_for_refit(self, request, tmp_path, capsys,
+                                         family, preset, key, schema):
+        shipped = request.getfixturevalue(f"{family}_pipelines")
+        out = tmp_path / "exp"
+        shutil.copytree(shipped[preset]["a"]["dir"], out)
+        doc = json.loads((out / "model.json").read_text())
+        node = doc["estimator"]
+        *parents, last = key.split(".")
+        for part in parents:
+            node = node[part]
+        node[last] = schema
+        (out / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("forecast", "--preset", preset, "--out", str(out)) == 2
         assert "refit" in capsys.readouterr().err
 
 

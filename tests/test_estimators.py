@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from kernelcast.estimators import (
 from kernelcast.forecast import path_continue
 from kernelcast.kernels import PolyKernelParams, fit_kernel_model, predict_kernel
 from kernelcast.ngrc import NgrcModel, delay_vectors, predict_ngrc
+from kernelcast.presets import PRESETS
 
 HYPER = {"ngrc": {"tau": 2, "p": 2, "lam_reg": 1e-6},
          "ngrc-kernel": {"tau": 2, "p": 2, "lam_reg": 1e-6},
@@ -176,60 +178,58 @@ class TestNumberReaders:
                 hyper_value(name, value)
 
 
+def dotted_keys(doc: dict) -> list:
+    """The dotted keys of an estimator document: its own, those of its
+    model and those of each of its transforms."""
+    keys = [*doc, *(f"model.{key}" for key in doc["model"])]
+    for chain in ("input_specs", "output_specs"):
+        for i, spec in enumerate(doc[chain] or ()):
+            keys += [f"{chain}.{i}.{key}" for key in spec]
+    return keys
+
+
 class TestModelDocuments:
-    @pytest.mark.parametrize("kind", ["ngrc", "polynomial", "volterra"])
-    def test_preprocessing_echo_of_older_documents_is_ignored(self, kind):
-        """Documents written while models echoed their preprocessing carry
-        ``model.preprocessing``; they load and forecast bit for bit."""
+    @pytest.mark.parametrize("kind", sorted(HYPER))
+    def test_a_loaded_document_forecasts_bit_for_bit(self, kind):
         series = short_series()
         est = fit_task(kind, HYPER[kind], (series,))
         doc = json.loads(json.dumps(estimator_to_dict(est)))
-        assert "preprocessing" not in doc["model"]
-        older = json.loads(json.dumps(doc))
-        older["model"]["preprocessing"] = {
-            "inputs": doc["input_specs"], "outputs": doc["output_specs"]}
-        runs = [path_continue(estimator_from_dict(d), series, 8).predicted
-                for d in (doc, older)]
-        assert np.array_equal(runs[0], runs[1])
-        assert np.array_equal(runs[0], path_continue(est, series, 8).predicted)
-
-
-class TestHyperEcho:
-    """A model document's ``hyper`` echo is read as the kind reads it: a
-    missing name, an unread name or a bad value names
-    ``hyper.<name>``."""
+        assert np.array_equal(
+            path_continue(estimator_from_dict(doc), series, 8).predicted,
+            path_continue(est, series, 8).predicted)
 
     @staticmethod
-    def load(kind, edit):
-        doc = json.loads(json.dumps(estimator_to_dict(
-            fit_task(kind, HYPER[kind], (short_series(),)))))
-        edit(doc["hyper"])
-        return estimator_from_dict(doc)
-
-    @pytest.mark.parametrize("kind, name", [
-        (kind, name) for kind in sorted(HYPER) for name in REQUIRED_HYPER[kind]
-    ])
-    def test_a_required_name_missing(self, kind, name):
-        with pytest.raises(DependencyError, match=(
-                rf"'hyper\.{name}' {kind} needs hyperparameter {name}$")):
-            self.load(kind, lambda hyper: hyper.pop(name))
-
-    @pytest.mark.parametrize("kind", sorted(HYPER))
-    def test_a_name_the_kind_does_not_read(self, kind):
-        with pytest.raises(DependencyError, match=(
-                rf"'hyper\.washot' {kind} reads no hyperparameter washot$")):
-            self.load(kind, lambda hyper: hyper.update(washot=3))
+    def check_every_key_is_read(doc):
+        """Removing any one key of ``doc`` makes the loader raise
+        :class:`DependencyError` naming it: the document holds no key that
+        a forecast does not read."""
+        for key in dotted_keys(doc):
+            *parents, last = key.split(".")
+            node = doc
+            for part in parents:
+                node = node[int(part)] if isinstance(node, list) else node[part]
+            value = node.pop(last)
+            try:
+                with pytest.raises(DependencyError, match=re.escape(repr(key))):
+                    estimator_from_dict(doc)
+            finally:
+                node[last] = value
+        estimator_from_dict(doc)
 
     @pytest.mark.parametrize("kind", sorted(HYPER))
-    def test_a_value_the_kind_does_not_take(self, kind):
-        with pytest.raises(DependencyError,
-                           match=r"'hyper\.lam_reg' lam_reg must"):
-            self.load(kind, lambda hyper: hyper.update(lam_reg=-5))
+    def test_a_fitted_document_holds_only_what_is_read(self, kind):
+        est = fit_task(kind, HYPER[kind], (short_series(),))
+        self.check_every_key_is_read(
+            json.loads(json.dumps(estimator_to_dict(est))))
 
-    @pytest.mark.parametrize("kind", sorted(HYPER))
-    def test_the_echo_loads_as_fitted(self, kind):
-        est = self.load(kind, lambda hyper: None)
-        assert est.hyper == HYPER[kind]
+    @pytest.mark.parametrize("preset", sorted(
+        name for name in PRESETS if "task" in PRESETS[name]))
+    def test_a_shipped_document_holds_only_what_is_read(self, request,
+                                                         preset):
+        family = preset.rsplit("-", 1)[0].replace("-", "_")
+        out = request.getfixturevalue(f"{family}_pipelines")[preset]["a"]["dir"]
+        self.check_every_key_is_read(
+            json.loads((out / "model.json").read_text())["estimator"])
 
 
 class TestPolynomialRoute:
@@ -251,14 +251,14 @@ class TestPolynomialRoute:
     def test_one_feature_more_than_rows_is_dual(self):
         est = self.fit(5)
         assert est.route == "dual" and est.features == 6
-        assert estimator_to_dict(est)["model"]["schema"] == "kernel-model/2"
+        assert estimator_to_dict(est)["model"]["schema"] == "kernel-model/3"
 
     def test_shipped_mackey_glass_polynomial_stays_dual(
             self, mackey_glass_pipelines):
         # tau 17, p 4: N = 5985 monomials against n = 2983 windows
         out = mackey_glass_pipelines["mackey-glass-polynomial"]["a"]["dir"]
         doc = json.loads((out / "model.json").read_text())
-        assert doc["estimator"]["model"]["schema"] == "kernel-model/2"
+        assert doc["estimator"]["model"]["schema"] == "kernel-model/3"
 
     @pytest.mark.parametrize("preset, family", [
         ("bekk-polynomial", "bekk"), ("lorenz-polynomial", "lorenz")])
@@ -276,7 +276,7 @@ class TestPolynomialRoute:
             Y_raw = load_csv(out / "train_outputs.csv")[0].values
         X = preprocess.apply_pipeline(est.input_specs, X_raw)
         Y = preprocess.apply_pipeline(est.output_specs, Y_raw)
-        h = est.hyper
+        h = PRESETS[preset]["estimator"]["hyper"]
         dual = fit_kernel_model(X, Y, PolyKernelParams(h["p"], h["tau"],
                                                        h.get("c", 1.0)),
                                 h["lam_reg"])

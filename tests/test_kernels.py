@@ -143,6 +143,14 @@ class TestVolterraParams:
         p = VolterraParams(lam=0.5, theta=0.5)
         assert p.border == pytest.approx(1.0 / 0.75)
 
+    @pytest.mark.parametrize("theta, M", [
+        (1e308, 1.0), (0.3, 1e308),
+        (1e200, 1e-250),  # theta^2 overflows although theta M < 1
+    ])
+    def test_overflowing_bound_is_outside_it(self, theta, M):
+        with pytest.raises(InvalidInputError, match=r"theta\^2 M\^2 < 1"):
+            VolterraParams(lam=0.5, theta=theta, M=M)
+
 
 class TestVolterraGram:
     def test_zero_inputs_chain(self):
@@ -265,7 +273,7 @@ class TestVolterraExtension:
         n = 4900
         p = VolterraParams(*LORENZ_VOLT)
         Z = self.samples(n, 25)
-        ext = kernels.VolterraExtension(Z, p, np.full(n + 1, p.border))
+        ext = kernels.VolterraExtension(Z, p, np.full(n, p.border))
         ext.step(Z[0])
         z = Z[1].copy()
         assert peak_bytes(lambda: ext.step(z)) < 8 * n
@@ -476,19 +484,26 @@ class TestVolterraModelDocument:
     def test_document_carries_last_column(self):
         model = self.fitted(30)
         doc = model.to_dict()
-        assert doc["schema"] == "kernel-model/2"
-        assert len(doc["last_column"]) == 31
+        assert doc["schema"] == "kernel-model/3"
+        assert len(doc["last_column"]) == 30
         gram = volterra_gram(model.train_inputs, model.kernel).values
-        assert doc["last_column"][1:] == gram[:, -1].tolist()
+        assert doc["last_column"] == gram[:, -1].tolist()
 
-    def test_schema_1_document_asks_for_refit(self):
+    def test_schema_1_and_2_documents_ask_for_refit(self):
         doc = self.fitted(40, washout=5).to_dict()
+        # kernel-model/1 had no last column; /2 stored it with its border
+        # and the ridge strength
         old = dict(doc, schema="kernel-model/1")
         del old["last_column"]
         with pytest.raises(DependencyError, match="refit"):
             KernelModel.from_dict(old)
+        border = VolterraParams(*LORENZ_VOLT).border
+        old = dict(doc, schema="kernel-model/2", lam_reg=1e-6,
+                   last_column=[border, *doc["last_column"]])
+        with pytest.raises(DependencyError, match="refit"):
+            KernelModel.from_dict(old)
 
-    def test_schema_2_without_last_column_rejected(self):
+    def test_schema_3_without_last_column_rejected(self):
         doc = self.fitted(10).to_dict()
         del doc["last_column"]
         with pytest.raises(InvalidInputError, match="last_column"):

@@ -47,6 +47,11 @@ class TestFeatureDim:
         with pytest.raises(CapacityError):
             feature_dim(100, 100, 50)
 
+    def test_overflow_names_the_cap_not_the_count(self):
+        # C(18 + 10^308, 18) has about 5500 digits, more than int() prints
+        with pytest.raises(CapacityError, match=f"cap of {2**63 - 1}$"):
+            feature_dim(6, 3, 10**308)
+
 
 class TestExponentTable:
     def test_scalar_degree_two(self):

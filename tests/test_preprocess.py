@@ -11,8 +11,8 @@ from kernelcast.estimators import INPUT_TRANSFORMS, PAIR_OUTPUT_TRANSFORMS
 class TestFit:
     def test_minmax_statistics(self):
         spec = preprocess.fit("minmax01", np.array([0.0, 2.0, 4.0]))
-        assert spec.meta["min"] == [0.0]
-        assert spec.meta["max"] == [4.0]
+        assert spec.shift.tolist() == [0.0]  # the minimum
+        assert spec.scale.tolist() == [4.0]  # the range
 
     def test_demean_statistics(self):
         spec = preprocess.fit("demean", np.array([1.0, 3.0]))

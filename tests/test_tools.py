@@ -1,7 +1,12 @@
 """The scripts under ``tools/`` run against the package in ``src/``."""
 
 import importlib.util
+import os
+import platform
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -22,5 +27,9 @@ def test_artifact_digests_of_one_preset(tmp_path, capsys):
     assert not any(name.endswith("_manifest.json") for name in doc["sha256"])
     assert all(len(digest) == 64 for digest in doc["sha256"].values())
     assert set(doc["threads"]) == set(tool.THREAD_VARS)
+    assert doc["cpus"] == len(os.sched_getaffinity(0)) >= 1
+    assert doc["versions"] == {"python": platform.python_version(),
+                               "numpy": np.__version__,
+                               "scipy": scipy.__version__}
     assert capsys.readouterr().out == ""  # stage output goes to stderr
     assert len(tool.REPLICATION_PRESETS) == 9

@@ -8,8 +8,11 @@ runs simulate, fit, forecast, eval and cv on each replication preset
 through ``kernelcast.cli.main`` in this one process, in a temporary
 directory, and prints one JSON document: the exit code of every stage, the
 sha256 of every file the stages wrote except the ``*_manifest.json`` files
-(which record times), and the BLAS thread settings.  Digests depend on the
-thread count, so compare two documents only when their ``threads`` agree.
+(which record times), and the environment that the digests hold under: the
+BLAS thread settings, the usable CPUs and the Python, numpy and SciPy
+versions.  Digests depend on the thread count, which defaults to the usable
+CPUs when ``threads`` is unset, so compare two documents only when their
+``threads``, ``cpus`` and ``versions`` agree.
 The stages' own output and one status line per stage go to standard error.
 Point ``PYTHONPATH`` at another checkout's ``src`` to digest that code.
 """
@@ -20,8 +23,10 @@ import contextlib
 import hashlib
 import json
 import os
+import platform
 import sys
 import tempfile
+from importlib.metadata import version
 
 from kernelcast.cli import main
 from kernelcast.presets import PRESETS
@@ -34,8 +39,9 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 
 def digests(out_dir, presets) -> dict:
     """Run :data:`STAGES` on each of ``presets``, each in its own directory
-    under ``out_dir``: ``{"threads", "exit_codes", "sha256"}``, keyed
-    ``preset/stage`` and ``preset/file``."""
+    under ``out_dir``: ``{"threads", "cpus", "versions", "exit_codes",
+    "sha256"}``, the last two keyed ``preset/stage`` and
+    ``preset/file``."""
     exit_codes, sha256 = {}, {}
     for preset in presets:
         run_dir = os.path.join(out_dir, preset)
@@ -50,6 +56,10 @@ def digests(out_dir, presets) -> dict:
                     sha256[f"{preset}/{name}"] = hashlib.sha256(
                         fh.read()).hexdigest()
     return {"threads": {var: os.environ.get(var) for var in THREAD_VARS},
+            "cpus": len(os.sched_getaffinity(0)),
+            "versions": {"python": platform.python_version(),
+                         "numpy": version("numpy"),
+                         "scipy": version("scipy")},
             "exit_codes": exit_codes, "sha256": sha256}
 
 
