@@ -44,10 +44,15 @@ from .kernels import (
     poly_kernel,
     predict_kernel,
     volterra_gram,
-    volterra_gram_extend,
     volterra_kernel_truncated,
 )
-from .linsolve import RidgeSolution, psd_sqrt, solve_ridge_gram, solve_ridge_primal
+from .linsolve import (
+    GramRows,
+    RidgeSolution,
+    psd_sqrt,
+    solve_ridge_gram,
+    solve_ridge_primal,
+)
 from .metrics import (
     MetricReport,
     Periodogram,

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .cli import _get
+from .cli import _MAX_SIZE, _get
 from .errors import ConfigError, InvalidInputError, int_in
 from .kernels import (
     PolyKernelParams,
@@ -84,7 +84,7 @@ def _time_sweep(fns: dict, repeats: int) -> dict:
 def run_bench(config: dict) -> list[dict]:
     """One row per timed primitive, as ``kernelcast bench`` writes them."""
     tau = _get(config, "bench.tau")
-    n = _get(config, "bench.n", int_in(tau))
+    n = _get(config, "bench.n", int_in(tau, _MAX_SIZE))
     n2 = _get(config, "bench.n_doubled") or 2 * n
     d, gram_d, ps, lam_reg, repeats, steps = (
         _get(config, f"bench.{name}") for name in (

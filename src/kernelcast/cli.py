@@ -95,8 +95,8 @@ def _one_of(*names):
     return conv
 
 
-# The most float64 values that one numpy array can address: a dataset
-# size above it is a config mistake, not an allocation to try.
+# The most float64 values that one numpy array can address: a dataset or
+# ``bench`` size above it is a config mistake, not an allocation to try.
 _MAX_SIZE = np.iinfo(np.intp).max // 8
 
 # The fields of ``dataset`` and ``cv`` that depend on ``dataset.kind`` and
@@ -145,15 +145,15 @@ FIELDS = {
     "task.lyapunov_exponent": (positive, None),
     "cv.mode": (_one_of(*FIELDS_BY["cv.mode"]), ...),
     "cv.fixed_hyper": (_section, {}),
-    "bench.n": (int_in(1), 2000),
-    "bench.n_doubled": (int_in(1), None),  # None: twice bench.n
+    "bench.n": (int_in(1, _MAX_SIZE), 2000),
+    "bench.n_doubled": (int_in(1, _MAX_SIZE), None),  # None: twice bench.n
     "bench.tau": (int_in(1), 8),
-    "bench.d": (int_in(1), 1),
-    "bench.gram_d": (int_in(1), 3),
+    "bench.d": (int_in(1, _MAX_SIZE), 1),
+    "bench.gram_d": (int_in(1, _MAX_SIZE), 3),
     "bench.ps": (lambda ps: [int_in(1)(p) for p in ps], (2, 3, 4, 5)),
     "bench.lam_reg": (positive, 1e-6),
     "bench.repeats": (int_in(1), 5),
-    "bench.prediction_steps": (int_in(1), 50),
+    "bench.prediction_steps": (int_in(1, _MAX_SIZE), 50),
     "bench.volterra.lam": (positive, 0.6),
     "bench.volterra.theta": (positive, 0.5),
 }

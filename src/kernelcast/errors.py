@@ -4,6 +4,7 @@ upstream artifact documents, and the converters that check a value:
 :func:`finite_array` for an array."""
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -160,7 +161,18 @@ def positive(value) -> float:
 def numbers(value) -> np.ndarray:
     """Converter: a number or a nested list of numbers, as float64; a bool,
     a string or a null is no number (:class:`InvalidInputError`)."""
-    items = [value]
+    # A scan of the types one nesting level at a time, without a Python
+    # step per number, passes nested lists of ints and floats.  Anything
+    # else is walked item by item, which names the item that is no number.
+    level = [value]
+    while level:
+        kinds = set(map(type, level))
+        if not kinds <= {int, float, list}:
+            break
+        inner = [item for item in level if type(item) is list] \
+            if list in kinds else []
+        level = list(chain.from_iterable(inner))
+    items = [value] if level else []
     while items:
         item = items.pop()
         if isinstance(item, list):

@@ -337,27 +337,6 @@ class VolterraExtension:
         return self._update(z, self._Z.shape[0])
 
 
-def volterra_gram_extend(train_inputs, test_inputs,
-                         params: VolterraParams) -> GramMatrix:
-    """Rectangular (n_train x n_test) Gram block for a continued sequence.
-
-    Column j holds the kernel between every training suffix and the suffix
-    ending at test sample j; the test samples are treated as continuing the
-    training sequence in order.
-    """
-    Z = _as_samples(train_inputs)
-    T = _as_samples(test_inputs)
-    if T.shape[1] != Z.shape[1]:
-        raise InvalidInputError("train and test sample dimensions differ")
-    ext = VolterraExtension(Z, params)
-    for _ in ext.sweep():
-        pass
-    cols = np.empty((Z.shape[0], T.shape[0]))
-    for j in range(T.shape[0]):
-        cols[:, j] = ext.step(T[j])
-    return GramMatrix(cols)
-
-
 def volterra_kernel_truncated(seq_a, seq_b, params: VolterraParams,
                               tau_max: int) -> tuple[float, float]:
     """Truncated series evaluation of the Volterra kernel, with tail bound.

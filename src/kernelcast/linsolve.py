@@ -18,22 +18,19 @@ solved through a symmetric eigendecomposition with a null-space cutoff.
 Large systems use plain Cholesky with escalating diagonal jitter before a
 :class:`~kernelcast.errors.ConditioningError` is raised.
 
-A Gram reaches :func:`solve_ridge_gram` either as a caller's full n x n
-array or as a :class:`GramRows`, which produces the rows of its lower
-triangle in order; this module alone decides how the Gram is stored.  The
-eigendecomposition route (n up to :data:`GRAM_EIGH_LIMIT`) works on a full
-array.  The Cholesky route keeps one triangle in LAPACK's rectangular full
-packed (RFP) storage, n(n+1)/2 doubles (about 96 MB at n = 4899), and
-factors and solves it where it lies (``dpftrf``/``dpftrs``).  A full ``K``
-is read as the rows of its lower triangle, so every Gram is packed one way:
-its rows are written straight into the packed array.  A jitter retry
-repacks from the source, and the eigendecomposition fallback builds a full
-array from it after the packed one is released, so no second copy is kept.  Still n x n: that route, a
-caller's full ``K``, and :meth:`GramRows.full`, which the analysis Grams
-(``kernels.volterra_gram`` and the self-Grams of ``poly_gram`` and
-``ngrc_gram``) return.  The finiteness, scale and symmetry checks on a full
-``K`` allocate no n x n temporary.  The primal normal matrices stay in full
-storage (``dpotrf``).
+A Gram reaches :func:`solve_ridge_gram` as a :class:`GramRows`, which
+produces the rows of its lower triangle in order; this module alone
+decides how the Gram is stored.  The Cholesky route keeps one triangle in
+LAPACK's rectangular full packed (RFP) storage, n(n+1)/2 doubles (about
+96 MB at n = 4899): the rows are written straight into it, and it is
+factored and solved where it lies (``dpftrf``/``dpftrs``).  A jitter
+retry repacks from the rows.  The eigendecomposition route (n up to
+:data:`GRAM_EIGH_LIMIT`, and the fallback once every Cholesky attempt
+fails) works on the full n x n array of :meth:`GramRows.full`, built after
+any packed array is released, so no second copy is kept.  The analysis
+Grams (``kernels.volterra_gram`` and the self-Grams of ``poly_gram`` and
+``ngrc_gram``) return that full array too.  The primal normal matrices
+stay in full storage (``dpotrf``).
 
 LAPACK is SciPy's extension module ``scipy/linalg/_flapack``.  :func:`_lapack`
 loads that one file at the first solve, ahead of the solve's timer, and not
@@ -68,11 +65,11 @@ GRAM_EIGH_LIMIT = 1024      # Gram dimension solved by eigendecomposition
 
 _REFINE_STEPS = 2
 
-# Largest asymmetry ``max|A - A'|`` accepted in a caller's full Gram or
-# square-root argument, relative to ``max|A|``.
+# Largest asymmetry ``max|S - S'|`` accepted in a :func:`psd_sqrt`
+# argument, relative to ``max|S|``.
 SYMMETRY_RTOL = 1e-8
 
-# Rows per panel of the Gram symmetry check and of the triangle mirror.
+# Rows per panel of the triangle mirror in :meth:`GramRows.full`.
 _SYM_PANEL_ROWS = 64
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -130,8 +127,8 @@ class RidgeSolution:
     gram_bytes : int
         Bytes of that Gram array (0 for a primal solve).
     gram_s, solve_s : float
-        Seconds spent producing Gram rows (a :class:`GramRows` source,
-        retries included), and in the rest of the solve.
+        Seconds spent producing Gram rows (retries included), and in the
+        rest of the solve.
     """
 
     coefficients: np.ndarray
@@ -337,7 +334,7 @@ def solve_ridge_primal(X, Y, lam_reg: float) -> RidgeSolution:
                          solve_s=time.perf_counter() - started)
 
 
-def solve_ridge_gram(K, Y, lam_reg: float) -> RidgeSolution:
+def solve_ridge_gram(K: GramRows, Y, lam_reg: float) -> RidgeSolution:
     """Solve the Gramian ridge regression for dual coefficients.
 
     For nonsingular ``K`` the result solves ``(K + lam I) alpha = Y``; for
@@ -351,10 +348,10 @@ def solve_ridge_gram(K, Y, lam_reg: float) -> RidgeSolution:
 
     Parameters
     ----------
-    K : (n, n) array or GramRows
-        Gram matrix, symmetric within ``SYMMETRY_RTOL * max|K|`` (its lower
-        triangle is factored and ``K`` is left as it is), or the producer
-        of an exactly symmetric Gram's lower-triangle rows.
+    K : GramRows
+        The producer of an exactly symmetric Gram's lower-triangle rows.
+        Any other ``K``, a full array included, is an
+        :class:`~kernelcast.errors.InvalidInputError`.
     Y : (n,) or (n, m) array
         Targets.
     lam_reg : float
@@ -364,19 +361,9 @@ def solve_ridge_gram(K, Y, lam_reg: float) -> RidgeSolution:
     started = time.perf_counter()
     if not (np.isscalar(lam_reg) and lam_reg > 0):
         raise InvalidInputError("lam_reg must be a positive scalar")
-    rows = K if isinstance(K, GramRows) else None
-    if rows is None:
-        K = np.asarray(K, dtype=np.float64)
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise InvalidInputError("K must be a square matrix")
-        scale = _finite_scale("K", K)
-        asym = _max_asymmetry(K)
-        if asym > SYMMETRY_RTOL * max(scale, 1e-300):
-            raise InvalidInputError(
-                f"K is asymmetric beyond tolerance (|K-K'| = {asym:.3e})"
-            )
-        rows = GramRows(K.shape[0],
-                        lambda: (K[i, :i + 1] for i in range(K.shape[0])))
+    if not isinstance(K, GramRows):
+        raise InvalidInputError(
+            f"K must be a GramRows, not {type(K).__name__}")
     n = K.shape[0]
     Y2, squeeze = _as_targets(_check_finite("Y", Y))
     if Y2.shape[0] != n:
@@ -385,7 +372,7 @@ def solve_ridge_gram(K, Y, lam_reg: float) -> RidgeSolution:
 
     def fill() -> np.ndarray:
         """``K + lam I`` in RFP storage, packed afresh."""
-        arf = rows.packed()
+        arf = K.packed()
         _finite_scale("K", arf)
         arf[diag] += lam
         return arf
@@ -404,16 +391,15 @@ def solve_ridge_gram(K, Y, lam_reg: float) -> RidgeSolution:
         alpha, _ = lapack.dpftrs(n, factored, Y2, **_RFP)
         method, storage, gram_bytes = "cholesky", "rfp", factored.nbytes
     else:
-        if isinstance(K, GramRows):  # a caller's full K is read in place
-            K = rows.full()
-            _finite_scale("K", K)
-        alpha, pivot, cut = _gram_eigh_solve(K, Y2, lam)
-        jitter, method, storage, gram_bytes = 0.0, "eigh", "full", K.nbytes
+        full = K.full()
+        _finite_scale("K", full)
+        alpha, pivot, cut = _gram_eigh_solve(full, Y2, lam)
+        method, storage, gram_bytes = "eigh", "full", full.nbytes
     alpha = np.ascontiguousarray(alpha)
     coef = alpha[:, 0] if squeeze else alpha
     return RidgeSolution(coef, pivot, jitter, method, cut, storage,
-                         gram_bytes, rows.seconds,
-                         time.perf_counter() - started - rows.seconds)
+                         gram_bytes, K.seconds,
+                         time.perf_counter() - started - K.seconds)
 
 
 def _finite_scale(name: str, A: np.ndarray) -> float:
@@ -428,22 +414,6 @@ def _finite_scale(name: str, A: np.ndarray) -> float:
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return max(hi, -lo)
-
-
-def _max_asymmetry(A: np.ndarray) -> float:
-    """``max|A - A'|`` over row panels of the upper triangle.
-
-    Each panel compares rows ``i0:i1`` right of the diagonal block with the
-    matching columns below it, so every pair ``(i, j)`` is seen once and the
-    temporaries stay at ``_SYM_PANEL_ROWS`` rows.
-    """
-    n = A.shape[0]
-    asym = 0.0
-    for i0 in range(0, n, _SYM_PANEL_ROWS):
-        i1 = min(i0 + _SYM_PANEL_ROWS, n)
-        diff = A[i0:i1, i0:] - A[i0:, i0:i1].T
-        asym = max(asym, float(np.abs(diff, out=diff).max()))
-    return asym
 
 
 def _eigh(lapack, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -489,7 +459,8 @@ def psd_sqrt(S, rel_tol: float = 1e-10) -> np.ndarray:
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InvalidInputError("S must be a square matrix")
     scale = _finite_scale("S", S)
-    if _max_asymmetry(S) > SYMMETRY_RTOL * max(scale, 1e-300):
+    asym = np.abs(S - S.T).max(initial=0.0)
+    if asym > SYMMETRY_RTOL * max(scale, 1e-300):
         raise InvalidInputError("S must be symmetric")
     evals, vecs = _eigh(lapack, S)
     norm = float(np.max(np.abs(evals))) if evals.size else 0.0

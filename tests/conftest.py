@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from kernelcast.cli import main
+from kernelcast.linsolve import GramRows
 
 REPLICATION_PRESETS = {
     "lorenz": ("lorenz-ngrc", "lorenz-polynomial", "lorenz-volterra"),
@@ -34,6 +35,18 @@ def _peak_traced_bytes(fn) -> int:
 @pytest.fixture()
 def peak_bytes():
     return _peak_traced_bytes
+
+
+def lower_rows(K) -> GramRows:
+    """A full symmetric ``K`` as the rows of its lower triangle, the one
+    form of a Gram that ``solve_ridge_gram`` takes."""
+    n = K.shape[0]
+    return GramRows(n, lambda: (K[i, :i + 1] for i in range(n)))
+
+
+@pytest.fixture(scope="session")
+def gram_rows():
+    return lower_rows
 
 
 def run_preset_pipeline(preset: str, out_dir) -> dict:

@@ -540,7 +540,11 @@ class TestMalformedConfigValue:
         ("n", "abc"), ("ps", 3), ("volterra.lam", "x"), ("repeats", 0),
         ("prediction_steps", 0), ("ps", [2, 0]),
         ("n", 5),  # shorter than tau (8)
-        ("lam_reg", -1)])
+        ("lam_reg", -1),
+        # sizes above cli._MAX_SIZE, which numpy would refuse with a
+        # ValueError
+        ("n", 1e308), ("n_doubled", 1e308), ("prediction_steps", 1e308),
+        ("d", 1e308), ("gram_d", 1e308)])
     def test_bad_bench_setting(self, tmp_path, capsys, path, value):
         cfg = copy.deepcopy(PRESETS["bench-default"])
         *parents, key = path.split(".")

@@ -169,6 +169,38 @@ class TestNumberReaders:
         got = finite_array(2, 2)([[1, 2.0], [3, 4]])
         assert got.dtype == np.float64 and got.tolist() == [[1, 2], [3, 4]]
 
+    @staticmethod
+    def numbers_by_walk(value):
+        """The reference: every item walked in Python, as ``numbers`` does
+        where its type scan does not pass the value."""
+        items = [value]
+        while items:
+            item = items.pop()
+            if isinstance(item, list):
+                items.extend(item)
+            elif isinstance(item, bool) or not isinstance(item, (int, float)):
+                raise InvalidInputError(f"{item!r} is not a number")
+        return np.float64(value)
+
+    @pytest.mark.parametrize("value", [
+        1.5, 3, [1, 2.0], [[1.0, 2.0], [3.0, 4.0]], [], [[]], [[], [1.0]],
+        [[1.0], [2.0, 3.0]], [1.0, [2.0]], [10**400], [math.nan],
+        (1.0, 2.0), [(1.0, 2.0)], [np.float64(1.0)], np.array([1.0]),
+        [1.0, True], [[1.0], ["2"]], None, {}, [{}], [[1.0], None]])
+    def test_numbers_decides_as_the_item_walk(self, value):
+        def outcome(read):
+            try:
+                return read(value)
+            except (ValueError, OverflowError) as exc:
+                return type(exc), str(exc)
+
+        got, expected = outcome(numbers), outcome(self.numbers_by_walk)
+        if isinstance(expected, np.ndarray):
+            assert isinstance(got, np.ndarray)
+            np.testing.assert_array_equal(got, expected)
+        else:
+            assert got == expected
+
     def test_hyper_value_names_the_hyperparameter(self):
         assert hyper_value("tau", 2.0) == 2
         assert hyper_value("lam_reg", 1) == 1.0

@@ -19,7 +19,6 @@ from kernelcast.kernels import (
     poly_kernel,
     predict_kernel,
     volterra_gram,
-    volterra_gram_extend,
     volterra_kernel_truncated,
 )
 from kernelcast.ngrc import build_exponent_table, delay_vectors, ngrc_features
@@ -211,11 +210,20 @@ class TestVolterraGram:
 
 
 class TestVolterraExtension:
+    @staticmethod
+    def stepped(train, test, p):
+        """Column j: the row that ``step(test[j])`` returns after a sweep
+        over ``train`` and the steps before it."""
+        ext = kernels.VolterraExtension(train, p)
+        for _ in ext.sweep():
+            pass
+        return np.column_stack([ext.step(z).copy() for z in test])
+
     def test_zero_test_inputs_reproduce_zero_chain(self):
         p = VolterraParams(lam=0.5, theta=0.5)
         Z = np.zeros((4, 1))
         g = volterra_gram(np.zeros((9, 1)), p).values
-        ext = volterra_gram_extend(np.zeros((5, 1)), Z, p).values
+        ext = self.stepped(np.zeros((5, 1)), Z, p)
         # the chain only depends on depth; column j of the extension matches
         # the corresponding diagonal entries of a longer zero-input Gram
         for j in range(4):
@@ -223,9 +231,8 @@ class TestVolterraExtension:
 
     def test_single_step_hand_value(self):
         p = VolterraParams(lam=0.5, theta=0.5)
-        ext = volterra_gram_extend(np.array([[1.0]]), np.array([[0.0]]), p)
-        assert ext.values[0, 0] == pytest.approx(1 + 0.25 * (1 / 0.75),
-                                                 rel=1e-14)
+        ext = self.stepped(np.array([[1.0]]), np.array([[0.0]]), p)
+        assert ext[0, 0] == pytest.approx(1 + 0.25 * (1 / 0.75), rel=1e-14)
 
     def test_matches_truncated_series(self):
         rng = np.random.default_rng(6)
@@ -233,7 +240,7 @@ class TestVolterraExtension:
         Z = rng.normal(size=(8, 2))
         Z /= np.linalg.norm(Z, axis=1).max() / 0.9
         train, test = Z[:5], Z[5:]
-        ext = volterra_gram_extend(train, test, p).values
+        ext = self.stepped(train, test, p)
         for i in range(1, 6):
             for j in range(1, 4):
                 depth = min(i, 5 + j)
@@ -656,7 +663,8 @@ class TestPackedGram:
 
     @pytest.mark.parametrize("kernel, washout", [
         (VolterraParams(*LORENZ_VOLT), 100), (PolyKernelParams(p=2, tau=2), 0)])
-    def test_fit_alpha_matches_full_k_solve(self, kernel, washout):
+    def test_fit_alpha_matches_full_k_solve(self, gram_rows, kernel,
+                                            washout):
         Z, Y = self.inputs(linsolve.GRAM_EIGH_LIMIT + 140)
         model = fit_kernel_model(Z, Y, kernel, 1e-6, washout=washout)
         if model.is_volterra:
@@ -665,7 +673,7 @@ class TestPackedGram:
         else:
             K = poly_gram(model.train_windows, model.train_windows, kernel)
             Y_eff = Y[kernel.tau - 1:]
-        sol = linsolve.solve_ridge_gram(np.ascontiguousarray(K), Y_eff, 1e-6)
+        sol = linsolve.solve_ridge_gram(gram_rows(K), Y_eff, 1e-6)
         assert model.solution.method == sol.method == "cholesky"
         assert model.solution.storage == "rfp"
         assert np.array_equal(model.alpha, sol.coefficients)

@@ -27,9 +27,20 @@ def test_artifact_digests_of_one_preset(tmp_path, capsys):
     assert not any(name.endswith("_manifest.json") for name in doc["sha256"])
     assert all(len(digest) == 64 for digest in doc["sha256"].values())
     assert set(doc["threads"]) == set(tool.THREAD_VARS)
+    assert set(doc["blas_threads"]) == {"numpy", "scipy"}
+    assert all(count is None or type(count) is int and count >= 1
+               for count in doc["blas_threads"].values())
     assert doc["cpus"] == len(os.sched_getaffinity(0)) >= 1
     assert doc["versions"] == {"python": platform.python_version(),
                                "numpy": np.__version__,
                                "scipy": scipy.__version__}
     assert capsys.readouterr().out == ""  # stage output goes to stderr
     assert len(tool.REPLICATION_PRESETS) == 9
+
+
+def test_openblas_threads_is_null_without_library_or_symbol(tmp_path):
+    tool = load_tool("artifact_digests")
+    assert tool.openblas_threads(str(tmp_path / "missing.so"),
+                                 "scipy_openblas_get_num_threads") is None
+    assert tool.openblas_threads(tool._multiarray_umath.__file__,
+                                 "no_such_symbol") is None

@@ -9,10 +9,11 @@ through ``kernelcast.cli.main`` in this one process, in a temporary
 directory, and prints one JSON document: the exit code of every stage, the
 sha256 of every file the stages wrote except the ``*_manifest.json`` files
 (which record times), and the environment that the digests hold under: the
-BLAS thread settings, the usable CPUs and the Python, numpy and SciPy
-versions.  Digests depend on the thread count, which defaults to the usable
-CPUs when ``threads`` is unset, so compare two documents only when their
-``threads``, ``cpus`` and ``versions`` agree.
+BLAS thread settings, the thread count that the OpenBLAS builds of numpy
+and of SciPy's LAPACK each ran with, the usable CPUs and the Python, numpy
+and SciPy versions.  Digests depend on the thread count, which defaults to
+the usable CPUs when ``threads`` is unset, so compare two documents only
+when their ``threads``, ``blas_threads``, ``cpus`` and ``versions`` agree.
 The stages' own output and one status line per stage go to standard error.
 Point ``PYTHONPATH`` at another checkout's ``src`` to digest that code.
 """
@@ -20,6 +21,7 @@ Point ``PYTHONPATH`` at another checkout's ``src`` to digest that code.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import json
 import os
@@ -29,7 +31,13 @@ import tempfile
 from importlib.metadata import version
 
 from kernelcast.cli import main
+from kernelcast.linsolve import _lapack
 from kernelcast.presets import PRESETS
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
 
 STAGES = ("simulate", "fit", "forecast", "eval", "cv")
 REPLICATION_PRESETS = sorted(name for name in PRESETS
@@ -37,11 +45,26 @@ REPLICATION_PRESETS = sorted(name for name in PRESETS
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 
 
+def openblas_threads(module_file: str, symbol: str) -> int | None:
+    """The thread count that ``symbol``, a ``scipy-openblas`` build's
+    ``openblas_get_num_threads``, reports.  It is looked up on the handle
+    of the extension module ``module_file``, which finds it in the
+    libraries that module links.  None where either is missing."""
+    try:
+        get = getattr(ctypes.CDLL(module_file), symbol)
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    return get()
+
+
 def digests(out_dir, presets) -> dict:
     """Run :data:`STAGES` on each of ``presets``, each in its own directory
-    under ``out_dir``: ``{"threads", "cpus", "versions", "exit_codes",
-    "sha256"}``, the last two keyed ``preset/stage`` and
-    ``preset/file``."""
+    under ``out_dir``: ``{"threads", "blas_threads", "cpus", "versions",
+    "exit_codes", "sha256"}``, the last two keyed ``preset/stage`` and
+    ``preset/file``.  ``blas_threads`` holds the count of numpy's build
+    (64-bit integers) and of the one under SciPy's LAPACK extension, which
+    the solves load."""
     exit_codes, sha256 = {}, {}
     for preset in presets:
         run_dir = os.path.join(out_dir, preset)
@@ -56,6 +79,11 @@ def digests(out_dir, presets) -> dict:
                     sha256[f"{preset}/{name}"] = hashlib.sha256(
                         fh.read()).hexdigest()
     return {"threads": {var: os.environ.get(var) for var in THREAD_VARS},
+            "blas_threads": {
+                "numpy": openblas_threads(_multiarray_umath.__file__,
+                                          "scipy_openblas_get_num_threads64_"),
+                "scipy": openblas_threads(_lapack().__file__,
+                                          "scipy_openblas_get_num_threads")},
             "cpus": len(os.sched_getaffinity(0)),
             "versions": {"python": platform.python_version(),
                          "numpy": version("numpy"),
