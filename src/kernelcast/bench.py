@@ -14,6 +14,7 @@ import time
 import numpy as np
 
 from .cli import _MAX_SIZE, _get
+from .datasets import Philox
 from .errors import ConfigError, InvalidInputError, int_in
 from .kernels import (
     PolyKernelParams,
@@ -89,13 +90,24 @@ def run_bench(config: dict) -> list[dict]:
     d, gram_d, ps, lam_reg, repeats, steps = (
         _get(config, f"bench.{name}") for name in (
             "d", "gram_d", "ps", "lam_reg", "repeats", "prediction_steps"))
+    # the draws are (rows + prediction_steps, width) arrays; one that would
+    # hold more values than an array can address names its largest size
+    for sizes in ({"bench.n": n, "bench.prediction_steps": steps,
+                   "bench.d": d},
+                  {"bench.n_doubled": n2, "bench.prediction_steps": steps,
+                   "bench.gram_d": gram_d}):
+        length, extra, width = sizes.values()
+        if (length + extra) * width > _MAX_SIZE:
+            raise ConfigError(f"{length} + {extra} rows of {width} draws exceed "
+                              f"the {_MAX_SIZE} values one array can address",
+                              field=max(sizes, key=sizes.get))
     try:
         vp = VolterraParams(_get(config, "bench.volterra.lam"),
                             _get(config, "bench.volterra.theta"))
     except InvalidInputError as exc:  # each is positive: the joint bound
         raise ConfigError(str(exc), field="bench.volterra")
     seed = _get(config, "seed")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = Philox(seed)
 
     series = rng.uniform(-1.0, 1.0, (n + steps, d))
     targets = rng.uniform(-1.0, 1.0, (n + steps, 1))

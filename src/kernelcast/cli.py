@@ -96,14 +96,16 @@ def _one_of(*names):
 
 
 # The most float64 values that one numpy array can address: a dataset or
-# ``bench`` size above it is a config mistake, not an allocation to try.
+# ``bench`` size whose array would hold more is a config mistake, not an
+# allocation to try.
 _MAX_SIZE = np.iinfo(np.intp).max // 8
 
 # The fields of ``dataset`` and ``cv`` that depend on ``dataset.kind`` and
 # ``cv.mode``: one table per value, read as :data:`FIELDS` is.
 FIELDS_BY = {
     "dataset.kind": {
-        "lorenz": {"dataset.n_points": (int_in(2, _MAX_SIZE), 15001),
+        # the trajectory is an (n_points, 3) array
+        "lorenz": {"dataset.n_points": (int_in(2, _MAX_SIZE // 3), 15001),
                    "dataset.dt": (positive, 0.005),
                    "dataset.initial": (numbers, (0.0, 1.0, 1.05))},
         "mackey-glass": {"dataset.dt_fine": (positive, 0.02),
@@ -343,8 +345,14 @@ def generate_dataset(config: dict) -> tuple[tuple, tuple]:
             # what is left is delay not being a multiple of dt_fine
             raise ConfigError(str(exc), field="dataset.delay")
     elif kind == "bekk":
-        n_points, d, C, a, b = (_get(config, f"dataset.{name}")
-                                for name in ("n_points", "d", "C", "a", "b"))
+        d, C, a, b = (_get(config, f"dataset.{name}")
+                      for name in ("d", "C", "a", "b"))
+        if np.shape(C) != (d, d):  # before np.full(d, a) allocates
+            raise ConfigError(f"must be the order of dataset.C, whose shape "
+                              f"is {np.shape(C)}", field="dataset.d")
+        # the covariances are an (n_points, d (d + 1) / 2) array
+        n_points = _get(config, "dataset.n_points",
+                        int_in(3, _MAX_SIZE // (d * (d + 1) // 2)))
         try:
             params = BekkParams(C, np.full(d, a) if np.ndim(a) == 0 else a,
                                 np.full(d, b) if np.ndim(b) == 0 else b,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import array
 import math
+import operator
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -69,16 +70,176 @@ class TimeSeries:
         return self.values.shape[1]
 
 
+_M32 = 0xFFFFFFFF
+_M64 = 0xFFFFFFFFFFFFFFFF
+# Philox4x64's round multipliers and Weyl key increments (Random123)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_CHUNK_BLOCKS = 64  # the fewest blocks made at once
+
+
+def _seed_key(seed: int) -> tuple[int, int]:
+    """numpy's ``SeedSequence(seed).generate_state(2, np.uint64)``: the
+    seed's little-endian 32-bit words hashed into a pool of four, which
+    is hashed out again into two 64-bit words."""
+    words = [seed & _M32]
+    while seed > _M32:
+        seed >>= 32
+        words.append(seed & _M32)
+    mult = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal mult
+        value ^= mult
+        mult = mult * 0x931E8875 & _M32
+        value = value * mult & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    mult = 0x8B51F9DD
+    state = []
+    for value in pool:
+        value ^= mult
+        mult = mult * 0x58F38DED & _M32
+        value = value * mult & _M32
+        state.append(value ^ value >> 16)
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of ``a * b``, the high one summed from
+    the 32-bit halves' products so that nothing overflows."""
+    a_lo, a_hi = a & _M32, a >> 32
+    b_lo, b_hi = b & _M32, b >> 32
+    lo_hi, hi_lo = a_lo * b_hi, a_hi * b_lo
+    carry = (a_lo * b_lo >> 32) + (lo_hi & _M32) + (hi_lo & _M32)
+    return a_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + (carry >> 32), a * b
+
+
+def _philox_blocks(first: int, count: int, key: tuple[int, int]):
+    """Philox4x64-10 of the counters ``first, ..., first + count - 1``
+    (upper counter words zero): four 64-bit words per block, in order."""
+    x0 = np.arange(first, first + count, dtype=np.uint64)
+    x1 = x2 = x3 = np.zeros(count, dtype=np.uint64)
+    k0, k1 = key
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _M64, (k1 + _PHILOX_W[1]) & _M64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    return np.stack([x0, x1, x2, x3], axis=1).reshape(-1)
+
+
+class Philox:
+    """The seeded draws of numpy 2.x's ``Generator(Philox(seed))`` that
+    the package takes, bit for bit, without loading numpy's random
+    package and its nine extension modules.
+
+    The key is ``SeedSequence(seed)``'s, for a whole ``seed >= 0`` of any
+    size.  The blocks are Philox4x64-10 at counters 1, 2, ...; a double is
+    ``(word >> 11) * 2**-53`` of the next 64-bit word, and a 32-bit draw
+    is the low half of the next word, then its high half, as numpy
+    buffers them.  The tests pin every method against numpy's generator.
+    """
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)  # a float is no seed, as for numpy
+        if seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {seed}")
+        self._key = _seed_key(seed)
+        self._counter = 0  # of the last block made
+        self._spare = np.empty(0, dtype=np.uint64)  # words made, not drawn
+        self._high = None  # the high half a 32-bit draw left
+
+    def _words(self, count: int) -> np.ndarray:
+        """The next ``count`` 64-bit words.  Blocks are made in bulk, at
+        least ``_CHUNK_BLOCKS`` at a time, so word-by-word draws are cheap;
+        the words and their order are the same."""
+        short = count - self._spare.size
+        if short > 0:
+            blocks = max(-(-short // 4), _CHUNK_BLOCKS)
+            self._spare = np.concatenate([self._spare, _philox_blocks(
+                self._counter + 1, blocks, self._key)])
+            self._counter += blocks
+        words, self._spare = self._spare[:count], self._spare[count:]
+        return words
+
+    def random(self, size) -> np.ndarray:
+        """``Generator.random(size)``: doubles in [0, 1)."""
+        shape = (size,) if isinstance(size, int) else tuple(size)
+        return (self._words(math.prod(shape)) >> 11).reshape(shape) * 2.0**-53
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        """``Generator.uniform(low, high, size)``."""
+        return low + (high - low) * self.random(size)
+
+    def _next32(self) -> int:
+        if self._high is not None:
+            value, self._high = self._high, None
+            return value
+        word = int(self._words(1)[0])
+        self._high = word >> 32
+        return word & _M32
+
+    def _bounded(self, high: int) -> int:
+        """A draw in ``[0, high]`` for ``high < 2**32 - 1``, by Lemire's
+        multiply and rejection, as numpy's ``random_bounded_uint64``."""
+        if high == 0:
+            return 0
+        span = high + 1
+        m = self._next32() * span
+        if m & _M32 < span:
+            threshold = (_M32 - high) % span
+            while m & _M32 < threshold:
+                m = self._next32() * span
+        return m >> 32
+
+    def sorted_choice(self, n: int, k: int) -> np.ndarray:
+        """``np.sort(Generator.choice(n, k, replace=False))`` for
+        ``0 <= k <= n < 2**32``: the indices numpy's tail Fisher-Yates
+        shuffle of ``arange(n)`` leaves at the end when ``n > 10000`` and
+        ``k > n // 50``, else the set Floyd's algorithm draws.  numpy
+        then shuffles the sample, which permutes the set only, so that
+        is skipped: later draws of this stream are not numpy's."""
+        if n > 10000 and k > n // 50:
+            moved = {}  # the shuffled array's entries that left arange(n)
+            for i in range(n - 1, max(n - k, 1) - 1, -1):
+                j = self._bounded(i)
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            chosen = [moved.get(i, i) for i in range(n - k, n)]
+        else:
+            chosen = set()
+            for j in range(n - k, n):
+                value = self._bounded(j)
+                chosen.add(j if value in chosen else value)
+        return np.sort(np.fromiter(chosen, dtype=np.int64, count=k))
+
+
 def gaussian_iid(n: int, d: int, seed: int) -> np.ndarray:
     """Seeded standard normal draws from a counter-based generator.
 
-    Uses the Philox bit generator with an explicit Box-Muller transform so
-    the stream is fully pinned by (n, d, seed) and independent of library
-    sampling internals.
+    Uses the package's :class:`Philox` stream with an explicit Box-Muller
+    transform, so the stream is fully pinned by (n, d, seed) and
+    independent of library sampling internals.  Its uniforms are those of
+    numpy 2.x's ``Generator(Philox(seed)).random``, bit for bit, as the
+    tests pin.
     """
     if n < 1 or d < 1:
         raise InvalidInputError("n and d must be >= 1")
-    gen = np.random.Generator(np.random.Philox(seed))
+    gen = Philox(seed)
     half = (n * d + 1) // 2
     u1 = 1.0 - gen.random(half)  # in (0, 1], keeps log finite
     u2 = gen.random(half)

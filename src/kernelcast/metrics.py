@@ -20,6 +20,9 @@ and several dimensions, and the valid prediction time.  Conventions:
   perfect matching on the Euclidean cost matrix.  Cost matrix and matching
   are SciPy's ``cdist`` and ``linear_sum_assignment``, bit for bit, done
   on numpy; the cost is built in row panels, so it is the one k×k array.
+  A longer sample is cut to :data:`W1_CAP` rows by :func:`subsample_rows`,
+  whose seeded index set is numpy's ``Generator.choice``, bit for bit,
+  drawn from the package's own Philox stream.
 * The valid time is ``k * dt * lyapunov_exponent`` for the first step
   ``k`` (1-based; else the horizon, censored) at which the error norm over
   the reference's RMS deviation exceeds :data:`VALID_THRESHOLD`.
@@ -33,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .datasets import Philox
 from .errors import InvalidInputError
 
 # The scoring protocol: the Welch segment length (capped at the series
@@ -307,13 +311,16 @@ def min_cost_matching(cost: np.ndarray) -> np.ndarray:
 
 
 def subsample_rows(values, k: int, seed: int) -> np.ndarray:
-    """Seeded uniform row subsample without replacement (order preserved)."""
+    """Seeded uniform row subsample without replacement (order preserved).
+
+    The rows are those of ``np.sort(Generator(Philox(seed)).choice(n, k,
+    replace=False))`` in numpy 2.x, drawn by the package's
+    :class:`~kernelcast.datasets.Philox` stream.
+    """
     V = np.atleast_2d(np.asarray(values, dtype=np.float64))
     if k >= V.shape[0]:
         return V.copy()
-    gen = np.random.Generator(np.random.Philox(seed))
-    idx = np.sort(gen.choice(V.shape[0], size=k, replace=False))
-    return V[idx]
+    return V[Philox(seed).sorted_choice(V.shape[0], k)]
 
 
 @dataclass

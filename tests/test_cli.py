@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernelcast.cli import config_hash, main
+from kernelcast.cli import _MAX_SIZE, config_hash, main
 from kernelcast.datasets import read_csv
 from kernelcast.errors import ParseError
 from kernelcast.forecast import ForecastRun, load_forecast_csv
@@ -363,6 +363,13 @@ class TestMalformedConfigValue:
         # sizes beyond the float64 values one array can address
         ("bekk-ngrc", "dataset.n_points", 1e308, "simulate"),
         ("bekk-ngrc", "dataset.d", 1e308, "simulate"),
+        # sizes within that cap whose one array would hold more values:
+        # the (n_points, 3) Lorenz trajectory, the (n_points, 15) BEKK
+        # covariances, and a d that disagrees with the 5 × 5 dataset.C
+        ("lorenz-ngrc", "dataset.n_points", _MAX_SIZE, "simulate"),
+        ("bekk-ngrc", "dataset.n_points", _MAX_SIZE, "simulate"),
+        ("bekk-ngrc", "dataset.d", _MAX_SIZE, "simulate"),
+        ("bekk-ngrc", "dataset.d", 4, "simulate"),
         ("bekk-ngrc", "estimator.hyper.washuot", 50, "fit"),
         ("bekk-ngrc", "cv.fixed_hyper.washuot", 50, "cv"),
         ("bekk-ngrc", "cv.fixed_hyper.tau", 2, "cv"),  # the grid sets tau
@@ -544,7 +551,12 @@ class TestMalformedConfigValue:
         # sizes above cli._MAX_SIZE, which numpy would refuse with a
         # ValueError
         ("n", 1e308), ("n_doubled", 1e308), ("prediction_steps", 1e308),
-        ("d", 1e308), ("gram_d", 1e308)])
+        ("d", 1e308), ("gram_d", 1e308),
+        # sizes within that cap whose (rows + prediction_steps, width)
+        # draws would hold more values; the largest size is named
+        ("n", _MAX_SIZE), ("n_doubled", _MAX_SIZE),
+        ("prediction_steps", _MAX_SIZE), ("d", _MAX_SIZE),
+        ("gram_d", _MAX_SIZE)])
     def test_bad_bench_setting(self, tmp_path, capsys, path, value):
         cfg = copy.deepcopy(PRESETS["bench-default"])
         *parents, key = path.split(".")
@@ -1380,6 +1392,54 @@ class TestImportBoundary:
             "len(sys.modules)]))")
         assert got[:3] == [0, False, loads]
         assert got[3] < 300
+
+    @pytest.mark.parametrize("preset, family, stage", [
+        ("bekk-polynomial", None, "simulate"),  # the BEKK innovations
+        ("bekk-polynomial", "bekk", "eval"),  # the W1 subsample
+        ("bekk-polynomial", "bekk", "cv"),
+        ("lorenz-ngrc", "lorenz", "eval"),
+        ("bench-default", None, "bench"),  # the timed inputs
+    ])
+    def test_no_stage_loads_numpy_random(self, request, tmp_path, preset,
+                                         family, stage):
+        # shipped presets, one stage per process: the seeded draws come
+        # from the package's own Philox stream.  ``bench`` runs each timed
+        # closure once per sample, which changes no draw.
+        out = tmp_path / "exp"
+        if family is not None:
+            shipped = request.getfixturevalue(f"{family}_pipelines")
+            shutil.copytree(shipped[preset]["a"]["dir"], out)
+        got = _run_fresh(
+            "import contextlib, io\n"
+            "import kernelcast.bench\n"
+            "kernelcast.bench._MIN_SAMPLE_S = 0.0\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = kernelcast.cli.main([{stage!r}, '--preset', "
+            f"{preset!r}, '--out', {str(out)!r}])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules "
+            "if m.startswith('numpy.random'))]))")
+        assert got == [0, []]
+
+    @pytest.mark.parametrize("module", sorted(
+        p.name for p in (SRC / "kernelcast").glob("*.py")))
+    def test_no_module_names_numpy_random(self, module):
+        # ``np.random`` loads numpy's random package on first use; the
+        # package draws from ``datasets.Philox`` instead
+        path = SRC / "kernelcast" / module
+        found = []
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                names = []
+            found += [node.lineno for name in names
+                      if name in ("np.random", "numpy.random")
+                      or name.startswith(("np.random.", "numpy.random."))]
+        assert found == [], f"{module}: numpy.random named at lines {found}"
 
     @pytest.mark.parametrize("module", sorted(
         p.name for p in (SRC / "kernelcast").glob("*.py")))

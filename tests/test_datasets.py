@@ -6,6 +6,7 @@ import pytest
 from kernelcast.datasets import (
     RK_TOL,
     BekkParams,
+    Philox,
     TimeSeries,
     gaussian_iid,
     integrate_ode,
@@ -227,6 +228,51 @@ class TestGaussianGenerator:
 
     def test_seed_changes_stream(self):
         assert not np.array_equal(gaussian_iid(10, 1, 0), gaussian_iid(10, 1, 1))
+
+
+# small, large and huge seeds: one, two, three and 32 key words
+NUMPY_SEEDS = [0, 3, 7, 20240809, 2**32 + 5, 2**64 + 1,
+               pytest.param(int(1e308), id="int(1e308)")]
+
+
+def numpy_generator(seed):
+    """numpy's own seeded generator, the reference the package matches."""
+    return np.random.Generator(np.random.Philox(seed))
+
+
+class TestPhiloxMatchesNumpy:
+    """:class:`Philox` draws what numpy 2.x's ``Generator(Philox(seed))``
+    draws, bit for bit; ``numpy.random`` is imported here only."""
+
+    @pytest.mark.parametrize("seed", NUMPY_SEEDS)
+    def test_doubles(self, seed):
+        ours, ref = Philox(seed), numpy_generator(seed)
+        # sizes that end inside a block carry its spare words over
+        for size in (1001, 3, (2, 5), 1):
+            got, want = ours.random(size), ref.random(size)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", NUMPY_SEEDS)
+    def test_gaussian_iid(self, seed):
+        # the Box-Muller transform of numpy's uniforms, at BEKK's size
+        n, d = 3761, 5
+        gen = numpy_generator(seed)
+        half = (n * d + 1) // 2
+        u1 = 1.0 - gen.random(half)
+        u2 = gen.random(half)
+        r = np.sqrt(-2.0 * np.log(u1))
+        want = np.concatenate([r * np.cos(2.0 * np.pi * u2),
+                               r * np.sin(2.0 * np.pi * u2)])[: n * d]
+        assert gaussian_iid(n, d, seed).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", NUMPY_SEEDS)
+    def test_bench_uniform_draws(self, seed):
+        # the three draws of ``bench.run_bench`` at bench-default's sizes
+        ours, ref = Philox(seed), numpy_generator(seed)
+        for shape in ((2050, 1), (2050, 1), (4050, 3)):
+            got = ours.uniform(-1.0, 1.0, shape)
+            assert got.tobytes() == ref.uniform(-1.0, 1.0, shape).tobytes()
 
 
 class TestVech:

@@ -296,6 +296,22 @@ class TestWasserstein:
         assert w1_1d(a, b) == pytest.approx(w1_nd(a[:, None], b[:, None]),
                                             abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "seed", [0, 3, 7, 20240809, 2**32 + 5, 2**64 + 1,
+                 pytest.param(int(1e308), id="int(1e308)")])
+    def test_subsample_rows_match_numpy(self, seed):
+        # both sides of numpy's switch from Floyd's algorithm to a tail
+        # shuffle (n > 10000 and k > n // 50), and the 753 test rows of
+        # the BEKK presets; numpy.random is imported here only
+        cases = [(n, k) for n in (10000, 10001)
+                 for k in (n // 50, n // 50 + 1, 1, n - 1)] + [(753, 512)]
+        for n, k in cases:
+            got = subsample_rows(np.arange(n, dtype=float)[:, None], k, seed)
+            gen = np.random.Generator(np.random.Philox(seed))
+            want = np.sort(gen.choice(n, size=k, replace=False))
+            np.testing.assert_array_equal(got[:, 0], want,
+                                          err_msg=f"n={n} k={k}")
+
     def test_subsample_rows_deterministic(self):
         x = np.arange(100.0)[:, None]
         a = subsample_rows(x, 10, seed=3)
