@@ -16,7 +16,6 @@ from .datasets import (
     simulate_lorenz,
     simulate_mackey_glass,
     split_train_test,
-    unvech,
     vech,
 )
 from .errors import (
@@ -40,8 +39,6 @@ from .kernels import (
     PolyKernelParams,
     VolterraParams,
     fit_kernel_model,
-    ngrc_kernel,
-    poly_kernel,
     predict_kernel,
     volterra_gram,
     volterra_kernel_truncated,

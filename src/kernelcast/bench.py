@@ -2,9 +2,11 @@
 
 Each row times one primitive at one size: NG-RC training and per-step
 prediction over a sweep of ``p``, the polynomial Gram and per-step
-prediction, and the Volterra Gram at ``n`` and ``n_doubled`` plus its
+prediction, and the Volterra Gram at ``N`` and ``N_DOUBLED`` plus its
 per-step prediction.  Rows carry the expected asymptotic cost, so a
-``bench.csv`` can be read against the complexity claims.
+``bench.csv`` can be read against the complexity claims.  The protocol is
+fixed: its sizes and settings are the constants below, and only the seed of
+the timed inputs is chosen per run.
 """
 
 from __future__ import annotations
@@ -13,9 +15,7 @@ import time
 
 import numpy as np
 
-from .cli import _MAX_SIZE, _get
 from .datasets import Philox
-from .errors import ConfigError, InvalidInputError, int_in
 from .kernels import (
     PolyKernelParams,
     VolterraParams,
@@ -25,6 +25,18 @@ from .kernels import (
     volterra_gram,
 )
 from .ngrc import delay_vectors, fit_ngrc, predict_ngrc
+
+# Rows of the timed series, and of the second Volterra Gram.
+N, N_DOUBLED = 2000, 4000
+# Delay taps, the series' width and the Volterra inputs' width.
+TAU, D, GRAM_D = 8, 1, 3
+# Monomial degrees of the NG-RC sweep; the Volterra Gram is timed across it.
+PS = (2, 3, 4, 5)
+LAM_REG = 1e-6
+PREDICTION_STEPS = 50
+VOLTERRA = VolterraParams(0.6, 0.5)
+# Samples per timing; the complexity gates read the minimum of these.
+REPEATS = 9
 
 _ASYMPTOTIC = {
     "ngrc-train": "O(n*(p+tau*d)^(2*kappa) + (p+tau*d)^(3*kappa))",
@@ -82,77 +94,58 @@ def _time_sweep(fns: dict, repeats: int) -> dict:
             for key, ts in times.items()}
 
 
-def run_bench(config: dict) -> list[dict]:
-    """One row per timed primitive, as ``kernelcast bench`` writes them."""
-    tau = _get(config, "bench.tau")
-    n = _get(config, "bench.n", int_in(tau, _MAX_SIZE))
-    n2 = _get(config, "bench.n_doubled") or 2 * n
-    d, gram_d, ps, lam_reg, repeats, steps = (
-        _get(config, f"bench.{name}") for name in (
-            "d", "gram_d", "ps", "lam_reg", "repeats", "prediction_steps"))
-    # the draws are (rows + prediction_steps, width) arrays; one that would
-    # hold more values than an array can address names its largest size
-    for sizes in ({"bench.n": n, "bench.prediction_steps": steps,
-                   "bench.d": d},
-                  {"bench.n_doubled": n2, "bench.prediction_steps": steps,
-                   "bench.gram_d": gram_d}):
-        length, extra, width = sizes.values()
-        if (length + extra) * width > _MAX_SIZE:
-            raise ConfigError(f"{length} + {extra} rows of {width} draws exceed "
-                              f"the {_MAX_SIZE} values one array can address",
-                              field=max(sizes, key=sizes.get))
-    try:
-        vp = VolterraParams(_get(config, "bench.volterra.lam"),
-                            _get(config, "bench.volterra.theta"))
-    except InvalidInputError as exc:  # each is positive: the joint bound
-        raise ConfigError(str(exc), field="bench.volterra")
-    seed = _get(config, "seed")
+def run_bench(seed: int) -> list[dict]:
+    """One row per timed primitive, as ``kernelcast bench`` writes them,
+    on inputs drawn from the Philox stream of ``seed``."""
+    n, steps = N, PREDICTION_STEPS
     rng = Philox(seed)
 
-    series = rng.uniform(-1.0, 1.0, (n + steps, d))
+    series = rng.uniform(-1.0, 1.0, (n + steps, D))
     targets = rng.uniform(-1.0, 1.0, (n + steps, 1))
     rows = []
 
     def record(op, p_val, n_val, timing, per_step=1):
         median_s, min_s = timing
-        rows.append({"op": op, "n": n_val, "tau": tau, "p": p_val,
-                     "d": d if op.startswith(("ngrc", "poly")) else gram_d,
+        rows.append({"op": op, "n": n_val, "tau": TAU, "p": p_val,
+                     "d": D if op.startswith(("ngrc", "poly")) else GRAM_D,
                      "median_s": median_s / per_step, "min_s": min_s / per_step,
-                     "repeats": repeats, "asymptotic": _ASYMPTOTIC[op]})
+                     "repeats": REPEATS, "asymptotic": _ASYMPTOTIC[op]})
 
     train_sweep = _time_sweep(
-        {p: (lambda p=p: fit_ngrc(series[:n], targets[:n], tau, p, lam_reg))
-         for p in ps}, repeats)
-    for p in ps:
+        {p: (lambda p=p: fit_ngrc(series[:n], targets[:n], TAU, p, LAM_REG))
+         for p in PS}, REPEATS)
+    for p in PS:
         record("ngrc-train", p, n, train_sweep[p])
-        model = fit_ngrc(series[:n], targets[:n], tau, p, lam_reg)
-        windows = delay_vectors(series[: n + steps], tau)[-steps:]
+        model = fit_ngrc(series[:n], targets[:n], TAU, p, LAM_REG)
+        windows = delay_vectors(series[: n + steps], TAU)[-steps:]
         record("ngrc-predict", p, n, _time_sweep(
-            {p: lambda: predict_ngrc(model, windows)}, repeats)[p],
+            {p: lambda: predict_ngrc(model, windows)}, REPEATS)[p],
             per_step=steps)
 
-    windows_n = delay_vectors(series[:n], tau)
-    pk = PolyKernelParams(2, tau)
+    windows_n = delay_vectors(series[:n], TAU)
+    pk = PolyKernelParams(2, TAU)
     record("poly-gram", 2, n, _time_sweep(
-        {2: lambda: poly_gram(windows_n, windows_n, pk)}, repeats)[2])
-    poly_model = fit_kernel_model(series[:n], targets[:n], pk, lam_reg)
-    test_windows = delay_vectors(series[: n + steps], tau)[-steps:]
+        {2: lambda: poly_gram(windows_n, windows_n, pk)}, REPEATS)[2])
+    poly_model = fit_kernel_model(series[:n], targets[:n], pk, LAM_REG)
+    test_windows = delay_vectors(series[: n + steps], TAU)[-steps:]
     record("poly-predict", 2, n, _time_sweep(
-        {2: lambda: predict_kernel(poly_model, test_windows)}, repeats)[2],
+        {2: lambda: predict_kernel(poly_model, test_windows)}, REPEATS)[2],
         per_step=steps)
 
-    volt_inputs = rng.uniform(-1.0, 1.0, (n2 + steps, gram_d))
+    volt_inputs = rng.uniform(-1.0, 1.0, (N_DOUBLED + steps, GRAM_D))
     volt_inputs /= np.linalg.norm(volt_inputs, axis=1).max()
     # the Volterra Gram ignores p; timed across the sweep to expose that
     volt_sweep = _time_sweep(
-        {p: (lambda: volterra_gram(volt_inputs[:n], vp)) for p in ps},
-        repeats)
-    for p in ps:
+        {p: (lambda: volterra_gram(volt_inputs[:n], VOLTERRA)) for p in PS},
+        REPEATS)
+    for p in PS:
         record("volterra-gram", p, n, volt_sweep[p])
-    record("volterra-gram", 0, n2, _time_sweep(
-        {0: lambda: volterra_gram(volt_inputs[:n2], vp)}, repeats)[0])
-    volt_model = fit_kernel_model(volt_inputs[:n], targets[:n], vp, lam_reg)
+    record("volterra-gram", 0, N_DOUBLED, _time_sweep(
+        {0: lambda: volterra_gram(volt_inputs[:N_DOUBLED], VOLTERRA)},
+        REPEATS)[0])
+    volt_model = fit_kernel_model(volt_inputs[:n], targets[:n], VOLTERRA,
+                                  LAM_REG)
     record("volterra-predict", 0, n, _time_sweep(
         {0: lambda: predict_kernel(volt_model, volt_inputs[n : n + steps])},
-        repeats)[0], per_step=steps)
+        REPEATS)[0], per_step=steps)
     return rows

@@ -9,7 +9,7 @@ configuration hash into all outputs, and rejects stale artifacts whose hash
 disagrees.
 
 Exit codes: 0 success, 2 configuration or dependency error, 3 numerical
-failure.
+failure or an allocation that does not fit in memory.
 """
 
 from __future__ import annotations
@@ -95,9 +95,8 @@ def _one_of(*names):
     return conv
 
 
-# The most float64 values that one numpy array can address: a dataset or
-# ``bench`` size whose array would hold more is a config mistake, not an
-# allocation to try.
+# The most float64 values that one numpy array can address: a dataset size
+# whose array would hold more is a config mistake, not an allocation to try.
 _MAX_SIZE = np.iinfo(np.intp).max // 8
 
 # The fields of ``dataset`` and ``cv`` that depend on ``dataset.kind`` and
@@ -147,17 +146,6 @@ FIELDS = {
     "task.lyapunov_exponent": (positive, None),
     "cv.mode": (_one_of(*FIELDS_BY["cv.mode"]), ...),
     "cv.fixed_hyper": (_section, {}),
-    "bench.n": (int_in(1, _MAX_SIZE), 2000),
-    "bench.n_doubled": (int_in(1, _MAX_SIZE), None),  # None: twice bench.n
-    "bench.tau": (int_in(1), 8),
-    "bench.d": (int_in(1, _MAX_SIZE), 1),
-    "bench.gram_d": (int_in(1, _MAX_SIZE), 3),
-    "bench.ps": (lambda ps: [int_in(1)(p) for p in ps], (2, 3, 4, 5)),
-    "bench.lam_reg": (positive, 1e-6),
-    "bench.repeats": (int_in(1), 5),
-    "bench.prediction_steps": (int_in(1, _MAX_SIZE), 50),
-    "bench.volterra.lam": (positive, 0.6),
-    "bench.volterra.theta": (positive, 0.5),
 }
 
 
@@ -612,7 +600,7 @@ def cmd_bench(config: dict, out_dir: str) -> int:
     from .bench import run_bench  # loaded only by the bench subcommand
 
     os.makedirs(out_dir, exist_ok=True)
-    rows = run_bench(config)
+    rows = run_bench(_get(config, "seed"))
     path = os.path.join(out_dir, "bench.csv")
     fields = ["op", "n", "tau", "p", "d", "median_s", "min_s", "repeats",
               "asymptotic"]
@@ -659,6 +647,9 @@ def main(argv=None) -> int:
         return 2
     except KernelcastError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -593,20 +593,6 @@ def vech(S) -> np.ndarray:
     return np.concatenate([S[j:, j] for j in range(d)])
 
 
-def unvech(v) -> np.ndarray:
-    """Inverse of :func:`vech`."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    d = int(round((math.sqrt(8 * v.size + 1) - 1) / 2))
-    if d * (d + 1) // 2 != v.size:
-        raise InvalidInputError(f"length {v.size} is not a triangular number")
-    S = np.zeros((d, d))
-    k = 0
-    for j in range(d):
-        S[j:, j] = v[k : k + d - j]
-        k += d - j
-    return S + np.tril(S, -1).T
-
-
 def split_train_test(series: TimeSeries, n_train: int) -> tuple[TimeSeries,
                                                                 TimeSeries]:
     """Contiguous prefix/suffix split, no shuffling."""

@@ -145,15 +145,6 @@ class GramMatrix:
     values: np.ndarray
 
 
-def poly_kernel(u, v, params: PolyKernelParams) -> float:
-    """Evaluate ``(c + u'v)^p`` for two delay windows."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise InvalidInputError("u and v must have equal shapes")
-    return float((params.c + u @ v) ** params.p)
-
-
 def poly_gram(U, V, params: PolyKernelParams) -> np.ndarray:
     """Pairwise polynomial kernel between the rows of U and V.
 
@@ -169,11 +160,6 @@ def poly_gram(U, V, params: PolyKernelParams) -> np.ndarray:
     G += params.c
     G **= params.p
     return G
-
-
-def ngrc_kernel(u, v, table: ExponentTable) -> float:
-    """Dot product of NG-RC feature vectors."""
-    return float(ngrc_features(u, table) @ ngrc_features(v, table))
 
 
 # Rows per panel of a self-Gram product.

@@ -140,20 +140,6 @@ PRESETS = {
                   "lam_regs": [1e-3, 1e-1]}},
         _BEKK_TASK, 20240809,
         {**_OPEN_CV, "fixed_hyper": {"washout": 100}}),
-    "bench-default": {
-        "schema": "kernelcast-experiment/1",
-        "seed": 3,
-        "bench": {
-            "n": 2000,
-            "n_doubled": 4000,
-            "tau": 8,
-            "d": 1,
-            "gram_d": 3,
-            "ps": [2, 3, 4, 5],
-            "lam_reg": 1e-6,
-            "volterra": {"lam": 0.6, "theta": 0.5},
-            "repeats": 5,
-            "prediction_steps": 50,
-        },
-    },
+    # ``bench`` runs the fixed protocol of :mod:`kernelcast.bench`
+    "bench-default": {"schema": "kernelcast-experiment/1", "seed": 3},
 }

@@ -242,19 +242,9 @@ def test_criterion_7_complexity_trend():
     """NG-RC training grows superlinearly in p; Volterra Gram does not."""
     with criterion(7, "complexity trend"):
         started = time.perf_counter()
-        config = {
-            "schema": "kernelcast-experiment/1",
-            "seed": 3,
-            "bench": {
-                "n": 2000, "n_doubled": 4000, "tau": 8, "d": 1, "gram_d": 3,
-                "ps": [2, 3, 4, 5], "lam_reg": 1e-6, "repeats": 9,
-                "prediction_steps": 20,
-                "volterra": {"lam": 0.6, "theta": 0.5},
-            },
-        }
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rows = run_bench(config)
+            rows = run_bench(3)
         # minima are robust against scheduler and frequency-scaling noise
         ngrc = {r["p"]: r["min_s"] for r in rows
                 if r["op"] == "ngrc-train"}

@@ -16,6 +16,7 @@ from kernelcast.cli import _MAX_SIZE, config_hash, main
 from kernelcast.datasets import read_csv
 from kernelcast.errors import ParseError
 from kernelcast.forecast import ForecastRun, load_forecast_csv
+from kernelcast.kernels import VolterraParams
 from kernelcast.presets import PRESETS
 
 
@@ -553,25 +554,31 @@ class TestMalformedConfigValue:
         ("n", 1e308), ("n_doubled", 1e308), ("prediction_steps", 1e308),
         ("d", 1e308), ("gram_d", 1e308),
         # sizes within that cap whose (rows + prediction_steps, width)
-        # draws would hold more values; the largest size is named
+        # draws would hold more values
         ("n", _MAX_SIZE), ("n_doubled", _MAX_SIZE),
         ("prediction_steps", _MAX_SIZE), ("d", _MAX_SIZE),
         ("gram_d", _MAX_SIZE)])
     def test_bad_bench_setting(self, tmp_path, capsys, path, value):
+        # the bench protocol is fixed, so each value that a bench setting
+        # once refused is now refused as an unread key, before any output
         cfg = copy.deepcopy(PRESETS["bench-default"])
         *parents, key = path.split(".")
-        node = cfg["bench"]
+        node = cfg.setdefault("bench", {})
         for part in parents:
-            node = node[part]
+            node = node.setdefault(part, {})
         node[key] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run_cli("bench", "--config", str(cfg_path),
                        "--out", str(tmp_path / "b")) == 2
-        assert f"config error: bench.{path}: " in capsys.readouterr().err
+        # a nested block is named down to its first key
+        assert f"config error: bench.{path.split('.')[0]}: is not read" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("path, value, field", [
-        ("bench.volterra.theta", 1.5, "bench.volterra"),  # theta·M < 1
+        # theta·M >= 1 once failed VolterraParams; now no key is read
+        ("bench.volterra.theta", 1.5, "bench.volterra"),
         ("seed", -1, "seed"),
     ])
     def test_bad_bench_value_names_its_field(self, tmp_path, capsys, path,
@@ -580,7 +587,7 @@ class TestMalformedConfigValue:
         *parents, key = path.split(".")
         node = cfg
         for part in parents:
-            node = node[part]
+            node = node.setdefault(part, {})
         node[key] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -675,6 +682,14 @@ class TestMalformedConfigValue:
             assert np.array_equal(default, explicit)
 
 
+# The settings block that ``bench-default`` carried before the bench
+# protocol became constants of ``kernelcast.bench``.
+OLD_BENCH_BLOCK = {"n": 2000, "n_doubled": 4000, "tau": 8, "d": 1,
+                   "gram_d": 3, "ps": [2, 3, 4, 5], "lam_reg": 1e-6,
+                   "volterra": {"lam": 0.6, "theta": 0.5}, "repeats": 5,
+                   "prediction_steps": 50}
+
+
 class TestUndeclaredField:
     """A non-null key that no stage reads for the config's kinds exits 2
     as the config loads, naming the dotted key, so no stage writes."""
@@ -689,8 +704,8 @@ class TestUndeclaredField:
         ("lorenz-ngrc", "cv.k", 4, "simulate", None),
         ("bekk-ngrc", "cv.fold_len", 400, "simulate", None),
         ("bekk-ngrc", "dataset.initial", [0.0, 1.0], "simulate", None),
-        ("bench-default", "bench.nn", 2000, "bench", None),
-        ("bench-default", "bench.volterra.M", 1.0, "bench", None),
+        # the bench protocol is fixed: its old settings block is not read
+        ("bench-default", "bench", OLD_BENCH_BLOCK, "bench", "bench.n"),
     ])
     def test_exits_two_naming_the_key(self, tmp_path, capsys, preset, path,
                                       value, stage, field):
@@ -797,6 +812,21 @@ class TestNumericalFailureExit:
                        "--out", str(out)) == 0
         assert run_cli("cv", "--config", str(path), "--out", str(out)) == 3
 
+    @pytest.mark.parametrize("preset, key, size", [
+        ("mackey-glass-ngrc", "n_fine", 2**50),  # an 8 PiB fine grid
+        ("lorenz-ngrc", "n_points", _MAX_SIZE // 3),  # within the size cap
+    ])
+    def test_allocation_beyond_memory_exits_three(self, tmp_path, capsys,
+                                                  preset, key, size):
+        # numpy refuses each array before allocating any of it
+        cfg = copy.deepcopy(PRESETS[preset])
+        cfg["dataset"][key] = size
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "exp")) == 3
+        assert capsys.readouterr().err.startswith("out of memory: ")
+        assert not (tmp_path / "exp").exists()
 
     def test_shipped_volterra_cv_names_the_cause(self, tmp_path):
         # shipped sizes: each fold refits max-norm-scale on its own rows, and
@@ -1203,33 +1233,33 @@ class TestBench:
         assert 0.01 <= min_s <= median_s
 
 
-    def test_degenerate_single_sample_completes(self, tmp_path):
-        cfg = {
-            "schema": "kernelcast-experiment/1",
-            "seed": 1,
-            "bench": {"n": 1, "n_doubled": 2, "tau": 1, "d": 1, "gram_d": 1,
-                      "ps": [1], "repeats": 1, "prediction_steps": 1,
-                      "volterra": {"lam": 0.5, "theta": 0.5}},
-        }
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(cfg))
-        assert run_cli("bench", "--config", str(path),
-                       "--out", str(tmp_path / "b")) == 0
+    def test_degenerate_single_sample_completes(self, tmp_path, monkeypatch):
+        from kernelcast import bench
+
+        # one row, one tap, one sample per timing
+        for name, value in {"N": 1, "N_DOUBLED": 2, "TAU": 1, "D": 1,
+                            "GRAM_D": 1, "PS": (1,), "REPEATS": 1,
+                            "PREDICTION_STEPS": 1,
+                            "VOLTERRA": VolterraParams(0.5, 0.5)}.items():
+            monkeypatch.setattr(bench, name, value)
+        # one row cannot determine the two NG-RC features, and the fit says so
+        with pytest.warns(UserWarning, match="underdetermined"):
+            assert run_cli("bench", "--preset", "bench-default",
+                           "--out", str(tmp_path / "b")) == 0
         text = (tmp_path / "b" / "bench.csv").read_text()
         assert "asymptotic" in text
 
-    def test_bench_csv_has_complexity_columns(self, tmp_path):
-        cfg = {
-            "schema": "kernelcast-experiment/1",
-            "seed": 1,
-            "bench": {"n": 64, "n_doubled": 128, "tau": 2, "d": 1,
-                      "gram_d": 2, "ps": [1, 2], "repeats": 2,
-                      "prediction_steps": 4,
-                      "volterra": {"lam": 0.5, "theta": 0.5}},
-        }
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(cfg))
-        assert run_cli("bench", "--config", str(path),
+    def test_bench_csv_has_complexity_columns(self, tmp_path, monkeypatch):
+        from kernelcast import bench
+
+        # the protocol at small sizes, for speed
+        for name, value in {"N": 64, "N_DOUBLED": 128, "TAU": 2, "D": 1,
+                            "GRAM_D": 2, "PS": (1, 2), "REPEATS": 2,
+                            "PREDICTION_STEPS": 4,
+                            "VOLTERRA": VolterraParams(0.5, 0.5),
+                            "_MIN_SAMPLE_S": 0.0}.items():
+            monkeypatch.setattr(bench, name, value)
+        assert run_cli("bench", "--preset", "bench-default",
                        "--out", str(tmp_path / "b")) == 0
         lines = (tmp_path / "b" / "bench.csv").read_text().splitlines()
         header = lines[1].split(",")
@@ -1441,6 +1471,19 @@ class TestImportBoundary:
                       or name.startswith(("np.random.", "numpy.random."))]
         assert found == [], f"{module}: numpy.random named at lines {found}"
 
+    def test_bench_imports_nothing_from_cli(self):
+        # the bench protocol is constants of ``bench``; it reads no config
+        path = SRC / "kernelcast" / "bench.py"
+        found = []
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+                if isinstance(node, ast.ImportFrom):
+                    names.append(node.module or "")
+                found += [node.lineno for name in names
+                          if name.split(".")[-1] == "cli"]
+        assert found == [], f"bench.py imports from cli at lines {found}"
+
     @pytest.mark.parametrize("module", sorted(
         p.name for p in (SRC / "kernelcast").glob("*.py")))
     def test_no_module_imports_scipy_at_module_level(self, module):
@@ -1470,7 +1513,7 @@ class TestConfigReaders:
     ``int_in`` or ``positive``: a bare ``int`` or ``float`` would truncate
     a fraction or pass a bool, a negative value or a NaN."""
 
-    @pytest.mark.parametrize("module", ["cli.py", "bench.py"])
+    @pytest.mark.parametrize("module", ["cli.py"])
     def test_no_get_converts_with_bare_int_or_float(self, module):
         path = Path(__file__).resolve().parents[1] / "src" / "kernelcast" \
             / module

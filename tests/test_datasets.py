@@ -18,10 +18,21 @@ from kernelcast.datasets import (
     simulate_mackey_glass,
     split_train_test,
     unconditional_covariance,
-    unvech,
     vech,
 )
 from kernelcast.errors import InvalidInputError, ParseError, SimulationError
+
+
+def unvech(v) -> np.ndarray:
+    """Oracle: the symmetric matrix whose :func:`vech` is ``v``."""
+    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    d = math.isqrt(8 * v.size + 1) // 2
+    S = np.zeros((d, d))
+    k = 0
+    for j in range(d):
+        S[j:, j] = v[k : k + d - j]
+        k += d - j
+    return S + np.tril(S, -1).T
 
 
 class TestLorenz:

@@ -14,9 +14,7 @@ from kernelcast.kernels import (
     VolterraParams,
     fit_kernel_model,
     ngrc_gram,
-    ngrc_kernel,
     poly_gram,
-    poly_kernel,
     predict_kernel,
     volterra_gram,
     volterra_kernel_truncated,
@@ -31,6 +29,17 @@ TABLE_PARAMS = (LORENZ_VOLT, MG_VOLT, BEKK_VOLT)
 # Recursion and series agree on exact values; computed values carry a few
 # ulps of float64 noise on top of the analytic tail bound.
 EPS_FLOOR = 1e-13
+
+
+def poly_kernel(u, v, params: PolyKernelParams) -> float:
+    """Oracle: ``(c + u'v)^p`` for two delay windows."""
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    return float((params.c + u @ v) ** params.p)
+
+
+def ngrc_kernel(u, v, table) -> float:
+    """Oracle: the dot product of two NG-RC feature vectors."""
+    return float(ngrc_features(u, table) @ ngrc_features(v, table))
 
 
 class TestPolyKernel:

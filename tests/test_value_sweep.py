@@ -123,7 +123,8 @@ def test_config_leaf_sweep(tmp_path, preset):
     before = json.dumps(config, sort_keys=True)
     leaves, crashes = sweep(
         config, lambda doc: read_config(doc, tmp_path / "config.json"))
-    assert leaves >= 5
+    # bench-default holds the schema and the seed only
+    assert leaves >= (2 if preset == "bench-default" else 5)
     assert crashes == []
     assert json.dumps(config, sort_keys=True) == before
 
