@@ -93,23 +93,18 @@ def path_continue(estimator, seed_history, horizon: int) -> ForecastRun:
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
     stepper = estimator.start(seed_history)
-    predicted = np.empty((0, 1))
-    steps = 0
-    error = None
-    error_step = None
+    seed = np.asarray(seed_history)  # a 1-d seed is one column
+    predicted = np.empty((horizon, seed.shape[1] if seed.ndim > 1 else 1))
+    error = error_step = None
     # divergence shows up as overflow before the finiteness check catches it
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, horizon + 1):
+        for k in range(horizon):
             y = stepper.step()
             if not np.all(np.isfinite(y)):
-                error = "non-finite prediction"
-                error_step = k
+                error, error_step = "non-finite prediction", k + 1
+                predicted = predicted[:k]
                 break
-            if k == 1:
-                predicted = np.empty((horizon, y.shape[0]))
-            predicted[k - 1] = y
-            steps = k
-    predicted = predicted[:steps]
+            predicted[k] = y
     return ForecastRun("path-continuation", horizon, predicted, None, error,
                        error_step, stepper.projected)
 

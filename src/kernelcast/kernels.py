@@ -38,7 +38,7 @@ import numpy as np
 from .errors import (DependencyError, InvalidInputError, NormBoundError,
                      doc_error, doc_field, doc_value, finite_array, int_in,
                      positive)
-from .linsolve import GramRows, RidgeSolution, solve_ridge_gram
+from .linsolve import GramRows, RidgeSolution, row_norms, solve_ridge_gram
 from .ngrc import (ExponentTable, build_exponent_table, delay_vectors,
                    lagged_pairs, ngrc_features)
 
@@ -213,14 +213,12 @@ def _ngrc_rows(W, table: ExponentTable) -> GramRows:
 
 
 def _check_sample_norms(Z: np.ndarray, params: VolterraParams) -> None:
-    norms = np.linalg.norm(Z, axis=1)
-    bad = np.nonzero(norms > params.M * (1.0 + _NORM_SLACK))[0]
+    norms = row_norms(Z)
+    bad = np.flatnonzero(norms > params.M * (1.0 + _NORM_SLACK))
     if bad.size:
         i = int(bad[0])
-        raise NormBoundError(
-            f"sample {i} has norm {norms[i]:.6g} > M = {params.M:.6g}",
-            position=i,
-        )
+        raise NormBoundError(f"sample {i} has norm {norms[i]:.6g} > M = "
+                             f"{params.M:.6g}", position=i)
 
 
 def _as_samples(inputs) -> np.ndarray:
@@ -316,7 +314,10 @@ class VolterraExtension:
         if not np.all(np.isfinite(z)):
             raise InvalidInputError("appended sample is non-finite")
         p = self._params
-        norm = math.sqrt(z @ z)
+        with np.errstate(over="ignore"):
+            norm = math.sqrt(z @ z)
+        if norm == math.inf:  # the sum of squares overflowed
+            norm = float(row_norms(z[None])[0])
         if norm > p.M * (1.0 + _NORM_SLACK):
             z = z * (p.M / norm)
             self.projected += 1

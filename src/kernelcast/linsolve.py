@@ -68,6 +68,9 @@ _REFINE_STEPS = 2
 # Largest asymmetry ``max|S - S'|`` accepted in a :func:`psd_sqrt`
 # argument, relative to ``max|S|``.
 SYMMETRY_RTOL = 1e-8
+# Most negative eigenvalue a :func:`psd_sqrt` argument may have (then
+# clipped to zero), relative to its largest |eigenvalue|.
+PSD_NEG_RTOL = 1e-10
 
 # Rows per panel of the triangle mirror in :meth:`GramRows.full`.
 _SYM_PANEL_ROWS = 64
@@ -416,6 +419,17 @@ def _finite_scale(name: str, A: np.ndarray) -> float:
     return max(hi, -lo)
 
 
+def row_norms(Z: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(Z, axis=1)``, but a finite row whose sum of squares
+    overflows is measured again divided by its largest |entry|."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(Z, axis=1)
+        redo = np.isinf(norms) & np.isfinite(Z).all(axis=1)
+        top = np.abs(Z[redo]).max(axis=1, initial=0.0)
+        norms[redo] = top * np.linalg.norm(Z[redo] / top[:, None], axis=1)
+    return norms
+
+
 def _eigh(lapack, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``scipy.linalg.eigh(A)``: ``dsyevr`` on the lower triangle, with the
     queried workspace sizes (f2py's default ``lwork`` gives other bits)."""
@@ -446,10 +460,10 @@ def _gram_eigh_solve(K: np.ndarray, Y: np.ndarray,
     return alpha, pivot, int(kept.size - np.count_nonzero(kept))
 
 
-def psd_sqrt(S, rel_tol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(S) -> np.ndarray:
     """Symmetric square root of a symmetric positive semi-definite matrix.
 
-    Eigenvalues below ``-rel_tol * ||S||`` raise
+    Eigenvalues below ``-PSD_NEG_RTOL * ||S||`` raise
     :class:`~kernelcast.errors.InvalidInputError`; small negative values
     within the tolerance are clipped to zero; a failed eigendecomposition
     raises :class:`~kernelcast.errors.ConditioningError`.
@@ -463,8 +477,8 @@ def psd_sqrt(S, rel_tol: float = 1e-10) -> np.ndarray:
     if asym > SYMMETRY_RTOL * max(scale, 1e-300):
         raise InvalidInputError("S must be symmetric")
     evals, vecs = _eigh(lapack, S)
-    norm = float(np.max(np.abs(evals))) if evals.size else 0.0
-    if evals.size and float(np.min(evals)) < -rel_tol * max(norm, 1e-300):
+    norm = max(float(np.max(np.abs(evals), initial=0.0)), 1e-300)
+    if float(np.min(evals, initial=0.0)) < -PSD_NEG_RTOL * norm:
         raise InvalidInputError(
             f"S is indefinite (min eigenvalue {np.min(evals):.3e})"
         )

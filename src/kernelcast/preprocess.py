@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, doc_error, doc_field, numbers
+from .linsolve import row_norms
 
 KINDS = ("minmax01", "standardize", "demean", "max-norm-scale",
          "constant-scale")
@@ -120,7 +121,7 @@ def fit(kind: str, train) -> TransformSpec:
     if kind == "demean":
         return TransformSpec("demean", shift=V.mean(axis=0))
     if kind == "max-norm-scale":
-        max_norm = float(np.max(np.linalg.norm(V, axis=1)))
+        max_norm = float(np.max(row_norms(V)))
         degenerate = (0,) if max_norm < _FLOOR else ()
         return TransformSpec("max-norm-scale",
                              scale=max(max_norm, _FLOOR) / MAX_NORM,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kernelcast import datasets
 from kernelcast.datasets import (
     RK_TOL,
     BekkParams,
@@ -74,10 +75,10 @@ class TestMackeyGlass:
         assert fd == pytest.approx(expected, abs=5e-4)
         assert expected == pytest.approx(-0.0866284, abs=1e-7)
 
-    def test_linear_decay_segment_oracle(self):
+    def test_linear_decay_segment_oracle(self, monkeypatch):
         # feedback removed: dz/dt = -0.1 z with history 1.2 decays exactly
-        ts = simulate_mackey_glass(n_fine=851, splice=1,
-                                   feedback=lambda u: 0.0)
+        monkeypatch.setattr(datasets, "MG_BETA", 0.0)
+        ts = simulate_mackey_glass(n_fine=851, splice=1)
         t = np.arange(851) * 0.02
         np.testing.assert_allclose(ts.values[:, 0], 1.2 * np.exp(-0.1 * t),
                                    atol=1e-8)

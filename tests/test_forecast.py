@@ -75,7 +75,23 @@ class TestPathContinue:
         est = _ScalarMapEstimator(math.inf)
         run = path_continue(est, np.array([[1.0, 2.0]]), 10)
         assert run.error_step == 1
-        assert run.predicted.shape == (0, 1)
+        assert run.predicted.shape == (0, 2)  # the seed's width
+
+    def test_nan_weights_write_the_series_width(self, tmp_path):
+        # an NG-RC model whose weights are NaN stops at its first step; its
+        # empty run still has one column per series component
+        series = np.cumsum(np.full((40, 3), 0.01), axis=0)
+        est = fit_task("ngrc", {"tau": 1, "p": 1, "lam_reg": 1e-6},
+                       (series,))
+        est.model.weights[:] = np.nan
+        run = forecast_task(est, "path-continuation", (series[:30],),
+                            (series[30:],), 5)
+        assert run.error_step == 1
+        assert run.predicted.shape == run.reference.shape == (0, 3)
+        path = tmp_path / "forecast.csv"
+        run.save_csv(path)
+        header = path.read_text().splitlines()[-1]
+        assert header == "step,pred0,pred1,pred2,ref0,ref1,ref2,err"
 
 
 class TestOpenLoopAgreement:

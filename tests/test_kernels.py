@@ -285,6 +285,23 @@ class TestVolterraExtension:
         np.testing.assert_array_equal(
             first, volterra_gram(Z, p).values[5:, 5:])
 
+    def test_huge_step_is_projected_onto_the_ball(self):
+        # the sample's sum of squares overflows; it lands at norm M on its
+        # own ray, not at the origin
+        p = VolterraParams(*LORENZ_VOLT)
+        Z = self.samples(20, 26)
+        far, edge, origin = (self.stepped(Z, np.array([z]), p)[:, 0]
+                             for z in ([1e200, 0.0, 0.0], [p.M, 0.0, 0.0],
+                                       [0.0, 0.0, 0.0]))
+        np.testing.assert_allclose(far, edge, rtol=1e-14)
+        assert not np.allclose(far, origin, rtol=1e-6)
+
+    def test_huge_training_sample_names_its_norm(self):
+        p = VolterraParams(*LORENZ_VOLT)
+        Z = np.array([[0.1, 0.0, 0.0], [1e200, 0.0, 0.0]])
+        with pytest.raises(NormBoundError, match=r"sample 1 has norm 1e\+200"):
+            kernels.VolterraExtension(Z, p)
+
     def test_step_allocates_no_row(self, peak_bytes):
         n = 4900
         p = VolterraParams(*LORENZ_VOLT)

@@ -26,6 +26,13 @@ class TestFit:
         assert np.linalg.norm(out) == pytest.approx(preprocess.MAX_NORM)
         assert preprocess.MAX_NORM == 0.95
 
+    def test_max_norm_scale_of_a_huge_row(self):
+        # the row's sum of squares overflows; its norm does not
+        V = np.array([[1e200, 0.0], [1.0, 1.0]])
+        spec = preprocess.fit("max-norm-scale", V)
+        assert spec.scale == pytest.approx(1e200 / 0.95)
+        np.testing.assert_allclose(preprocess.apply(spec, V)[0], [0.95, 0.0])
+
     def test_degenerate_range_flagged(self):
         spec = preprocess.fit("minmax01", np.array([[1.0, 2.0], [1.0, 5.0]]))
         assert spec.degenerate_dims == (0,)
