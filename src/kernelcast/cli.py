@@ -50,8 +50,10 @@ from .errors import (
     InvalidInputError,
     KernelcastError,
     doc_field,
+    doc_value,
     int_in,
     numbers,
+    one_of,
     positive,
 )
 from .estimators import (
@@ -86,12 +88,22 @@ def _section(value) -> dict:
     return value
 
 
-def _one_of(*names):
-    """Converter for ``_get``: ``value`` if it is one of ``names``."""
-    def conv(value):
-        if value not in names:
-            raise ValueError("must be one of " + ", ".join(names))
-        return value
+def _file_name(value) -> str:
+    """Converter: ``value`` if it names a file in the run directory."""
+    if not isinstance(value, str) or os.path.basename(value) != value:
+        raise InvalidInputError("must be a file name")
+    return value
+
+
+def _finite_times(count: float):
+    """Converter: ``value`` as a positive number whose inverse and whose
+    product with ``count`` are finite."""
+    def conv(value) -> float:
+        x = positive(value)
+        if not math.isfinite(1.0 / x) or not math.isfinite(count * x):
+            raise InvalidInputError(f"must have a finite inverse and a "
+                                    f"finite product with {count!r}")
+        return x
     return conv
 
 
@@ -134,17 +146,17 @@ FIELDS_BY = {
 # other key; ``_hyper`` checks the names inside the three hyperparameter
 # sections.
 FIELDS = {
-    "schema": (_one_of(SCHEMA), ...),
+    "schema": (one_of(SCHEMA), ...),
     "seed": (int_in(0), 0),
-    "dataset.kind": (_one_of(*FIELDS_BY["dataset.kind"]), ...),
+    "dataset.kind": (one_of(*FIELDS_BY["dataset.kind"]), ...),
     "dataset.n_train": (int_in(1), ...),
-    "estimator.kind": (_one_of(*REQUIRED_HYPER), ...),
+    "estimator.kind": (one_of(*REQUIRED_HYPER), ...),
     "estimator.hyper": (_section, {}),
     "estimator.grid": (_section, {}),
     "task.mode": (check_task, ...),
     "task.horizon": (int_in(1), math.inf),
     "task.lyapunov_exponent": (positive, None),
-    "cv.mode": (_one_of(*FIELDS_BY["cv.mode"]), ...),
+    "cv.mode": (one_of(*FIELDS_BY["cv.mode"]), ...),
     "cv.fixed_hyper": (_section, {}),
 }
 
@@ -242,33 +254,34 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _read_upstream(path: str, read, what: str | None = None):
-    """``read(path)`` of an upstream artifact: a file that is missing,
-    unreadable or malformed is a :class:`DependencyError` naming it (and
-    ``what``, when given)."""
-    if not os.path.exists(path):
-        raise DependencyError(f"missing upstream artifact: {path}", field=what)
+def _load_json(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("top level is not an object")
+    return doc
+
+
+def _upstream(out_dir: str, name: str, config: dict, read=_load_json):
+    """``read(path)`` of the file ``name`` that an earlier stage wrote to
+    ``out_dir``: a JSON object, or ``(value, comments)`` of a CSV.  A file
+    that is missing, unreadable, malformed or written under another config
+    (its ``config_sha256``) is a :class:`DependencyError` naming it."""
+    path = os.path.join(out_dir, name)
     try:
-        return read(path)
+        result = read(path)
+    except FileNotFoundError:
+        raise DependencyError(f"missing upstream artifact: {path}")
     except DependencyError:  # a missing key, named with the file
         raise
     except (OSError, ValueError) as exc:  # not UTF-8, not JSON, ParseError
-        raise DependencyError(f"corrupt upstream artifact {path}: {exc}",
-                              field=what)
-
-
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _read_json(path: str, what: str) -> dict:
-    doc = _read_upstream(path, _load_json, what)
-    if not isinstance(doc, dict):
-        raise DependencyError(
-            f"corrupt upstream artifact {path}: top level is not an object",
-            field=what)
-    return doc
+        raise DependencyError(f"corrupt upstream artifact {path}: {exc}")
+    found = doc_field(result if isinstance(result, dict) else result[1],
+                      "config_sha256", path)
+    if found != config_hash(config):
+        raise DependencyError(f"{path} was produced under another config "
+                              f"({found} != {config_hash(config)})")
+    return result
 
 
 def _write_manifest(out_dir: str, stage: str, config: dict,
@@ -283,19 +296,6 @@ def _write_manifest(out_dir: str, stage: str, config: dict,
     }
     doc.update(extra or {})
     _write_json(os.path.join(out_dir, f"{stage}_manifest.json"), doc)
-
-
-def _check_manifest(out_dir: str, stage: str, config: dict) -> dict:
-    path = os.path.join(out_dir, f"{stage}_manifest.json")
-    doc = _read_json(path, stage)
-    expected = config_hash(config)
-    found = doc_field(doc, "config_sha256", path)
-    if found != expected:
-        raise DependencyError(
-            f"{stage} artifacts were produced from a different configuration "
-            f"({found} != {expected})"
-        )
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -394,18 +394,17 @@ def cmd_simulate(config: dict, out_dir: str) -> int:
     return 0
 
 
-def load_span(config: dict, out_dir: str, span: str) -> tuple:
-    """The arrays of the ``span`` (``"train"`` or ``"test"``) that
-    ``simulate`` wrote: ``(series,)`` or ``(inputs, outputs)``."""
-    manifest = _check_manifest(out_dir, "simulate", config)
+def load_span(config: dict, out_dir: str, *spans: str) -> tuple:
+    """The arrays of each of ``spans`` (``"train"``, ``"test"``) that
+    ``simulate`` wrote: ``(series,)`` or ``(inputs, outputs)`` each."""
+    manifest = _upstream(out_dir, "simulate_manifest.json", config)
     source = os.path.join(out_dir, "simulate_manifest.json")
-    task = doc_field(manifest, "task", source)
-    if task not in _SPAN_FILES:
-        raise DependencyError(f"{source}: unknown task {task!r}")
-    paths = [os.path.join(out_dir, doc_field(manifest, f"files.{name}", source))
-             for name in _SPAN_FILES[task][span]]
-    return tuple(_read_upstream(path, load_csv)[0].values
-                 for path in paths)
+    names = _SPAN_FILES[doc_value(manifest, "task", source, "",
+                                  one_of(*_SPAN_FILES))]
+    return tuple(tuple(
+        _upstream(out_dir, doc_value(manifest, f"files.{name}", source, "",
+                                     _file_name), config, load_csv)[0].values
+        for name in names[span]) for span in spans)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +441,7 @@ def _fit_from_config(config: dict, train: tuple):
 
 
 def cmd_fit(config: dict, out_dir: str) -> int:
-    train = load_span(config, out_dir, "train")
+    train, = load_span(config, out_dir, "train")
     started = time.perf_counter()
     hyper, est = _fit_from_config(config, train)
     elapsed = time.perf_counter() - started
@@ -497,7 +496,7 @@ def _grid_from_config(config: dict, kind: str) -> Grid:
 
 
 def cmd_cv(config: dict, out_dir: str) -> int:
-    train = load_span(config, out_dir, "train")
+    train, = load_span(config, out_dir, "train")
     task_mode = _get(config, "task.mode", lambda mode: check_task(mode, train))
     kind = _get(config, "estimator.kind")
     grid = _grid_from_config(config, kind)
@@ -534,13 +533,10 @@ def cmd_cv(config: dict, out_dir: str) -> int:
 
 
 def cmd_forecast(config: dict, out_dir: str) -> int:
-    train = load_span(config, out_dir, "train")
-    test = load_span(config, out_dir, "test")
-    _check_manifest(out_dir, "fit", config)
+    train, test = load_span(config, out_dir, "train", "test")
+    _upstream(out_dir, "fit_manifest.json", config)
     model_path = os.path.join(out_dir, "model.json")
-    model_doc = _read_json(model_path, "model")
-    if doc_field(model_doc, "config_sha256", model_path) != config_hash(config):
-        raise DependencyError("model.json was fitted under a different config")
+    model_doc = _upstream(out_dir, "model.json", config)
     est = estimator_from_dict(doc_field(model_doc, "estimator", model_path),
                               model_path, "estimator")
     mode = _get(config, "task.mode", lambda mode: check_task(mode, train))
@@ -558,23 +554,19 @@ def cmd_forecast(config: dict, out_dir: str) -> int:
 
 
 def cmd_eval(config: dict, out_dir: str) -> int:
-    _check_manifest(out_dir, "forecast", config)
-    forecast_path = os.path.join(out_dir, "forecast.csv")
-    run, meta = _read_upstream(forecast_path, load_forecast_csv)
-    if doc_field(meta, "config_sha256", forecast_path) != config_hash(config):
-        raise DependencyError("forecast.csv was produced under a different config")
+    _upstream(out_dir, "forecast_manifest.json", config)
+    run, _meta = _upstream(out_dir, "forecast.csv", config, load_forecast_csv)
     if run.reference is None:
         raise DependencyError("forecast.csv carries no reference columns")
-    source = os.path.join(out_dir, "simulate_manifest.json")
-    dt = doc_field(_check_manifest(out_dir, "simulate", config), "dt", source)
-    if not (isinstance(dt, float) and 0 < dt < math.inf):
-        raise DependencyError(f"{source}: dt {dt!r} is not a positive finite "
-                              "number")
+    rows = run.reference.shape[0]  # one reference row per predicted row
+    dt = doc_value(_upstream(out_dir, "simulate_manifest.json", config), "dt",
+                   os.path.join(out_dir, "simulate_manifest.json"), "",
+                   _finite_times(rows))
     if run.truncated and run.predicted.shape[0] == 0:
         raise KernelcastError("forecast is empty; nothing to evaluate")
-    # forecast.csv holds one reference row per predicted row
-    report = evaluate_run(run.reference, run.predicted, dt, run.mode,
-                          _get(config, "task.lyapunov_exponent"))
+    # a valid time spans at most every row
+    lyap = _get(config, "task.lyapunov_exponent", _finite_times(rows * dt))
+    report = evaluate_run(run.reference, run.predicted, dt, run.mode, lyap)
     if run.truncated:
         report.flags["truncated_at"] = run.error_step
     report.config["config_sha256"] = config_hash(config)

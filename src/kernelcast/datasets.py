@@ -37,7 +37,7 @@ RK_TOL = 1e-10  # absolute and relative integrator tolerances
 LORENZ_SIGMA, LORENZ_RHO, LORENZ_BETA = 10.0, 28.0, 8.0 / 3.0
 MG_BETA, MG_GAMMA, MG_POWER, MG_HISTORY = 0.2, 0.1, 10.0, 1.2
 
-# The writer also emits nan/inf/-inf for non-finite forecasts.
+# nan/inf stay only in metrics.csv (t_valid) and leaderboard.csv (mean_mse).
 # Every alternative matches a given cell in one way only, so a bad row fails
 # in linear time.
 _NUMBER = r"(?:[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?|nan|-?inf)"

@@ -1,7 +1,7 @@
 """Exception types shared across the package, the accessors that read
 upstream artifact documents, and the converters that check a value:
-:func:`int_in` and :func:`positive` for a number, :func:`numbers` and
-:func:`finite_array` for an array."""
+:func:`one_of` for a name, :func:`int_in` and :func:`positive` for a
+number, :func:`numbers` and :func:`finite_array` for an array."""
 
 import math
 from itertools import chain
@@ -118,6 +118,15 @@ def doc_value(doc: dict, key: str, source: str, path: str, conv):
     except TypeError:
         what = f"must be a number, not a {type(value).__name__}"
     raise doc_error(source, path, key, what)
+
+
+def one_of(*names):
+    """Converter: ``value`` if it is one of ``names``."""
+    def conv(value):
+        if value not in names:
+            raise InvalidInputError("must be one of " + ", ".join(names))
+        return value
+    return conv
 
 
 def int_in(lo: int, hi: float = math.inf):

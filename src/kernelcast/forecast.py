@@ -4,11 +4,11 @@
 the test outputs it predicts; :func:`path_continue` and :func:`open_loop`
 are its two rollouts.  A closed-loop rollout feeds each prediction back as
 the next input; it is deterministic given the fitted estimator and the
-seed history.  A run whose prediction turns non-finite is returned
-truncated at that step instead of being padded; Volterra inputs outside
-the kernel's norm ball are projected onto it and counted in
-``projected``.  :meth:`ForecastRun.save_csv` and :func:`load_forecast_csv`
-write and read a run; :mod:`kernelcast.metrics` scores it.
+seed history.  Either run stops before its first prediction that is not
+finite, flagged as truncated there; Volterra inputs outside the kernel's
+norm ball are projected onto it and counted in ``projected``.
+:meth:`ForecastRun.save_csv` and :func:`load_forecast_csv` write and read
+a run, whose every value is finite; :mod:`kernelcast.metrics` scores it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .errors import InvalidInputError, ParseError, doc_field
 
 @dataclass
 class ForecastRun:
-    """Outcome of one forecasting task."""
+    """Outcome of one forecasting task: ``predicted`` holds one row a step,
+    and stops before the first prediction that is not finite."""
 
     mode: str  # "path-continuation" or "open-loop"
     horizon: int
@@ -32,6 +33,13 @@ class ForecastRun:
     error: str | None = None
     error_step: int | None = None
     projected: int = 0  # Volterra inputs projected onto the norm ball
+
+    def __post_init__(self):
+        finite = np.isfinite(self.predicted).all(axis=1)
+        if not finite.all():
+            self.error, self.error_step = "non-finite prediction", \
+                int(finite.argmin()) + 1
+            self.predicted = self.predicted[:self.error_step - 1]
 
     @property
     def truncated(self) -> bool:
@@ -59,27 +67,29 @@ def load_forecast_csv(path) -> tuple[ForecastRun, dict]:
     """Read back a run written by :meth:`ForecastRun.save_csv`.  A missing
     ``mode`` or ``horizon`` comment raises
     :class:`~kernelcast.errors.MissingKeyError` naming ``path``; an unknown
-    mode raises :class:`InvalidInputError`."""
+    mode raises :class:`InvalidInputError`, and a prediction or reference
+    that is not finite a :class:`ParseError` naming its line."""
     meta, header, data = read_csv(path, "step")
     mode = check_task(doc_field(meta, "mode", str(path)))
     horizon = doc_field(meta, "horizon", str(path))
     columns = header[1:]
-    predicted = data[:, [i for i, c in enumerate(columns) if c.startswith("pred")]]
+    pred_cols = [i for i, c in enumerate(columns) if c.startswith("pred")]
     ref_cols = [i for i, c in enumerate(columns) if c.startswith("ref")]
+    finite = np.isfinite(data[:, pred_cols + ref_cols]).all(axis=1)
+    if not finite.all():  # a rollout stops before a non-finite prediction
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [n for n, line in enumerate(fh, 1)
+                    if line.strip() and not line.startswith("#")]
+        raise ParseError("a prediction or reference is not finite",
+                         line=rows[finite.argmin() + 1])  # after the header
     try:
         horizon = int(horizon)
         error_step = int(meta["error_step"]) if "error_step" in meta else None
     except ValueError as exc:
         raise ParseError(f"bad horizon or error_step metadata: {exc}") from exc
-    run = ForecastRun(
-        mode,
-        horizon,
-        predicted,
-        data[:, ref_cols] if ref_cols else None,
-        meta.get("error"),
-        error_step,
-    )
-    return run, meta
+    return ForecastRun(mode, horizon, data[:, pred_cols],
+                       data[:, ref_cols] if ref_cols else None,
+                       meta.get("error"), error_step), meta
 
 
 def path_continue(estimator, seed_history, horizon: int) -> ForecastRun:
@@ -95,18 +105,14 @@ def path_continue(estimator, seed_history, horizon: int) -> ForecastRun:
     stepper = estimator.start(seed_history)
     seed = np.asarray(seed_history)  # a 1-d seed is one column
     predicted = np.empty((horizon, seed.shape[1] if seed.ndim > 1 else 1))
-    error = error_step = None
     # divergence shows up as overflow before the finiteness check catches it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(horizon):
-            y = stepper.step()
-            if not np.all(np.isfinite(y)):
-                error, error_step = "non-finite prediction", k + 1
-                predicted = predicted[:k]
+            predicted[k] = stepper.step()
+            if not np.all(np.isfinite(predicted[k])):
                 break
-            predicted[k] = y
-    return ForecastRun("path-continuation", horizon, predicted, None, error,
-                       error_step, stepper.projected)
+    return ForecastRun("path-continuation", horizon, predicted[:k + 1],
+                       projected=stepper.projected)
 
 
 def open_loop(estimator, test_inputs) -> ForecastRun:

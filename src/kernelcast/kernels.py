@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import (DependencyError, InvalidInputError, NormBoundError,
                      doc_error, doc_field, doc_value, finite_array, int_in,
-                     positive)
+                     one_of, positive)
 from .linsolve import GramRows, RidgeSolution, row_norms, solve_ridge_gram
 from .ngrc import (ExponentTable, build_exponent_table, delay_vectors,
                    lagged_pairs, ngrc_features)
@@ -435,10 +435,7 @@ class KernelModel:
                 "model")
         if schema != "kernel-model/3":
             raise InvalidInputError(f"unknown model schema {schema!r}")
-        kind = doc_field(doc, "kernel.kind", source, path)
-        if not isinstance(kind, str) or kind not in _KERNEL_PARAMS:
-            raise doc_error(source, path, "kernel.kind", "must be one of "
-                            f"{', '.join(_KERNEL_PARAMS)}, not {kind!r}")
+        kind = get("kernel.kind", one_of(*_KERNEL_PARAMS))
         params = {}
         for name in doc["kernel"]:
             if name != "kind":

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CapacityError, InvalidInputError, doc_error, doc_field,
-                     doc_value, finite_array, int_in)
+from .errors import (CapacityError, InvalidInputError, doc_error, doc_value,
+                     finite_array, int_in, one_of)
 from .linsolve import RidgeSolution, solve_ridge_primal
 
 # Hard cap on materialized exponent-table rows; anything bigger is a config
@@ -194,15 +194,13 @@ class NgrcModel:
                   path: str = "") -> "NgrcModel":
         """Load an ``ngrc-model/1`` document.  ``source`` and ``path`` (the
         dotted location of ``doc`` in it) name a missing key, and a bad
-        value (a :class:`~kernelcast.errors.DependencyError`): ``tau``,
-        ``d`` and ``p`` whole numbers >= 1 whose table fits the cap and
-        ``weights`` one row per monomial."""
+        value (a :class:`~kernelcast.errors.DependencyError`): the schema,
+        ``tau``, ``d`` and ``p`` whole numbers >= 1 whose table fits the cap
+        and ``weights`` one row per monomial."""
         def get(key, conv):
             return doc_value(doc, key, source, path, conv)
 
-        schema = doc_field(doc, "schema", source, path)
-        if schema != "ngrc-model/1":
-            raise InvalidInputError(f"unknown model schema {schema!r}")
+        get("schema", one_of("ngrc-model/1"))
         try:
             table = build_exponent_table(*(get(key, int_in(1))
                                            for key in ("tau", "d", "p")))

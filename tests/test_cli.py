@@ -319,6 +319,24 @@ class TestExitCodes:
         assert f"corrupt upstream artifact {manifest}" in \
             capsys.readouterr().err
 
+    def test_valid_time_beyond_the_float_range_is_config_error(
+            self, lorenz_pipelines, tmp_path, capsys):
+        # lyapunov_exponent * rows * dt overflows: 1e308 * 10001 * 0.005
+        out = tmp_path / "exp"
+        shutil.copytree(lorenz_pipelines["lorenz-ngrc"]["a"]["dir"], out)
+        cfg = copy.deepcopy(PRESETS["lorenz-ngrc"])
+        cfg["task"]["lyapunov_exponent"] = 1e308
+        for path in out.iterdir():  # the upstream files, under cfg
+            path.write_text(path.read_text().replace(
+                config_hash(PRESETS["lorenz-ngrc"]), config_hash(cfg)))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run_cli("eval", "--config", str(cfg_path),
+                       "--out", str(out)) == 2
+        assert "task.lyapunov_exponent: invalid value 1e+308" in \
+            capsys.readouterr().err
+
     def test_corrupt_model_json_is_dependency_error(self, tmp_path, capsys):
         out = tmp_path / "exp"
         for cmd in ("simulate", "fit"):
@@ -982,6 +1000,38 @@ class TestMissingArtifactKey:
         err = capsys.readouterr().err
         assert str(out / name) in err and repr(path) in err
 
+    @pytest.mark.parametrize("preset, family, key, value, stage", [
+        # a file name that is no string, a task that is unhashable
+        ("bekk-ngrc", "bekk", "files.train_inputs", None, "fit"),
+        ("bekk-ngrc", "bekk", "files.test_outputs", "../test_outputs.csv",
+         "forecast"),
+        ("bekk-ngrc", "bekk", "task", [], "fit"),
+        ("lorenz-ngrc", "lorenz", "task", {}, "cv"),
+        # a step whose span of rows, or whose rate, is not finite
+        ("lorenz-ngrc", "lorenz", "dt", 1e308, "eval"),
+        ("bekk-ngrc", "bekk", "dt", 1e308, "eval"),
+        ("lorenz-ngrc", "lorenz", "dt", 5e-324, "eval"),
+        ("bekk-ngrc", "bekk", "dt", 5e-324, "eval"),
+    ])
+    def test_bad_simulate_manifest_value_is_dependency_error(
+            self, request, tmp_path, capsys, preset, family, key, value,
+            stage):
+        shipped = request.getfixturevalue(f"{family}_pipelines")
+        out = tmp_path / "exp"
+        shutil.copytree(shipped[preset]["a"]["dir"], out)
+        path = out / "simulate_manifest.json"
+        doc = json.loads(path.read_text())
+        *parents, last = key.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        node[last] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(stage, "--preset", preset, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(key) in err
+
     @pytest.mark.parametrize("key, value, text", [
         ("1.scale", None, "a finite non-zero number or a list of them"),
         ("1.scale.3", None, "a finite non-zero number or a list of them"),
@@ -1190,6 +1240,47 @@ class TestUpstreamCsv:
         assert code == 2
         assert (f"corrupt upstream artifact {path}: line " if corrupt
                 else f"missing upstream artifact: {path}") in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e999"])
+    def test_non_finite_forecast_cell_exits_two(self, bekk_pipelines,
+                                                tmp_path, capsys, cell):
+        def edit(lines):
+            header = next(i for i, line in enumerate(lines)
+                          if not line.startswith("#"))
+            cells = lines[header + 3].split(",")
+            cells[1] = cell  # pred0 of step 3
+            lines[header + 3] = ",".join(cells)
+            return lines
+
+        code, err, path = self.run_on_copy(
+            bekk_pipelines, tmp_path, capsys, "bekk-ngrc", "forecast.csv",
+            "eval", edit)
+        assert code == 2
+        lines = path.read_text().splitlines()
+        line = next(i for i, text in enumerate(lines, 1)
+                    if text.startswith("3,"))
+        assert f"corrupt upstream artifact {path}: line {line}: " in err
+
+    @pytest.mark.parametrize("name, stage", [
+        ("simulate_manifest.json", "fit"),
+        ("train_inputs.csv", "fit"),
+        ("test_outputs.csv", "forecast"),
+        ("fit_manifest.json", "forecast"),
+        ("model.json", "forecast"),
+        ("forecast_manifest.json", "eval"),
+        ("forecast.csv", "eval"),
+    ])
+    def test_stale_file_is_dependency_error(self, bekk_pipelines, tmp_path,
+                                            capsys, name, stage):
+        sha = config_hash(PRESETS["bekk-ngrc"])
+
+        def edit(lines):
+            return [line.replace(sha, "0" * 64) for line in lines]
+
+        code, err, path = self.run_on_copy(
+            bekk_pipelines, tmp_path, capsys, "bekk-ngrc", name, stage, edit)
+        assert code == 2
+        assert f"{path} was produced under another config" in err
 
     @pytest.mark.parametrize("comment, replacement, text", [
         ("# mode=", "", "has no key 'mode'"),

@@ -331,15 +331,23 @@ class TestGridSearch:
                                                                 [None, 0]]
 
     def test_non_finite_rollout_names_its_cause(self):
+        from types import SimpleNamespace
+
         from kernelcast.cv import _rollout_score
-        from kernelcast.forecast import ForecastRun
+        from kernelcast.forecast import open_loop
 
         ref = np.zeros((3, 1))
-        run = ForecastRun("open-loop", 3, np.array([[0.0], [np.nan], [1.0]]),
-                          ref)
-        assert _rollout_score(run) == (math.inf, "non-finite prediction")
-        run = ForecastRun("open-loop", 3, np.ones((3, 1)), ref)
-        assert _rollout_score(run) == (1.0, None)
+
+        def score(predicted):
+            est = SimpleNamespace(kind="ngrc", open_loop=lambda inputs, ext:
+                                  np.array(predicted))
+            run = open_loop(est, ref)
+            run.reference = ref[:run.predicted.shape[0]]
+            return _rollout_score(run)
+
+        assert score([[0.0], [np.nan], [1.0]]) == (
+            math.inf, "truncated at step 2: non-finite prediction")
+        assert score([[1.0], [1.0], [1.0]]) == (1.0, None)
 
     def test_candidate_document_nulls_missing_scores(self):
         row = CandidateResult({"tau": 1}, [0.5, math.inf], math.inf,

@@ -364,16 +364,18 @@ class TestForecastCsv:
         with pytest.raises(error, match=match):
             load_forecast_csv(path)
 
-    def test_non_finite_cells_round_trip(self, tmp_path):
-        # open-loop predictions are written without a finiteness check
-        pred = np.array([[np.nan], [np.inf], [-np.inf]])
-        run = ForecastRun("open-loop", 3, pred, np.zeros((3, 1)))
+    @pytest.mark.parametrize("row", ["2,nan,0,1", "2,inf,0,1", "2,0,-inf,1",
+                                     "2,0,1e999,1"])
+    def test_non_finite_cell_names_its_line(self, tmp_path, row):
+        # each rollout stops at its first non-finite prediction, so every
+        # value that eval scores is finite in a file that forecast writes
         path = tmp_path / "forecast.csv"
-        run.save_csv(path)
-        assert path.read_text().splitlines()[-3:] == [
-            "1,nan,0,nan", "2,inf,0,inf", "3,-inf,0,inf"]
-        clone, _ = load_forecast_csv(path)
-        np.testing.assert_array_equal(clone.predicted, pred)
+        path.write_text("# mode=open-loop\n# horizon=3\n\nstep,pred0,ref0,err\n"
+                        f"1,0.5,0,0.5\n{row}\n3,1,0,1\n")
+        with pytest.raises(ParseError, match="prediction or reference is "
+                                             "not finite") as err:
+            load_forecast_csv(path)
+        assert err.value.line == 6
 
 
 class TestOpenLoopRuns:

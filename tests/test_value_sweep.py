@@ -1,13 +1,19 @@
-"""No value at any leaf of a shipped config or of a fitted ``model.json``
-makes a reader raise anything but a package error.
+"""No value at any leaf of a shipped config, of a fitted ``model.json`` or
+of a ``simulate_manifest.json``, and no value of a comment or cell of a
+``forecast.csv``, makes a reader raise anything but a package error.
 
 Each leaf, and the first element of each array, is set in turn to each of
 :data:`VALUES`.  A config goes through ``load_config`` and the readers that
 its stages run on it before they read data (``_get`` of every declared
 field, ``_hyper`` and ``check_hyper`` as ``fit`` reads the hyperparameters,
 ``_grid_from_config`` and ``cv.fixed_hyper`` as ``cv`` reads them).  A
-``model.json`` goes through ``estimator_from_dict`` as ``forecast`` loads
-it.  Every outcome must be a value or a
+``model.json`` goes through the stages' reader of upstream files and
+``estimator_from_dict`` as ``forecast`` loads it, and a
+``simulate_manifest.json`` through ``load_span`` as ``fit``, ``cv`` and
+``forecast`` read their spans.  The ``mode``, ``horizon`` and
+``error_step`` comments and the first, second and last cell of the first
+row of a ``forecast.csv`` are set in turn to each of :data:`CELLS` and the
+file is read as ``eval`` reads it.  Every outcome must be a value or a
 :class:`~kernelcast.errors.KernelcastError`; no leaf is skipped.
 """
 
@@ -16,6 +22,7 @@ import copy
 import json
 import math
 
+import numpy as np
 import pytest
 
 from kernelcast import cli
@@ -30,6 +37,8 @@ from kernelcast.presets import PRESETS
 
 VALUES = (None, "abc", True, -1, 0, 1.5, 1e308, math.nan, [], {}, [1.0],
           "2")
+# the text of a CSV comment value or cell
+CELLS = ("", "abc", "nan", "inf", "-inf", "1e308", "1e999", "0x10", " 1")
 
 MODEL_PRESETS = sorted(name for name in PRESETS if name != "bench-default")
 
@@ -104,11 +113,25 @@ def read_config(config: dict, file) -> None:
             [name for name in OPTIONAL_HYPER[kind] if name != "M"])
 
 
-def read_model(doc: dict) -> None:
-    """``doc`` read as ``forecast`` reads ``model.json``."""
-    doc_field(doc, "config_sha256", "model.json")
+def read_model(doc: dict, config: dict) -> None:
+    """``doc`` read as ``forecast`` reads ``model.json`` under ``config``."""
+    doc = cli._upstream("run", "model.json", config, lambda path: doc)
     estimator_from_dict(doc_field(doc, "estimator", "model.json"),
                         "model.json", "estimator")
+
+
+@pytest.fixture(scope="module")
+def short_run(tmp_path_factory):
+    """The config and directory of a short ``bekk-ngrc`` run through
+    ``forecast``."""
+    config = copy.deepcopy(PRESETS["bekk-ngrc"])
+    config["dataset"].update(n_points=80, n_train=60)
+    out = tmp_path_factory.mktemp("short-run")
+    (out / "config.json").write_text(json.dumps(config))
+    for stage in ("simulate", "fit", "forecast"):
+        assert cli.main([stage, "--config", str(out / "config.json"),
+                         "--out", str(out)]) == 0
+    return config, out
 
 
 def test_leaf_paths_cover_array_heads():
@@ -135,8 +158,76 @@ def test_model_document_leaf_sweep(request, preset):
     runs = request.getfixturevalue(f"{family}_pipelines")
     text = (runs[preset]["a"]["dir"] / "model.json").read_text()
     doc = json.loads(text)
-    read_model(doc)  # the document as written loads
-    leaves, crashes = sweep(doc, read_model)
+
+    def read(doc):
+        read_model(doc, PRESETS[preset])
+
+    read(doc)  # the document as written loads
+    leaves, crashes = sweep(doc, read)
     assert leaves >= 10
     assert crashes == []
     assert doc == json.loads(text)
+
+
+def test_simulate_manifest_leaf_sweep(short_run):
+    config, out = short_run
+    path = out / "simulate_manifest.json"
+    text = path.read_text()
+
+    def read(doc):
+        path.write_text(json.dumps(doc))
+        cli.load_span(config, str(out), "train", "test")
+
+    doc = json.loads(text)
+    try:
+        read(doc)  # the manifest as written loads
+        leaves, crashes = sweep(doc, read)
+    finally:
+        path.write_text(text)
+    # stage, schema, version, config_sha256, seed, task, dt, and the file
+    # and size of each of the four spans
+    assert leaves == 15
+    assert crashes == []
+
+
+def test_forecast_csv_sweep(short_run):
+    config, out = short_run
+    path = out / "forecast.csv"
+    text = path.read_text()
+    lines = text.splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines)
+                  if not line.startswith("#"))
+    edits = []
+    for key in ("mode", "horizon", "error_step"):
+        kept = [line for line in lines if not line.startswith(f"# {key}=")]
+        edits += [(key, cell, [f"# {key}={cell}\n", *kept]) for cell in CELLS]
+    row = lines[header + 1].rstrip("\n").split(",")
+    for index in (0, 1, -1):
+        for cell in CELLS:
+            cells = row.copy()
+            cells[index] = cell
+            edited = lines.copy()
+            edited[header + 1] = ",".join(cells) + "\n"
+            edits.append((f"cell {index}", cell, edited))
+    crashes, read = [], 0
+    try:
+        for where, cell, edited in edits:
+            path.write_text("".join(edited))
+            try:
+                run, _ = cli._upstream(str(out), "forecast.csv", config,
+                                       cli.load_forecast_csv)
+            except KernelcastError:
+                continue
+            except Exception as exc:  # what the sweep looks for
+                crashes.append((where, cell, repr(exc)))
+                continue
+            read += 1
+            # eval scores only finite values
+            if not (np.isfinite(run.predicted).all()
+                    and np.isfinite(run.reference).all()):
+                crashes.append((where, cell, "a value that is not finite"))
+    finally:
+        path.write_text(text)
+    assert len(edits) == 6 * len(CELLS)
+    assert crashes == []
+    assert read > 0  # " 1" in a cell and the step key read back
