@@ -13,12 +13,14 @@ a run, whose every value is finite; :mod:`kernelcast.metrics` scores it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datasets import read_csv, write_csv
 from .errors import InvalidInputError, ParseError, doc_field
+from .linsolve import row_norms
 
 
 @dataclass
@@ -58,9 +60,18 @@ class ForecastRun:
             rows = ([i + 1, *p] for i, p in enumerate(pred))
         else:
             header += [f"ref{j}" for j in range(pred.shape[1])] + ["err"]
-            rows = ([i + 1, *p, *r, np.linalg.norm(p - r)]
+            rows = ([i + 1, *p, *r, _step_error(p - r)]
                     for i, (p, r) in enumerate(zip(pred, ref, strict=True)))
-        write_csv(path, header, rows, meta)
+        # an err whose sum of squares overflows is measured again
+        with np.errstate(over="ignore"):
+            write_csv(path, header, rows, meta)
+
+
+def _step_error(diff: np.ndarray) -> float:
+    """``np.linalg.norm(diff)``; a finite ``diff`` whose sum of squares
+    overflows is measured by :func:`row_norms` instead."""
+    norm = np.linalg.norm(diff)
+    return row_norms(diff[None])[0] if math.isinf(norm) else norm
 
 
 def load_forecast_csv(path) -> tuple[ForecastRun, dict]:

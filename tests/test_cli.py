@@ -1373,12 +1373,22 @@ FIRST_CALLS = {
     "simulate_lorenz": "simulate_lorenz(n_points=200).values[-1].sum()",
     "simulate_mackey_glass": "simulate_mackey_glass(n_fine=2000).values[-1, 0]",
 }
+_FIRST_CALL_IMPORTS = """
+from kernelcast.datasets import simulate_lorenz, simulate_mackey_glass
+from kernelcast.metrics import w1_nd, welch_psd
+"""
+# package modules that a stage, run alone in a fresh process, does not load
+UNLOADED = {
+    "simulate": ("estimators", "kernels", "ngrc", "preprocess", "forecast",
+                 "metrics", "cv"),
+    "fit": ("metrics",),
+    "forecast": ("metrics", "cv"),
+    "eval": ("estimators", "kernels", "ngrc", "preprocess", "cv"),
+}
 _PRELUDE = """
 import json, sys
 import numpy as np
 import kernelcast.cli
-from kernelcast.datasets import simulate_lorenz, simulate_mackey_glass
-from kernelcast.metrics import w1_nd, welch_psd
 
 
 def loaded(names):  # the imported ones of the scipy subpackages ``names``
@@ -1419,11 +1429,13 @@ class TestImportBoundary:
 
     def test_cli_import_adds_only_known_modules(self):
         # set-up time is the import: beyond numpy, ``import kernelcast.cli``
-        # loads the package and these standard-library modules (236 modules
-        # in all), so a new start-up import has to be added here on purpose
+        # loads the command line front end and these standard-library
+        # modules (224 modules in all), and each stage imports the package
+        # modules it runs, so a new start-up import has to be added here on
+        # purpose
         known = {"__future__", "_blake2", "_hashlib", "_json", "argparse",
-                 "array", "copy", "dataclasses", "gettext", "hashlib",
-                 "json", "json.decoder", "json.encoder", "json.scanner"}
+                 "gettext", "hashlib", "json", "json.decoder",
+                 "json.encoder", "json.scanner"}
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys\nimport numpy\nbefore = set(sys.modules)\n"
@@ -1433,19 +1445,22 @@ class TestImportBoundary:
             env=dict(os.environ, PYTHONPATH=str(SRC)))
         assert proc.returncode == 0, proc.stderr
         added = set(proc.stdout.split())
-        assert "kernelcast.cli" in added
-        assert {m for m in added if m != "kernelcast"
-                and not m.startswith("kernelcast.")} <= known
+        package = {m for m in added
+                   if m == "kernelcast" or m.startswith("kernelcast.")}
+        assert package == {"kernelcast", "kernelcast.cli", "kernelcast.errors",
+                           "kernelcast.presets"}
+        assert added - package <= known
 
     @pytest.mark.parametrize("name", sorted(FIRST_CALLS))
     def test_first_call_in_fresh_process(self, name):
         expr = FIRST_CALLS[name]
         got = _run_fresh(
+            _FIRST_CALL_IMPORTS +
             f"before = loaded({DEFERRED_SCIPY!r})\n"
             f"value = float({expr})\n"
             f"print(json.dumps([before, value, loaded({DEFERRED_SCIPY!r})]))")
         here = {}
-        exec(_PRELUDE, here)
+        exec(_PRELUDE + _FIRST_CALL_IMPORTS, here)
         before, value, after = got
         assert before == after == []
         assert value == float(eval(expr, here))
@@ -1498,7 +1513,8 @@ class TestImportBoundary:
         # shipped presets at their shipped sizes, one stage per process;
         # ``loads``: the stage loads SciPy's LAPACK extension, not the
         # scipy.linalg package, and stays under 300 modules (a fit that
-        # imported scipy.linalg loaded 557)
+        # imported scipy.linalg loaded 557).  No stage loads a package
+        # module that it does not run (UNLOADED).
         out = tmp_path / "exp"
         if family is not None:
             shipped = request.getfixturevalue(f"{family}_pipelines")
@@ -1510,9 +1526,11 @@ class TestImportBoundary:
             f"{preset!r}, '--out', {str(out)!r}])\n"
             "print(json.dumps([code, 'scipy.linalg' in sys.modules, "
             "kernelcast.linsolve._lapack.cache_info().currsize == 1, "
-            "len(sys.modules)]))")
+            "len(sys.modules), [m for m in sys.modules "
+            "if m.startswith('kernelcast.')]]))")
         assert got[:3] == [0, False, loads]
         assert got[3] < 300
+        assert {f"kernelcast.{m}" for m in UNLOADED[stage]}.isdisjoint(got[4])
 
     @pytest.mark.parametrize("preset, family, stage", [
         ("bekk-polynomial", None, "simulate"),  # the BEKK innovations

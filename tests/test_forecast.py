@@ -345,6 +345,20 @@ class TestForecastCsv:
         np.testing.assert_array_equal(clone.predicted, run.predicted)
         assert clone.reference is None
 
+    def test_err_of_a_large_finite_difference_is_finite(self, tmp_path):
+        # the sum of squares of 1e200 overflows; the row is measured again
+        # scaled by its largest entry, and no overflow warning is raised
+        # (pyproject turns RuntimeWarning into an error)
+        run = ForecastRun("open-loop", 2,
+                          np.array([[1e200, 0.0], [3.0, 4.0]]),
+                          np.zeros((2, 2)))
+        path = tmp_path / "forecast.csv"
+        run.save_csv(path)
+        assert path.read_bytes().endswith(
+            b"step,pred0,pred1,ref0,ref1,err\n"
+            b"1,9.9999999999999997e+199,0,0,0,9.9999999999999997e+199\n"
+            b"2,3,4,0,0,5\n")
+
     def test_bad_metadata_is_parse_error(self, tmp_path):
         path = tmp_path / "forecast.csv"
         path.write_text("# mode=open-loop\n# horizon=two\nstep,pred0\n1,0.5\n")

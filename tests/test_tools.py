@@ -44,3 +44,16 @@ def test_openblas_threads_is_null_without_library_or_symbol(tmp_path):
                                  "scipy_openblas_get_num_threads") is None
     assert tool.openblas_threads(tool._multiarray_umath.__file__,
                                  "no_such_symbol") is None
+
+
+def test_stage_walls_of_one_pair(tmp_path):
+    tool = load_tool("stage_walls")
+    src = str(TOOLS.parent / "src")
+    walls = tool.stage_walls("bekk-ngrc", (src, src), 1, str(tmp_path))
+    assert list(walls) == list(tool.STAGES)
+    assert all(len(a) == len(b) == 1 and min(a + b) > 0
+               for a, b in walls.values())
+    lines = tool.report(walls).splitlines()
+    assert len(lines) == 1 + len(tool.STAGES)
+    assert all(line.startswith(stage) and line.endswith(" of 1")
+               for stage, line in zip(tool.STAGES, lines[1:]))

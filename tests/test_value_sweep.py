@@ -33,6 +33,7 @@ from kernelcast.estimators import (
     check_hyper,
     estimator_from_dict,
 )
+from kernelcast.forecast import load_forecast_csv
 from kernelcast.presets import PRESETS
 
 VALUES = (None, "abc", True, -1, 0, 1.5, 1e308, math.nan, [], {}, [1.0],
@@ -215,7 +216,7 @@ def test_forecast_csv_sweep(short_run):
             path.write_text("".join(edited))
             try:
                 run, _ = cli._upstream(str(out), "forecast.csv", config,
-                                       cli.load_forecast_csv)
+                                       load_forecast_csv)
             except KernelcastError:
                 continue
             except Exception as exc:  # what the sweep looks for
