@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import write_csv
-from .errors import GridSearchError, InvalidInputError, KernelcastError
+from .errors import (GridSearchError, InvalidInputError, KernelcastError,
+                     sample_rows)
 from .estimators import REQUIRED_HYPER, check_hyper, fit_task
 from .forecast import check_task, forecast_task
 
@@ -40,7 +41,6 @@ class Fold:
 @dataclass
 class FoldPlan:
     folds: list
-    mode: str  # "overlapping" or "expanding"
 
 
 def overlapping_folds(n_train: int, fold_len: int, val_len: int,
@@ -58,7 +58,7 @@ def overlapping_folds(n_train: int, fold_len: int, val_len: int,
         folds.append(Fold(start, start + fold_len,
                           start + fold_len, start + fold_len + val_len))
         start += stride
-    return FoldPlan(folds, "overlapping")
+    return FoldPlan(folds)
 
 
 def expanding_folds(n_train: int, k: int) -> FoldPlan:
@@ -72,7 +72,7 @@ def expanding_folds(n_train: int, k: int) -> FoldPlan:
     for i in range(1, k):
         val_stop = (i + 1) * block if i + 1 < k else n_train
         folds.append(Fold(0, i * block, i * block, val_stop))
-    return FoldPlan(folds, "expanding")
+    return FoldPlan(folds)
 
 
 # The Grid list of each required hyperparameter.
@@ -130,24 +130,22 @@ class CandidateResult:
     """Scores of one candidate; ``failures`` names the cause of every
     infinite entry of ``fold_mse``.  ``fold_projected`` counts, per fold,
     the inputs its rollout projected onto the Volterra norm ball (``None``
-    for a fold whose fit or rollout raised); ``None`` when not counted."""
+    for a fold whose fit or rollout raised)."""
 
     params: dict
     fold_mse: list
     mean_mse: float
     failures: list = field(default_factory=list)
-    fold_projected: list | None = None
+    fold_projected: list = field(default_factory=list)
 
     def describe(self) -> dict:
-        """JSON form: ``fold_mse`` with ``None`` for a fold without a score,
-        and ``fold_projected`` when counted."""
-        doc = {"params": self.params,
-               "fold_mse": [s if math.isfinite(s) else None
-                            for s in self.fold_mse],
-               "failures": self.failures}
-        if self.fold_projected is not None:
-            doc["fold_projected"] = self.fold_projected
-        return doc
+        """JSON form: ``fold_mse`` with ``None`` for a fold without a
+        score."""
+        return {"params": self.params,
+                "fold_mse": [s if math.isfinite(s) else None
+                             for s in self.fold_mse],
+                "failures": self.failures,
+                "fold_projected": self.fold_projected}
 
 
 @dataclass
@@ -208,8 +206,7 @@ def grid_search(estimator_kind: str, grid: Grid, plan: FoldPlan,
     feasible, pruned = grid.candidates(estimator_kind)
     if not feasible:
         raise GridSearchError("no feasible candidates in the grid")
-    span = [np.asarray(a, dtype=np.float64).reshape(len(a), -1)
-            for a in train]
+    span = [sample_rows(a, "train") for a in train]
 
     table = []
     for params in feasible:

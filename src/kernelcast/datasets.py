@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError, SimulationError
+from .errors import (InvalidInputError, ParseError, SimulationError,
+                     sample_rows)
 from .linsolve import psd_sqrt
 
 RK_TOL = 1e-10  # absolute and relative integrator tolerances
@@ -56,15 +57,9 @@ class TimeSeries:
     origin: str = ""
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim == 1:
-            self.values = self.values[:, None]
-        if self.values.ndim != 2 or self.values.shape[0] < 1:
-            raise InvalidInputError("values must be a non-empty (n, d) matrix")
+        self.values = sample_rows(self.values, "values", finite=True)
         if not self.dt > 0:
             raise InvalidInputError("dt must be positive")
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidInputError("series contains non-finite entries")
 
     @property
     def n(self) -> int:

@@ -1,7 +1,8 @@
 """Exception types shared across the package, the accessors that read
-upstream artifact documents, and the converters that check a value:
+upstream artifact documents, the converters that check a value:
 :func:`one_of` for a name, :func:`int_in` and :func:`positive` for a
-number, :func:`numbers` and :func:`finite_array` for an array."""
+number, :func:`numbers` and :func:`finite_array` for an array, and
+:func:`sample_rows`, the one reading of a series or sample argument."""
 
 import math
 from itertools import chain
@@ -210,3 +211,19 @@ def finite_array(*shape):
                 f"must be an array of finite numbers of shape ({text})")
         return array
     return conv
+
+
+def sample_rows(value, name: str, *, finite: bool = False) -> np.ndarray:
+    """``value`` as float64 sample rows of shape ``(n, d)``, ``n >= 1``: a
+    1-d array is ``n`` samples of one dimension.  Any other shape, and
+    with ``finite`` a non-finite entry, raises :class:`InvalidInputError`
+    naming the argument ``name``."""
+    rows = np.asarray(value, dtype=np.float64)
+    if rows.ndim == 1:
+        rows = rows[:, None]
+    if rows.ndim != 2 or rows.shape[0] < 1:
+        raise InvalidInputError(f"{name} must be a non-empty (n, d) array, "
+                                f"not of shape {np.shape(value)}")
+    if finite and not np.all(np.isfinite(rows)):
+        raise InvalidInputError(f"{name} has non-finite entries")
+    return rows

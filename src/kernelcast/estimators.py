@@ -31,7 +31,7 @@ import numpy as np
 
 from . import preprocess
 from .errors import (InvalidInputError, doc_error, doc_field, doc_value,
-                     finite_array, int_in, positive)
+                     finite_array, int_in, positive, sample_rows)
 from .kernels import (
     KernelModel,
     NgrcKernelParams,
@@ -70,12 +70,6 @@ _KIND_MODELS = {"ngrc": ("ngrc-model/1",),
 # The integer hyperparameters and their least values; every other one is a
 # positive finite float.
 _INT_HYPER = {"tau": 1, "p": 1, "washout": 0}
-
-
-def _rows(values) -> np.ndarray:
-    """``values`` as float64 sample rows; a 1-d array is one column."""
-    v = np.asarray(values, dtype=np.float64)
-    return v[:, None] if v.ndim == 1 else v
 
 
 def hyper_value(name: str, value):
@@ -175,9 +169,7 @@ class Estimator:
         A Volterra estimator steps ``ext`` (see ``predict_kernel``).  An
         empty ``test_inputs`` raises :class:`InvalidInputError`.
         """
-        raw = _rows(test_inputs)
-        if raw.shape[0] < 1:
-            raise InvalidInputError("open loop needs at least one test input")
+        raw = sample_rows(test_inputs, "test_inputs")
         transformed = preprocess.apply_pipeline(self.input_specs, raw)
         if self.kind == "volterra":
             preds = predict_kernel(self.model, transformed, ext)
@@ -200,7 +192,7 @@ class Estimator:
     def start(self, seed_history) -> "_Stepper":
         """Closed-loop stepper primed with the last ``tau`` raw seed samples;
         earlier rows are ignored."""
-        seed = _rows(seed_history)
+        seed = sample_rows(seed_history, "seed_history")
         if seed.shape[0] < self.tau:
             raise InvalidInputError(
                 f"seed of length {seed.shape[0]} is shorter than {self.tau}"
@@ -284,7 +276,8 @@ def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
     if kind not in REQUIRED_HYPER:
         raise InvalidInputError(f"unknown estimator kind {kind!r}")
     hyper = _read_hyper(kind, hyper)
-    X_raw, Y_raw = _rows(inputs), _rows(targets)
+    X_raw = sample_rows(inputs, "inputs")
+    Y_raw = sample_rows(targets, "targets")
 
     input_specs = preprocess.fit_pipeline(INPUT_TRANSFORMS[kind], X_raw)
     if outputs is None:
@@ -417,7 +410,7 @@ def fit_task(kind: str, hyper: dict, train: tuple) -> Estimator:
     if len(train) > 1:
         return fit_estimator(kind, hyper, *train,
                              outputs=PAIR_OUTPUT_TRANSFORMS)
-    values = np.asarray(train[0], dtype=np.float64)
+    values = sample_rows(train[0], "values")
     if values.shape[0] < 3:
         raise InvalidInputError("series too short to form training pairs")
     return fit_estimator(kind, hyper, values[:-1], values[1:], outputs=None)

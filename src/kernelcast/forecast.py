@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import read_csv, write_csv
-from .errors import InvalidInputError, ParseError, doc_field
+from .errors import InvalidInputError, ParseError, doc_field, sample_rows
 from .linsolve import row_norms
 
 
@@ -114,8 +114,8 @@ def path_continue(estimator, seed_history, horizon: int) -> ForecastRun:
     if horizon < 1:
         raise InvalidInputError("horizon must be >= 1")
     stepper = estimator.start(seed_history)
-    seed = np.asarray(seed_history)  # a 1-d seed is one column
-    predicted = np.empty((horizon, seed.shape[1] if seed.ndim > 1 else 1))
+    predicted = np.empty((horizon,
+                          sample_rows(seed_history, "seed_history").shape[1]))
     # divergence shows up as overflow before the finiteness check catches it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(horizon):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import (DependencyError, InvalidInputError, NormBoundError,
                      doc_error, doc_field, doc_value, finite_array, int_in,
-                     one_of, positive)
+                     one_of, positive, sample_rows)
 from .linsolve import GramRows, RidgeSolution, row_norms, solve_ridge_gram
 from .ngrc import (ExponentTable, build_exponent_table, delay_vectors,
                    lagged_pairs, ngrc_features)
@@ -221,24 +221,13 @@ def _check_sample_norms(Z: np.ndarray, params: VolterraParams) -> None:
                              f"{params.M:.6g}", position=i)
 
 
-def _as_samples(inputs) -> np.ndarray:
-    Z = np.asarray(inputs, dtype=np.float64)
-    if Z.ndim == 1:
-        Z = Z[:, None]
-    if Z.ndim != 2:
-        raise InvalidInputError("inputs must be a (n, d) sample matrix")
-    if not np.all(np.isfinite(Z)):
-        raise InvalidInputError("inputs contain non-finite entries")
-    return Z
-
-
 def volterra_gram(inputs, params: VolterraParams) -> GramMatrix:
     """Square Volterra Gram matrix over one input sequence.
 
     The rows of the fit's sweep, mirrored: the Gram is the only n x n array,
     it is exactly symmetric, and its lower triangle carries the fit's bits.
     """
-    Z = _as_samples(inputs)
+    Z = sample_rows(inputs, "inputs", finite=True)
     return GramMatrix(GramRows(Z.shape[0],
                                VolterraExtension(Z, params).sweep).full())
 
@@ -339,8 +328,8 @@ def volterra_kernel_truncated(seq_a, seq_b, params: VolterraParams,
         ``lam^(2(tau_max+1)) / ((1-theta^2 M^2)^(tau_max+1) (1 - lam^2/(1-theta^2 M^2)))``
         on everything that was dropped.
     """
-    A = _as_samples(seq_a)
-    B = _as_samples(seq_b)
+    A = sample_rows(seq_a, "seq_a", finite=True)
+    B = sample_rows(seq_b, "seq_b", finite=True)
     if A.shape[1] != B.shape[1]:
         raise InvalidInputError("sequences must share the sample dimension")
     _check_sample_norms(A, params)
@@ -492,7 +481,7 @@ def fit_kernel_model(inputs, targets, kernel, lam_reg: float,
     when predicting.  The Gram reaches the solver as its lower-triangle rows,
     so the solver stores it (see :mod:`kernelcast.linsolve`).
     """
-    Z = _as_samples(inputs)
+    Z = sample_rows(inputs, "inputs", finite=True)
     if isinstance(kernel, VolterraParams):
         # the targets of a tau = 1 lagged fit: one per sample, less washout
         _, Y = lagged_pairs(Z, targets, 1, washout)
@@ -523,7 +512,7 @@ def predict_kernel(model: KernelModel, new_inputs,
     (a fresh ``model.extension()`` when ``None``).
     """
     if model.is_volterra:
-        T = _as_samples(new_inputs)
+        T = sample_rows(new_inputs, "new_inputs", finite=True)
         ext = model.extension() if ext is None else ext
         out = np.empty((T.shape[0], model.n_targets))
         for j in range(T.shape[0]):

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Philox
-from .errors import InvalidInputError
+from .errors import InvalidInputError, sample_rows
 
 # The scoring protocol: the Welch segment length (capped at the series
 # length) and overlap, the largest W1 sample and the seed that subsamples
@@ -52,16 +52,10 @@ VALID_THRESHOLD = 0.2
 _COST_PANEL = 64
 
 
-def _pair(y, y_hat) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(y, dtype=np.float64)
-    b = np.asarray(y_hat, dtype=np.float64)
+def _pair(y, y_hat, names=("y", "y_hat")) -> tuple[np.ndarray, np.ndarray]:
+    a, b = sample_rows(y, names[0]), sample_rows(y_hat, names[1])
     if a.shape != b.shape:
         raise InvalidInputError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.ndim == 1:
-        a = a[:, None]
-        b = b[:, None]
-    if a.ndim != 2 or a.shape[0] < 1:
-        raise InvalidInputError("expected non-empty (h, d) arrays")
     return a, b
 
 
@@ -120,9 +114,7 @@ def welch_psd(values, nperseg: int, *, fs: float = 1.0) -> Periodogram:
     ``welch`` with ``noverlap = round(WELCH_OVERLAP * nperseg)``, in its
     order, so the bits agree.
     """
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = sample_rows(values, "values")
     n = x.shape[0]
     if not 1 <= nperseg <= n:
         raise InvalidInputError(f"nperseg must lie in [1, {n}]")
@@ -197,16 +189,14 @@ def w1_nd(samples_a, samples_b) -> float:
     cost grows as k³.  Sample counts above :data:`W1_CAP` are rejected;
     subsample first (seeded) if needed.
     """
-    A = np.atleast_2d(np.asarray(samples_a, dtype=np.float64))
-    B = np.atleast_2d(np.asarray(samples_b, dtype=np.float64))
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
+    A = sample_rows(samples_a, "samples_a")
+    B = sample_rows(samples_b, "samples_b")
+    if A.shape[1] != B.shape[1]:
         raise InvalidInputError("samples must be (k, d) arrays of equal d")
     if A.shape[0] != B.shape[0]:
         raise InvalidInputError(
             "sample counts differ; subsample to equal sizes first"
         )
-    if not A.size:
-        raise InvalidInputError("samples must be non-empty")
     if A.shape[0] > W1_CAP:
         raise InvalidInputError(
             f"{A.shape[0]} samples exceed the cap of {W1_CAP}"
@@ -317,7 +307,7 @@ def subsample_rows(values, k: int, seed: int) -> np.ndarray:
     replace=False))`` in numpy 2.x, drawn by the package's
     :class:`~kernelcast.datasets.Philox` stream.
     """
-    V = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    V = sample_rows(values, "values")
     if k >= V.shape[0]:
         return V.copy()
     return V[Philox(seed).sorted_choice(V.shape[0], k)]
@@ -338,8 +328,8 @@ class MetricReport:
     flags: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
 
-    CSV_FIELDS = ("nmse", "mae", "mdae", "mape", "psde", "w1", "t_valid",
-                  "t_valid_censored")
+    SCORES = ("nmse", "mae", "mdae", "mape", "psde", "w1")
+    CSV_FIELDS = SCORES + ("t_valid", "t_valid_censored")
 
     def csv_cells(self) -> list:
         """CSV_FIELDS values: ``None`` (no valid time) as ``nan``, booleans
@@ -371,7 +361,7 @@ def valid_time(reference, predicted, lyapunov_exponent: float,
         raise InvalidInputError("lyapunov_exponent must be positive")
     if not dt > 0:
         raise InvalidInputError("dt must be positive")
-    y, y_hat = _pair(reference, predicted)
+    y, y_hat = _pair(reference, predicted, ("reference", "predicted"))
     centered = y - y.mean(axis=0)
     rms = float(np.sqrt(np.mean(np.sum(centered**2, axis=1))))
     if rms <= 0:
@@ -384,11 +374,15 @@ def valid_time(reference, predicted, lyapunov_exponent: float,
     return ValidTime(step * dt * lyapunov_exponent, step, False)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_run(reference: np.ndarray, predicted: np.ndarray, dt: float,
                  mode: str, lyap: float | None) -> MetricReport:
     """Score ``predicted`` against ``reference``, (h, d) rows ``dt``
     apart, by the fixed protocol.  A path continuation with a Lyapunov
-    exponent ``lyap`` gets a valid time, which bounds its pointwise window."""
+    exponent ``lyap`` gets a valid time, which bounds its pointwise window.
+    Finite rows whose squares or sums pass the float range give an inf or
+    NaN score, and ``flags["overflow"]`` names each one (but the NaN that a
+    degenerate ``nmse`` or ``w1`` flags)."""
     report = MetricReport(config={"mode": mode, "dt": dt})
 
     t_valid_steps = None
@@ -426,6 +420,14 @@ def evaluate_run(reference: np.ndarray, predicted: np.ndarray, dt: float,
     except InvalidInputError as exc:
         report.w1 = float("nan")
         report.flags["w1_degenerate"] = str(exc)
+
+    flagged_nan = {"nmse": len(degenerate) == y.shape[1],
+                   "w1": "w1_degenerate" in report.flags}
+    overflow = [name for name in report.SCORES
+                if math.isinf(value := getattr(report, name))
+                or math.isnan(value) and not flagged_nan.get(name, False)]
+    if overflow:
+        report.flags["overflow"] = overflow
     report.config.update({"t_valid_steps": t_valid_steps,
                           "welch_nperseg": nperseg})
     return report

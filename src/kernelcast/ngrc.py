@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (CapacityError, InvalidInputError, doc_error, doc_value,
-                     finite_array, int_in, one_of)
+                     finite_array, int_in, one_of, sample_rows)
 from .linsolve import RidgeSolution, solve_ridge_primal
 
 # Hard cap on materialized exponent-table rows; anything bigger is a config
@@ -120,9 +120,7 @@ def delay_vectors(values, tau: int) -> np.ndarray:
     (n - tau + 1, tau * d) array
         Row t corresponds to the window ending at sample ``t + tau - 1``.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim == 1:
-        values = values[:, None]
+    values = sample_rows(values, "values")
     n = values.shape[0]
     if tau < 1:
         raise InvalidInputError("tau must be >= 1")
@@ -217,13 +215,13 @@ def lagged_pairs(inputs, targets, tau: int, washout: int = 0) -> tuple[
     Window t of ``delay_vectors(inputs, tau)`` ends at sample ``t + tau - 1``
     and is paired with that sample's target; the first ``washout`` pairs are
     dropped."""
-    targets = np.asarray(targets, dtype=np.float64)
-    Y = targets[:, None] if targets.ndim == 1 else targets
-    if Y.shape[0] != np.shape(inputs)[0]:
+    X = sample_rows(inputs, "inputs")
+    Y = sample_rows(targets, "targets")
+    if Y.shape[0] != X.shape[0]:
         raise InvalidInputError("inputs and targets must have equal length")
     if washout < 0:
         raise InvalidInputError("washout must be non-negative")
-    windows = delay_vectors(inputs, tau)
+    windows = delay_vectors(X, tau)
     if washout >= windows.shape[0]:
         raise InvalidInputError("washout leaves no training rows")
     return windows[washout:], Y[tau - 1 + washout:]

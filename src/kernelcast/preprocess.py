@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, doc_error, doc_field, numbers
+from .errors import (InvalidInputError, doc_error, doc_field, numbers,
+                     sample_rows)
 from .linsolve import row_norms
 
 KINDS = ("minmax01", "standardize", "demean", "max-norm-scale",
@@ -91,18 +92,9 @@ def _finite_floats(value) -> np.ndarray | None:
         np.isfinite(values)) else None
 
 
-def _values(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim == 1:
-        v = v[:, None]
-    if v.ndim != 2 or v.shape[0] < 1:
-        raise InvalidInputError("expected a non-empty (n, d) value matrix")
-    return v
-
-
 def fit(kind: str, train) -> TransformSpec:
     """Fit one transform on training rows only."""
-    V = _values(train)
+    V = sample_rows(train, "train")
     if kind == "minmax01":
         lo = V.min(axis=0)
         hi = V.max(axis=0)
@@ -151,7 +143,7 @@ def invert(spec: TransformSpec, x) -> np.ndarray:
 def fit_pipeline(kinds, train) -> list[TransformSpec]:
     """Fit a transform chain; each stage sees the previous stage's output."""
     specs: list[TransformSpec] = []
-    current = _values(train)
+    current = sample_rows(train, "train")
     for kind in kinds:
         spec = fit(kind, current)
         specs.append(spec)

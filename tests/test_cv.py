@@ -31,7 +31,6 @@ class TestOverlappingFolds:
         plan = overlapping_folds(10, 4, 2, 4)
         assert [(f.train_start, f.train_stop, f.val_start, f.val_stop)
                 for f in plan.folds] == [(0, 4, 4, 6), (4, 8, 8, 10)]
-        assert plan.mode == "overlapping"
 
     def test_small_stride_overlaps_training_windows(self):
         plan = overlapping_folds(20, 8, 2, 3)
@@ -66,7 +65,6 @@ class TestExpandingFolds:
         plan = expanding_folds(9, 3)
         assert [(f.train_start, f.train_stop, f.val_start, f.val_stop)
                 for f in plan.folds] == [(0, 3, 3, 6), (0, 6, 6, 9)]
-        assert plan.mode == "expanding"
 
     def test_k_two_single_fold(self):
         plan = expanding_folds(10, 2)
@@ -351,10 +349,11 @@ class TestGridSearch:
 
     def test_candidate_document_nulls_missing_scores(self):
         row = CandidateResult({"tau": 1}, [0.5, math.inf], math.inf,
-                              ["fold 2 of 2: non-finite prediction"])
+                              ["fold 2 of 2: non-finite prediction"], [0, 0])
         assert row.describe() == {
             "params": {"tau": 1}, "fold_mse": [0.5, None],
-            "failures": ["fold 2 of 2: non-finite prediction"]}
+            "failures": ["fold 2 of 2: non-finite prediction"],
+            "fold_projected": [0, 0]}
 
     def test_replication_grids_contain_chosen_values(self):
         # every shipped preset grid must offer its chosen hyperparameters

@@ -183,9 +183,9 @@ class TestForecastTask:
             with pytest.raises(InvalidInputError, match="horizon must be"):
                 forecast_task(est, mode, train, train, 0)
             empty = tuple(a[:0] for a in train)
-            with pytest.raises(InvalidInputError, match="at least one test"):
+            with pytest.raises(InvalidInputError, match="^test_inputs must be a non-empty"):
                 forecast_task(est, "open-loop", train, empty, 10)
-            with pytest.raises(InvalidInputError, match="at least one test"):
+            with pytest.raises(InvalidInputError, match="^test_inputs must be a non-empty"):
                 open_loop(est, train[0][:0])
 
 

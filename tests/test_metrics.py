@@ -13,6 +13,7 @@ from kernelcast.metrics import (
     MAPE_EPS,
     WELCH_OVERLAP,
     MetricReport,
+    evaluate_run,
     euclidean_cost,
     mae,
     mape,
@@ -394,3 +395,33 @@ class TestMetricReport:
         report = MetricReport()
         cells = report.csv_cells()
         assert format_cell(cells[6]) == "nan"
+
+
+class TestEvaluateRun:
+    # (row, column, prediction) cells; two huge cells in one column make
+    # that column's Welch segment mean inf, and its PSDE NaN
+    @pytest.mark.parametrize("d, mode, cells, overflow", [
+        (3, "open-loop", [(0, 0, 1e200)], ["nmse", "psde"]),
+        (3, "path-continuation", [(0, 0, 1.7e308), (1, 1, 1.7e308)],
+         ["nmse", "mae", "mape", "psde"]),
+        (1, "path-continuation", [(0, 0, 1.7e308)],
+         ["nmse", "mape", "psde"]),
+        (1, "path-continuation", [(0, 0, 1.7e308), (1, 0, 1.7e308)],
+         ["nmse", "mae", "mape", "psde"])])
+    def test_overflow_is_flagged_without_warning(self, d, mode, cells,
+                                                 overflow):
+        rng = np.random.default_rng(4)
+        reference = rng.normal(size=(300, d))
+        predicted = reference + 0.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clean = evaluate_run(reference, predicted, 0.01, mode, 0.9)
+            for i, j, cell in cells:
+                predicted[i, j] = cell
+            report = evaluate_run(reference, predicted, 0.01, mode, 0.9)
+        assert "overflow" not in clean.flags
+        assert report.flags["overflow"] == overflow
+        for name in report.SCORES:
+            value = getattr(report, name)
+            assert math.isfinite(value) or name in overflow or (
+                name == "w1" and "w1_degenerate" in report.flags)
