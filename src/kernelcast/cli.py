@@ -571,6 +571,12 @@ def cmd_forecast(config: dict, out_dir: str) -> int:
     model_doc = _upstream(out_dir, "model.json", config)
     est = estimator_from_dict(doc_field(model_doc, "estimator", model_path),
                               model_path, "estimator")
+    widths = (test[0].shape[1], test[-1].shape[1])
+    if est.widths != widths:
+        raise DependencyError(
+            f"{model_path}: the model reads {est.widths[0]} input and "
+            f"{est.widths[1]} output dimensions, the dataset has "
+            f"{widths[0]} and {widths[1]}")
     mode = _get(config, "task.mode",
                 functools.partial(_task_mode, train=train))
     run = forecast_task(est, mode, train, test,

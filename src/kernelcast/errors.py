@@ -213,17 +213,19 @@ def finite_array(*shape):
     return conv
 
 
-def sample_rows(value, name: str, *, finite: bool = False) -> np.ndarray:
-    """``value`` as float64 sample rows of shape ``(n, d)``, ``n >= 1``: a
-    1-d array is ``n`` samples of one dimension.  Any other shape, and
-    with ``finite`` a non-finite entry, raises :class:`InvalidInputError`
-    naming the argument ``name``."""
+def sample_rows(value, name: str, *, finite: bool = False,
+                empty: bool = False) -> np.ndarray:
+    """``value`` as float64 sample rows of shape ``(n, d)``, ``n >= 1`` (or
+    ``n >= 0`` with ``empty``): a 1-d array is ``n`` samples of one
+    dimension.  Any other shape, and with ``finite`` a non-finite entry,
+    raises :class:`InvalidInputError` naming the argument ``name``."""
     rows = np.asarray(value, dtype=np.float64)
     if rows.ndim == 1:
         rows = rows[:, None]
-    if rows.ndim != 2 or rows.shape[0] < 1:
-        raise InvalidInputError(f"{name} must be a non-empty (n, d) array, "
-                                f"not of shape {np.shape(value)}")
+    if rows.ndim != 2 or rows.shape[0] < (0 if empty else 1):
+        what = "an (n, d) array" if empty else "a non-empty (n, d) array"
+        raise InvalidInputError(f"{name} must be {what}, not of shape "
+                                f"{np.shape(value)}")
     if finite and not np.all(np.isfinite(rows)):
         raise InvalidInputError(f"{name} has non-finite entries")
     return rows

@@ -17,7 +17,7 @@ targets.  :func:`hyper_value` reads a hyperparameter through
 :func:`~kernelcast.errors.int_in` or :func:`~kernelcast.errors.positive`:
 a bool or a string is never a number.
 
-:func:`estimator_to_dict` writes an ``estimator/2`` document that holds
+:func:`estimator_to_dict` writes an ``estimator/3`` document that holds
 only what a forecast reads (``output_specs: null`` when the targets share
 the input transforms); the fit's provenance is ``fit_manifest.json``'s.
 """
@@ -25,13 +25,13 @@ the input transforms); the fit's provenance is ``fit_manifest.json``'s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import preprocess
 from .errors import (InvalidInputError, doc_error, doc_field, doc_value,
-                     finite_array, int_in, positive, sample_rows)
+                     int_in, one_of, positive, sample_rows)
 from .kernels import (
     KernelModel,
     NgrcKernelParams,
@@ -118,9 +118,8 @@ class Estimator:
 
     kind: str
     model: NgrcModel | KernelModel
-    input_specs: list = field(default_factory=list)
-    output_specs: list = field(default_factory=list)
-    input_tail: np.ndarray | None = None  # raw samples ending the fit inputs
+    input_specs: list
+    output_specs: list
 
     @property
     def _lags(self):
@@ -138,6 +137,11 @@ class Estimator:
         return 1 if self._lags is None else self._lags.tau
 
     @property
+    def widths(self) -> tuple[int, int]:
+        """The model's (input, output) sample dimensions."""
+        return _widths(self.model)
+
+    @property
     def route(self) -> str:
         """``"primal"`` for a model fitted on explicit features (NG-RC, and
         the polynomial kernel when its features are no more than its rows),
@@ -150,42 +154,46 @@ class Estimator:
         ones for the polynomial kernel); ``None`` for Volterra."""
         lags = self._lags
         return None if lags is None else _n_features(
-            lags.tau, self.input_tail.shape[1], lags.p)
+            lags.tau, self.widths[0], lags.p)
 
     # -- raw-space prediction paths -------------------------------------
 
     def _predict_windows(self, windows: np.ndarray) -> np.ndarray:
         if isinstance(self.model, NgrcModel):
-            out = predict_ngrc(self.model, windows)
-        else:
-            out = predict_kernel(self.model, windows)
-        return np.atleast_2d(out)
+            return predict_ngrc(self.model, windows)
+        return predict_kernel(self.model, windows)
 
-    def open_loop(self, test_inputs, ext=None) -> np.ndarray:
+    def _inputs(self, value, name: str) -> np.ndarray:
+        """:func:`sample_rows` of the model's input width."""
+        rows = sample_rows(value, name)
+        if rows.shape[1] != self.widths[0]:
+            raise InvalidInputError(f"{name} has {rows.shape[1]} columns, "
+                                    f"the model reads {self.widths[0]}")
+        return rows
+
+    def open_loop(self, history, test_inputs, ext=None) -> np.ndarray:
         """One raw prediction per raw test input, no feedback.
 
-        Lagged estimators embed the test inputs as a continuation of the
-        training inputs, reusing the stored raw tail for the first windows.
-        A Volterra estimator steps ``ext`` (see ``predict_kernel``).  An
-        empty ``test_inputs`` raises :class:`InvalidInputError`.
+        A lagged estimator starts its windows from the last ``tau - 1``
+        rows of ``history``, the raw inputs before ``test_inputs``; a
+        Volterra estimator reads none of it and steps ``ext`` (see
+        ``predict_kernel``).  An empty argument, too short a history or
+        another width than the model's raises :class:`InvalidInputError`.
         """
-        raw = sample_rows(test_inputs, "test_inputs")
-        transformed = preprocess.apply_pipeline(self.input_specs, raw)
+        history = self._inputs(history, "history")
+        raw = self._inputs(test_inputs, "test_inputs")
+        if history.shape[0] < self.tau - 1:
+            raise InvalidInputError(f"history of length {history.shape[0]} "
+                                    f"is shorter than {self.tau - 1}")
         if self.kind == "volterra":
+            transformed = preprocess.apply_pipeline(self.input_specs, raw)
             preds = predict_kernel(self.model, transformed, ext)
         else:
-            if self.tau > 1:
-                if self.input_tail is None or self.input_tail.shape[0] < self.tau - 1:
-                    raise InvalidInputError(
-                        "missing training context for delay embedding"
-                    )
-                context = preprocess.apply_pipeline(
-                    self.input_specs, self.input_tail[-(self.tau - 1):]
-                )
-                stacked = np.vstack([context, transformed])
-            else:
-                stacked = transformed
-            windows = delay_vectors(stacked, self.tau)
+            stacked = np.vstack([history[history.shape[0] - self.tau + 1:],
+                                 raw])
+            windows = delay_vectors(
+                preprocess.apply_pipeline(self.input_specs, stacked),
+                self.tau)
             preds = self._predict_windows(windows)
         return preprocess.invert_pipeline(self.output_specs, preds)
 
@@ -315,9 +323,14 @@ def fit_estimator(kind: str, hyper: dict, inputs, targets, *,
         model = fit_kernel_model(X, Y, kernel, hyper["lam_reg"],
                                  washout=washout)
 
-    est = Estimator(kind, model, input_specs, output_specs)
-    est.input_tail = X_raw[-est.tau:].copy()
-    return est
+    return Estimator(kind, model, input_specs, output_specs)
+
+
+def _widths(model: NgrcModel | KernelModel) -> tuple[int, int]:
+    """``model``'s (input, output) sample dimensions."""
+    if isinstance(model, NgrcModel):
+        return model.table.d, model.n_targets
+    return model.train_inputs.shape[1], model.n_targets
 
 
 def _n_features(tau: int, d: int, p: int) -> int:
@@ -327,26 +340,24 @@ def _n_features(tau: int, d: int, p: int) -> int:
 
 
 def estimator_to_dict(est: Estimator) -> dict:
-    """Serializable ``estimator/2`` document for a fitted estimator."""
+    """Serializable ``estimator/3`` document for a fitted estimator."""
     return {
-        "schema": "estimator/2",
+        "schema": "estimator/3",
         "kind": est.kind,
         "model": est.model.to_dict(),
         "input_specs": preprocess.pipeline_to_dicts(est.input_specs),
         "output_specs": None if est.output_specs is est.input_specs
         else preprocess.pipeline_to_dicts(est.output_specs),
-        "input_tail": None if est.input_tail is None
-        else est.input_tail.tolist(),
     }
 
 
 def estimator_from_dict(doc: dict, source: str = "estimator document",
                         path: str = "") -> Estimator:
-    """Load an ``estimator/2`` document.  ``source`` and ``path`` (the
+    """Load an ``estimator/3`` document.  ``source`` and ``path`` (the
     dotted location of ``doc`` in it) name a missing key, and a key that
     disagrees with the model (a
     :class:`~kernelcast.errors.DependencyError`).  Any other schema, such
-    as the ``estimator/1`` of older versions, asks for a refit."""
+    as the ``estimator/1`` and ``/2`` of older versions, asks for a refit."""
     def where(key):
         return f"{path}.{key}" if path else key
 
@@ -357,26 +368,21 @@ def estimator_from_dict(doc: dict, source: str = "estimator document",
         return doc_error(source, path, key, what)
 
     schema = get("schema")
-    if schema != "estimator/2":
-        raise bad("schema", f"must be estimator/2, not {schema!r}; refit "
+    if schema != "estimator/3":
+        raise bad("schema", f"must be estimator/3, not {schema!r}; refit "
                             "the model")
-    model_schema = get("model.schema")
-    if model_schema not in ("ngrc-model/1", "kernel-model/1",
-                            "kernel-model/2", "kernel-model/3"):
-        raise bad("model.schema", "must be ngrc-model/1 or kernel-model/3, "
-                                  f"not {model_schema!r}")
-    if model_schema == "ngrc-model/1":
+    if doc_value(doc, "model.schema", source, path, one_of(
+            "ngrc-model/1", "kernel-model/3")) == "ngrc-model/1":
         model = NgrcModel.from_dict(get("model"), source, where("model"))
-        fitted, widths = "ngrc-model/1", (model.table.d, model.n_targets)
+        fitted = "ngrc-model/1"
     else:
         model = KernelModel.from_dict(get("model"), source, where("model"))
         fitted = model.kernel.describe()["kind"]
-        widths = (model.train_inputs.shape[1], model.n_targets)
     kind = get("kind")
     if not isinstance(kind, str) or fitted not in _KIND_MODELS.get(kind, ()):
         raise bad("kind", f"must be a kind that fits the model ({fitted}), "
                           f"not {kind!r}")
-    est = Estimator(kind, model)
+    widths = _widths(model)
 
     def specs(key, width):
         loaded = preprocess.pipeline_from_dicts(get(key), source, where(key))
@@ -387,15 +393,11 @@ def estimator_from_dict(doc: dict, source: str = "estimator document",
                               f"one per dimension ({width})")
         return loaded
 
-    est.input_specs = specs("input_specs", widths[0])
+    input_specs = specs("input_specs", widths[0])
     # only a model whose outputs are its inputs can share their transforms
     shared = get("output_specs") is None and widths[1] == widths[0]
-    est.output_specs = est.input_specs if shared else specs(
-        "output_specs", widths[1])
-    if get("input_tail") is not None:
-        est.input_tail = doc_value(doc, "input_tail", source, path,
-                                   finite_array(None, widths[0]))
-    return est
+    return Estimator(kind, model, input_specs, input_specs if shared
+                     else specs("output_specs", widths[1]))
 
 
 def fit_task(kind: str, hyper: dict, train: tuple) -> Estimator:

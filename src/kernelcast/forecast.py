@@ -14,19 +14,26 @@ a run, whose every value is finite; :mod:`kernelcast.metrics` scores it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .datasets import read_csv, write_csv
-from .errors import InvalidInputError, ParseError, doc_field, sample_rows
+from .errors import (InvalidInputError, ParseError, doc_field, int_in,
+                     sample_rows)
 from .linsolve import row_norms
 
 
 @dataclass
 class ForecastRun:
     """Outcome of one forecasting task: ``predicted`` holds one row a step,
-    and stops before the first prediction that is not finite."""
+    and stops before the first prediction that is not finite.
+
+    ``predicted`` and ``reference`` are read as float ``(h, d)`` rows, a
+    1-d array as one column and zero rows allowed (a run truncated at its
+    first step); a ``reference`` holds one row per predicted row.  Any
+    other shape raises :class:`InvalidInputError` naming the argument.
+    """
 
     mode: str  # "path-continuation" or "open-loop"
     horizon: int
@@ -37,11 +44,21 @@ class ForecastRun:
     projected: int = 0  # Volterra inputs projected onto the norm ball
 
     def __post_init__(self):
+        self.predicted = sample_rows(self.predicted, "predicted", empty=True)
+        if self.reference is not None:
+            self.reference = sample_rows(self.reference, "reference",
+                                         empty=True)
+            if self.reference.shape != self.predicted.shape:
+                raise InvalidInputError(
+                    f"reference of shape {self.reference.shape} does not "
+                    f"match predicted of shape {self.predicted.shape}")
         finite = np.isfinite(self.predicted).all(axis=1)
         if not finite.all():
             self.error, self.error_step = "non-finite prediction", \
                 int(finite.argmin()) + 1
             self.predicted = self.predicted[:self.error_step - 1]
+            if self.reference is not None:
+                self.reference = self.reference[:self.error_step - 1]
 
     @property
     def truncated(self) -> bool:
@@ -49,8 +66,7 @@ class ForecastRun:
 
     def save_csv(self, path, extra_meta: dict | None = None) -> None:
         """Reference, prediction, and per-step error columns, one row a step."""
-        pred = np.atleast_2d(self.predicted)
-        ref = None if self.reference is None else np.atleast_2d(self.reference)
+        pred, ref = self.predicted, self.reference
         meta = {"mode": self.mode, "horizon": self.horizon}
         if self.error is not None:
             meta.update(error_step=self.error_step, error=self.error)
@@ -74,15 +90,34 @@ def _step_error(diff: np.ndarray) -> float:
     return row_norms(diff[None])[0] if math.isinf(norm) else norm
 
 
+def _comment_int(meta: dict, key: str, path, lo: int,
+                 hi: float = math.inf) -> int:
+    """The comment ``key`` of the CSV at ``path`` as a whole number in
+    ``[lo, hi]`` (:func:`~kernelcast.errors.int_in`), or a
+    :class:`ParseError` naming it."""
+    text = doc_field(meta, key, str(path))
+    try:
+        number = float(text)
+    except ValueError:
+        number = math.nan  # no whole number
+    try:
+        return int_in(lo, hi)(number)
+    except InvalidInputError as exc:
+        raise ParseError(f"{key}={text} {exc}") from None
+
+
 def load_forecast_csv(path) -> tuple[ForecastRun, dict]:
     """Read back a run written by :meth:`ForecastRun.save_csv`.  A missing
     ``mode`` or ``horizon`` comment raises
     :class:`~kernelcast.errors.MissingKeyError` naming ``path``; an unknown
     mode raises :class:`InvalidInputError`, and a prediction or reference
-    that is not finite a :class:`ParseError` naming its line."""
+    that is not finite a :class:`ParseError` naming its line.  The
+    comments follow the rules that the run is written by, or raise a
+    :class:`ParseError` naming the key: a whole ``horizon`` of at least 1
+    and of at least the rows, and an ``error_step`` one past the last row,
+    exactly when there is an ``error``."""
     meta, header, data = read_csv(path, "step")
     mode = check_task(doc_field(meta, "mode", str(path)))
-    horizon = doc_field(meta, "horizon", str(path))
     columns = header[1:]
     pred_cols = [i for i, c in enumerate(columns) if c.startswith("pred")]
     ref_cols = [i for i, c in enumerate(columns) if c.startswith("ref")]
@@ -93,11 +128,13 @@ def load_forecast_csv(path) -> tuple[ForecastRun, dict]:
                     if line.strip() and not line.startswith("#")]
         raise ParseError("a prediction or reference is not finite",
                          line=rows[finite.argmin() + 1])  # after the header
-    try:
-        horizon = int(horizon)
-        error_step = int(meta["error_step"]) if "error_step" in meta else None
-    except ValueError as exc:
-        raise ParseError(f"bad horizon or error_step metadata: {exc}") from exc
+    rows = data.shape[0]
+    horizon = _comment_int(meta, "horizon", path, max(rows, 1))
+    error_step = None
+    if "error" in meta:
+        error_step = _comment_int(meta, "error_step", path, rows + 1, rows + 1)
+    elif "error_step" in meta:
+        raise ParseError("error_step needs an error comment")
     return ForecastRun(mode, horizon, data[:, pred_cols],
                        data[:, ref_cols] if ref_cols else None,
                        meta.get("error"), error_step), meta
@@ -126,11 +163,12 @@ def path_continue(estimator, seed_history, horizon: int) -> ForecastRun:
                        projected=stepper.projected)
 
 
-def open_loop(estimator, test_inputs) -> ForecastRun:
-    """One prediction per test input, no feedback; the run has no
-    reference."""
+def open_loop(estimator, history, test_inputs) -> ForecastRun:
+    """One prediction per test input after the raw inputs ``history``, no
+    feedback (see :meth:`~kernelcast.estimators.Estimator.open_loop`); the
+    run has no reference."""
     ext = estimator.model.extension() if estimator.kind == "volterra" else None
-    predicted = np.atleast_2d(estimator.open_loop(test_inputs, ext))
+    predicted = estimator.open_loop(history, test_inputs, ext)
     return ForecastRun("open-loop", predicted.shape[0], predicted,
                        projected=0 if ext is None else ext.projected)
 
@@ -152,8 +190,9 @@ def forecast_task(estimator, mode: str, train: tuple, test: tuple,
 
     A span is ``(series,)`` or ``(inputs, outputs)`` of raw sample rows, and
     ``test`` continues ``train``.  Path continuation rolls out from the end
-    of the training series; open loop predicts once per test input, and a
-    series' inputs are its samples one step behind its outputs.  The run's
+    of the training series; open loop predicts once per test input, after
+    the training span's inputs, and a series' inputs are its samples one
+    step behind its outputs.  The run's
     ``reference`` is the test outputs it predicts, one row per predicted
     row (a truncated rollout keeps the rows before its failure).  A
     ``horizon`` below 1 raises :class:`InvalidInputError`.
@@ -165,10 +204,9 @@ def forecast_task(estimator, mode: str, train: tuple, test: tuple,
     if mode == "path-continuation":
         run = path_continue(estimator, train[0], reference.shape[0])
     elif len(test) == 1:
-        run = open_loop(estimator, np.concatenate(
+        run = open_loop(estimator, train[0][:-1], np.concatenate(
             [train[0][-1:], reference])[:reference.shape[0]])
     else:
-        run = open_loop(estimator, test[0][:reference.shape[0]])
-    run.reference = reference[:run.predicted.shape[0]]
-    return run
+        run = open_loop(estimator, train[0], test[0][:reference.shape[0]])
+    return replace(run, reference=reference[:run.predicted.shape[0]])
 

@@ -24,20 +24,20 @@ Parameters must satisfy ``theta^2 M^2 < 1`` and ``0 < lam < sqrt(1 - theta^2 M^2
 where ``M`` bounds the Euclidean norm of every training sample; later
 samples outside that ball are projected onto it (:class:`VolterraExtension`).
 
-A fitted :class:`KernelModel` is stored as a ``kernel-model/3`` document;
-the older schemas ask for a refit.
+A fitted :class:`KernelModel` is stored as a ``kernel-model/3`` document.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (DependencyError, InvalidInputError, NormBoundError,
-                     doc_error, doc_field, doc_value, finite_array, int_in,
-                     one_of, positive, sample_rows)
+from .errors import (InvalidInputError, NormBoundError, doc_error,
+                     doc_value, finite_array, int_in, one_of, positive,
+                     sample_rows)
 from .linsolve import GramRows, RidgeSolution, row_norms, solve_ridge_gram
 from .ngrc import (ExponentTable, build_exponent_table, delay_vectors,
                    lagged_pairs, ngrc_features)
@@ -357,9 +357,10 @@ def volterra_kernel_truncated(seq_a, seq_b, params: VolterraParams,
 class KernelModel:
     """Fitted dual estimator for any of the three kernels.
 
-    ``train_inputs`` is the raw input sequence as seen at fit time; for the
-    lagged kernels the embedded windows are cached in ``train_windows``.
-    ``alpha`` has one row per retained (washed) training index.
+    ``train_inputs`` is the raw input sequence as seen at fit time; the
+    lagged kernels predict against its ``train_windows``, Volterra from
+    ``last_col``, the Gram row of its last sample (no border).  ``alpha``
+    has one row per retained (washed) training index.
     """
 
     kernel: PolyKernelParams | NgrcKernelParams | VolterraParams
@@ -367,9 +368,7 @@ class KernelModel:
     alpha: np.ndarray
     washout: int
     solution: RidgeSolution | None = None
-    train_windows: np.ndarray | None = field(default=None, repr=False)
-    _last_col: np.ndarray | None = field(default=None, repr=False)
-    _table: ExponentTable | None = field(default=None, repr=False)
+    last_col: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_targets(self) -> int:
@@ -379,16 +378,20 @@ class KernelModel:
     def is_volterra(self) -> bool:
         return isinstance(self.kernel, VolterraParams)
 
+    @cached_property
+    def train_windows(self) -> np.ndarray:
+        return delay_vectors(self.train_inputs,
+                             self.kernel.tau)[self.washout:]
+
+    @cached_property
     def table(self) -> ExponentTable:
-        if self._table is None:
-            self._table = self.kernel.table()
-        return self._table
+        return self.kernel.table()
 
     def extension(self) -> VolterraExtension:
         """Fresh single-writer extension starting after the training samples."""
         if not self.is_volterra:
             raise InvalidInputError("extensions exist only for Volterra models")
-        return VolterraExtension(self.train_inputs, self.kernel, self._last_col)
+        return VolterraExtension(self.train_inputs, self.kernel, self.last_col)
 
     def to_dict(self) -> dict:
         """Schema ``kernel-model/3``: Volterra models also store the last
@@ -401,7 +404,7 @@ class KernelModel:
             "washout": self.washout,
         }
         if self.is_volterra:
-            doc["last_column"] = self._last_col.tolist()
+            doc["last_column"] = self.last_col.tolist()
         return doc
 
     @classmethod
@@ -409,21 +412,14 @@ class KernelModel:
                   path: str = "") -> "KernelModel":
         """Load a ``kernel-model/3`` document.  ``source`` and ``path`` (the
         dotted location of ``doc`` in it) name a missing key, and a bad
-        value (a :class:`~kernelcast.errors.DependencyError`): a kernel
-        ``kind`` and parameters as :data:`_KERNEL_PARAMS` takes them, a
-        whole ``washout`` that leaves training rows, arrays whose shapes fit
-        the model and Volterra samples within ``M``.  A ``kernel-model/1``
-        or ``/2`` document asks for a refit."""
+        value (a :class:`~kernelcast.errors.DependencyError`): the schema,
+        a kernel ``kind`` and parameters as :data:`_KERNEL_PARAMS` takes
+        them, a whole ``washout`` that leaves training rows, arrays whose
+        shapes fit the model and Volterra samples within ``M``."""
         def get(key, conv):
             return doc_value(doc, key, source, path, conv)
 
-        schema = doc_field(doc, "schema", source, path)
-        if schema in ("kernel-model/1", "kernel-model/2"):
-            raise DependencyError(
-                f"{source}: schema {schema} is no longer read; refit the "
-                "model")
-        if schema != "kernel-model/3":
-            raise InvalidInputError(f"unknown model schema {schema!r}")
+        get("schema", one_of("kernel-model/3"))
         kind = get("kernel.kind", one_of(*_KERNEL_PARAMS))
         params = {}
         for name in doc["kernel"]:
@@ -446,14 +442,11 @@ class KernelModel:
             raise doc_error(source, path, "train_inputs",
                             f"must hold at least {kernel.tau} rows")
         washout = get("washout", int_in(0, rows - 1))
-        model = KernelModel(kernel, train_inputs,
-                            get("alpha", finite_array(rows - washout, None)),
-                            washout)
-        if lagged:
-            windows = delay_vectors(train_inputs, kernel.tau)
-            model.train_windows = windows[washout:]
-        else:
-            model._last_col = get("last_column", finite_array(rows))
+        model = cls(kernel, train_inputs,
+                    get("alpha", finite_array(rows - washout, None)), washout,
+                    last_col=None if lagged else get("last_column",
+                                                     finite_array(rows)))
+        if not lagged:
             try:
                 model.extension()  # checks the samples against M
             except NormBoundError as exc:
@@ -489,17 +482,14 @@ def fit_kernel_model(inputs, targets, kernel, lam_reg: float,
         sol = solve_ridge_gram(GramRows(Z.shape[0] - washout,
                                         lambda: ext.sweep(washout)),
                                Y, lam_reg)
-        model = KernelModel(kernel, Z, sol.coefficients, washout, sol)
-        model._last_col = ext.column[1:]  # the sweep's last row
-        return model
+        return KernelModel(kernel, Z, sol.coefficients, washout, sol,
+                           ext.column[1:])  # the sweep's last row
 
     if isinstance(kernel, NgrcKernelParams) and kernel.d != Z.shape[1]:
         raise InvalidInputError("kernel d does not match the input dimension")
     windows, Y = lagged_pairs(Z, targets, kernel.tau, washout)
     sol = solve_ridge_gram(_lagged_rows(kernel, windows), Y, lam_reg)
-    model = KernelModel(kernel, Z, sol.coefficients, washout, sol)
-    model.train_windows = windows
-    return model
+    return KernelModel(kernel, Z, sol.coefficients, washout, sol)
 
 
 def predict_kernel(model: KernelModel, new_inputs,
@@ -525,6 +515,6 @@ def predict_kernel(model: KernelModel, new_inputs,
     if isinstance(model.kernel, PolyKernelParams):
         K = poly_gram(V, model.train_windows, model.kernel)
     else:
-        K = ngrc_gram(V, model.train_windows, model.table())
+        K = ngrc_gram(V, model.train_windows, model.table)
     out = K @ model.alpha
     return out[0] if single else out

@@ -65,8 +65,8 @@ def test_criterion_1_ngrc_kernel_duality():
                 dual = fit_estimator("ngrc-kernel", hyper, X, Y)
                 fresh = rng.uniform(-1, 1, (12, d))
                 for test_inputs in (X, fresh):
-                    a = primal.open_loop(test_inputs)
-                    b = dual.open_loop(test_inputs)
+                    a = primal.open_loop(X, test_inputs)
+                    b = dual.open_loop(X, test_inputs)
                     scale = max(1.0, float(np.max(np.abs(a))))
                     assert np.max(np.abs(a - b)) <= 1e-8 * scale, (
                         f"duality violated at {hyper}, n={n}"

@@ -940,14 +940,14 @@ class TestFitProvenance:
         assert manifest["hyper"] == PRESETS[preset]["estimator"]["hyper"]
         text = (out / "model.json").read_text()
         est = json.loads(text)["estimator"]
-        assert est["schema"] == "estimator/2"
+        assert est["schema"] == "estimator/3"
         for chain, specs in (("input", est["input_specs"]),
                              ("output", est["output_specs"])):
             flags = manifest["transforms"][chain]
             assert flags is None if specs is None else len(flags) == len(
                 specs)
         for key in ("hyper", "shared_pipeline", "meta", "degenerate_dims",
-                    "lam_reg"):
+                    "lam_reg", "input_tail"):
             assert f'"{key}"' not in text
         if est["kind"] == "volterra":
             model = est["model"]
@@ -966,8 +966,6 @@ class TestMissingArtifactKey:
         ("bekk-polynomial", "bekk", "simulate_manifest.json", "dt", "eval"),
         ("lorenz-volterra", "lorenz", "model.json",
          "estimator.model.last_column", "forecast"),
-        ("lorenz-volterra", "lorenz", "model.json", "estimator.input_tail",
-         "forecast"),
         ("bekk-polynomial", "bekk", "model.json",
          "estimator.input_specs.0.kind", "forecast"),
         ("bekk-polynomial", "bekk", "model.json",
@@ -1062,17 +1060,10 @@ class TestMissingArtifactKey:
         assert text in err
 
     @pytest.mark.parametrize("family, preset, key, value", [
-        # a per-dimension transform list or input tail whose width is not
-        # the model's
+        # a per-dimension transform list whose width is not the model's
         ("bekk", "bekk-ngrc", "output_specs.1.shift", [1.0, 2.0]),
         ("bekk", "bekk-ngrc", "output_specs.1.scale", [1.0, 2.0]),
-        ("bekk", "bekk-ngrc", "input_tail", [[1.0, 2.0]]),
         ("lorenz", "lorenz-volterra", "input_specs.0.shift", [0.0]),
-        ("lorenz", "lorenz-volterra", "input_tail", [[0.0, 1.0]]),
-        # an input tail that is no array of finite numbers
-        ("lorenz", "lorenz-volterra", "input_tail", "abc"),
-        ("lorenz", "lorenz-volterra", "input_tail", [[0.0, 1.0, 2.0], [0.0]]),
-        ("lorenz", "lorenz-volterra", "input_tail", [[math.nan, 1.0, 2.0]]),
         # a kind that does not fit the model
         ("bekk", "bekk-ngrc", "kind", "volterra"),
         ("lorenz", "lorenz-volterra", "kind", "ngrc"),
@@ -1164,6 +1155,7 @@ class TestMissingArtifactKey:
         out = tmp_path / "exp"
         shutil.copytree(lorenz_pipelines["lorenz-volterra"]["a"]["dir"], out)
         doc = json.loads((out / "model.json").read_text())
+        doc["estimator"]["schema"] = "estimator/2"
         doc["estimator"]["model"]["schema"] = "kernel-model/1"
         (out / "model.json").write_text(json.dumps(doc))
         capsys.readouterr()
@@ -1174,7 +1166,7 @@ class TestMissingArtifactKey:
     @pytest.mark.parametrize("family, preset, key, schema", [
         # documents that still carry the hyperparameter echo, the transform
         # flags, lam_reg and the Volterra border
-        ("lorenz", "lorenz-volterra", "model.schema", "kernel-model/2"),
+        ("lorenz", "lorenz-volterra", "schema", "estimator/2"),
         ("bekk", "bekk-ngrc", "schema", "estimator/1"),
     ])
     def test_older_schema_asks_for_refit(self, request, tmp_path, capsys,
@@ -1192,6 +1184,41 @@ class TestMissingArtifactKey:
         capsys.readouterr()
         assert run_cli("forecast", "--preset", preset, "--out", str(out)) == 2
         assert "refit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, preset, widths", [
+        # NG-RC on four of BEKK's five inputs, one weight row per monomial
+        ("bekk", "bekk-ngrc", (4, 15)),
+        # one input column more than the dataset has, and for a series,
+        # whose outputs share the input transforms, one output column
+        ("bekk", "bekk-volterra", (6, 15)),
+        ("mackey_glass", "mackey-glass-polynomial", (2, 2)),
+    ])
+    def test_model_whose_widths_are_not_the_datasets(
+            self, request, tmp_path, capsys, family, preset, widths):
+        shipped = request.getfixturevalue(f"{family}_pipelines")
+        out = tmp_path / "exp"
+        shutil.copytree(shipped[preset]["a"]["dir"], out)
+        doc = json.loads((out / "model.json").read_text())
+        model = doc["estimator"]["model"]
+        if "d" in model:
+            model["d"] = widths[0]
+            model["weights"] = model["weights"][:math.comb(
+                model["tau"] * widths[0] + model["p"], model["p"])]
+        else:  # a zero column, and a per-dimension transform value for it
+            model["train_inputs"] = [row + [0.0]
+                                     for row in model["train_inputs"]]
+            if doc["estimator"]["output_specs"] is None:
+                model["alpha"] = [row + [0.0] for row in model["alpha"]]
+            for spec in doc["estimator"]["input_specs"]:
+                for name, pad in (("shift", 0.0), ("scale", 1.0)):
+                    if isinstance(spec[name], list):
+                        spec[name].append(pad)
+        (out / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli("forecast", "--preset", preset, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{out / 'model.json'}: the model reads {widths[0]} input " \
+               f"and {widths[1]} output dimensions" in err
 
 
 class TestUpstreamCsv:
@@ -1260,6 +1287,22 @@ class TestUpstreamCsv:
         line = next(i for i, text in enumerate(lines, 1)
                     if text.startswith("3,"))
         assert f"corrupt upstream artifact {path}: line {line}: " in err
+
+    @pytest.mark.parametrize("comments, key", [
+        ("# error_step=-7\n# error=non-finite prediction\n", "error_step"),
+        ("# horizon=-5\n", "horizon"),
+    ])
+    def test_bad_forecast_comment_exits_two(self, bekk_pipelines, tmp_path,
+                                            capsys, comments, key):
+        def edit(lines):
+            return [comments] + [line for line in lines
+                                 if not line.startswith(f"# {key}=")]
+
+        code, err, path = self.run_on_copy(
+            bekk_pipelines, tmp_path, capsys, "bekk-ngrc", "forecast.csv",
+            "eval", edit)
+        assert code == 2
+        assert f"corrupt upstream artifact {path}: {key}=-" in err
 
     @pytest.mark.parametrize("name, stage", [
         ("simulate_manifest.json", "fit"),

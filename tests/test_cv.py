@@ -197,7 +197,8 @@ class TestGridSearch:
                     (series[fold.train_start:fold.train_stop],))
                 val = series[fold.val_start:fold.val_stop]
                 run = open_loop(
-                    est, series[fold.val_start - 1:fold.val_stop - 1])
+                    est, series[fold.train_start:fold.train_stop - 1],
+                    series[fold.val_start - 1:fold.val_stop - 1])
                 expected.append(float(np.mean((run.predicted - val) ** 2)))
             assert row.fold_mse == expected
         closed = grid_search("ngrc", grid, plan, "path-continuation",
@@ -337,9 +338,10 @@ class TestGridSearch:
         ref = np.zeros((3, 1))
 
         def score(predicted):
-            est = SimpleNamespace(kind="ngrc", open_loop=lambda inputs, ext:
+            est = SimpleNamespace(kind="ngrc",
+                                  open_loop=lambda history, inputs, ext:
                                   np.array(predicted))
-            run = open_loop(est, ref)
+            run = open_loop(est, ref, ref)
             run.reference = ref[:run.predicted.shape[0]]
             return _rollout_score(run)
 

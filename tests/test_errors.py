@@ -32,12 +32,15 @@ VOLTERRA_MODEL = fit_kernel_model(COL[:30], COL[1:31], VOLTERRA, 1e-6)
 READERS = [
     ("TimeSeries", "values", True, lambda x: TimeSeries(x, 0.1).values),
     ("fit_task", "values", False,
-     lambda x: fit_task("ngrc", NGRC, (x,)).open_loop(COL)),
+     lambda x: fit_task("ngrc", NGRC, (x,)).open_loop(COL, COL)),
     ("fit_estimator-inputs", "inputs", False,
-     lambda x: fit_estimator("ngrc", NGRC, x, COL).open_loop(COL)),
+     lambda x: fit_estimator("ngrc", NGRC, x, COL).open_loop(COL, COL)),
     ("fit_estimator-targets", "targets", False,
-     lambda x: fit_estimator("ngrc", NGRC, COL, x).open_loop(COL)),
-    ("Estimator.open_loop", "test_inputs", False, lambda x: EST.open_loop(x)),
+     lambda x: fit_estimator("ngrc", NGRC, COL, x).open_loop(COL, COL)),
+    ("Estimator.open_loop", "test_inputs", False,
+     lambda x: EST.open_loop(COL, x)),
+    ("Estimator.open_loop-history", "history", False,
+     lambda x: EST.open_loop(x, COL)),
     ("Estimator.start", "seed_history", False,
      lambda x: EST.start(x).step()),
     ("path_continue", "seed_history", False,

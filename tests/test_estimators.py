@@ -84,17 +84,44 @@ class TestKinds:
             fit_task(kind, hyper, (short_series(50),))
 
     @pytest.mark.parametrize("kind", sorted(HYPER))
-    def test_the_input_tail_is_one_window_of_the_model(self, kind):
-        est = fit_task(kind, HYPER[kind], (short_series(),))
-        assert est.input_tail.shape[0] == est.tau
-
-    @pytest.mark.parametrize("kind", sorted(HYPER))
     def test_rollout_reads_only_the_last_tau_seed_rows(self, kind):
         series = short_series()
         est = fit_task(kind, HYPER[kind], (series,))
         runs = [path_continue(est, s, 8).predicted
                 for s in (series[-est.tau:], series[-4:])]
         assert np.array_equal(runs[0], runs[1])
+
+    @pytest.mark.parametrize("kind", sorted(HYPER))
+    def test_open_loop_windows_start_from_the_history_given(self, kind):
+        series = short_series()
+        est = fit_task(kind, HYPER[kind], (series,))
+        # a history whose tail is not the fit inputs'
+        history = series[::-1][:10] + 0.25
+        test_inputs = series[20:30]
+        got = est.open_loop(history, test_inputs)
+        if kind == "volterra":  # the whole sequence, none of the history
+            assert np.array_equal(got, est.open_loop(series[:5], test_inputs))
+            return
+        rows = preprocess.apply_pipeline(
+            est.input_specs, np.vstack([history[-1:], test_inputs]))
+        windows = np.array([np.concatenate(rows[i:i + 2])
+                            for i in range(test_inputs.shape[0])])
+        predict = predict_ngrc if isinstance(est.model, NgrcModel) \
+            else predict_kernel
+        expected = preprocess.invert_pipeline(
+            est.output_specs, predict(est.model, windows))
+        assert np.array_equal(got, expected)
+        assert not np.array_equal(got, est.open_loop(series[:-1],
+                                                     test_inputs))
+
+    @pytest.mark.parametrize("history, match", [
+        (np.zeros((4, 3)), "^history has 3 columns, the model reads 2$"),
+        (np.zeros((0, 2)), "^history must be a non-empty"),
+    ])
+    def test_open_loop_history_is_read_as_sample_rows(self, history, match):
+        est = fit_task("ngrc", HYPER["ngrc"], (short_series(),))
+        with pytest.raises(InvalidInputError, match=match):
+            est.open_loop(history, short_series()[:5])
 
     @pytest.mark.parametrize("washout", [3, 10])
     def test_ngrc_washout_matches_its_kernel_dual(self, washout):
@@ -105,8 +132,8 @@ class TestKinds:
         primal = fit_estimator("ngrc", hyper, X, Y)
         dual = fit_estimator("ngrc-kernel", hyper, X, Y)
         for test_inputs in (X, rng.uniform(-1, 1, (12, 2))):
-            a = primal.open_loop(test_inputs)
-            b = dual.open_loop(test_inputs)
+            a = primal.open_loop(X, test_inputs)
+            b = dual.open_loop(X, test_inputs)
             assert np.max(np.abs(a - b)) <= 1e-8 * max(1.0, np.max(np.abs(a)))
 
     @pytest.mark.parametrize("lam_reg", [1e-8, 1e-2])
@@ -122,8 +149,8 @@ class TestKinds:
         assert dual.model.solution.method == "eigh"
         assert dual.model.solution.modes_cut >= 299 - 15
         for test_inputs in (X, rng.uniform(-1, 1, (12, 2))):
-            a = primal.open_loop(test_inputs)
-            b = dual.open_loop(test_inputs)
+            a = primal.open_loop(X, test_inputs)
+            b = dual.open_loop(X, test_inputs)
             assert np.max(np.abs(a - b)) <= 1e-8 * max(1.0, np.max(np.abs(a)))
 
     def test_unknown_kind_rejected(self):

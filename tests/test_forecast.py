@@ -106,7 +106,7 @@ class TestOpenLoopAgreement:
         ]:
             est = fit_task(kind, hyper, (series,))
             closed = path_continue(est, series, 1)
-            opened = est.open_loop(series[-1:])
+            opened = est.open_loop(series[:-1], series[-1:])
             np.testing.assert_allclose(closed.predicted[0], opened[0],
                                        rtol=1e-10, atol=1e-12,
                                        err_msg=kind)
@@ -139,7 +139,8 @@ class TestForecastTask:
         run = forecast_task(est, "open-loop", (train,), (test,), np.inf)
         assert run.mode == "open-loop" and run.horizon == 30
         np.testing.assert_array_equal(run.predicted,
-                                      est.open_loop(values[59:89]))
+                                      est.open_loop(train[:-1],
+                                                    values[59:89]))
         np.testing.assert_array_equal(run.reference, test)
 
     def test_open_loop_on_pairs_predicts_each_test_input(self):
@@ -149,7 +150,8 @@ class TestForecastTask:
         run = forecast_task(est, "open-loop", (inputs[:60], outputs[:60]),
                             (inputs[60:], outputs[60:]), 10)
         np.testing.assert_array_equal(run.predicted,
-                                      est.open_loop(inputs[60:70]))
+                                      est.open_loop(inputs[:60],
+                                                    inputs[60:70]))
         np.testing.assert_array_equal(run.reference, outputs[60:70])
 
     def test_truncated_rollout_keeps_the_reference_rows_it_predicted(self):
@@ -186,7 +188,7 @@ class TestForecastTask:
             with pytest.raises(InvalidInputError, match="^test_inputs must be a non-empty"):
                 forecast_task(est, "open-loop", train, empty, 10)
             with pytest.raises(InvalidInputError, match="^test_inputs must be a non-empty"):
-                open_loop(est, train[0][:0])
+                open_loop(est, train[0], train[0][:0])
 
 
 class TestVolterraRollout:
@@ -215,7 +217,7 @@ class TestVolterraRollout:
                             inputs[:-1], inputs[1:])
         # two training inputs, inside the ball, and two far outside it
         test = np.array([inputs[0], [100.0], [-100.0], inputs[5]])
-        run = open_loop(est, test)
+        run = open_loop(est, inputs[:-1], test)
         assert run.projected == 2 and not run.truncated
         # the projected inputs score as their images on the ball (M = 1),
         # scaled as the extension scales them
@@ -359,6 +361,31 @@ class TestForecastCsv:
             b"1,9.9999999999999997e+199,0,0,0,9.9999999999999997e+199\n"
             b"2,3,4,0,0,5\n")
 
+    @pytest.mark.parametrize("comments, match", [
+        ("# horizon=-5\n", "^horizon=-5 must be >= 2$"),
+        ("# horizon=1\n", "^horizon=1 must be >= 2$"),  # fewer than the rows
+        ("# horizon=2.5\n", "^horizon=2.5 must be a whole number$"),
+        ("# horizon=2\n# error_step=-7\n# error=non-finite prediction\n",
+         r"^error_step=-7 must lie in \[3, 3\]$"),
+        ("# horizon=4\n# error_step=2\n# error=non-finite prediction\n",
+         r"^error_step=2 must lie in \[3, 3\]$"),
+        ("# horizon=2\n# error_step=3\n", "^error_step needs an error"),
+    ])
+    def test_comments_follow_the_rules_runs_are_written_by(
+            self, tmp_path, comments, match):
+        path = tmp_path / "forecast.csv"
+        path.write_text("# mode=open-loop\n" + comments
+                        + "step,pred0\n1,0.5\n2,0.25\n")
+        with pytest.raises(ParseError, match=match):
+            load_forecast_csv(path)
+
+    def test_an_error_needs_its_step(self, tmp_path):
+        path = tmp_path / "forecast.csv"
+        path.write_text("# mode=open-loop\n# horizon=3\n# error=x\n"
+                        "step,pred0\n1,0.5\n")
+        with pytest.raises(MissingKeyError, match="'error_step'"):
+            load_forecast_csv(path)
+
     def test_bad_metadata_is_parse_error(self, tmp_path):
         path = tmp_path / "forecast.csv"
         path.write_text("# mode=open-loop\n# horizon=two\nstep,pred0\n1,0.5\n")
@@ -392,6 +419,42 @@ class TestForecastCsv:
         assert err.value.line == 6
 
 
+class TestForecastRunIntake:
+    """``ForecastRun`` reads its arrays as ``(h, d)`` rows."""
+
+    def test_a_1d_array_is_one_column(self):
+        run = ForecastRun("open-loop", 3, np.arange(3.0), np.arange(3.0) + 1)
+        assert run.predicted.shape == run.reference.shape == (3, 1)
+        assert run.predicted.dtype == np.float64
+
+    def test_a_1d_reference_is_saved_and_read_back(self, tmp_path):
+        run = ForecastRun("open-loop", 3, np.zeros((3, 1)),
+                          np.arange(3.0) + 1)
+        run.save_csv(tmp_path / "forecast.csv")
+        back, _ = load_forecast_csv(tmp_path / "forecast.csv")
+        np.testing.assert_array_equal(back.reference, [[1.0], [2.0], [3.0]])
+        np.testing.assert_array_equal(back.predicted, run.predicted)
+
+    def test_a_run_truncated_at_its_first_step_holds_no_rows(self, tmp_path):
+        run = ForecastRun("path-continuation", 5, [[math.nan, 1.0]],
+                          [[0.0, 1.0]])
+        assert run.error_step == 1
+        assert run.predicted.shape == run.reference.shape == (0, 2)
+        run.save_csv(tmp_path / "forecast.csv")
+        back, _ = load_forecast_csv(tmp_path / "forecast.csv")
+        assert back.error_step == 1 and back.predicted.shape == (0, 2)
+
+    @pytest.mark.parametrize("predicted, reference, match", [
+        (np.zeros((3, 1, 1)), None, "^predicted must be an"),
+        (np.zeros((3, 1)), np.zeros((3, 1, 1)), "^reference must be an"),
+        (np.zeros((3, 2)), np.zeros((2, 2)), "^reference of shape"),
+        (np.zeros((3, 1)), np.zeros((3, 2)), "^reference of shape"),
+    ])
+    def test_any_other_shape_is_rejected(self, predicted, reference, match):
+        with pytest.raises(InvalidInputError, match=match):
+            ForecastRun("open-loop", 3, predicted, reference)
+
+
 class TestOpenLoopRuns:
     def test_open_loop_run_counts(self):
         rng = np.random.default_rng(7)
@@ -399,7 +462,7 @@ class TestOpenLoopRuns:
         outputs = np.cumsum(inputs, axis=0) * 0.1
         est = fit_estimator("ngrc", {"tau": 2, "p": 1, "lam_reg": 1e-6},
                             inputs[:50], outputs[:50])
-        run = open_loop(est, inputs[50:])
+        run = open_loop(est, inputs[:50], inputs[50:])
         assert run.predicted.shape == (10, 2)
         assert run.mode == "open-loop"
         assert not run.truncated and run.reference is None

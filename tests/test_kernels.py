@@ -7,6 +7,7 @@ from scipy.linalg import lapack
 
 from kernelcast import kernels, linsolve
 from kernelcast.errors import DependencyError, InvalidInputError, NormBoundError
+from kernelcast.estimators import estimator_from_dict
 from kernelcast.kernels import (
     KernelModel,
     NgrcKernelParams,
@@ -525,16 +526,21 @@ class TestVolterraModelDocument:
     def test_schema_1_and_2_documents_ask_for_refit(self):
         doc = self.fitted(40, washout=5).to_dict()
         # kernel-model/1 had no last column; /2 stored it with its border
-        # and the ridge strength
+        # and the ridge strength; both came in an estimator/2 document
+        def estimator_2(model):
+            return {"schema": "estimator/2", "kind": "volterra",
+                    "model": model, "input_specs": [], "output_specs": None,
+                    "input_tail": None}
+
         old = dict(doc, schema="kernel-model/1")
         del old["last_column"]
         with pytest.raises(DependencyError, match="refit"):
-            KernelModel.from_dict(old)
+            estimator_from_dict(estimator_2(old))
         border = VolterraParams(*LORENZ_VOLT).border
         old = dict(doc, schema="kernel-model/2", lam_reg=1e-6,
                    last_column=[border, *doc["last_column"]])
         with pytest.raises(DependencyError, match="refit"):
-            KernelModel.from_dict(old)
+            estimator_from_dict(estimator_2(old))
 
     def test_schema_3_without_last_column_rejected(self):
         doc = self.fitted(10).to_dict()

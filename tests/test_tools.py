@@ -1,11 +1,13 @@
 """The scripts under ``tools/`` run against the package in ``src/``."""
 
 import importlib.util
+import json
 import os
 import platform
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -36,6 +38,54 @@ def test_artifact_digests_of_one_preset(tmp_path, capsys):
                                "scipy": scipy.__version__}
     assert capsys.readouterr().out == ""  # stage output goes to stderr
     assert len(tool.REPLICATION_PRESETS) == 9
+
+
+def digests_doc(**sha256):
+    return {"threads": {"OMP_NUM_THREADS": None}, "blas_threads":
+            {"numpy": 2, "scipy": 2}, "cpus": 2,
+            "versions": {"python": "3.11", "numpy": "2", "scipy": "1"},
+            "exit_codes": {"p/fit": 0, "p/cv": 3},
+            "sha256": {"p/model.json": "a" * 64, **sha256}}
+
+
+def saved(tmp_path, *docs):
+    paths = [tmp_path / f"{i}.json" for i in range(len(docs))]
+    for path, doc in zip(paths, docs):
+        path.write_text(json.dumps(doc))
+    return [str(path) for path in paths]
+
+
+def test_compare_lists_what_differs(tmp_path, capsys):
+    tool = load_tool("artifact_digests")
+    before = digests_doc(**{"p/forecast.csv": "b" * 64})
+    assert tool.compare(before, json.loads(json.dumps(before))) == []
+    after = digests_doc(**{"p/forecast.csv": "c" * 64})
+    after["exit_codes"]["p/cv"] = 0
+    assert tool.compare(before, after) == [
+        "exit_codes p/cv: 3 -> 0",
+        f"sha256 p/forecast.csv: {'b' * 64} -> {'c' * 64}"]
+    del after["sha256"]["p/forecast.csv"]
+    assert tool.compare(before, after)[1].endswith(" -> None")
+    paths = saved(tmp_path, before, after)
+    assert tool.run(paths) == 1
+    assert capsys.readouterr().out.splitlines() == tool.compare(before, after)
+    assert tool.run([paths[0], paths[0]]) == 0
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("field, value", [
+    ("threads", {"OMP_NUM_THREADS": "1"}),
+    ("blas_threads", {"numpy": 1, "scipy": 2}),
+    ("cpus", 4),
+    ("versions", {"python": "3.11", "numpy": "2", "scipy": "2"}),
+])
+def test_compare_refuses_other_environments(tmp_path, capsys, field, value):
+    tool = load_tool("artifact_digests")
+    other = dict(digests_doc(), **{field: value})
+    with pytest.raises(ValueError, match=f"environments: {field}$"):
+        tool.compare(digests_doc(), other)
+    assert tool.run(saved(tmp_path, digests_doc(), other)) == 2
+    assert capsys.readouterr().err.startswith("refused: ")
 
 
 def test_openblas_threads_is_null_without_library_or_symbol(tmp_path):

@@ -16,6 +16,12 @@ the usable CPUs when ``threads`` is unset, so compare two documents only
 when their ``threads``, ``blas_threads``, ``cpus`` and ``versions`` agree.
 The stages' own output and one status line per stage go to standard error.
 Point ``PYTHONPATH`` at another checkout's ``src`` to digest that code.
+
+    PYTHONPATH=src python tools/artifact_digests.py BEFORE.json AFTER.json
+
+compares two saved documents: it prints each exit code and each digest
+that differs, one line each, and exits 1 if any does, 0 if none does and 2
+if the documents were taken in different environments.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ STAGES = ("simulate", "fit", "forecast", "eval", "cv")
 REPLICATION_PRESETS = sorted(name for name in PRESETS
                              if "task" in PRESETS[name])
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+# The fields of a document that its digests hold under.
+ENVIRONMENT = ("threads", "blas_threads", "cpus", "versions")
 
 
 def openblas_threads(module_file: str, symbol: str) -> int | None:
@@ -91,7 +99,46 @@ def digests(out_dir, presets) -> dict:
             "exit_codes": exit_codes, "sha256": sha256}
 
 
+def compare(before: dict, after: dict) -> list[str]:
+    """One line for each ``preset/stage`` exit code and ``preset/file``
+    sha256 that differs between two :func:`digests` documents; a key that
+    one of them lacks reads ``None`` there.  Documents whose
+    :data:`ENVIRONMENT` fields differ raise ``ValueError``: their digests
+    cannot be compared."""
+    differ = [name for name in ENVIRONMENT if before[name] != after[name]]
+    if differ:
+        raise ValueError("taken in different environments: "
+                         + ", ".join(differ))
+    lines = []
+    for field in ("exit_codes", "sha256"):
+        a, b = before[field], after[field]
+        lines += [f"{field} {key}: {a.get(key)} -> {b.get(key)}"
+                  for key in sorted(a.keys() | b.keys())
+                  if a.get(key) != b.get(key)]
+    return lines
+
+
+def run(argv: list[str]) -> int:
+    """Print the digests document (no arguments), or :func:`compare` the
+    two saved documents that ``argv`` names."""
+    if not argv:
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = digests(tmp, REPLICATION_PRESETS)
+        print(json.dumps(doc, indent=1, sort_keys=True))
+        return 0
+    docs = []
+    for path in argv:
+        with open(path, encoding="utf-8") as fh:
+            docs.append(json.load(fh))
+    try:
+        lines = compare(*docs)
+    except ValueError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        doc = digests(tmp, REPLICATION_PRESETS)
-    print(json.dumps(doc, indent=1, sort_keys=True))
+    sys.exit(run(sys.argv[1:]))
