@@ -23,8 +23,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     ConfigError,
@@ -40,8 +38,10 @@ from .errors import (
 )
 from .presets import PRESETS
 
-# Each stage imports the modules it runs when it runs, so a process that
-# runs one stage loads only what that stage needs.
+# This module loads only the standard library, ``errors`` and ``presets``:
+# each stage imports the modules it runs, numpy with the first of them, so
+# a process that ends in the front end (``--help``, a usage or config
+# error) loads no numpy, and one that runs a stage loads what it needs.
 
 
 def __getattr__(name: str):
@@ -108,7 +108,9 @@ def _task_mode(value, train=None) -> str:
 
 # The most float64 values that one numpy array can address: a dataset size
 # whose array would hold more is a config mistake, not an allocation to try.
-_MAX_SIZE = np.iinfo(np.intp).max // 8
+# ``sys.maxsize`` is numpy's largest ``intp`` where ``Py_ssize_t`` is
+# ``intptr_t``, as on every platform numpy builds for.
+_MAX_SIZE = sys.maxsize // 8
 
 # The fields of ``dataset`` and ``cv`` that depend on ``dataset.kind`` and
 # ``cv.mode``: one table per value, read as :data:`FIELDS` is.
@@ -220,7 +222,10 @@ def _check_keys(node: dict, fields: dict, prefix: str = "") -> None:
 
 
 def load_config(args) -> dict:
-    if getattr(args, "preset", None):
+    """The config that ``args.preset`` names, else the one in the JSON file
+    at ``args.config``, checked for its schema and for keys no stage reads,
+    with ``args.seed`` (when given) as its seed."""
+    if getattr(args, "preset", None) is not None:
         if args.preset not in PRESETS:
             raise ConfigError(
                 f"unknown preset {args.preset!r}; available: "
@@ -228,7 +233,7 @@ def load_config(args) -> dict:
                 field="preset",
             )
         config = json.loads(json.dumps(PRESETS[args.preset]))
-    elif getattr(args, "config", None):
+    else:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
@@ -238,13 +243,29 @@ def load_config(args) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}", field="config")
         if not isinstance(config, dict):
             raise ConfigError("top level must be a JSON object", field="config")
-    else:
-        raise ConfigError("either --config or --preset is required")
     _get(config, "schema")
     _check_keys(config, _fields(config))
     if getattr(args, "seed", None) is not None:
         config["seed"] = args.seed
     return config
+
+
+def _check_out(out_dir: str) -> None:
+    """Reject an ``--out`` that names a file, or lies below one, before a
+    stage reads or writes anything."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"{path} is not a directory", field="out")
+
+
+def _make_out(out_dir: str) -> None:
+    """Create the experiment directory ``out_dir`` if it is missing."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the directory: {exc}", field="out")
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -315,6 +336,8 @@ def _dataset_csv(config: dict, path: str) -> TimeSeries:
 def generate_dataset(config: dict) -> tuple[tuple, tuple]:
     """Simulate or load the configured dataset, split into its train and
     test spans: ``(series,)`` each, or ``(inputs, outputs)`` each."""
+    import numpy as np
+
     from .datasets import (BekkParams, TimeSeries, simulate_bekk,
                            simulate_lorenz, simulate_mackey_glass,
                            split_train_test)
@@ -382,7 +405,7 @@ def cmd_simulate(config: dict, out_dir: str) -> int:
     from .datasets import save_csv
 
     spans = generate_dataset(config)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out(out_dir)
     meta = {"config_sha256": config_hash(config),
             "seed": config.get("seed"),
             "generator": "philox-boxmuller"}
@@ -635,7 +658,7 @@ def cmd_bench(config: dict, out_dir: str) -> int:
     from .bench import run_bench
     from .datasets import write_csv
 
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out(out_dir)
     rows = run_bench(_get(config, "seed"))
     path = os.path.join(out_dir, "bench.csv")
     fields = ["op", "n", "tau", "p", "d", "median_s", "min_s", "repeats",
@@ -663,10 +686,12 @@ def build_parser() -> argparse.ArgumentParser:
                      ("cv", cmd_cv), ("forecast", cmd_forecast),
                      ("eval", cmd_eval), ("bench", cmd_bench)):
         cmd = sub.add_parser(name)
-        cmd.add_argument("--config", help="path to an experiment JSON file")
-        cmd.add_argument("--preset",
-                         help="named built-in configuration, one of: "
-                              + ", ".join(sorted(PRESETS)))
+        source = cmd.add_mutually_exclusive_group(required=True)
+        source.add_argument("--config",
+                            help="path to an experiment JSON file")
+        source.add_argument("--preset",
+                            help="named built-in configuration, one of: "
+                                 + ", ".join(sorted(PRESETS)))
         cmd.add_argument("--out", required=True, help="experiment directory")
         cmd.add_argument("--seed", type=int, help="override the config seed")
         cmd.set_defaults(fn=fn)
@@ -677,6 +702,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
+        _check_out(args.out)
         return args.fn(config, args.out)
     except (ConfigError, DependencyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -2,12 +2,16 @@
 upstream artifact documents, the converters that check a value:
 :func:`one_of` for a name, :func:`int_in` and :func:`positive` for a
 number, :func:`numbers` and :func:`finite_array` for an array, and
-:func:`sample_rows`, the one reading of a series or sample argument."""
+:func:`sample_rows`, the one reading of a series or sample argument.
+
+The command-line front end imports this module before any stage runs, so
+it loads only the standard library: the three array converters import
+numpy when they are called."""
+
+from __future__ import annotations
 
 import math
 from itertools import chain
-
-import numpy as np
 
 
 class KernelcastError(Exception):
@@ -189,6 +193,7 @@ def numbers(value) -> np.ndarray:
             items.extend(item)
         elif isinstance(item, bool) or not isinstance(item, (int, float)):
             raise InvalidInputError(f"{item!r} is not a number")
+    import numpy as np
     return np.float64(value)
 
 
@@ -199,6 +204,7 @@ def finite_array(*shape):
     text = ", ".join("any" if n is None else str(n) for n in shape)
 
     def conv(value) -> np.ndarray:
+        import numpy as np
         try:
             array = numbers(value)
         except (ValueError, OverflowError):  # no number, ragged, huge
@@ -219,6 +225,7 @@ def sample_rows(value, name: str, *, finite: bool = False,
     ``n >= 0`` with ``empty``): a 1-d array is ``n`` samples of one
     dimension.  Any other shape, and with ``finite`` a non-finite entry,
     raises :class:`InvalidInputError` naming the argument ``name``."""
+    import numpy as np
     rows = np.asarray(value, dtype=np.float64)
     if rows.ndim == 1:
         rows = rows[:, None]

@@ -233,6 +233,56 @@ class TestExitCodes:
         assert run_cli("simulate", "--preset", "nope",
                        "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ("--preset", "bekk-ngrc", "--config", "nope.json"),
+        ("--config", "nope.json", "--preset", "bekk-ngrc"),
+        ()])
+    @pytest.mark.parametrize("stage", ["simulate", "fit", "bench"])
+    def test_config_and_preset_are_one_required_choice(self, tmp_path,
+                                                       capsys, stage, flags):
+        # both flags, or neither, is a usage error; a preset never
+        # silently overrides a config file
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(stage, *flags, "--out", str(out))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert ("not allowed with argument" in err if flags
+                else "one of the arguments --config --preset is required"
+                in err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True])
+    @pytest.mark.parametrize("stage", ["simulate", "fit", "forecast", "eval",
+                                       "cv", "bench"])
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys,
+                                               stage, below):
+        # named once, before any stage import, with nothing written
+        file = tmp_path / "taken"
+        file.write_text("x")
+        out = file / "exp" if below else file
+        assert run_cli(stage, "--preset", "bekk-polynomial",
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == \
+            f"config error: out: {file} is not a directory\n"
+        assert file.read_text() == "x"
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    @pytest.mark.parametrize("stage, preset", [
+        ("simulate", "lorenz-ngrc"), ("bench", "bench-default")])
+    def test_out_that_cannot_be_made_is_config_error(self, tmp_path, capsys,
+                                                     monkeypatch, stage,
+                                                     preset):
+        def refuse(path, exist_ok=False):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(os, "makedirs", refuse)
+        out = tmp_path / "o"
+        assert run_cli(stage, "--preset", preset, "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: out: cannot create the directory: [Errno 13]")
+        assert not out.exists()
+
     def test_zero_length_request_rejected(self, tmp_path):
         cfg = copy.deepcopy(PRESETS["lorenz-ngrc"])
         cfg["dataset"]["n_points"] = 0
@@ -1456,11 +1506,13 @@ def _run_fresh(body: str) -> dict:
 
 
 class TestImportBoundary:
-    """``import kernelcast.cli`` loads numpy and no scipy; only the stages
-    that solve (``fit``, ``cv``, the BEKK ``simulate``) load SciPy's LAPACK
-    extension, ``scipy/linalg/_flapack``, and no stage loads a scipy
-    subpackage, ``scipy.linalg`` included: the package has its own ODE,
-    spectral and matching code and calls LAPACK through that one module."""
+    """``import kernelcast.cli`` loads the standard library and the command
+    line front end, neither numpy nor scipy; numpy loads with the first
+    module a stage runs.  Only the stages that solve (``fit``, ``cv``, the
+    BEKK ``simulate``) load SciPy's LAPACK extension,
+    ``scipy/linalg/_flapack``, and no stage loads a scipy subpackage,
+    ``scipy.linalg`` included: the package has its own ODE, spectral and
+    matching code and calls LAPACK through that one module."""
 
     def test_cli_import_loads_no_deferred_scipy(self):
         loaded = _run_fresh(
@@ -1471,9 +1523,9 @@ class TestImportBoundary:
                 if ".".join(m.split(".")[:2]) in DEFERRED_SCIPY] == []
 
     def test_cli_import_adds_only_known_modules(self):
-        # set-up time is the import: beyond numpy, ``import kernelcast.cli``
-        # loads the command line front end and these standard-library
-        # modules (224 modules in all), and each stage imports the package
+        # set-up time is the import: ``import kernelcast.cli`` loads the
+        # command line front end and these standard-library modules (117
+        # modules in all, no numpy), and each stage imports the package
         # modules it runs, so a new start-up import has to be added here on
         # purpose
         known = {"__future__", "_blake2", "_hashlib", "_json", "argparse",
@@ -1481,7 +1533,7 @@ class TestImportBoundary:
                  "json.encoder", "json.scanner"}
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys\nimport numpy\nbefore = set(sys.modules)\n"
+             "import sys\nbefore = set(sys.modules)\n"
              "import kernelcast.cli\n"
              "print('\\n'.join(sorted(set(sys.modules) - before)))"],
             capture_output=True, text=True,
@@ -1493,6 +1545,50 @@ class TestImportBoundary:
         assert package == {"kernelcast", "kernelcast.cli", "kernelcast.errors",
                            "kernelcast.presets"}
         assert added - package <= known
+        assert [m for m in added if m.split(".")[0] == "numpy"] == []
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        (["--version"], 0),
+        (["simulate", "--preset", "nope", "--out", "{tmp}/o"], 2),
+        (["simulate", "--config", "{tmp}/bad.json", "--out", "{tmp}/o"], 2),
+        (["simulate", "--config", "{tmp}/unread.json", "--out", "{tmp}/o"], 2),
+        (["simulate", "--preset", "lorenz-ngrc", "--config", "{tmp}/bad.json",
+          "--out", "{tmp}/o"], 2),
+        (["simulate", "--out", "{tmp}/o"], 2),
+        (["simulate", "--preset", "lorenz-ngrc", "--out", "{tmp}/bad.json"],
+         2),
+    ], ids=["help", "version", "unknown-preset", "invalid-json", "unread-key",
+            "both-flags", "neither-flag", "file-as-out"])
+    def test_front_end_exit_loads_no_numpy(self, tmp_path, argv, code):
+        # a process that ends in the front end never imports numpy
+        (tmp_path / "bad.json").write_text("{not json")
+        cfg = copy.deepcopy(PRESETS["lorenz-ngrc"])
+        cfg["task"]["horizn"] = 10
+        (tmp_path / "unread.json").write_text(json.dumps(cfg))
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import contextlib, io, json, sys\nimport kernelcast.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()), "
+             "contextlib.redirect_stderr(io.StringIO()):\n"
+             "    try:\n"
+             f"        code = kernelcast.cli.main({argv!r})\n"
+             "    except SystemExit as exc:\n"
+             "        code = exc.code\n"
+             "print(json.dumps([code, sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'numpy')]))"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [code, []]
+        assert not (tmp_path / "o").exists()
+
+    def test_size_cap_is_numpy_largest_array(self):
+        # the front end sets the cap without numpy; it is the same number
+        from kernelcast import cli
+
+        assert cli._MAX_SIZE == np.iinfo(np.intp).max // 8
 
     @pytest.mark.parametrize("name", sorted(FIRST_CALLS))
     def test_first_call_in_fresh_process(self, name):
