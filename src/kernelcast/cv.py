@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arrays import sample_rows
 from .datasets import write_csv
-from .errors import (GridSearchError, InvalidInputError, KernelcastError,
-                     sample_rows)
+from .errors import GridSearchError, InvalidInputError, KernelcastError
 from .estimators import REQUIRED_HYPER, check_hyper, fit_task
 from .forecast import check_task, forecast_task
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidInputError, ParseError, SimulationError,
-                     sample_rows)
+from .arrays import sample_rows
+from .errors import InvalidInputError, ParseError, SimulationError
 from .linsolve import psd_sqrt
 
 RK_TOL = 1e-10  # absolute and relative integrator tolerances

@@ -1,12 +1,12 @@
 """Exception types shared across the package, the accessors that read
 upstream artifact documents, the converters that check a value:
 :func:`one_of` for a name, :func:`int_in` and :func:`positive` for a
-number, :func:`numbers` and :func:`finite_array` for an array, and
-:func:`sample_rows`, the one reading of a series or sample argument.
+number, and :func:`numbers` for an array of numbers.
 
 The command-line front end imports this module before any stage runs, so
-it loads only the standard library: the three array converters import
-numpy when they are called."""
+it loads only the standard library: :func:`numbers`, which the front end
+calls on a configured array, imports numpy when it is called.  The array
+converters only the stages use live in :mod:`kernelcast.arrays`."""
 
 from __future__ import annotations
 
@@ -195,44 +195,3 @@ def numbers(value) -> np.ndarray:
             raise InvalidInputError(f"{item!r} is not a number")
     import numpy as np
     return np.float64(value)
-
-
-def finite_array(*shape):
-    """Converter: ``value`` as a float64 array of finite numbers of
-    ``shape``, in which ``None`` stands for any length >= 1.  Anything else
-    raises :class:`InvalidInputError`."""
-    text = ", ".join("any" if n is None else str(n) for n in shape)
-
-    def conv(value) -> np.ndarray:
-        import numpy as np
-        try:
-            array = numbers(value)
-        except (ValueError, OverflowError):  # no number, ragged, huge
-            array = np.empty(0)
-        if array.ndim != len(shape) or not all(
-                m >= 1 if n is None else m == n
-                for n, m in zip(shape, array.shape)) or not np.all(
-                np.isfinite(array)):
-            raise InvalidInputError(
-                f"must be an array of finite numbers of shape ({text})")
-        return array
-    return conv
-
-
-def sample_rows(value, name: str, *, finite: bool = False,
-                empty: bool = False) -> np.ndarray:
-    """``value`` as float64 sample rows of shape ``(n, d)``, ``n >= 1`` (or
-    ``n >= 0`` with ``empty``): a 1-d array is ``n`` samples of one
-    dimension.  Any other shape, and with ``finite`` a non-finite entry,
-    raises :class:`InvalidInputError` naming the argument ``name``."""
-    import numpy as np
-    rows = np.asarray(value, dtype=np.float64)
-    if rows.ndim == 1:
-        rows = rows[:, None]
-    if rows.ndim != 2 or rows.shape[0] < (0 if empty else 1):
-        what = "an (n, d) array" if empty else "a non-empty (n, d) array"
-        raise InvalidInputError(f"{name} must be {what}, not of shape "
-                                f"{np.shape(value)}")
-    if finite and not np.all(np.isfinite(rows)):
-        raise InvalidInputError(f"{name} has non-finite entries")
-    return rows

@@ -30,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import preprocess
+from .arrays import sample_rows
 from .errors import (InvalidInputError, doc_error, doc_field, doc_value,
-                     int_in, one_of, positive, sample_rows)
+                     int_in, one_of, positive)
 from .kernels import (
     KernelModel,
     NgrcKernelParams,

@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .arrays import sample_rows
 from .datasets import read_csv, write_csv
-from .errors import (InvalidInputError, ParseError, doc_field, int_in,
-                     sample_rows)
+from .errors import InvalidInputError, ParseError, doc_field, int_in
 from .linsolve import row_norms
 
 

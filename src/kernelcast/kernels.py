@@ -35,9 +35,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .arrays import finite_array, sample_rows
 from .errors import (InvalidInputError, NormBoundError, doc_error,
-                     doc_value, finite_array, int_in, one_of, positive,
-                     sample_rows)
+                     doc_value, int_in, one_of, positive)
 from .linsolve import GramRows, RidgeSolution, row_norms, solve_ridge_gram
 from .ngrc import (ExponentTable, build_exponent_table, delay_vectors,
                    lagged_pairs, ngrc_features)

@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arrays import sample_rows
 from .datasets import Philox
-from .errors import InvalidInputError, sample_rows
+from .errors import InvalidInputError
 
 # The scoring protocol: the Welch segment length (capped at the series
 # length) and overlap, the largest W1 sample and the seed that subsamples

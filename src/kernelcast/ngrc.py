@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arrays import finite_array, sample_rows
 from .errors import (CapacityError, InvalidInputError, doc_error, doc_value,
-                     finite_array, int_in, one_of, sample_rows)
+                     int_in, one_of)
 from .linsolve import RidgeSolution, solve_ridge_primal
 
 # Hard cap on materialized exponent-table rows; anything bigger is a config

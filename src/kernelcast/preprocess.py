@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidInputError, doc_error, doc_field, numbers,
-                     sample_rows)
+from .arrays import sample_rows
+from .errors import InvalidInputError, doc_error, doc_field, numbers
 from .linsolve import row_norms
 
 KINDS = ("minmax01", "standardize", "demean", "max-norm-scale",

@@ -1,5 +1,5 @@
 """Every reader of a series or sample argument reads it one way
-(``errors.sample_rows``): a 1-d array is one column, and an array that is
+(``arrays.sample_rows``): a 1-d array is one column, and an array that is
 no non-empty ``(n, d)`` matrix, or one with a non-finite entry where the
 reader checks finiteness, raises an error naming the argument."""
 

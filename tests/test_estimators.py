@@ -6,13 +6,9 @@ import numpy as np
 import pytest
 
 from kernelcast import preprocess
+from kernelcast.arrays import finite_array
 from kernelcast.datasets import load_csv
-from kernelcast.errors import (
-    DependencyError,
-    InvalidInputError,
-    finite_array,
-    numbers,
-)
+from kernelcast.errors import DependencyError, InvalidInputError, numbers
 from kernelcast.estimators import (
     INPUT_TRANSFORMS,
     OPTIONAL_HYPER,
