@@ -85,17 +85,18 @@ class ParseError(InvalidInputError):
 
 
 def doc_field(doc: dict, key: str, source: str, path: str = ""):
-    """Value at the dotted ``key`` of an artifact document.
-
-    ``source`` names the artifact (its file) and ``path`` the dotted
-    location of ``doc`` inside it; a missing key raises
-    :class:`MissingKeyError` naming both, down to the first part missing.
-    """
+    """Value at the dotted ``key`` of an artifact document: ``source``
+    names the artifact (its file) and ``path`` the dotted location of
+    ``doc`` inside it.  A missing key, and a node on the way that is no
+    object, raise :class:`MissingKeyError` naming both."""
     node = doc
     parts = path.split(".") if path else []
     for part in key.split("."):
+        if not isinstance(node, dict):
+            raise MissingKeyError(f"{source}: {'.'.join(parts)!r} must be an "
+                                  f"object, not a {type(node).__name__}")
         parts.append(part)
-        if not isinstance(node, dict) or part not in node:
+        if part not in node:
             raise MissingKeyError(f"{source} has no key {'.'.join(parts)!r}")
         node = node[part]
     return node
@@ -110,11 +111,9 @@ def doc_error(source: str, path: str, key: str, what: str) -> DependencyError:
 
 def doc_value(doc: dict, key: str, source: str, path: str, conv):
     """``conv`` of the value at the dotted ``key`` (see :func:`doc_field`).
-
     A value ``conv`` rejects, with an :class:`InvalidInputError` or the
     ``TypeError`` of a value that is no number, raises
-    :class:`DependencyError` naming ``source`` and the dotted key.
-    """
+    :class:`DependencyError` naming ``source`` and the dotted key."""
     value = doc_field(doc, key, source, path)
     try:
         return conv(value)

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import preprocess
 from .arrays import sample_rows
-from .errors import (InvalidInputError, doc_error, doc_field, doc_value,
-                     int_in, one_of, positive)
+from .errors import (InvalidInputError, doc_field, doc_value, int_in,
+                     one_of, positive)
 from .kernels import (
     KernelModel,
     NgrcKernelParams,
@@ -64,10 +64,13 @@ INPUT_TRANSFORMS = {"ngrc": [], "ngrc-kernel": [], "polynomial": ["minmax01"],
 # Output transform chain of input/output pairs, whose outputs are BEKK
 # covariances: x1000, then standardize.
 PAIR_OUTPUT_TRANSFORMS = ("constant-scale", "standardize")
-# The models each kind fits: ngrc-model/1, or a kernel-model/3 kernel kind.
-_KIND_MODELS = {"ngrc": ("ngrc-model/1",),
-                "polynomial": ("ngrc-model/1", "polynomial"),
-                "volterra": ("volterra",), "ngrc-kernel": ("ngrc",)}
+# The kinds that fit each model: an ngrc-model/1, or a kernel-model/3 of
+# each kernel kind.
+_MODEL_KINDS = {"ngrc-model/1": ("ngrc", "polynomial"),
+                "polynomial": ("polynomial",), "volterra": ("volterra",),
+                "ngrc": ("ngrc-kernel",)}
+# The reader of each model schema.
+_MODELS = {"ngrc-model/1": NgrcModel, "kernel-model/3": KernelModel}
 # The integer hyperparameters and their least values; every other one is a
 # positive finite float.
 _INT_HYPER = {"tau": 1, "p": 1, "washout": 0}
@@ -354,51 +357,38 @@ def estimator_to_dict(est: Estimator) -> dict:
 
 def estimator_from_dict(doc: dict, source: str = "estimator document",
                         path: str = "") -> Estimator:
-    """Load an ``estimator/3`` document.  ``source`` and ``path`` (the
-    dotted location of ``doc`` in it) name a missing key, and a key that
-    disagrees with the model (a
-    :class:`~kernelcast.errors.DependencyError`).  Any other schema, such
-    as the ``estimator/1`` and ``/2`` of older versions, asks for a refit."""
-    def where(key):
-        return f"{path}.{key}" if path else key
-
-    def get(key):
-        return doc_field(doc, key, source, path)
-
-    def bad(key, what):
-        return doc_error(source, path, key, what)
-
-    schema = get("schema")
-    if schema != "estimator/3":
-        raise bad("schema", f"must be estimator/3, not {schema!r}; refit "
-                            "the model")
-    if doc_value(doc, "model.schema", source, path, one_of(
-            "ngrc-model/1", "kernel-model/3")) == "ngrc-model/1":
-        model = NgrcModel.from_dict(get("model"), source, where("model"))
-        fitted = "ngrc-model/1"
-    else:
-        model = KernelModel.from_dict(get("model"), source, where("model"))
-        fitted = model.kernel.describe()["kind"]
-    kind = get("kind")
-    if not isinstance(kind, str) or fitted not in _KIND_MODELS.get(kind, ()):
-        raise bad("kind", f"must be a kind that fits the model ({fitted}), "
-                          f"not {kind!r}")
+    """Load the ``estimator/3`` document at the dotted ``path`` of
+    ``source``, each field through :func:`~kernelcast.errors.doc_value`
+    (a bad one raises :class:`~kernelcast.errors.DependencyError` naming
+    it): ``schema`` ``estimator/3`` (older ones ask for a refit), ``model``
+    a document its ``schema`` reads, ``kind`` one that fits the model
+    (:data:`_MODEL_KINDS`), and the transform chains ``input_specs`` and
+    ``output_specs`` of the model's widths; an ``output_specs`` of null
+    shares the input transforms, where the outputs are the inputs."""
+    doc_value(doc, "schema", source, path, _current_schema)
+    schema = doc_value(doc, "model.schema", source, path, one_of(*_MODELS))
+    model = _MODELS[schema].from_dict(doc_field(doc, "model", source, path),
+                                      source, f"{path}.model".lstrip("."))
+    fitted = "ngrc-model/1" if isinstance(model, NgrcModel) \
+        else model.kernel.describe()["kind"]
+    kind = doc_value(doc, "kind", source, path, one_of(*_MODEL_KINDS[fitted]))
     widths = _widths(model)
+    inputs = preprocess.pipeline_from_dicts(doc, "input_specs", source, path,
+                                            widths[0])
+    outputs = preprocess.pipeline_from_dicts(
+        doc, "output_specs", source, path, widths[1],
+        shared=widths[1] == widths[0])
+    return Estimator(kind, model, inputs, inputs if outputs is None
+                     else outputs)
 
-    def specs(key, width):
-        loaded = preprocess.pipeline_from_dicts(get(key), source, where(key))
-        for i, spec in enumerate(loaded):
-            for name in ("shift", "scale"):
-                if np.shape(getattr(spec, name)) not in ((), (width,)):
-                    raise bad(f"{key}.{i}.{name}", "must hold one value or "
-                              f"one per dimension ({width})")
-        return loaded
 
-    input_specs = specs("input_specs", widths[0])
-    # only a model whose outputs are its inputs can share their transforms
-    shared = get("output_specs") is None and widths[1] == widths[0]
-    return Estimator(kind, model, input_specs, input_specs if shared
-                     else specs("output_specs", widths[1]))
+def _current_schema(value) -> str:
+    """Converter: ``value`` if it is ``estimator/3``; any other schema asks
+    for a refit."""
+    if value != "estimator/3":
+        raise InvalidInputError(f"must be estimator/3, not {value!r}; refit "
+                                "the model")
+    return value
 
 
 def fit_task(kind: str, hyper: dict, train: tuple) -> Estimator:

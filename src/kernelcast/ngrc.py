@@ -204,7 +204,8 @@ class NgrcModel:
             table = build_exponent_table(*(get(key, int_in(1))
                                            for key in ("tau", "d", "p")))
         except CapacityError as exc:  # sizes that no table can hold
-            raise doc_error(source, "", path, f"cannot be loaded: {exc}")
+            parent, _, key = path.rpartition(".")
+            raise doc_error(source, parent, key, f"cannot be loaded: {exc}")
         return cls(table, get("weights", finite_array(table.n_features,
                                                       None)))
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import sample_rows
-from .errors import InvalidInputError, doc_error, doc_field, numbers
+from .arrays import finite_array, sample_rows
+from .errors import InvalidInputError, doc_value, one_of
 from .linsolve import row_norms
 
 KINDS = ("minmax01", "standardize", "demean", "max-norm-scale",
@@ -54,42 +54,49 @@ class TransformSpec:
 
     @classmethod
     def from_dict(cls, doc: dict, source: str = "transform document",
-                  path: str = "") -> "TransformSpec":
-        """Load one transform.  ``source`` and ``path`` (the dotted location
-        of ``doc`` in it) name a missing ``kind``, ``shift`` or ``scale``,
-        and a bad one, which raises
-        :class:`~kernelcast.errors.DependencyError`: ``kind`` is one of
+                  path: str = "", width: int | None = None) -> "TransformSpec":
+        """Load the transform at the dotted ``path`` of ``source``, for
+        samples ``width`` wide (any width where None).  Each field goes
+        through :func:`~kernelcast.errors.doc_value`: ``kind`` one of
         :data:`KINDS`, ``shift`` null (no shift) or finite numbers and
-        ``scale`` a finite non-zero number or a list of them."""
-        def get(key):
-            return doc_field(doc, key, source, path)
-
-        def bad(key, what):
-            return doc_error(source, path, key,
-                             f"must be {what}, not {doc[key]!r}")
-
-        kind, shift, scale = get("kind"), get("shift"), get("scale")
-        if kind not in KINDS:
-            raise bad("kind", "one of " + ", ".join(KINDS))
-        if shift is not None:
-            shift = _finite_floats(shift)
-            if shift is None:
-                raise bad("shift", "null or finite numbers")
-        scale = _finite_floats(scale)
-        if scale is None or not np.all(scale):
-            raise bad("scale", "a finite non-zero number or a list of them")
+        ``scale`` a finite non-zero number or a list of them, a list holding
+        one number per dimension."""
+        kind = doc_value(doc, "kind", source, path, one_of(*KINDS))
+        shift = doc_value(doc, "shift", source, path, _or_null(
+            _values(width, "null or finite numbers")))
+        scale = doc_value(doc, "scale", source, path, _values(
+            width, "a finite non-zero number or a list of them", True))
         return cls(kind, shift, float(scale) if scale.ndim == 0 else scale)
 
 
-def _finite_floats(value) -> np.ndarray | None:
-    """``value`` as float64 if it is a finite number or a non-empty list of
-    them, else ``None``; a bool is not a number."""
-    try:
-        values = numbers(value)
-    except (ValueError, OverflowError):  # no number, ragged, huge
-        return None
-    return values if values.ndim <= 1 and values.size and np.all(
-        np.isfinite(values)) else None
+def _values(width: int | None, what: str, nonzero: bool = False):
+    """Converter: a finite number, or a list of ``width`` of them (any
+    length >= 1 where None), as float64; with ``nonzero``, none zero.
+    Anything else raises :class:`InvalidInputError`: it must be ``what``."""
+    number, per_dim = finite_array(), finite_array(width)
+    dims = f" (one, or one for each of {width} dimensions)" if width else ""
+
+    def conv(value):
+        try:
+            values = (per_dim if isinstance(value, list) else number)(value)
+        except InvalidInputError:
+            values = None
+        if values is None or nonzero and not np.all(values):
+            raise InvalidInputError(f"must be {what}{dims}, not {value!r}")
+        return values
+    return conv
+
+
+def _or_null(conv):
+    """Converter: ``None``, or ``conv`` of any other value."""
+    return lambda value: None if value is None else conv(value)
+
+
+def _transforms(value) -> list:
+    """Converter: ``value`` if it is a list (of transform documents)."""
+    if not isinstance(value, list):
+        raise InvalidInputError(f"must be a list of transforms, not {value!r}")
+    return value
 
 
 def fit(kind: str, train) -> TransformSpec:
@@ -169,14 +176,16 @@ def pipeline_to_dicts(specs) -> list[dict]:
     return [s.to_dict() for s in specs]
 
 
-def pipeline_from_dicts(docs, source: str = "transform document",
-                        path: str = "") -> list[TransformSpec]:
-    """Load a transform chain, a list whose entry ``i`` sits at ``path.i``
-    of ``source``; anything else raises
-    :class:`~kernelcast.errors.DependencyError` naming ``path``."""
-    if not isinstance(docs, list):
-        raise doc_error(source, "", path, "must be a list of transforms, "
-                                          f"not {docs!r}")
-    prefix = f"{path}." if path else ""
-    return [TransformSpec.from_dict(d, source, f"{prefix}{i}")
-            for i, d in enumerate(docs)]
+def pipeline_from_dicts(doc: dict, key: str, source: str, path: str,
+                        width: int | None = None, shared: bool = False
+                        ) -> list[TransformSpec] | None:
+    """The transform chain at ``key`` of ``doc``, the document at the
+    dotted ``path`` of ``source``: entry ``i`` of the list is the transform
+    at ``key.i`` (:meth:`TransformSpec.from_dict` of ``width``), and with
+    ``shared`` a null is ``None``.  A bad value raises
+    :class:`~kernelcast.errors.DependencyError` naming it."""
+    docs = doc_value(doc, key, source, path,
+                     _or_null(_transforms) if shared else _transforms)
+    return None if docs is None else [TransformSpec.from_dict(
+        entry, source, f"{path}.{key}.{i}".lstrip("."), width)
+        for i, entry in enumerate(docs)]

@@ -8,7 +8,8 @@ import pytest
 from kernelcast import preprocess
 from kernelcast.arrays import finite_array
 from kernelcast.datasets import load_csv
-from kernelcast.errors import DependencyError, InvalidInputError, numbers
+from kernelcast.errors import (DependencyError, InvalidInputError,
+                               MissingKeyError, numbers)
 from kernelcast.estimators import (
     INPUT_TRANSFORMS,
     OPTIONAL_HYPER,
@@ -270,6 +271,31 @@ class TestModelDocuments:
             finally:
                 node[last] = value
         estimator_from_dict(doc)
+
+    @pytest.mark.parametrize("entry", [1.0, None, "minmax01", []])
+    def test_a_transform_that_is_no_object_is_named(self, entry):
+        est = fit_task("polynomial", HYPER["polynomial"], (short_series(),))
+        doc = json.loads(json.dumps(estimator_to_dict(est)))
+        doc["input_specs"][0] = entry
+        with pytest.raises(MissingKeyError, match="^estimator document: "
+                           "'input_specs.0' must be an object, not a "):
+            estimator_from_dict(doc)
+
+    @pytest.mark.parametrize("name, value", [
+        ("shift", [0.0, 0.0, 0.0]), ("shift", [0.0]), ("scale", [1.0] * 3)])
+    def test_a_transform_of_another_width_is_refused_where_read(self, name,
+                                                                value):
+        # the model reads two input dimensions; one number is any width's
+        est = fit_task("polynomial", HYPER["polynomial"], (short_series(),))
+        doc = json.loads(json.dumps(estimator_to_dict(est)))
+        doc["input_specs"][0][name] = value
+        with pytest.raises(DependencyError, match=re.escape(
+                f"'input_specs.0.{name}' must be ") + ".*"
+                + re.escape("(one, or one for each of 2 dimensions)")):
+            estimator_from_dict(doc)
+        doc["input_specs"][0][name] = 0.5
+        spec = estimator_from_dict(doc).input_specs[0]
+        assert np.shape(getattr(spec, name)) == ()
 
     @pytest.mark.parametrize("kind", sorted(HYPER))
     def test_a_fitted_document_holds_only_what_is_read(self, kind):

@@ -1,16 +1,32 @@
-"""The scripts under ``tools/`` run against the package in ``src/``."""
+"""The scripts under ``tools/`` run against the package in ``src/``.
+
+``data/artifact_digests.json`` is the document that
+``tools/artifact_digests.py`` printed for the replication presets, and
+:func:`test_artifacts_match_the_record` compares this code's artifacts with
+it.  The session fixtures' ``a`` runs already wrote simulate through eval of
+each preset; one ``cv`` per preset runs on a copy of each.  The digests hold
+for one environment (the record's ``threads``, ``blas_threads``, ``cpus``
+and ``versions``): elsewhere the test skips and names the difference, and
+it never passes without comparing.  A change that moves artifact bits on
+purpose writes the record anew with the tool.
+"""
 
 import importlib.util
 import json
 import os
 import platform
+import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+from kernelcast.cli import main
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+RECORD = Path(__file__).resolve().parent / "data" / "artifact_digests.json"
 
 
 def load_tool(name):
@@ -109,3 +125,44 @@ def test_stage_walls_of_one_pair(tmp_path):
     assert len(lines) == 1 + len(tool.STAGES)
     assert all(line.startswith(stage) and line.endswith(" of 1")
                for stage, line in zip(tool.STAGES, lines[1:]))
+
+
+@pytest.fixture(scope="session")
+def cv_runs(tmp_path_factory, lorenz_pipelines, mackey_glass_pipelines,
+            bekk_pipelines):
+    """Each replication preset's ``a`` run, copied, with ``cv`` run on the
+    copy: ``{preset: (directory, cv exit code)}``."""
+    root = tmp_path_factory.mktemp("cv-runs")
+    runs = {}
+    for family in (lorenz_pipelines, mackey_glass_pipelines, bekk_pipelines):
+        for preset, pair in family.items():
+            out = root / preset
+            shutil.copytree(pair["a"]["dir"], out)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                runs[preset] = out, main(["cv", "--preset", preset,
+                                          "--out", str(out)])
+    return runs
+
+
+def test_artifacts_match_the_record(cv_runs):
+    tool = load_tool("artifact_digests")
+    record = json.loads(RECORD.read_text())
+    here = tool.environment()
+    differ = [f"{name} {record[name]} (here {here[name]})"
+              for name in tool.ENVIRONMENT if record[name] != here[name]]
+    if differ:
+        pytest.skip("the record holds for another environment: "
+                    + "; ".join(differ))
+    assert sorted(cv_runs) == tool.REPLICATION_PRESETS
+    run = {**here, "exit_codes": {}, "sha256": {}}
+    for preset, (out, code) in cv_runs.items():
+        # the fixtures assert exit 0 for simulate through eval
+        run["exit_codes"].update({f"{preset}/{stage}": 0
+                                  for stage in tool.STAGES})
+        run["exit_codes"][f"{preset}/cv"] = code
+        run["sha256"].update(tool.run_digests(out, preset))
+    lines = tool.compare(record, run)
+    assert not lines, "artifacts that differ from the record:\n" + "\n".join(
+        lines)
+    assert len(run["sha256"]) == 78

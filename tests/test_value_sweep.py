@@ -1,6 +1,7 @@
 """No value at any leaf of a shipped config, of a fitted ``model.json`` or
-of a ``simulate_manifest.json``, and no value of a comment or cell of a
-``forecast.csv``, makes a reader raise anything but a package error.
+of a ``simulate``, ``fit`` or ``forecast`` manifest, and no value of a
+comment or cell of a ``forecast.csv``, makes a reader raise anything but a
+package error.
 
 Each leaf, and the first element of each array, is set in turn to each of
 :data:`VALUES`.  A config goes through ``load_config`` and the readers that
@@ -10,17 +11,22 @@ field, ``_hyper`` and ``check_hyper`` as ``fit`` reads the hyperparameters,
 ``model.json`` goes through the stages' reader of upstream files and
 ``estimator_from_dict`` as ``forecast`` loads it, and a
 ``simulate_manifest.json`` through ``load_span`` as ``fit``, ``cv`` and
-``forecast`` read their spans.  The ``mode``, ``horizon`` and
-``error_step`` comments and the first, second and last cell of the first
-row of a ``forecast.csv`` are set in turn to each of :data:`CELLS` and the
-file is read as ``eval`` reads it.  Every outcome must be a value or a
-:class:`~kernelcast.errors.KernelcastError`; no leaf is skipped.
+``forecast`` read their spans; each error of a ``model.json`` names the
+file and the dotted key.  ``fit_manifest.json`` goes through the stages'
+reader of upstream files as ``forecast`` reads it, and
+``forecast_manifest.json`` as ``eval`` reads it.  The ``mode``,
+``horizon`` and ``error_step`` comments and the first, second and last
+cell of the first row of a ``forecast.csv`` are set in turn to each of
+:data:`CELLS` and the file is read as ``eval`` reads it.  Every outcome
+must be a value or a :class:`~kernelcast.errors.KernelcastError`; no leaf
+is skipped.
 """
 
 import argparse
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -232,3 +238,69 @@ def test_forecast_csv_sweep(short_run):
     assert len(edits) == 6 * len(CELLS)
     assert crashes == []
     assert read > 0  # " 1" in a cell and the step key read back
+
+
+def model_errors(doc, config) -> list:
+    """``(path, value, message)`` of every :class:`KernelcastError` that
+    :func:`read_model` raises with each of :data:`VALUES` at each leaf of
+    ``doc``, which is restored after each run."""
+    errors = []
+    for path in list(leaf_paths(doc)):
+        for value in VALUES:
+            old = swap(doc, path, copy.deepcopy(value))
+            try:
+                read_model(doc, config)
+            except KernelcastError as exc:
+                errors.append((".".join(map(str, path)), value, str(exc)))
+            finally:
+                swap(doc, path, old)
+    return errors
+
+
+# the file, then a quoted dotted key under the estimator: "has no key
+# 'estimator.kind'" or ": 'estimator.kind' must ..."
+NAMED = re.compile(r"model\.json(:| has no key) "
+                   r"'estimator(\.[\w-]+)*'( |$)")
+
+
+@pytest.mark.parametrize("preset", MODEL_PRESETS)
+def test_model_errors_name_file_and_key(request, preset):
+    family = preset.rsplit("-", 1)[0].replace("-", "_")
+    runs = request.getfixturevalue(f"{family}_pipelines")
+    doc = json.loads((runs[preset]["a"]["dir"] / "model.json").read_text())
+    errors = model_errors(doc, PRESETS[preset])
+    # any value but the file's own hash is another config's
+    assert sum(path == "config_sha256" for path, _, _ in errors) == len(
+        VALUES)
+    unnamed = [(path, value, message) for path, value, message in errors
+               if not ("another config" in message if path == "config_sha256"
+                       else NAMED.match(message))]
+    assert len(errors) >= 100
+    assert unnamed == []
+
+
+@pytest.mark.parametrize("name, leaves", [
+    # as forecast reads it: its provenance, hyperparameters, solver report,
+    # transform flags (and the first chain's first) and phase timings
+    ("fit_manifest.json", 24),
+    # as eval reads it: its provenance, mode, horizon, truncation and
+    # projection count
+    ("forecast_manifest.json", 10),
+])
+def test_upstream_manifest_leaf_sweep(short_run, name, leaves):
+    config, out = short_run
+    path = out / name
+    text = path.read_text()
+
+    def read(doc):
+        path.write_text(json.dumps(doc))
+        cli._upstream(str(out), name, config)
+
+    doc = json.loads(text)
+    try:
+        read(doc)  # the manifest as written loads
+        swept, crashes = sweep(doc, read)
+    finally:
+        path.write_text(text)
+    assert swept == leaves
+    assert crashes == []

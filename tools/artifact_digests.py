@@ -16,6 +16,8 @@ the usable CPUs when ``threads`` is unset, so compare two documents only
 when their ``threads``, ``blas_threads``, ``cpus`` and ``versions`` agree.
 The stages' own output and one status line per stage go to standard error.
 Point ``PYTHONPATH`` at another checkout's ``src`` to digest that code.
+``tests/data/artifact_digests.json`` holds this document for the code in
+the repository, and a test compares the test session's artifacts with it.
 
     PYTHONPATH=src python tools/artifact_digests.py BEFORE.json AFTER.json
 
@@ -66,26 +68,10 @@ def openblas_threads(module_file: str, symbol: str) -> int | None:
     return get()
 
 
-def digests(out_dir, presets) -> dict:
-    """Run :data:`STAGES` on each of ``presets``, each in its own directory
-    under ``out_dir``: ``{"threads", "blas_threads", "cpus", "versions",
-    "exit_codes", "sha256"}``, the last two keyed ``preset/stage`` and
-    ``preset/file``.  ``blas_threads`` holds the count of numpy's build
-    (64-bit integers) and of the one under SciPy's LAPACK extension, which
-    the solves load."""
-    exit_codes, sha256 = {}, {}
-    for preset in presets:
-        run_dir = os.path.join(out_dir, preset)
-        for stage in STAGES:
-            with contextlib.redirect_stdout(sys.stderr):
-                code = main([stage, "--preset", preset, "--out", run_dir])
-            exit_codes[f"{preset}/{stage}"] = code
-            print(f"{preset} {stage}: exit {code}", file=sys.stderr)
-        for name in sorted(os.listdir(run_dir)):
-            if not name.endswith("_manifest.json"):
-                with open(os.path.join(run_dir, name), "rb") as fh:
-                    sha256[f"{preset}/{name}"] = hashlib.sha256(
-                        fh.read()).hexdigest()
+def environment() -> dict:
+    """The :data:`ENVIRONMENT` fields of a :func:`digests` document.
+    ``blas_threads`` holds the count of numpy's build (64-bit integers) and
+    of the one under SciPy's LAPACK extension, which the solves load."""
     return {"threads": {var: os.environ.get(var) for var in THREAD_VARS},
             "blas_threads": {
                 "numpy": openblas_threads(_multiarray_umath.__file__,
@@ -95,8 +81,35 @@ def digests(out_dir, presets) -> dict:
             "cpus": len(os.sched_getaffinity(0)),
             "versions": {"python": platform.python_version(),
                          "numpy": version("numpy"),
-                         "scipy": version("scipy")},
-            "exit_codes": exit_codes, "sha256": sha256}
+                         "scipy": version("scipy")}}
+
+
+def run_digests(run_dir, preset: str) -> dict:
+    """The sha256 of every file in ``run_dir`` but the
+    ``*_manifest.json``, keyed ``preset/file``."""
+    sha256 = {}
+    for name in sorted(os.listdir(run_dir)):
+        if not name.endswith("_manifest.json"):
+            with open(os.path.join(run_dir, name), "rb") as fh:
+                sha256[f"{preset}/{name}"] = hashlib.sha256(
+                    fh.read()).hexdigest()
+    return sha256
+
+
+def digests(out_dir, presets) -> dict:
+    """Run :data:`STAGES` on each of ``presets``, each in its own directory
+    under ``out_dir``: the :func:`environment` fields, ``exit_codes`` keyed
+    ``preset/stage`` and ``sha256`` (:func:`run_digests`)."""
+    exit_codes, sha256 = {}, {}
+    for preset in presets:
+        run_dir = os.path.join(out_dir, preset)
+        for stage in STAGES:
+            with contextlib.redirect_stdout(sys.stderr):
+                code = main([stage, "--preset", preset, "--out", run_dir])
+            exit_codes[f"{preset}/{stage}"] = code
+            print(f"{preset} {stage}: exit {code}", file=sys.stderr)
+        sha256.update(run_digests(run_dir, preset))
+    return {**environment(), "exit_codes": exit_codes, "sha256": sha256}
 
 
 def compare(before: dict, after: dict) -> list[str]:
